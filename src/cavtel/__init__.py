@@ -19,7 +19,6 @@ from .errors import (
 )
 from .gaussian import (
     make_two_mode_squeezed,
-    optimal_fidelity_bound,
     partial_transpose,
     symplectic_eigenvalues,
     teleport_fidelity,
@@ -63,8 +62,8 @@ __all__ = [
     "CavtelError", "ConsistencyError", "ExtrapolationError",
     "PhysicalityError", "QuadratureError", "TrajectoryParseError",
     "TruncationError",
-    "make_two_mode_squeezed", "optimal_fidelity_bound",
-    "partial_transpose", "symplectic_eigenvalues", "teleport_fidelity",
+    "make_two_mode_squeezed", "partial_transpose",
+    "symplectic_eigenvalues", "teleport_fidelity",
     "vacuum_state",
     "BogoliubovPair", "CavityGeometry", "RindlerGeometry", "compose",
     "f_sums", "inverse", "one_segment_transform", "sudden_switch_oracle",

@@ -22,7 +22,10 @@ Identity residuals are measured on the adequately resolved interior block
 (mode indices up to n_max / 2).  The outermost rows and columns of any
 truncated transformation carry order h couplings to modes just outside
 the window, so no finite matrix can close the identities there; interior
-modes are the ones downstream consumers are allowed to use.
+modes are the ones downstream consumers are allowed to use.  They are
+measured once per oracle cache entry and on each one-segment transform;
+`compose`, `inverse` and the diagonal (unitary) phase steps only carry
+the larger input defect.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ __all__ = [
     "RindlerGeometry",
     "BogoliubovPair",
     "PerturbativeCoefficients",
-    "mode_function_inertial",
-    "mode_function_rindler",
     "identity_pair",
     "make_pair",
     "identity_residuals",
@@ -62,8 +63,12 @@ __all__ = [
 ]
 
 ORACLE_TOL = 1e-10
+# first-order extraction ladder: oracle slopes at +-H_BASE / 2^i
 EXTRACTION_TOL = 1e-12
 EXTRACTION_TARGET = 1e-8
+EXTRACTION_H_BASE = 0.1
+EXTRACTION_LEVELS = 4
+EXTRACTION_MAX_LEVELS = 6
 REGIME_H_SQUARED = 0.06
 
 
@@ -84,8 +89,10 @@ class CavityGeometry:
     n_max: int = 10
 
     def __post_init__(self):
-        if self.L <= 0 or self.c <= 0:
-            raise ValueError("cavity length and speed of light must be > 0")
+        if not 0 < self.L < math.inf:
+            raise ValueError("cavity length L must be finite and > 0")
+        if not 0 < self.c < math.inf:
+            raise ValueError("speed of light c must be finite and > 0")
         if not 2 <= self.n_max <= 64:
             raise ValueError(f"n_max must lie in 2..64, got {self.n_max}")
 
@@ -141,40 +148,6 @@ class RindlerGeometry:
         """Wedge frequency n pi / D, conjugate to the dimensionless
         Rindler time; the center clock sees h * omega_mode(n)."""
         return n * math.pi / self.log_width
-
-
-def mode_function_inertial(n, xi):
-    """Inertial cavity mode n at fractional position xi in [0, 1].
-
-    Returns (value, time derivative) on the t = 0 slice for the
-    positive-frequency mode with time dependence exp(-i omega_n t),
-    normalized to unit Klein-Gordon norm.
-    """
-    if n < 1:
-        raise ValueError("mode number must be >= 1")
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi < -1e-12) or np.any(xi > 1.0 + 1e-12):
-        raise ValueError("position outside the cavity")
-    val = np.sin(n * np.pi * xi) / math.sqrt(n * math.pi)
-    return val, -1j * (n * np.pi) * val
-
-
-def mode_function_rindler(n, chi, rindler):
-    """Accelerated cavity mode n at Rindler position chi.
-
-    Returns (value, t-derivative on the shared slice); the conformal
-    profile is sin(n pi ln(chi / chi_L) / D) with the same normalization
-    constant as the inertial family.
-    """
-    if n < 1:
-        raise ValueError("mode number must be >= 1")
-    chi = np.asarray(chi, dtype=float)
-    lo, hi = rindler.chi_left, rindler.chi_right
-    if np.any(chi < lo * (1 - 1e-12)) or np.any(chi > hi * (1 + 1e-12)):
-        raise ValueError("position outside the accelerated cavity")
-    z = np.log1p((chi - lo) / lo) / rindler.log_width
-    val = np.sin(n * np.pi * z) / math.sqrt(n * math.pi)
-    return val, -1j * (rindler.omega_mode(n) / chi) * val
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +212,18 @@ def identity_pair(n):
 
 
 def compose(b2, b1):
-    """Pair applying b1 first, then b2."""
+    """Pair applying b1 first, then b2, carrying the larger defect."""
     if b2.n_modes != b1.n_modes:
         raise ValueError("mode counts differ")
     alpha = b2.alpha @ b1.alpha + b2.beta @ b1.beta.conj()
     beta = b2.alpha @ b1.beta + b2.beta @ b1.alpha.conj()
-    return make_pair(alpha, beta, floor=max(b1.defect, b2.defect))
+    return BogoliubovPair(alpha, beta, max(b1.defect, b2.defect))
 
 
 def inverse(b):
-    """Canonical inverse (alpha -> alpha^dagger, beta -> -beta^T)."""
-    return make_pair(b.alpha.conj().T, -b.beta.T, floor=b.defect)
+    """Canonical inverse (alpha -> alpha^dagger, beta -> -beta^T); it
+    swaps the row and column identities, so the defect carries over."""
+    return BogoliubovPair(b.alpha.conj().T, -b.beta.T, b.defect)
 
 
 def to_symplectic(pair):
@@ -313,12 +287,12 @@ def _switch_overlaps(h, n_max, tol):
 
 @lru_cache(maxsize=1024)
 def _oracle_cached(h, n_max, tol):
+    """Switch pair with its defect, measured once per cache entry."""
     co, counter, residual = _switch_overlaps(h, n_max, tol)
-    alpha = np.ascontiguousarray(co, dtype=complex)
-    beta = np.ascontiguousarray(-counter, dtype=complex)
-    alpha.flags.writeable = False
-    beta.flags.writeable = False
-    return alpha, beta, residual
+    pair = make_pair(co, -counter, floor=residual)
+    pair.alpha.flags.writeable = False
+    pair.beta.flags.writeable = False
+    return pair
 
 
 def sudden_switch_oracle(h, geometry, tol=ORACLE_TOL):
@@ -336,20 +310,20 @@ def sudden_switch_oracle(h, geometry, tol=ORACLE_TOL):
 
     Returns
     -------
-    BogoliubovPair whose defect includes the quadrature residual.
+    Shared BogoliubovPair (read-only arrays) whose defect includes the
+    quadrature residual.
     """
     if h == 0.0:
         raise ValueError("h must be nonzero; use identity_pair for rest")
-    alpha, beta, residual = _oracle_cached(float(h), geometry.n_max, tol)
-    return make_pair(alpha, beta, floor=residual)
+    return _oracle_cached(float(h), geometry.n_max, tol)
 
 
 def phase_evolution_minkowski(t_seconds, geometry):
     """Free inertial evolution for a lab-time duration (beta = 0)."""
     n = np.arange(1, geometry.n_max + 1)
     theta = n * np.pi * geometry.natural_time(t_seconds)
-    return make_pair(np.diag(np.exp(-1j * theta)),
-                     np.zeros((geometry.n_max,) * 2))
+    return BogoliubovPair(np.diag(np.exp(-1j * theta)),
+                          np.zeros((geometry.n_max,) * 2, dtype=complex), 0.0)
 
 
 def phase_evolution_rindler(tau_seconds, h, geometry):
@@ -362,21 +336,22 @@ def phase_evolution_rindler(tau_seconds, h, geometry):
     eta = abs(h) * geometry.natural_time(tau_seconds)
     n = np.arange(1, geometry.n_max + 1)
     theta = rind.omega_mode(n) * eta
-    return make_pair(np.diag(np.exp(-1j * theta)),
-                     np.zeros((geometry.n_max,) * 2))
+    return BogoliubovPair(np.diag(np.exp(-1j * theta)),
+                          np.zeros((geometry.n_max,) * 2, dtype=complex), 0.0)
 
 
 def one_segment_transform(tau_seconds, h, geometry, tol=ORACLE_TOL):
     """Net transformation for one accelerated segment.
 
     Switch into the accelerated basis, evolve for proper time tau at the
-    center, switch back: inverse(B) o phases o B.
+    center, switch back: inverse(B) o phases o B, measuring the defect.
     """
     if tau_seconds < 0:
         raise ValueError("segment duration must be >= 0")
     b0 = sudden_switch_oracle(h, geometry, tol)
     ph = phase_evolution_rindler(tau_seconds, h, geometry)
-    return compose(inverse(b0), compose(ph, b0))
+    net = compose(inverse(b0), compose(ph, b0))
+    return make_pair(net.alpha, net.beta, floor=net.defect)
 
 
 # ---------------------------------------------------------------------------
@@ -402,34 +377,6 @@ def first_order_pairing_magnitude(m, n):
     odd = (m + n) % 2 == 1
     out = 2.0 * np.sqrt(m * n) / (np.pi ** 2 * (m + n) ** 3)
     return np.where(odd, out, 0.0)
-
-
-def _central_slopes(build, h):
-    ap, bp = build(h)
-    am, bm = build(-h)
-    return (ap - am) / (2.0 * h), (bp - bm) / (2.0 * h)
-
-
-def _extrapolate_slopes(build, h_base, levels, target, max_levels):
-    """Richardson-extrapolated d/dh at h = 0 of a pair-valued map.
-
-    Central differences kill the even orders, so the error series runs in
-    h^2 and the table uses ratio 4.
-    """
-    slopes_a, slopes_b = [], []
-    for i in range(max_levels):
-        da, db = _central_slopes(build, h_base / 2.0 ** i)
-        slopes_a.append(da)
-        slopes_b.append(db)
-        if i + 1 >= levels:
-            lim_a, err_a = richardson_limit(slopes_a)
-            lim_b, err_b = richardson_limit(slopes_b)
-            err = max(err_a, err_b)
-            if err <= target:
-                return lim_a, lim_b, err
-    raise ExtrapolationError(
-        f"first-order extraction stalled at residual {err:.3e} "
-        f"(target {target:g})")
 
 
 @dataclass(frozen=True)
@@ -467,58 +414,61 @@ class PerturbativeCoefficients:
         ok_even = (got_a <= zero_tol) & (got_b <= zero_tol)
         return np.where(odd, ok_odd, ok_even)
 
-    def alpha2_diagonal(self):
-        """Real part of the diagonal second-order alpha coefficients,
-        reconstructed from the column normalization identity."""
-        a2 = np.abs(self.alpha1) ** 2
-        b2 = np.abs(self.beta1) ** 2
-        off = a2.sum(axis=0) - np.diag(a2)
-        return 0.5 * (b2.sum(axis=0) - off)
+
+@lru_cache(maxsize=64)
+def _switch_first_order_cached(n_max):
+    # central differences kill the even orders, so the error series of
+    # the slopes runs in h^2 and the Richardson table uses ratio 4
+    slopes_a, slopes_b = [], []
+    for i in range(EXTRACTION_MAX_LEVELS):
+        h = EXTRACTION_H_BASE / 2.0 ** i
+        plus = _oracle_cached(h, n_max, EXTRACTION_TOL)
+        minus = _oracle_cached(-h, n_max, EXTRACTION_TOL)
+        slopes_a.append((plus.alpha - minus.alpha) / (2.0 * h))
+        slopes_b.append((plus.beta - minus.beta) / (2.0 * h))
+        if i + 1 >= EXTRACTION_LEVELS:
+            a1, err_a = richardson_limit(slopes_a)
+            b1, err_b = richardson_limit(slopes_b)
+            err = max(err_a, err_b)
+            if err <= EXTRACTION_TARGET:
+                a1.flags.writeable = False
+                b1.flags.writeable = False
+                return PerturbativeCoefficients(a1, b1, float(err))
+    raise ExtrapolationError(
+        f"first-order extraction stalled at residual {err:.3e} "
+        f"(target {EXTRACTION_TARGET:g})")
 
 
-def sudden_switch_perturbative(geometry, h_base=0.1, levels=4,
-                               target=EXTRACTION_TARGET,
-                               tol=EXTRACTION_TOL, max_levels=6):
+def sudden_switch_perturbative(geometry):
     """Extract the first-order switch coefficients by finite differences.
 
     The oracle is evaluated at +-h on a halving ladder and the slopes are
     Richardson extrapolated to h = 0; closed-form magnitudes are attached
-    for comparison but never substituted.
+    for comparison but never substituted.  Cached per truncation.
     """
-    def build(h):
-        alpha, beta, _ = _oracle_cached(float(h), geometry.n_max, tol)
-        return alpha, beta
-
-    a1, b1, err = _extrapolate_slopes(build, h_base, levels, target,
-                                      max_levels)
-    return PerturbativeCoefficients(a1, b1, float(err))
+    return _switch_first_order_cached(geometry.n_max)
 
 
-@lru_cache(maxsize=512)
-def _segment_first_order_cached(tau_seconds, L, c, n_max, h_base, levels,
-                                target, tol, max_levels):
-    geometry = CavityGeometry(L, c, n_max)
+def one_segment_first_order(tau_seconds, geometry):
+    """First order in h of `one_segment_transform` at fixed tau.
 
-    def build(h):
-        pair = one_segment_transform(tau_seconds, h, geometry, tol)
-        return pair.alpha, pair.beta
-
-    a1, b1, err = _extrapolate_slopes(build, h_base, levels, target,
-                                      max_levels)
-    a1.flags.writeable = False
-    b1.flags.writeable = False
-    return a1, b1, err
-
-
-def one_segment_first_order(tau_seconds, geometry, h_base=0.1, levels=4,
-                            target=EXTRACTION_TARGET, tol=EXTRACTION_TOL,
-                            max_levels=6):
-    """First order in h of `one_segment_transform` at fixed tau."""
-    return _segment_first_order_cached(
-        float(tau_seconds), geometry.L, geometry.c, geometry.n_max,
-        h_base, levels, target, tol, max_levels)
+    The free phases are even in h, so composing inverse(B) o D(tau) o B
+    with B = 1 + h (A1, B1) gives the first order exactly:
+    alpha1 = A1^dagger D + D A1 and beta1 = D B1 - B1^T D^*, with
+    D = diag(exp(-i n pi tau c / L)).  Returns (alpha1, beta1, error).
+    """
+    if tau_seconds < 0:
+        raise ValueError("segment duration must be >= 0")
+    first = sudden_switch_perturbative(geometry)
+    n = np.arange(1, geometry.n_max + 1)
+    d = np.exp(-1j * n * np.pi * geometry.natural_time(tau_seconds))
+    a1, b1 = first.alpha1, first.beta1
+    alpha1 = a1.conj().T * d[None, :] + d[:, None] * a1
+    beta1 = d[:, None] * b1 - b1.T * d.conj()[None, :]
+    return alpha1, beta1, 2.0 * first.error   # two extracted terms
 
 
+@lru_cache(maxsize=256)
 def _tail_ratio(kp, n_max, tail_terms=400):
     """Estimated fraction of mode kp's first-order couplings that leak
     above the truncation window (amplitude sums, cubic-decay tail)."""
@@ -534,13 +484,14 @@ def _tail_ratio(kp, n_max, tail_terms=400):
     return tail / total
 
 
-def f_sums(kp, tau_seconds, h, geometry, **extraction):
+def f_sums(kp, tau_seconds, h, geometry):
     """Degradation sums entering the quadratic fidelity correction.
 
     f_alpha = 1/2 sum_n |alpha1_{n, kp}(tau)|^2 over the first-order
-    one-segment matrices, f_beta likewise for beta1.  These are h -> 0
-    objects; `h` is validated for regime only and does not influence the
-    extraction, which keeps the sums identical across a sweep row.
+    one-segment matrices, f_beta likewise for beta1, both composed from
+    the switch's first-order coefficients (`one_segment_first_order`).
+    These are h -> 0 objects; `h` is validated for regime only and does
+    not enter the sums, which keeps them identical across a sweep row.
 
     Raises TruncationError when the closed-form envelope estimates more
     than 1% of the column sum to live above n_max.
@@ -555,7 +506,7 @@ def f_sums(kp, tau_seconds, h, geometry, **extraction):
             f"mode {kp} leaks an estimated {100 * ratio:.2f}% of its "
             f"first-order weight above n_max = {geometry.n_max}; increase "
             "the truncation (need roughly n_max >= 2 kp)")
-    a1, b1, _ = one_segment_first_order(tau_seconds, geometry, **extraction)
+    a1, b1, _ = one_segment_first_order(tau_seconds, geometry)
     col = kp - 1
     f_alpha = 0.5 * float(np.sum(np.abs(a1[:, col]) ** 2))
     f_beta = 0.5 * float(np.sum(np.abs(b1[:, col]) ** 2))

@@ -246,6 +246,8 @@ def _sweep_point(params, alice_clock, point):
 
 def sweep_rows(cfg, jobs=1):
     """Evaluate the full grid, tau-major, returning (rows, max_defect)."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     params = cfg.params()
     taus, accs = cfg.grid()
     points = [(tau, a) for tau in taus for a in accs]

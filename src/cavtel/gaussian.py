@@ -26,14 +26,11 @@ __all__ = [
     "symplectic_form",
     "vacuum_state",
     "make_two_mode_squeezed",
-    "embed_with_vacuum",
-    "reduce_modes",
     "local_rotation",
     "rotation_direct_sum",
     "partial_transpose",
     "symplectic_eigenvalues",
     "teleport_fidelity",
-    "optimal_fidelity_bound",
     "validate_covariance",
     "symplectic_defect",
     "assert_symplectic",
@@ -79,62 +76,6 @@ def make_two_mode_squeezed(r):
     sigma[:2, 2:] = sh * _Z
     sigma[2:, :2] = sh * _Z
     return sigma
-
-
-def _block(sigma, i, j):
-    return sigma[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-
-
-def embed_with_vacuum(sigma2, alice_mode, rob_index, n_rob_modes):
-    """Embed a two-mode state into Alice's mode plus Rob's cavity register.
-
-    Parameters
-    ----------
-    sigma2 : ndarray
-        4x4 covariance of the resource; mode `alice_mode` (0 or 1) of it
-        belongs to Alice, the other to Rob.
-    alice_mode : int
-        Which mode of `sigma2` is Alice's.
-    rob_index : int
-        1-based cavity mode number that carries Rob's half.
-    n_rob_modes : int
-        Size of Rob's register; all other Rob modes start in vacuum.
-
-    Returns
-    -------
-    ndarray of shape (2*(1 + n_rob_modes),) * 2 with Alice as global
-    mode 0 and Rob's cavity mode n as global mode n.
-    """
-    sigma2 = np.asarray(sigma2, dtype=float)
-    if sigma2.shape != (4, 4):
-        raise ValueError("resource state must be a 4x4 covariance")
-    if alice_mode not in (0, 1):
-        raise ValueError("alice_mode must be 0 or 1")
-    if not 1 <= rob_index <= n_rob_modes:
-        raise ValueError(
-            f"rob_index {rob_index} out of range 1..{n_rob_modes}")
-    rob_mode = 1 - alice_mode
-    out = np.eye(2 * (1 + n_rob_modes))
-    g = rob_index  # global mode id of Rob's half
-    out[0:2, 0:2] = _block(sigma2, alice_mode, alice_mode)
-    out[2 * g:2 * g + 2, 2 * g:2 * g + 2] = _block(sigma2, rob_mode, rob_mode)
-    out[0:2, 2 * g:2 * g + 2] = _block(sigma2, alice_mode, rob_mode)
-    out[2 * g:2 * g + 2, 0:2] = _block(sigma2, rob_mode, alice_mode)
-    return out
-
-
-def reduce_modes(sigma, modes):
-    """Covariance of the listed modes (0-based, order preserved)."""
-    sigma = np.asarray(sigma, dtype=float)
-    n = sigma.shape[0] // 2
-    modes = list(modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError("mode list contains duplicates")
-    for m in modes:
-        if not 0 <= m < n:
-            raise ValueError(f"mode index {m} out of range 0..{n - 1}")
-    idx = np.concatenate([(2 * m, 2 * m + 1) for m in modes])
-    return sigma[np.ix_(idx, idx)].copy()
 
 
 def _rot(theta):
@@ -236,19 +177,6 @@ def teleport_fidelity(sigma, check=True):
     if det <= 0:
         raise PhysicalityError(f"non-positive overlap determinant {det:.3e}")
     return float(2.0 / np.sqrt(det))
-
-
-def optimal_fidelity_bound(sigma, check=True):
-    """Best fidelity over local phase corrections, 1 / (1 + nu).
-
-    nu is the smallest symplectic eigenvalue of the partial transpose;
-    separable resources give nu >= 1 and hence a bound <= 1/2.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if check:
-        validate_covariance(sigma, n_modes=2)
-    nu = float(symplectic_eigenvalues(partial_transpose(sigma))[0])
-    return 1.0 / (1.0 + nu)
 
 
 def symplectic_defect(s):

@@ -30,11 +30,9 @@ from . import gaussian
 from .bogoliubov import CavityGeometry, f_sums, to_symplectic
 from .errors import ConsistencyError, PhysicalityError
 from .gaussian import (
-    embed_with_vacuum,
     local_rotation,
     make_two_mode_squeezed,
     partial_transpose,
-    reduce_modes,
     rotation_direct_sum,
     symplectic_eigenvalues,
     teleport_fidelity,
@@ -71,8 +69,8 @@ class ProtocolParams:
     geometry: CavityGeometry = DEFAULT_GEOMETRY
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("squeezing must be >= 0")
+        if not 0 <= self.r < math.inf:
+            raise ValueError("squeezing r must be finite and >= 0")
         if self.k < 1:
             raise ValueError("Alice mode index must be >= 1")
         if not 1 <= self.kp <= self.geometry.n_max:
@@ -87,29 +85,32 @@ def _check_trajectory(params, trajectory):
         raise ValueError("trajectory and params disagree on the geometry")
 
 
-def _motion_state(params, trajectory, tol=None, alice_clock="lab"):
+def _motion_state(params, trajectory, alice_clock="lab"):
     """Reduced (Alice, Rob-kp) covariance after the trajectory.
 
-    Returns (sigma, defect, phases).  Truncation can push the reduced
-    matrix slightly outside the physical cone; violations within ten
-    times the transformation defect are projected back by a uniform
-    noise floor, anything larger aborts.
+    Returns (sigma, defect, phases).  Rob's other modes start in vacuum,
+    so only mode kp's rows S_k of the trajectory's symplectic matrix
+    enter, with their diagonal block S_kk and resource blocks A, B, C:
+    sigma_BB = S_k S_k^T + S_kk (B - I) S_kk^T, sigma_AB = R_A C S_kk^T.
+    Truncation can push the reduced matrix slightly outside the physical
+    cone; violations within ten times the transformation defect are
+    projected back by a uniform noise floor, anything larger aborts.
     """
     _check_trajectory(params, trajectory)
-    geom = params.geometry
-    pair = build_transform(trajectory, tol)
+    pair = build_transform(trajectory)
     phases = phase_pair(trajectory, params.k, params.kp, alice_clock)
 
     resource = make_two_mode_squeezed(params.r)
-    full = embed_with_vacuum(resource, alice_mode=0, rob_index=params.kp,
-                             n_rob_modes=geom.n_max)
-    dim = full.shape[0]
-    s = np.zeros((dim, dim))
-    s[:2, :2] = rotation_direct_sum([phases.theta_alice])
-    s[2:, 2:] = to_symplectic(pair)
-    moved = s @ full @ s.T
-
-    sigma = reduce_modes(moved, [0, params.kp])
+    j = 2 * (params.kp - 1)
+    rows = to_symplectic(pair)[j:j + 2]
+    s_kk = rows[:, j:j + 2]
+    sigma = np.empty((4, 4))
+    sigma[:2, :2] = resource[:2, :2]
+    sigma[2:, 2:] = rows @ rows.T \
+        + s_kk @ (resource[2:, 2:] - np.eye(2)) @ s_kk.T
+    sigma[:2, 2:] = rotation_direct_sum([phases.theta_alice]) \
+        @ resource[:2, 2:] @ s_kk.T
+    sigma[2:, :2] = sigma[:2, 2:].T
     sigma = 0.5 * (sigma + sigma.T)
     omega = gaussian.symplectic_form(2)
     lam = np.linalg.eigvalsh(sigma + 1j * omega).min()
@@ -126,28 +127,35 @@ def _motion_state(params, trajectory, tol=None, alice_clock="lab"):
     return sigma, pair.defect, phases
 
 
-def fidelity_raw(params, trajectory, tol=None, alice_clock="lab"):
-    """Fidelity with no phase correction applied."""
-    sigma, _, _ = _motion_state(params, trajectory, tol, alice_clock)
-    return teleport_fidelity(sigma, check=False)
-
-
-def fidelity_corrected(params, trajectory, tol=None, alice_clock="lab"):
-    """Fidelity after both parties undo their proper-time phases."""
-    sigma, _, phases = _motion_state(params, trajectory, tol, alice_clock)
+def _numeric(params, trajectory, alice_clock):
+    """The numeric pipelines on one reduced state:
+    (F_raw, F_corrected, nu, defect, phases)."""
+    sigma, defect, phases = _motion_state(params, trajectory, alice_clock)
+    f_raw = teleport_fidelity(sigma, check=False)
     undo = local_rotation(-phases.theta_alice, -phases.theta_rob)
-    return teleport_fidelity(undo @ sigma @ undo.T, check=False)
+    f_corr = teleport_fidelity(undo @ sigma @ undo.T, check=False)
+    nu = symplectic_eigenvalues(partial_transpose(sigma, which=1))[0]
+    return f_raw, f_corr, nu, defect, phases
 
 
-def fidelity_optimal(params, trajectory, tol=None, alice_clock="lab"):
+def fidelity_raw(params, trajectory, alice_clock="lab"):
+    """Fidelity with no phase correction applied."""
+    return _numeric(params, trajectory, alice_clock)[0]
+
+
+def fidelity_corrected(params, trajectory, alice_clock="lab"):
+    """Fidelity after both parties undo their proper-time phases."""
+    return _numeric(params, trajectory, alice_clock)[1]
+
+
+def fidelity_optimal(params, trajectory, alice_clock="lab"):
     """Best fidelity any local phase choice could reach, with nu.
 
     Returns (1 / (1 + nu), nu) for the smallest partial-transpose
     symplectic eigenvalue of the reduced state; invariant under the
     phase correction because local rotations are symplectic.
     """
-    sigma, _, _ = _motion_state(params, trajectory, tol, alice_clock)
-    nu = symplectic_eigenvalues(partial_transpose(sigma, which=1))[0]
+    nu = _numeric(params, trajectory, alice_clock)[2]
     return 1.0 / (1.0 + nu), nu
 
 
@@ -200,14 +208,10 @@ class FidelityReport:
     defect: float
 
 
-def consistency_report(params, trajectory, tol=None, alice_clock="lab"):
+def consistency_report(params, trajectory, alice_clock="lab"):
     """Evaluate every pipeline on the trajectory and cross-check them."""
-    sigma, defect, phases = _motion_state(params, trajectory, tol,
-                                          alice_clock)
-    f_raw = teleport_fidelity(sigma, check=False)
-    undo = local_rotation(-phases.theta_alice, -phases.theta_rob)
-    f_corr = teleport_fidelity(undo @ sigma @ undo.T, check=False)
-    nu = symplectic_eigenvalues(partial_transpose(sigma, which=1))[0]
+    f_raw, f_corr, nu, defect, phases = _numeric(params, trajectory,
+                                                 alice_clock)
     f_opt = 1.0 / (1.0 + nu)
 
     geom = params.geometry

@@ -23,6 +23,7 @@ from .bogoliubov import (
     _warn_regime,
     compose,
     identity_pair,
+    make_pair,
     one_segment_transform,
     phase_evolution_minkowski,
 )
@@ -59,8 +60,8 @@ class Inertial:
     duration: float
 
     def __post_init__(self):
-        if not self.duration >= 0.0:
-            raise ValueError("inertial duration must be >= 0")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError("inertial duration must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,8 @@ class Accelerated:
     def __post_init__(self):
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise ValueError("acceleration must be positive and finite")
-        if not self.tau >= 0.0:
-            raise ValueError("proper duration must be >= 0")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError("proper duration tau must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -175,11 +176,6 @@ class PhasePair:
         """Unwrapped joint phase, theta_alice + theta_rob."""
         return self.theta_alice + self.theta_rob
 
-    @property
-    def phi_wrapped(self):
-        """Joint phase reduced to [0, 2 pi)."""
-        return self.phi % (2.0 * math.pi)
-
 
 def phase_pair(trajectory, k, kp, alice_clock="lab"):
     """Phases omega_k t_alice and omega_kp tau_rob for the mode pair."""
@@ -189,18 +185,19 @@ def phase_pair(trajectory, k, kp, alice_clock="lab"):
                      geom.omega(kp) * led.tau_rob)
 
 
-def build_transform(trajectory, tol=None):
-    """Net Bogoliubov pair for Rob's cavity over the whole trajectory."""
+def build_transform(trajectory):
+    """Net Bogoliubov pair for Rob's cavity over the whole trajectory,
+    its defect measured after each accelerated step."""
     geom = trajectory.geometry
     total = identity_pair(geom.n_max)
-    kwargs = {} if tol is None else {"tol": tol}
     for seg in trajectory.segments:
         if isinstance(seg, Inertial):
-            step = phase_evolution_minkowski(seg.duration, geom)
+            total = compose(phase_evolution_minkowski(seg.duration, geom),
+                            total)
         else:
             h = h_parameter(seg.a, geom.L, geom.c)
-            step = one_segment_transform(seg.tau, h, geom, **kwargs)
-        total = compose(step, total)
+            total = compose(one_segment_transform(seg.tau, h, geom), total)
+            total = make_pair(total.alpha, total.beta, floor=total.defect)
     return total
 
 

@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from cavtel.bogoliubov import (
+    EXTRACTION_TOL,
     CavityGeometry,
     RindlerGeometry,
     compose,
@@ -21,8 +22,6 @@ from cavtel.bogoliubov import (
     identity_residuals,
     inverse,
     make_pair,
-    mode_function_inertial,
-    mode_function_rindler,
     one_segment_first_order,
     one_segment_transform,
     phase_evolution_minkowski,
@@ -91,6 +90,10 @@ def test_cavity_geometry_validation():
     with pytest.raises(ValueError):
         CavityGeometry(0.012, -1.0)
     with pytest.raises(ValueError):
+        CavityGeometry(math.inf, 1.2e8)
+    with pytest.raises(ValueError):
+        CavityGeometry(0.012, math.nan)
+    with pytest.raises(ValueError):
         CavityGeometry(0.012, 1.2e8, n_max=1)
     with pytest.raises(ValueError):
         CavityGeometry(0.012, 1.2e8, n_max=100)
@@ -132,6 +135,40 @@ def test_regime_warning():
 
 # ---------------------------------------------------------------------------
 # mode functions and Klein-Gordon inner products via scipy
+
+def mode_function_inertial(n, xi):
+    """Inertial cavity mode n at fractional position xi in [0, 1].
+
+    Returns (value, time derivative) on the t = 0 slice for the
+    positive-frequency mode with time dependence exp(-i omega_n t),
+    normalized to unit Klein-Gordon norm.
+    """
+    if n < 1:
+        raise ValueError("mode number must be >= 1")
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi < -1e-12) or np.any(xi > 1.0 + 1e-12):
+        raise ValueError("position outside the cavity")
+    val = np.sin(n * np.pi * xi) / math.sqrt(n * math.pi)
+    return val, -1j * (n * np.pi) * val
+
+
+def mode_function_rindler(n, chi, rindler):
+    """Accelerated cavity mode n at Rindler position chi.
+
+    Returns (value, t-derivative on the shared slice); the conformal
+    profile is sin(n pi ln(chi / chi_L) / D) with the same normalization
+    constant as the inertial family.
+    """
+    if n < 1:
+        raise ValueError("mode number must be >= 1")
+    chi = np.asarray(chi, dtype=float)
+    lo, hi = rindler.chi_left, rindler.chi_right
+    if np.any(chi < lo * (1 - 1e-12)) or np.any(chi > hi * (1 + 1e-12)):
+        raise ValueError("position outside the accelerated cavity")
+    z = np.log1p((chi - lo) / lo) / rindler.log_width
+    val = np.sin(n * np.pi * z) / math.sqrt(n * math.pi)
+    return val, -1j * (rindler.omega_mode(n) / chi) * val
+
 
 def kg_inertial(m, n):
     def integrand(x):
@@ -430,7 +467,11 @@ def test_closed_form_magnitudes():
 
 def test_second_order_diagonal_against_oracle():
     first = sudden_switch_perturbative(GEOM)
-    a2 = first.alpha2_diagonal()
+    # real part of the diagonal second-order alpha coefficients, from
+    # the column normalization identity at order h^2
+    mix2 = np.abs(first.alpha1) ** 2
+    pair2 = np.abs(first.beta1) ** 2
+    a2 = 0.5 * (pair2.sum(axis=0) - (mix2.sum(axis=0) - np.diag(mix2)))
     # fit (alpha_nn(h) - 1) / h^2 from the oracle at shrinking h
     fits = []
     for h in (0.02, 0.01):
@@ -439,6 +480,37 @@ def test_second_order_diagonal_against_oracle():
     extrap = fits[1] + (fits[1] - fits[0]) / 3.0
     # interior diagonal entries only; edges are truncation-limited
     assert np.allclose(extrap[:5], a2[:5], rtol=0.02, atol=1e-4)
+
+
+def segment_first_order_ladder(tau, geometry, h_base=0.1, levels=4,
+                               target=1e-8, max_levels=6):
+    """First order in h of `one_segment_transform` at fixed tau, by
+    central differences of the full segment on a halving h ladder,
+    Richardson extrapolated (error series in h^2, ratio 4).  Independent
+    of the composition identity the library uses."""
+    slopes_a, slopes_b = [], []
+    for i in range(max_levels):
+        h = h_base / 2.0 ** i
+        plus = one_segment_transform(tau, h, geometry, tol=EXTRACTION_TOL)
+        minus = one_segment_transform(tau, -h, geometry, tol=EXTRACTION_TOL)
+        slopes_a.append((plus.alpha - minus.alpha) / (2.0 * h))
+        slopes_b.append((plus.beta - minus.beta) / (2.0 * h))
+        if i + 1 >= levels:
+            a1, err_a = richardson_limit(slopes_a)
+            b1, err_b = richardson_limit(slopes_b)
+            if max(err_a, err_b) <= target:
+                return a1, b1
+    raise AssertionError("first-order ladder did not converge")
+
+
+def test_segment_first_order_composition_matches_ladder():
+    worst = 0.0
+    for tau in np.linspace(0.0, 3.0 * GEOM.fundamental_period, 25):
+        a1, b1, _ = one_segment_first_order(tau, GEOM)
+        ref_a, ref_b = segment_first_order_ladder(tau, GEOM)
+        worst = max(worst, np.max(np.abs(a1 - ref_a)),
+                    np.max(np.abs(b1 - ref_b)))
+    assert worst < 1e-9
 
 
 def test_f_sums_vanish_at_revival():
@@ -450,7 +522,7 @@ def test_f_sums_vanish_at_revival():
 
 def test_f_sums_match_first_order_column():
     tau = 0.37e-9
-    a1, b1, _ = one_segment_first_order(tau, GEOM)
+    a1, b1 = segment_first_order_ladder(tau, GEOM)
     fa, fb = f_sums(3, tau, 0.1, GEOM)
     assert fa == pytest.approx(0.5 * np.sum(np.abs(a1[:, 2]) ** 2))
     assert fb == pytest.approx(0.5 * np.sum(np.abs(b1[:, 2]) ** 2))

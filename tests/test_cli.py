@@ -119,6 +119,35 @@ def test_config_bad_value_reports_line(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("line,field", [
+    ("L_m = inf", "cavity length L"),
+    ("c_m_per_s = nan", "speed of light c"),
+    ("r = nan", "squeezing r"),
+])
+def test_config_non_finite_is_usage_error(tmp_path, capsys, line, field):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(["fidelity", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert field in err and "finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("text,field", [
+    ("inertial inf\n", "inertial duration"),
+    ("inertial 1e-10\naccel 2e17 inf\n", "proper duration tau"),
+])
+def test_trajectory_non_finite_is_usage_error(tmp_path, capsys, text,
+                                              field):
+    traj = tmp_path / "inf.traj"
+    traj.write_text(text)
+    code, out, err = run(["fidelity", "--trajectory", str(traj)], capsys)
+    assert code == 2
+    lineno = text.count("\n")
+    assert f"line {lineno}" in err and field in err
+    assert out == ""
+
+
 def test_bad_trajectory_exit_code(tmp_path, capsys):
     traj = tmp_path / "bad.traj"
     traj.write_text("inertial 1e-10\nwarp 9\n")
@@ -238,6 +267,15 @@ def test_sweep_near_rest_grid(tmp_path, capsys):
     for row in body:
         assert float(row["F_corrected"]) == pytest.approx(REST_F,
                                                           abs=1e-6)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_rejects_jobs_below_one(small_cfg, capsys, jobs):
+    code, out, err = run(["sweep", "--config", small_cfg, "--jobs", jobs],
+                         capsys)
+    assert code == 2
+    assert "--jobs" in err
+    assert out == ""
 
 
 def test_sweep_unwritable_out(small_cfg, capsys):

@@ -43,6 +43,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ProtocolParams(r=-0.1)
     with pytest.raises(ValueError):
+        ProtocolParams(r=math.nan)
+    with pytest.raises(ValueError):
+        ProtocolParams(r=math.inf)
+    with pytest.raises(ValueError):
         ProtocolParams(k=0)
     with pytest.raises(ValueError):
         ProtocolParams(kp=0)

@@ -250,7 +250,18 @@ def to_symplectic(pair):
 
 def _switch_overlaps(h, n_max, tol):
     """Raw co- and counter-rotating overlap matrices for the switch at
-    parameter h (sign = direction of acceleration)."""
+    parameter h (sign = direction of acceleration).
+
+    Both are built from I0 = S_we diag(w) S_in^T and
+    I1 = S_we diag(w / chi) S_in^T, Gram products of the wedge and
+    inertial mode profiles S_we, S_in (n_max x nodes) sampled at the
+    quadrature nodes, weighted by the quadrature weights w and the
+    inverse Rindler position 1 / chi.  The base of n_max // 2 panels (at least 4) puts
+    two periods of the fastest product, cos(2 n_max pi u), on each
+    16-node panel; its first doubling converges for |h| up to 1.5, and
+    nearer the horizon, where the wedge modes crowd toward one wall, the
+    doubling goes on by itself.
+    """
     rind = RindlerGeometry(abs(h))
     width = rind.log_width
     # integrate in the wall offset u = chi - chi_left in [0, 1]; the raw
@@ -271,14 +282,10 @@ def _switch_overlaps(h, n_max, tol):
             # keep the labeling that tends to the inertial family as h -> 0
             sin_we = sin_we * row_sign[:, None]
         inv_rad = scale / (1.0 + w * scale)
-        prod = sin_we[:, None, :] * sin_in[None, :, :]
-        flat = prod.reshape(n_max * n_max, -1)
-        return np.concatenate([flat, flat * inv_rad[None, :]], axis=0)
+        return np.stack([sin_we, sin_we * inv_rad]), sin_in
 
-    vals, residual, _ = integrate_stack(
-        evaluate, 0.0, 1.0, tol=tol, base_panels=max(32, 2 * n_max))
-    i0 = vals[:n_max * n_max].reshape(n_max, n_max)
-    i1 = vals[n_max * n_max:].reshape(n_max, n_max)
+    (i0, i1), residual, _ = integrate_stack(
+        evaluate, 0.0, 1.0, tol=tol, base_panels=max(4, n_max // 2))
     norm = 1.0 / (np.pi * np.sqrt(np.outer(modes, modes)))
     co = norm * (omega[None, :] * i0 + omega_wedge[:, None] * i1)
     counter = norm * (omega[None, :] * i0 - omega_wedge[:, None] * i1)

@@ -99,6 +99,12 @@ class RunConfig:
 
     def grid(self):
         geom = self.geometry()
+        for key, value in (("tau_min_s", self.tau_min),
+                           ("tau_max_s", self.tau_max),
+                           ("a_min_m_s2", self.a_min),
+                           ("a_max_m_s2", self.a_max)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         tau_max = self.tau_max
         if tau_max is None:
             tau_max = 3.0 * geom.fundamental_period

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian
-from .bogoliubov import CavityGeometry, f_sums, to_symplectic
-from .errors import ConsistencyError, PhysicalityError
+from .bogoliubov import CavityGeometry, _interior_count, f_sums, to_symplectic
+from .errors import ConsistencyError, PhysicalityError, TruncationError
 from .gaussian import (
     local_rotation,
     make_two_mode_squeezed,
@@ -83,6 +83,16 @@ def _check_trajectory(params, trajectory):
         raise TypeError("expected a Trajectory")
     if trajectory.geometry != params.geometry:
         raise ValueError("trajectory and params disagree on the geometry")
+    # an accelerated transform's defect covers only the interior block,
+    # so outside it neither the physicality allowance nor the ordering
+    # slack bounds the truncation error; coasting phases are exact
+    n_max = params.geometry.n_max
+    interior = _interior_count(n_max)
+    if trajectory.n_accelerated and params.kp > interior:
+        raise TruncationError(
+            f"Rob mode kp = {params.kp} lies outside the interior block "
+            f"1..{interior} of n_max = {n_max}, where accelerated "
+            f"transforms are validated; use n_max >= {2 * params.kp}")
 
 
 def _motion_state(params, trajectory, alice_clock="lab"):
@@ -95,6 +105,8 @@ def _motion_state(params, trajectory, alice_clock="lab"):
     Truncation can push the reduced matrix slightly outside the physical
     cone; violations within ten times the transformation defect are
     projected back by a uniform noise floor, anything larger aborts.
+    With a burn in the trajectory, kp must lie in the interior block
+    (kp <= n_max // 2), or TruncationError is raised.
     """
     _check_trajectory(params, trajectory)
     pair = build_transform(trajectory)

@@ -2,10 +2,15 @@
 
 The integrands handled here are smooth products of trigonometric mode
 functions, so a fixed-order rule on uniformly refined panels converges
-spectrally once the panel width resolves the fastest oscillation.
+spectrally once the panel width resolves the fastest oscillation.  They
+are passed as two factor stacks whose weighted Gram product is the stack
+of integrals, so a p x q family of products is never formed node by
+node.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,9 +21,17 @@ MAX_PANELS = 2 ** 14
 _NODE_CHUNK = 8192
 
 
+@lru_cache(maxsize=8)
+def _legendre_rule(order):
+    x0, w0 = np.polynomial.legendre.leggauss(order)
+    x0.flags.writeable = False
+    w0.flags.writeable = False
+    return x0, w0
+
+
 def panel_rule(a, b, n_panels, order=GAUSS_ORDER):
     """Return nodes and weights for `n_panels` uniform panels on [a, b]."""
-    x0, w0 = np.polynomial.legendre.leggauss(order)
+    x0, w0 = _legendre_rule(order)
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (b - a) / n_panels
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -29,13 +42,17 @@ def panel_rule(a, b, n_panels, order=GAUSS_ORDER):
 
 def integrate_stack(evaluate, a, b, tol=1e-10, base_panels=16,
                     max_panels=MAX_PANELS):
-    """Integrate a stack of integrands over [a, b] to absolute tolerance.
+    """Integrate a bilinear stack of integrands over [a, b] to absolute
+    tolerance.
 
     Parameters
     ----------
     evaluate : callable
-        Maps an array of nodes (K,) to integrand values (..., K).  All
-        leading axes are integrated independently.
+        Maps an array of nodes (K,) to two factor stacks
+        (left (..., p, K), right (q, K)).  The integrand (..., i, j) is
+        left[..., i, :] * right[j, :]; each node chunk is contracted as
+        (left * w) @ right.T, so only the factors are ever evaluated.  A
+        plain stack f (p, K) is passed as (f, np.ones((1, K))).
     a, b : float
         Integration limits.
     tol : float
@@ -47,7 +64,8 @@ def integrate_stack(evaluate, a, b, tol=1e-10, base_panels=16,
 
     Returns
     -------
-    (values, residual, n_panels)
+    (values (..., p, q), residual, n_panels), from the finer level of
+    the first doubling that changed no element by more than `tol`.
     """
     if not b > a:
         raise ValueError("integration interval must have b > a")
@@ -59,7 +77,9 @@ def integrate_stack(evaluate, a, b, tol=1e-10, base_panels=16,
         vals = None
         # chunked accumulation keeps memory bounded near the panel budget
         for lo in range(0, nodes.size, _NODE_CHUNK):
-            part = evaluate(nodes[lo:lo + _NODE_CHUNK]) @ weights[lo:lo + _NODE_CHUNK]
+            hi = lo + _NODE_CHUNK
+            left, right = evaluate(nodes[lo:hi])
+            part = (left * weights[lo:hi]) @ right.T
             vals = part if vals is None else vals + part
         if prev is not None:
             residual = float(np.max(np.abs(vals - prev)))

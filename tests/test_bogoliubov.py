@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cavtel import bogoliubov, quadrature
 from cavtel.bogoliubov import (
     EXTRACTION_TOL,
+    ORACLE_TOL,
     CavityGeometry,
     RindlerGeometry,
+    _switch_overlaps,
     compose,
     f_sums,
     first_order_mixing_magnitude,
@@ -42,15 +45,17 @@ GEOM = CavityGeometry(0.012, 1.2e8, 10)
 
 def test_integrate_stack_matches_scipy():
     def evaluate(x):
-        return np.stack([np.sin(3 * x) * x ** 2,
-                         np.cos(x) * np.exp(-x),
-                         1.0 / (1.0 + x ** 2)])
+        return (np.stack([np.sin(3 * x) * x ** 2,
+                          np.cos(x) * np.exp(-x),
+                          1.0 / (1.0 + x ** 2)]),
+                np.ones((1, x.size)))
 
     vals, residual, _ = integrate_stack(evaluate, 0.2, 4.7, tol=1e-12)
     funcs = [lambda x: math.sin(3 * x) * x ** 2,
              lambda x: math.cos(x) * math.exp(-x),
              lambda x: 1.0 / (1.0 + x ** 2)]
-    for got, f in zip(vals, funcs):
+    assert vals.shape == (3, 1)
+    for got, f in zip(vals[:, 0], funcs):
         want, _ = quad(f, 0.2, 4.7, epsabs=1e-12, epsrel=1e-12)
         assert got == pytest.approx(want, abs=1e-11)
     assert residual < 1e-12
@@ -58,11 +63,33 @@ def test_integrate_stack_matches_scipy():
 
 def test_integrate_stack_budget_exhaustion():
     def evaluate(x):
-        return np.sin(3000.0 * x)[None, :]
+        return np.sin(3000.0 * x)[None, :], np.ones((1, x.size))
 
     with pytest.raises(QuadratureError):
         integrate_stack(evaluate, 0.0, 1.0, tol=1e-14,
                         base_panels=2, max_panels=4)
+
+
+def test_integrate_stack_bilinear_matches_explicit_product():
+    rng = np.random.default_rng(20240611)
+    coef_left = rng.normal(size=(2, 3, 4))
+    coef_right = rng.normal(size=(5, 4))
+    freqs = np.arange(1.0, 5.0)
+
+    def factors(x):
+        return (coef_left @ np.cos(np.outer(freqs, x)),
+                coef_right @ np.sin(np.outer(freqs, x)))
+
+    def explicit(x):
+        left, right = factors(x)
+        prod = left[:, :, None, :] * right[None, None, :, :]
+        return prod.reshape(-1, x.size), np.ones((1, x.size))
+
+    got, _, panels = integrate_stack(factors, 0.0, 2.0, tol=1e-12)
+    want, _, want_panels = integrate_stack(explicit, 0.0, 2.0, tol=1e-12)
+    assert panels == want_panels
+    assert got.shape == (2, 3, 5)
+    assert np.max(np.abs(got - want.reshape(2, 3, 5))) <= 1e-13
 
 
 def test_richardson_limit_geometric_series():
@@ -281,6 +308,89 @@ def test_oracle_left_wedge_matches_scipy():
     want, _ = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
     pair = sudden_switch_oracle(-h, GEOM)
     assert pair.alpha[m - 1, n - 1].real == pytest.approx(want, abs=1e-8)
+
+
+GEOM40 = CavityGeometry(0.012, 1.2e8, 40)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("h", [0.3, 1.5])
+@pytest.mark.parametrize("m,n", [(1, 1), (20, 21), (39, 40), (40, 40),
+                                 (33, 8)])
+def test_oracle_matches_scipy_at_nmax_40(h, m, n):
+    pair = sudden_switch_oracle(h, GEOM40)
+    want_alpha = overlap_entry(m, n, h)
+    want_beta = -overlap_entry(m, n, h, counter=True)
+    assert pair.alpha[m - 1, n - 1].real == pytest.approx(want_alpha,
+                                                          abs=1e-8)
+    assert pair.beta[m - 1, n - 1].real == pytest.approx(want_beta,
+                                                         abs=1e-8)
+
+
+def elementwise_switch_overlaps(h, n_max, tol):
+    """Reference for `_switch_overlaps`: the full n_max^2 x K stack of
+    pointwise mode products, integrated as a plain stack from an
+    over-resolving base of max(32, 2 n_max) panels."""
+    rind = RindlerGeometry(abs(h))
+    width = rind.log_width
+    scale = abs(h) / (1.0 - abs(h) / 2.0)
+    modes = np.arange(1, n_max + 1)
+    omega = modes * np.pi
+    omega_wedge = modes * np.pi / width
+    mirrored = h < 0
+    row_sign = np.where(modes % 2 == 1, 1.0, -1.0)
+
+    def evaluate(u):
+        sin_in = np.sin(np.outer(omega, u))
+        w = 1.0 - u if mirrored else u
+        sin_we = np.sin(np.pi * np.outer(modes, np.log1p(w * scale) / width))
+        if mirrored:
+            sin_we = sin_we * row_sign[:, None]
+        inv_rad = scale / (1.0 + w * scale)
+        flat = (sin_we[:, None, :] * sin_in[None, :, :]).reshape(
+            n_max * n_max, -1)
+        return (np.concatenate([flat, flat * inv_rad[None, :]]),
+                np.ones((1, u.size)))
+
+    vals, _, _ = integrate_stack(evaluate, 0.0, 1.0, tol=tol,
+                                 base_panels=max(32, 2 * n_max))
+    i0 = vals[:n_max * n_max, 0].reshape(n_max, n_max)
+    i1 = vals[n_max * n_max:, 0].reshape(n_max, n_max)
+    norm = 1.0 / (np.pi * np.sqrt(np.outer(modes, modes)))
+    return (norm * (omega[None, :] * i0 + omega_wedge[:, None] * i1),
+            norm * (omega[None, :] * i0 - omega_wedge[:, None] * i1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n_max", [10, 20, 40, 64])
+def test_switch_overlaps_match_elementwise_reference(n_max, monkeypatch):
+    for h in (0.003125, -0.003125, 0.245, 1.5, -1.99):
+        co, counter, _ = _switch_overlaps(h, n_max, ORACLE_TOL)
+        with monkeypatch.context() as patch:
+            # small node chunks bound the reference stack's memory
+            patch.setattr(quadrature, "_NODE_CHUNK", 256)
+            ref_co, ref_counter = elementwise_switch_overlaps(
+                h, n_max, ORACLE_TOL)
+        assert np.max(np.abs(co - ref_co)) <= 1e-13
+        assert np.max(np.abs(counter - ref_counter)) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_switch_overlaps_evaluate_factors_only(monkeypatch):
+    shapes = []
+
+    def spy(evaluate, *args, **kwargs):
+        def recorded(nodes):
+            left, right = evaluate(nodes)
+            shapes.append((left.shape, right.shape, nodes.size))
+            return left, right
+        return integrate_stack(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(bogoliubov, "integrate_stack", spy)
+    _switch_overlaps(0.245, 40, ORACLE_TOL)
+    assert shapes
+    for left, right, k in shapes:
+        assert left == (2, 40, k) and right == (40, k)
 
 
 def test_oracle_parity_between_wedges():

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -148,6 +149,18 @@ def test_trajectory_non_finite_is_usage_error(tmp_path, capsys, text,
     assert out == ""
 
 
+def test_rob_mode_outside_interior_block_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kp = 7\n")
+    traj = tmp_path / "burn.traj"
+    traj.write_text("accel 9e16 0\n")
+    code, out, err = run(["fidelity", "--config", str(cfg),
+                          "--trajectory", str(traj)], capsys)
+    assert code == 3
+    assert "interior block" in err
+    assert out == ""
+
+
 def test_bad_trajectory_exit_code(tmp_path, capsys):
     traj = tmp_path / "bad.traj"
     traj.write_text("inertial 1e-10\nwarp 9\n")
@@ -267,6 +280,25 @@ def test_sweep_near_rest_grid(tmp_path, capsys):
     for row in body:
         assert float(row["F_corrected"]) == pytest.approx(REST_F,
                                                           abs=1e-6)
+
+
+@pytest.mark.parametrize("line", [
+    "tau_max_s = inf",
+    "a_max_m_s2 = inf",
+    "tau_min_s = -inf",
+    "a_min_m_s2 = nan",
+])
+def test_sweep_non_finite_grid_bound_is_usage_error(tmp_path, capsys,
+                                                   line):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(line + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    key = line.split(" = ")[0]
+    assert f"{key} must be finite" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

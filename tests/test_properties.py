@@ -103,11 +103,13 @@ def test_fidelities_below_optimal_bound(traj, r):
     assert rep.F_corrected <= rep.F_opt_numeric + slack
 
 
+# coasting phases are exact, so any Rob mode up to n_max is allowed
 @PROPERTY
-@given(trajectories(coasts), squeezing)
-def test_inertial_trajectories_keep_resting_fidelity(traj, r):
+@given(trajectories(coasts), squeezing, st.integers(1, GEOM.n_max))
+def test_inertial_trajectories_keep_resting_fidelity(traj, r, kp):
     rest = 1.0 / (1.0 + math.exp(-2.0 * r))
-    rep = consistency_report(ProtocolParams(r=r, geometry=GEOM), traj)
+    rep = consistency_report(ProtocolParams(r=r, kp=kp, geometry=GEOM),
+                             traj)
     assert abs(rep.F_corrected - rest) <= 1e-12
     assert abs(rep.F_opt_numeric - rest) <= 1e-12
     assert rep.defect == 0.0

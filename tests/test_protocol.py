@@ -280,3 +280,21 @@ def test_report_truncation_gate_propagates():
     traj = Trajectory((Accelerated(1e17, 3e-10),), small)
     with pytest.raises(TruncationError):
         consistency_report(params, traj)
+
+
+# Rob's mode outside the interior block: at n_max 10 the defect covers
+# modes 1..5 only, so kp 6..10 are gated for any trajectory with a burn
+
+@pytest.mark.parametrize("kp", [6, 7, 8])
+@pytest.mark.parametrize("segments", [
+    (Accelerated(9e16, 0.0),),
+    (Inertial(1e-10), Accelerated(2e17, 3e-10), Inertial(1e-10)),
+])
+def test_rob_mode_outside_interior_block_is_truncation_error(kp, segments):
+    params = ProtocolParams(kp=kp)
+    traj = Trajectory(segments, DEFAULT_GEOMETRY)
+    with pytest.raises(TruncationError, match="interior block 1..5"):
+        fidelity_raw(params, traj)
+    with pytest.raises(TruncationError, match="interior block 1..5"):
+        consistency_report(params, traj)
+

@@ -22,7 +22,6 @@ from .gaussian import (
     partial_transpose,
     symplectic_eigenvalues,
     teleport_fidelity,
-    vacuum_state,
 )
 from .bogoliubov import (
     BogoliubovPair,
@@ -64,7 +63,6 @@ __all__ = [
     "TruncationError",
     "make_two_mode_squeezed", "partial_transpose",
     "symplectic_eigenvalues", "teleport_fidelity",
-    "vacuum_state",
     "BogoliubovPair", "CavityGeometry", "RindlerGeometry", "compose",
     "f_sums", "inverse", "one_segment_transform", "sudden_switch_oracle",
     "sudden_switch_perturbative", "to_symplectic",

@@ -23,7 +23,8 @@ Identity residuals are measured on the adequately resolved interior block
 truncated transformation carry order h couplings to modes just outside
 the window, so no finite matrix can close the identities there; interior
 modes are the ones downstream consumers are allowed to use.  They are
-measured once per oracle cache entry and on each one-segment transform;
+measured once per oracle cache entry, on each one-segment transform and
+on a trajectory's running product after each burn that follows another;
 `compose`, `inverse` and the diagonal (unitary) phase steps only carry
 the larger input defect.
 """
@@ -157,15 +158,13 @@ def _interior_count(n):
     return max(1, n // 2)
 
 
-def identity_residuals(alpha, beta, interior=None):
+def identity_residuals(alpha, beta):
     """Worst-case residuals of the canonical identities.
 
     Sums run over the full stored index range; the free indices are
-    restricted to the interior block (see module docstring) unless
-    `interior` overrides the count.
+    restricted to the interior block (see module docstring).
     """
-    n = alpha.shape[0]
-    k = _interior_count(n) if interior is None else interior
+    k = _interior_count(alpha.shape[0])
     ac, bc = alpha[:, :k], beta[:, :k]
     ar, br = alpha[:k, :], beta[:k, :]
     eye = np.eye(k)
@@ -406,19 +405,20 @@ class PerturbativeCoefficients:
         m = np.arange(1, self.n_modes + 1)
         return first_order_pairing_magnitude(m[:, None], m[None, :])
 
-    def match_flags(self, rtol=0.01, zero_tol=1e-8):
+    def match_flags(self):
         """Per-entry agreement with the closed-form magnitudes.
 
-        Odd m + n entries must match within `rtol` relative; even ones
-        must vanish below `zero_tol`.
+        Odd m + n entries must match within 1% relative; even ones must
+        vanish below 1e-8.
         """
+        rtol = 0.01
         m = np.arange(1, self.n_modes + 1)
         odd = (m[:, None] + m[None, :]) % 2 == 1
         ans_a, ans_b = self.ansatz_alpha(), self.ansatz_beta()
         got_a, got_b = np.abs(self.alpha1), np.abs(self.beta1)
         ok_odd = (np.abs(got_a - ans_a) <= rtol * np.maximum(ans_a, 1e-300)) \
             & (np.abs(got_b - ans_b) <= rtol * np.maximum(ans_b, 1e-300))
-        ok_even = (got_a <= zero_tol) & (got_b <= zero_tol)
+        ok_even = (got_a <= 1e-8) & (got_b <= 1e-8)
         return np.where(odd, ok_odd, ok_even)
 
 
@@ -476,11 +476,12 @@ def one_segment_first_order(tau_seconds, geometry):
 
 
 @lru_cache(maxsize=256)
-def _tail_ratio(kp, n_max, tail_terms=400):
+def _tail_ratio(kp, n_max):
     """Estimated fraction of mode kp's first-order couplings that leak
-    above the truncation window (amplitude sums, cubic-decay tail)."""
+    above the truncation window (amplitude sums over the next 400 modes,
+    cubic-decay tail)."""
     n_in = np.arange(1, n_max + 1)
-    n_out = np.arange(n_max + 1, n_max + 1 + tail_terms)
+    n_out = np.arange(n_max + 1, n_max + 401)
 
     def env(n):
         return (first_order_mixing_magnitude(n, kp)

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bogoliubov import (
+    REGIME_H_SQUARED,
     CavityGeometry,
     _tail_ratio,
     identity_residuals,
@@ -45,16 +46,10 @@ from .protocol import (
     consistency_report,
     perturbative_fidelity,
 )
-from .trajectory import (
-    Accelerated,
-    Inertial,
-    Trajectory,
-    h_parameter,
-    parse_trajectory,
-)
+from .trajectory import Accelerated, Inertial, Trajectory, parse_trajectory
 
 FLOAT_FMT = "%.11e"          # 12 significant digits, scientific
-REGIME_H_MAX = math.sqrt(0.06)
+REGIME_H_MAX = math.sqrt(REGIME_H_SQUARED)
 
 SWEEP_COLUMNS = ("tau_s", "a_m_s2", "h", "phi", "F_raw", "F_corrected",
                  "F_opt_numeric", "F_pert", "F_pert_opt", "nu",
@@ -231,8 +226,6 @@ def _metadata_lines(cfg, extra=()):
         f"# L_m = {cfg.L!r}, c_m_per_s = {cfg.c!r}, n_max = {cfg.n_max}",
         f"# alice_clock = {cfg.alice_clock}",
         f"# fundamental_period_s = {geom.fundamental_period!r}",
-        "# grid axes are a reconstruction of the regime, not published",
-        "# coordinates",
     ]
     for key, value in extra:
         lines.append(f"# {key} = {value!r}")
@@ -243,28 +236,34 @@ def _sweep_point(params, alice_clock, point):
     tau, a = point
     traj = Trajectory((Accelerated(a, tau),), params.geometry)
     report = consistency_report(params, traj, alice_clock=alice_clock)
-    h = h_parameter(a, params.geometry.L, params.geometry.c)
-    row = (tau, a, h, report.phi, report.F_raw, report.F_corrected,
+    row = (tau, a, report.h, report.phi, report.F_raw, report.F_corrected,
            report.F_opt_numeric, report.F_pert, report.F_pert_opt,
            report.nu, report.residual_pert)
     return row, report.defect
 
 
 def sweep_rows(cfg, jobs=1):
-    """Evaluate the full grid, tau-major, returning (rows, max_defect)."""
+    """Evaluate the full grid, returning (rows, max_defect) with the rows
+    in tau-major order.
+
+    Points are evaluated a-major, one acceleration column after another
+    (whole columns per worker), so each column's switch comes out of the
+    oracle cache however many accelerations the grid has.
+    """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     params = cfg.params()
     taus, accs = cfg.grid()
-    points = [(tau, a) for tau in taus for a in accs]
+    points = [(tau, a) for a in accs for tau in taus]
     worker = partial(_sweep_point, params, cfg.alice_clock)
     if jobs > 1:
-        chunk = max(1, len(points) // (8 * jobs))
+        chunk = max(1, len(accs) // (8 * jobs)) * len(taus)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, points, chunksize=chunk))
     else:
         results = [worker(p) for p in points]
-    rows = [row for row, _ in results]
+    n_tau = len(taus)
+    rows = [row for i in range(n_tau) for row, _ in results[i::n_tau]]
     max_defect = max((d for _, d in results), default=0.0)
     return rows, max_defect
 
@@ -293,7 +292,10 @@ def cmd_sweep(args):
     cfg = _load_config(args)
     rows, max_defect = sweep_rows(cfg, jobs=args.jobs)
     out = ["# sweep grid: tau-major row order",
-           _metadata_lines(cfg, extra=[("max_defect", max_defect)]),
+           _metadata_lines(cfg),
+           "# grid axes are a reconstruction of the regime, not published",
+           "# coordinates",
+           f"# max_defect = {max_defect!r}",
            ",".join(SWEEP_COLUMNS)]
     out.extend(_sweep_row_text(row) for row in rows)
     text = "\n".join(out) + "\n"

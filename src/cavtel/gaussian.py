@@ -24,16 +24,13 @@ from .errors import PhysicalityError
 
 __all__ = [
     "symplectic_form",
-    "vacuum_state",
     "make_two_mode_squeezed",
+    "rotation",
     "local_rotation",
-    "rotation_direct_sum",
     "partial_transpose",
     "symplectic_eigenvalues",
     "teleport_fidelity",
     "validate_covariance",
-    "symplectic_defect",
-    "assert_symplectic",
 ]
 
 SYMMETRY_RTOL = 1e-12
@@ -41,6 +38,7 @@ PHYSICALITY_TOL = 1e-9
 PAIR_TOL = 1e-7
 
 _Z = np.diag([1.0, -1.0])
+_ROB_MOMENTUM_FLIP = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 
 def symplectic_form(n_modes):
@@ -50,13 +48,6 @@ def symplectic_form(n_modes):
     omega[idx, idx + 1] = 1.0
     omega[idx + 1, idx] = -1.0
     return omega
-
-
-def vacuum_state(n_modes):
-    """Vacuum covariance (identity in this normalization)."""
-    if n_modes < 1:
-        raise ValueError("need at least one mode")
-    return np.eye(2 * n_modes)
 
 
 def make_two_mode_squeezed(r):
@@ -78,50 +69,44 @@ def make_two_mode_squeezed(r):
     return sigma
 
 
-def _rot(theta):
+def rotation(theta):
+    """Single-mode phase advance R(theta) = [[cos, sin], [-sin, cos]]."""
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, s], [-s, c]])
 
 
-def rotation_direct_sum(angles):
-    """Direct sum of single-mode phase rotations."""
-    angles = np.atleast_1d(angles)
-    out = np.zeros((2 * angles.size, 2 * angles.size))
-    for i, th in enumerate(angles):
-        out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = _rot(th)
+def local_rotation(theta_a, theta_b):
+    """Two-mode symplectic applying phases theta_a, theta_b locally."""
+    out = np.zeros((4, 4))
+    out[:2, :2] = rotation(theta_a)
+    out[2:, 2:] = rotation(theta_b)
     return out
 
 
-def local_rotation(theta_a, theta_b):
-    """Two-mode symplectic applying phases theta_a, theta_b locally."""
-    return rotation_direct_sum([theta_a, theta_b])
-
-
-def partial_transpose(sigma, which=1):
-    """Partial transpose: flip the momentum sign of mode `which`."""
+def partial_transpose(sigma):
+    """Partial transpose of a two-mode state: flip the momentum sign of
+    Rob's (second) mode.  Flipping Alice's instead gives the same
+    symplectic spectrum."""
     sigma = np.asarray(sigma, dtype=float)
-    n = sigma.shape[0] // 2
-    if not 0 <= which < n:
-        raise ValueError(f"mode index {which} out of range 0..{n - 1}")
-    p = np.ones(2 * n)
-    p[2 * which + 1] = -1.0
-    return sigma * np.outer(p, p)
+    if sigma.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 covariance, got {sigma.shape}")
+    return sigma * _ROB_MOMENTUM_FLIP
 
 
-def _check_symmetric(m, rtol=SYMMETRY_RTOL):
+def _check_symmetric(m):
     scale = max(float(np.max(np.abs(m))), 1.0)
     dev = float(np.max(np.abs(m - m.T)))
-    if dev > rtol * scale:
+    if dev > SYMMETRY_RTOL * scale:
         raise PhysicalityError(
             f"matrix is not symmetric (relative deviation {dev / scale:.3e})")
 
 
-def symplectic_eigenvalues(m, pair_tol=PAIR_TOL):
+def symplectic_eigenvalues(m):
     """Symplectic spectrum of a symmetric positive definite matrix.
 
     Computed as the moduli of the eigenvalues of i Omega M, which come in
     equal pairs; adjacent pairs after sorting are averaged.  A pair
-    mismatch beyond `pair_tol` (relative) aborts, since it signals a
+    mismatch beyond PAIR_TOL (relative) aborts, since it signals a
     defective or non-positive input.
     """
     m = np.asarray(m, dtype=float)
@@ -135,14 +120,13 @@ def symplectic_eigenvalues(m, pair_tol=PAIR_TOL):
     lo, hi = mods[0::2], mods[1::2]
     mean = 0.5 * (lo + hi)
     mismatch = np.max((hi - lo) / np.maximum(mean, 1.0))
-    if mismatch > pair_tol:
+    if mismatch > PAIR_TOL:
         raise PhysicalityError(
             f"symplectic eigenvalue pairing failed (mismatch {mismatch:.3e})")
     return mean
 
 
-def validate_covariance(sigma, n_modes=None, sym_rtol=SYMMETRY_RTOL,
-                        phys_tol=PHYSICALITY_TOL):
+def validate_covariance(sigma, n_modes=None):
     """Check symmetry and sigma + i Omega >= 0; raise PhysicalityError."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
@@ -150,10 +134,10 @@ def validate_covariance(sigma, n_modes=None, sym_rtol=SYMMETRY_RTOL,
     n = sigma.shape[0] // 2
     if n_modes is not None and n != n_modes:
         raise PhysicalityError(f"expected {n_modes} modes, got {n}")
-    _check_symmetric(sigma, sym_rtol)
+    _check_symmetric(sigma)
     h = sigma + 1j * symplectic_form(n)
     lam = np.linalg.eigvalsh(h)[0]
-    if lam < -phys_tol:
+    if lam < -PHYSICALITY_TOL:
         raise PhysicalityError(
             f"uncertainty bound violated (min eigenvalue {lam:.3e})")
     return sigma
@@ -177,18 +161,3 @@ def teleport_fidelity(sigma, check=True):
     if det <= 0:
         raise PhysicalityError(f"non-positive overlap determinant {det:.3e}")
     return float(2.0 / np.sqrt(det))
-
-
-def symplectic_defect(s):
-    """Max-norm residual of S Omega S^T - Omega."""
-    s = np.asarray(s, dtype=float)
-    n = s.shape[0] // 2
-    omega = symplectic_form(n)
-    return float(np.max(np.abs(s @ omega @ s.T - omega)))
-
-
-def assert_symplectic(s, tol=1e-9):
-    dev = symplectic_defect(s)
-    if dev > tol:
-        raise PhysicalityError(f"matrix is not symplectic (residual {dev:.3e})")
-    return s

@@ -33,7 +33,7 @@ from .gaussian import (
     local_rotation,
     make_two_mode_squeezed,
     partial_transpose,
-    rotation_direct_sum,
+    rotation,
     symplectic_eigenvalues,
     teleport_fidelity,
 )
@@ -120,8 +120,7 @@ def _motion_state(params, trajectory, alice_clock="lab"):
     sigma[:2, :2] = resource[:2, :2]
     sigma[2:, 2:] = rows @ rows.T \
         + s_kk @ (resource[2:, 2:] - np.eye(2)) @ s_kk.T
-    sigma[:2, 2:] = rotation_direct_sum([phases.theta_alice]) \
-        @ resource[:2, 2:] @ s_kk.T
+    sigma[:2, 2:] = rotation(phases.theta_alice) @ resource[:2, 2:] @ s_kk.T
     sigma[2:, :2] = sigma[:2, 2:].T
     sigma = 0.5 * (sigma + sigma.T)
     omega = gaussian.symplectic_form(2)
@@ -146,7 +145,7 @@ def _numeric(params, trajectory, alice_clock):
     f_raw = teleport_fidelity(sigma, check=False)
     undo = local_rotation(-phases.theta_alice, -phases.theta_rob)
     f_corr = teleport_fidelity(undo @ sigma @ undo.T, check=False)
-    nu = symplectic_eigenvalues(partial_transpose(sigma, which=1))[0]
+    nu = symplectic_eigenvalues(partial_transpose(sigma))[0]
     return f_raw, f_corr, nu, defect, phases
 
 

@@ -10,8 +10,6 @@ node.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import QuadratureError
@@ -19,24 +17,19 @@ from .errors import QuadratureError
 GAUSS_ORDER = 16
 MAX_PANELS = 2 ** 14
 _NODE_CHUNK = 8192
+_X0, _W0 = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+_X0.flags.writeable = False
+_W0.flags.writeable = False
 
 
-@lru_cache(maxsize=8)
-def _legendre_rule(order):
-    x0, w0 = np.polynomial.legendre.leggauss(order)
-    x0.flags.writeable = False
-    w0.flags.writeable = False
-    return x0, w0
-
-
-def panel_rule(a, b, n_panels, order=GAUSS_ORDER):
-    """Return nodes and weights for `n_panels` uniform panels on [a, b]."""
-    x0, w0 = _legendre_rule(order)
+def panel_rule(a, b, n_panels):
+    """Return nodes and weights of the GAUSS_ORDER-point rule on
+    `n_panels` uniform panels on [a, b]."""
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (b - a) / n_panels
     mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half * x0[None, :]).ravel()
-    weights = np.tile(half * w0, n_panels)
+    nodes = (mid[:, None] + half * _X0[None, :]).ravel()
+    weights = np.tile(half * _W0, n_panels)
     return nodes, weights
 
 
@@ -93,12 +86,13 @@ def integrate_stack(evaluate, a, b, tol=1e-10, base_panels=16,
         residual=residual, panels=max_panels)
 
 
-def richardson_limit(values, ratio=4.0):
-    """Extrapolate a sequence with error series in powers of 1/ratio.
+def richardson_limit(values):
+    """Extrapolate a sequence with error series in powers of 1/4.
 
-    `values[i]` is the estimate at step i, whose error shrinks by `ratio`
-    per step.  Returns the extrapolated limit and an error estimate (the
-    size of the last correction).
+    `values[i]` is the estimate at step i, whose error shrinks fourfold
+    per step (an h^2 series on a halving ladder).  Returns the
+    extrapolated limit and an error estimate (the size of the last
+    correction).
     """
     if len(values) < 2:
         raise ValueError("need at least two values to extrapolate")
@@ -106,7 +100,7 @@ def richardson_limit(values, ratio=4.0):
     for i in range(1, len(values)):
         row = [np.asarray(values[i])]
         for j in range(1, i + 1):
-            fac = ratio ** j
+            fac = 4.0 ** j
             row.append((fac * row[j - 1] - prev_row[j - 1]) / (fac - 1.0))
         prev_row = row
     limit = prev_row[-1]

@@ -40,7 +40,6 @@ __all__ = [
     "ledger",
     "phase_pair",
     "build_transform",
-    "inertial_duration_for_phase",
 ]
 
 _CLOCKS = ("lab", "comoving")
@@ -186,10 +185,16 @@ def phase_pair(trajectory, k, kp, alice_clock="lab"):
 
 
 def build_transform(trajectory):
-    """Net Bogoliubov pair for Rob's cavity over the whole trajectory,
-    its defect measured after each accelerated step."""
+    """Net Bogoliubov pair for Rob's cavity over the whole trajectory.
+
+    The running product's defect is measured again after each burn that
+    follows an earlier one.  Before a second burn the product is the
+    first burn's measured transform between diagonal unitary phase
+    steps, which leave the modulus of every residual unchanged.
+    """
     geom = trajectory.geometry
     total = identity_pair(geom.n_max)
+    burned = False
     for seg in trajectory.segments:
         if isinstance(seg, Inertial):
             total = compose(phase_evolution_minkowski(seg.duration, geom),
@@ -197,13 +202,8 @@ def build_transform(trajectory):
         else:
             h = h_parameter(seg.a, geom.L, geom.c)
             total = compose(one_segment_transform(seg.tau, h, geom), total)
-            total = make_pair(total.alpha, total.beta, floor=total.defect)
+            if burned:
+                total = make_pair(total.alpha, total.beta,
+                                  floor=total.defect)
+            burned = True
     return total
-
-
-def inertial_duration_for_phase(n_cycles, k, kp, geometry):
-    """Coasting time after which the joint phase of the (k, kp) pair has
-    advanced by n_cycles full turns, 2 pi n / (omega_k + omega_kp)."""
-    if n_cycles < 0:
-        raise ValueError("n_cycles must be >= 0")
-    return 2.0 * math.pi * n_cycles / (geometry.omega(k) + geometry.omega(kp))

@@ -10,7 +10,7 @@ import numpy as np
 
 from cavtel import gaussian
 from cavtel.bogoliubov import to_symplectic
-from cavtel.gaussian import make_two_mode_squeezed, rotation_direct_sum
+from cavtel.gaussian import make_two_mode_squeezed, rotation
 from cavtel.trajectory import build_transform, phase_pair
 
 
@@ -68,7 +68,7 @@ def full_register_state(params, trajectory, alice_clock="lab"):
                              rob_index=params.kp, n_rob_modes=geom.n_max)
     dim = full.shape[0]
     s = np.zeros((dim, dim))
-    s[:2, :2] = rotation_direct_sum([phases.theta_alice])
+    s[:2, :2] = rotation(phases.theta_alice)
     s[2:, 2:] = to_symplectic(pair)
     sigma = reduce_modes(s @ full @ s.T, [0, params.kp])
     sigma = 0.5 * (sigma + sigma.T)

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import block_diag
 
 from cavtel import bogoliubov, quadrature
 from cavtel.bogoliubov import (
@@ -34,7 +35,7 @@ from cavtel.bogoliubov import (
     to_symplectic,
 )
 from cavtel.errors import QuadratureError, TruncationError
-from cavtel.gaussian import symplectic_form
+from cavtel.gaussian import rotation, symplectic_form
 from cavtel.quadrature import integrate_stack, richardson_limit
 
 GEOM = CavityGeometry(0.012, 1.2e8, 10)
@@ -493,11 +494,10 @@ def test_to_symplectic_phase_convention():
 
 
 def test_inertial_phases_agree_with_quadrature_rotations():
-    from cavtel.gaussian import rotation_direct_sum
     t = 0.83e-10
     s = to_symplectic(phase_evolution_minkowski(t, GEOM))
-    angles = [GEOM.omega(n) * t for n in range(1, 11)]
-    assert np.allclose(s, rotation_direct_sum(angles), atol=1e-12)
+    blocks = [rotation(GEOM.omega(n) * t) for n in range(1, 11)]
+    assert np.allclose(s, block_diag(*blocks), atol=1e-12)
 
 
 def test_to_symplectic_squeezer_convention():

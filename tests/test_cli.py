@@ -78,6 +78,26 @@ def test_fidelity_csv_out(tmp_path, capsys):
                                                           abs=1e-9)
 
 
+GRID_LINES = ("# grid axes are a reconstruction of the regime, not published",
+              "# coordinates")
+
+
+def test_grid_metadata_only_in_sweep_output(tmp_path, small_cfg, capsys):
+    paths = {name: str(tmp_path / f"{name}.csv")
+             for name in ("fidelity", "coeffs", "sweep")}
+    run(["fidelity", "--out", paths["fidelity"]], capsys)
+    run(["coeffs", "0.1", "--out", paths["coeffs"]], capsys)
+    run(["sweep", "--config", small_cfg, "--out", paths["sweep"]], capsys)
+    for name in ("fidelity", "coeffs"):
+        meta, _, _ = read_csv(paths[name])
+        assert not set(GRID_LINES) & set(meta)
+    meta, _, _ = read_csv(paths["sweep"])
+    at = meta.index(GRID_LINES[0])
+    assert meta[at - 1].startswith("# fundamental_period_s = ")
+    assert meta[at + 1] == GRID_LINES[1]
+    assert meta[at + 2].startswith("# max_defect = ")
+
+
 def test_fidelity_experiment_preset(capsys):
     code, out, _ = run(["fidelity", "--preset", "experiment"], capsys)
     assert code == 0
@@ -266,6 +286,19 @@ def test_sweep_stdout_when_no_out(small_cfg, capsys):
                   if ln and not ln.startswith("#")]
     assert data_lines[0].startswith("tau_s,")
     assert len(data_lines) == 21
+
+
+def test_sweep_wider_than_oracle_cache_computes_each_switch_once():
+    from cavtel import bogoliubov
+    from cavtel.cli import RunConfig, sweep_rows
+    cfg = RunConfig(tau_steps=2, a_steps=1100)
+    assert cfg.a_steps > bogoliubov._oracle_cached.cache_info().maxsize
+    bogoliubov._oracle_cached.cache_clear()
+    bogoliubov._switch_first_order_cached.cache_clear()
+    rows, _ = sweep_rows(cfg)
+    assert len(rows) == 2200
+    # one switch per acceleration, plus the first-order extraction ladder
+    assert bogoliubov._oracle_cached.cache_info().misses <= cfg.a_steps + 12
 
 
 def test_sweep_near_rest_grid(tmp_path, capsys):

@@ -4,19 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from cavtel.errors import PhysicalityError
 from cavtel.gaussian import (
-    assert_symplectic,
     local_rotation,
     make_two_mode_squeezed,
     partial_transpose,
-    rotation_direct_sum,
-    symplectic_defect,
+    rotation,
     symplectic_eigenvalues,
     symplectic_form,
     teleport_fidelity,
-    vacuum_state,
     validate_covariance,
 )
 from gaussian_reference import embed_with_vacuum, reduce_modes
@@ -37,8 +35,8 @@ def test_symplectic_form_blocks():
 
 
 def test_vacuum_is_identity():
-    assert np.array_equal(vacuum_state(4), np.eye(8))
-    validate_covariance(vacuum_state(4))
+    # the vacuum covariance is the identity in this normalization
+    validate_covariance(np.eye(8))
 
 
 @pytest.mark.parametrize("r", [0.0, 0.1, 0.5, math.log(2), 1.5])
@@ -72,6 +70,11 @@ def test_partial_transpose_is_involution():
     assert np.array_equal(partial_transpose(partial_transpose(sig)), sig)
 
 
+def test_partial_transpose_rejects_non_two_mode():
+    with pytest.raises(ValueError):
+        partial_transpose(np.eye(6))
+
+
 def test_rest_fidelity_anchor():
     sig = make_two_mode_squeezed(0.5)
     assert teleport_fidelity(sig) == pytest.approx(REST_F, abs=1e-12)
@@ -81,7 +84,7 @@ def test_rest_fidelity_anchor():
 
 def test_classical_benchmark():
     # no squeezing: two uncorrelated vacua relay with two units of noise
-    assert teleport_fidelity(vacuum_state(2)) == pytest.approx(0.5, abs=1e-12)
+    assert teleport_fidelity(np.eye(4)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fidelity_phase_dependence_matches_closed_form():
@@ -116,16 +119,16 @@ def test_nu_invariant_under_local_rotations():
 
 
 def test_rotations_are_symplectic():
-    rot = rotation_direct_sum([0.3, -1.2, 2.9])
-    assert_symplectic(rot)
-    assert symplectic_defect(rot) < 1e-12
+    rot = block_diag(*(rotation(t) for t in (0.3, -1.2, 2.9)))
+    omega = symplectic_form(3)
+    assert np.max(np.abs(rot @ omega @ rot.T - omega)) < 1e-12
     assert np.allclose(local_rotation(0.3, -1.2),
-                       rotation_direct_sum([0.3, -1.2]))
+                       block_diag(rotation(0.3), rotation(-1.2)))
 
 
 def test_rotation_convention_sign():
     # phase advance theta maps x -> cos(theta) x + sin(theta) p
-    rot = rotation_direct_sum([0.25])
+    rot = rotation(0.25)
     assert rot[0, 0] == pytest.approx(math.cos(0.25))
     assert rot[0, 1] == pytest.approx(math.sin(0.25))
     assert rot[1, 0] == pytest.approx(-math.sin(0.25))
@@ -161,7 +164,7 @@ def test_embed_validates_indices():
 
 
 def test_reduce_modes_validates():
-    full = vacuum_state(3)
+    full = np.eye(6)
     with pytest.raises(ValueError):
         reduce_modes(full, [0, 0])
     with pytest.raises(ValueError):

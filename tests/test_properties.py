@@ -113,3 +113,19 @@ def test_inertial_trajectories_keep_resting_fidelity(traj, r, kp):
     assert abs(rep.F_corrected - rest) <= 1e-12
     assert abs(rep.F_opt_numeric - rest) <= 1e-12
     assert rep.defect == 0.0
+
+
+# Alice's lab clock restarts its sinh at each burn, so F_raw legitimately
+# differs between the split and the whole burn; the phase-corrected and
+# optimal fidelities do not, up to the truncation loss of B B^-1
+@PROPERTY
+@given(st.sampled_from(THRUSTS), durations, durations)
+def test_split_burn_matches_whole_burn(a, tau1, tau2):
+    params = ProtocolParams(geometry=GEOM)
+    split = consistency_report(params, Trajectory(
+        (Accelerated(a, tau1), Accelerated(a, tau2)), GEOM))
+    whole = consistency_report(params, Trajectory(
+        (Accelerated(a, tau1 + tau2),), GEOM))
+    slack = 1e-9 + 10.0 * split.defect
+    assert abs(split.F_opt_numeric - whole.F_opt_numeric) <= slack
+    assert abs(split.F_corrected - whole.F_corrected) <= slack

@@ -82,7 +82,7 @@ def test_rest_classical_limit():
     assert nu == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("r", [0.1, 0.5, math.log(2.0), 1.5])
+@pytest.mark.parametrize("r", [1e-9, 1e-6, 0.1, 0.5, math.log(2.0), 1.5])
 def test_rest_nu_is_squeezing_exponential(r):
     _, nu = fidelity_optimal(ProtocolParams(r=r), REST)
     assert nu == pytest.approx(math.exp(-2 * r), abs=1e-12)

@@ -13,7 +13,6 @@ from cavtel.trajectory import (
     Trajectory,
     build_transform,
     h_parameter,
-    inertial_duration_for_phase,
     ledger,
     parse_trajectory,
     phase_pair,
@@ -172,7 +171,8 @@ def test_phase_pair_comoving_clock():
 
 
 def test_inertial_duration_for_phase():
-    t = inertial_duration_for_phase(3, 1, 3, GEOM)
+    # three full turns of the joint phase take 2 pi 3 / (omega_1 + omega_3)
+    t = 2.0 * math.pi * 3 / (GEOM.omega(1) + GEOM.omega(3))
     phases = phase_pair(Trajectory((Inertial(t),), GEOM), 1, 3)
     assert phases.phi == pytest.approx(6 * math.pi, rel=1e-12)
     assert phases.phi % (2 * math.pi) == pytest.approx(0.0, abs=1e-9)
@@ -238,3 +238,26 @@ def test_transform_matches_segment_engine():
                    phase_evolution_minkowski(1e-10, GEOM))
     assert np.allclose(got.alpha, want.alpha, atol=1e-14)
     assert np.allclose(got.beta, want.beta, atol=1e-14)
+
+
+def test_running_product_measured_only_after_a_later_burn(monkeypatch):
+    from cavtel import bogoliubov
+    one = Trajectory((Inertial(1e-10), Accelerated(2e17, 3e-10),
+                      Inertial(2e-10)), GEOM)
+    two = Trajectory((Accelerated(2e17, 3e-10), Inertial(1e-10),
+                      Accelerated(1e17, 2e-10)), GEOM)
+    build_transform(one)
+    build_transform(two)    # warm the switch cache
+    calls = []
+    real = bogoliubov.identity_residuals
+
+    def counted(alpha, beta):
+        calls.append(1)
+        return real(alpha, beta)
+
+    monkeypatch.setattr(bogoliubov, "identity_residuals", counted)
+    build_transform(one)
+    assert len(calls) == 1          # the burn's own transform only
+    calls.clear()
+    build_transform(two)
+    assert len(calls) == 3          # two burns, then the product once

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 import warnings
 
 import numpy as np
@@ -162,47 +162,57 @@ def identity_residuals(alpha, beta):
     """Worst-case residuals of the canonical identities.
 
     Sums run over the full stored index range; the free indices are
-    restricted to the interior block (see module docstring).
+    restricted to the interior block (see module docstring).  A stack of
+    pairs (..., n, n) gives one residual per pair, as arrays.
     """
-    k = _interior_count(alpha.shape[0])
-    ac, bc = alpha[:, :k], beta[:, :k]
-    ar, br = alpha[:k, :], beta[:k, :]
+    k = _interior_count(alpha.shape[-1])
+    alpha_c, beta_c = alpha.conj(), beta.conj()
+    ac, bc = alpha[..., :, :k], beta[..., :, :k]
+    ar, br = alpha[..., :k, :], beta[..., :k, :]
+    ach, bct = alpha_c[..., :, :k].swapaxes(-1, -2), bc.swapaxes(-1, -2)
     eye = np.eye(k)
     res = {
-        "column_norm": np.max(np.abs(
-            ac.conj().T @ ac - bc.T @ bc.conj() - eye)),
-        "column_cross": np.max(np.abs(
-            ac.conj().T @ bc - bc.T @ ac.conj())),
-        "row_norm": np.max(np.abs(
-            ar @ ar.conj().T - br @ br.conj().T - eye)),
-        "row_cross": np.max(np.abs(ar @ br.T - br @ ar.T)),
+        "column_norm": ach @ ac - bct @ beta_c[..., :, :k] - eye,
+        "column_cross": ach @ bc - bct @ alpha_c[..., :, :k],
+        "row_norm": ar @ alpha_c[..., :k, :].swapaxes(-1, -2)
+        - br @ beta_c[..., :k, :].swapaxes(-1, -2) - eye,
+        "row_cross": ar @ br.swapaxes(-1, -2)
+        - br @ ar.swapaxes(-1, -2),
     }
-    return {key: float(v) for key, v in res.items()}
+    if alpha.ndim == 2:
+        return {key: float(np.abs(v).max()) for key, v in res.items()}
+    return {key: np.abs(v).max(axis=(-2, -1)) for key, v in res.items()}
 
 
 @dataclass(frozen=True)
 class BogoliubovPair:
-    """Operator-side mode transformation b = alpha a + beta a^dagger."""
+    """Operator-side mode transformation b = alpha a + beta a^dagger.
+
+    A stacked pair carries leading axes on alpha and beta (..., n, n) and
+    one defect per transform, as an array.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
-    defect: float
+    defect: float | np.ndarray
 
     @property
     def n_modes(self):
-        return self.alpha.shape[0]
+        return self.alpha.shape[-1]
 
 
 def make_pair(alpha, beta, floor=0.0):
-    """Build a pair, measuring its identity defect (at least `floor`)."""
+    """Build a pair, measuring its identity defect (at least `floor`);
+    stacked matrices get one defect each."""
     alpha = np.ascontiguousarray(alpha, dtype=complex)
     beta = np.ascontiguousarray(beta, dtype=complex)
-    if alpha.shape != beta.shape or alpha.ndim != 2 \
-            or alpha.shape[0] != alpha.shape[1]:
+    if alpha.shape != beta.shape or alpha.ndim < 2 \
+            or alpha.shape[-2] != alpha.shape[-1]:
         raise ValueError("alpha and beta must be equal square matrices")
     res = identity_residuals(alpha, beta)
-    defect = max(max(res.values()), floor)
-    return BogoliubovPair(alpha, beta, float(defect))
+    defect = reduce(np.maximum, res.values(), floor)
+    return BogoliubovPair(alpha, beta,
+                          float(defect) if alpha.ndim == 2 else defect)
 
 
 def identity_pair(n):
@@ -231,16 +241,16 @@ def to_symplectic(pair):
     Diagonal phases exp(-i theta) map to the rotation
     [[cos, sin], [-sin, cos]], matching the covariance convention in
     `gaussian`; a real one-mode squeezer (alpha, beta) = (cosh s, sinh s)
-    maps to diag(e^s, e^-s).
+    maps to diag(e^s, e^-s).  A stacked pair gives a stack of matrices.
     """
     plus = pair.alpha + pair.beta
     minus = pair.alpha - pair.beta
     n = pair.n_modes
-    s = np.empty((2 * n, 2 * n))
-    s[0::2, 0::2] = plus.real
-    s[0::2, 1::2] = -minus.imag
-    s[1::2, 0::2] = plus.imag
-    s[1::2, 1::2] = minus.real
+    s = np.empty(plus.shape[:-2] + (2 * n, 2 * n))
+    s[..., 0::2, 0::2] = plus.real
+    s[..., 0::2, 1::2] = -minus.imag
+    s[..., 1::2, 0::2] = plus.imag
+    s[..., 1::2, 1::2] = minus.real
     return s
 
 
@@ -338,12 +348,18 @@ def phase_evolution_rindler(tau_seconds, h, geometry):
     The dimensionless wedge time is eta = |h| tau c / L; phases approach
     the inertial ones as h -> 0 (relative frequency shift about h^2/12).
     """
-    rind = RindlerGeometry(abs(h))
-    eta = abs(h) * geometry.natural_time(tau_seconds)
-    n = np.arange(1, geometry.n_max + 1)
-    theta = rind.omega_mode(n) * eta
+    theta = _rindler_angles(tau_seconds, h, geometry)
     return BogoliubovPair(np.diag(np.exp(-1j * theta)),
                           np.zeros((geometry.n_max,) * 2, dtype=complex), 0.0)
+
+
+def _rindler_angles(tau_seconds, h, geometry):
+    """Wedge phase angles omega_mode(n) eta of modes 1..n_max, with a
+    trailing mode axis after the axes of `tau_seconds`."""
+    rind = RindlerGeometry(abs(h))
+    eta = abs(h) * geometry.natural_time(np.asarray(tau_seconds, dtype=float))
+    n = np.arange(1, geometry.n_max + 1)
+    return rind.omega_mode(n) * eta[..., None]
 
 
 def one_segment_transform(tau_seconds, h, geometry, tol=ORACLE_TOL):
@@ -351,13 +367,21 @@ def one_segment_transform(tau_seconds, h, geometry, tol=ORACLE_TOL):
 
     Switch into the accelerated basis, evolve for proper time tau at the
     center, switch back: inverse(B) o phases o B, measuring the defect.
+    With the switch pair (A, B) and the wedge phases D, that is
+    alpha = A^dagger D A - B^T D^* B^* and beta = A^dagger D B - B^T D^* A^*.
+    An array of durations gives a stacked pair, one transform per
+    duration, each with its own measured defect.
     """
-    if tau_seconds < 0:
+    taus = np.asarray(tau_seconds, dtype=float)
+    if (taus < 0).any():
         raise ValueError("segment duration must be >= 0")
     b0 = sudden_switch_oracle(h, geometry, tol)
-    ph = phase_evolution_rindler(tau_seconds, h, geometry)
-    net = compose(inverse(b0), compose(ph, b0))
-    return make_pair(net.alpha, net.beta, floor=net.defect)
+    d = np.exp(-1j * _rindler_angles(taus, h, geometry))[..., None]
+    da, db = d * b0.alpha, d * b0.beta
+    a_dag, minus_bt = b0.alpha.conj().T, -b0.beta.T
+    alpha = a_dag @ da + minus_bt @ db.conj()
+    beta = a_dag @ db + minus_bt @ da.conj()
+    return make_pair(alpha, beta, floor=b0.defect)
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +486,19 @@ def one_segment_first_order(tau_seconds, geometry):
     The free phases are even in h, so composing inverse(B) o D(tau) o B
     with B = 1 + h (A1, B1) gives the first order exactly:
     alpha1 = A1^dagger D + D A1 and beta1 = D B1 - B1^T D^*, with
-    D = diag(exp(-i n pi tau c / L)).  Returns (alpha1, beta1, error).
+    D = diag(exp(-i n pi tau c / L)).  Returns (alpha1, beta1, error);
+    an array of durations stacks alpha1 and beta1 along its axes.
     """
-    if tau_seconds < 0:
+    taus = np.asarray(tau_seconds, dtype=float)
+    if (taus < 0).any():
         raise ValueError("segment duration must be >= 0")
     first = sudden_switch_perturbative(geometry)
     n = np.arange(1, geometry.n_max + 1)
-    d = np.exp(-1j * n * np.pi * geometry.natural_time(tau_seconds))
+    d = np.exp(-1j * n * np.pi * geometry.natural_time(taus)[..., None])
+    row, col = d[..., None, :], d[..., :, None]
     a1, b1 = first.alpha1, first.beta1
-    alpha1 = a1.conj().T * d[None, :] + d[:, None] * a1
-    beta1 = d[:, None] * b1 - b1.T * d.conj()[None, :]
+    alpha1 = a1.conj().T * row + col * a1
+    beta1 = col * b1 - b1.T * row.conj()
     return alpha1, beta1, 2.0 * first.error   # two extracted terms
 
 
@@ -492,30 +519,29 @@ def _tail_ratio(kp, n_max):
     return tail / total
 
 
-def f_sums(kp, tau_seconds, h, geometry):
-    """Degradation sums entering the quadratic fidelity correction.
+def f_sums(kp, taus, geometry):
+    """Degradation sums entering the quadratic fidelity correction, one
+    pair of arrays (f_alpha, f_beta) over the durations `taus`.
 
     f_alpha = 1/2 sum_n |alpha1_{n, kp}(tau)|^2 over the first-order
     one-segment matrices, f_beta likewise for beta1, both composed from
     the switch's first-order coefficients (`one_segment_first_order`).
-    These are h -> 0 objects; `h` is validated for regime only and does
-    not enter the sums, which keeps them identical across a sweep row.
+    These are h -> 0 objects, so they are shared by every acceleration
+    of a sweep row.
 
     Raises TruncationError when the closed-form envelope estimates more
     than 1% of the column sum to live above n_max.
     """
     if not 1 <= kp <= geometry.n_max:
         raise ValueError(f"kp must lie in 1..{geometry.n_max}")
-    if not 0.0 <= abs(h) < 2.0:
-        raise ValueError(f"|h| must lie in [0, 2), got {h}")
     ratio = _tail_ratio(kp, geometry.n_max)
     if ratio > 0.01:
         raise TruncationError(
             f"mode {kp} leaks an estimated {100 * ratio:.2f}% of its "
             f"first-order weight above n_max = {geometry.n_max}; increase "
             "the truncation (need roughly n_max >= 2 kp)")
-    a1, b1, _ = one_segment_first_order(tau_seconds, geometry)
+    a1, b1, _ = one_segment_first_order(taus, geometry)
     col = kp - 1
-    f_alpha = 0.5 * float(np.sum(np.abs(a1[:, col]) ** 2))
-    f_beta = 0.5 * float(np.sum(np.abs(b1[:, col]) ** 2))
+    f_alpha = 0.5 * np.sum(np.abs(a1[..., :, col]) ** 2, axis=-1)
+    f_beta = 0.5 * np.sum(np.abs(b1[..., :, col]) ** 2, axis=-1)
     return f_alpha, f_beta

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -43,6 +44,7 @@ from .gaussian import symplectic_form
 from .protocol import (
     DEFAULT_GEOMETRY,
     ProtocolParams,
+    burn_column,
     consistency_report,
     perturbative_fidelity,
 )
@@ -232,40 +234,50 @@ def _metadata_lines(cfg, extra=()):
     return "\n".join(lines)
 
 
-def _sweep_point(params, alice_clock, point):
-    tau, a = point
-    traj = Trajectory((Accelerated(a, tau),), params.geometry)
-    report = consistency_report(params, traj, alice_clock=alice_clock)
-    row = (tau, a, report.h, report.phi, report.F_raw, report.F_corrected,
-           report.F_opt_numeric, report.F_pert, report.F_pert_opt,
-           report.nu, report.residual_pert)
-    return row, report.defect
+class SweepStats(namedtuple("SweepStats",
+                            "max_defect clamped_points clamp_max")):
+    """Deterministic counters of one sweep: the worst transform defect,
+    and how many reduced states were clamped into the physical cone and
+    by how much at most (0.0 when none were)."""
+
+    __slots__ = ()
+
+
+def _sweep_column(params, alice_clock, taus, a):
+    col = burn_column(params, a, taus, alice_clock)
+    table = np.column_stack([
+        taus, np.full(taus.shape, a), np.full(taus.shape, col.h), col.phi,
+        col.F_raw, col.F_corrected, col.F_opt_numeric, col.F_pert,
+        col.F_pert_opt, col.nu, col.residual_pert])
+    return table.tolist(), col.defect, col.clamp
 
 
 def sweep_rows(cfg, jobs=1):
-    """Evaluate the full grid, returning (rows, max_defect) with the rows
+    """Evaluate the full grid, returning (rows, SweepStats) with the rows
     in tau-major order.
 
-    Points are evaluated a-major, one acceleration column after another
-    (whole columns per worker), so each column's switch comes out of the
-    oracle cache however many accelerations the grid has.
+    Each acceleration column is one `burn_column` call, so its switch
+    comes out of the oracle cache once and the state kernel runs over
+    all taus at once; with jobs > 1 the pool gets whole columns.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     params = cfg.params()
     taus, accs = cfg.grid()
-    points = [(tau, a) for a in accs for tau in taus]
-    worker = partial(_sweep_point, params, cfg.alice_clock)
+    worker = partial(_sweep_column, params, cfg.alice_clock, taus)
     if jobs > 1:
-        chunk = max(1, len(accs) // (8 * jobs)) * len(taus)
+        chunk = max(1, len(accs) // (8 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, points, chunksize=chunk))
+            columns = list(pool.map(worker, accs.tolist(), chunksize=chunk))
     else:
-        results = [worker(p) for p in points]
-    n_tau = len(taus)
-    rows = [row for i in range(n_tau) for row, _ in results[i::n_tau]]
-    max_defect = max((d for _, d in results), default=0.0)
-    return rows, max_defect
+        columns = [worker(a) for a in accs.tolist()]
+    rows = [col[i] for i in range(len(taus)) for col, _, _ in columns]
+    defect = np.concatenate([d for _, d, _ in columns])
+    clamp = np.concatenate([c for _, _, c in columns])
+    stats = SweepStats(max_defect=float(defect.max()),
+                       clamped_points=int(np.count_nonzero(clamp)),
+                       clamp_max=float(clamp.max()))
+    return rows, stats
 
 
 def _plot_matrix(cfg, rows):
@@ -290,12 +302,14 @@ def _write_text(path, text):
 
 def cmd_sweep(args):
     cfg = _load_config(args)
-    rows, max_defect = sweep_rows(cfg, jobs=args.jobs)
+    rows, stats = sweep_rows(cfg, jobs=args.jobs)
     out = ["# sweep grid: tau-major row order",
            _metadata_lines(cfg),
            "# grid axes are a reconstruction of the regime, not published",
            "# coordinates",
-           f"# max_defect = {max_defect!r}",
+           f"# max_defect = {stats.max_defect!r}",
+           f"# clamped_points = {stats.clamped_points}",
+           f"# clamp_max = {stats.clamp_max!r}",
            ",".join(SWEEP_COLUMNS)]
     out.extend(_sweep_row_text(row) for row in rows)
     text = "\n".join(out) + "\n"

@@ -18,6 +18,8 @@ F = 1/2 and the pure-resource limit F -> 1.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import PhysicalityError
@@ -38,6 +40,10 @@ PHYSICALITY_TOL = 1e-9
 PAIR_TOL = 1e-7
 
 _Z = np.diag([1.0, -1.0])
+_Z_ROWS = np.array([[1.0], [-1.0]])
+_Z_COLS = _Z_ROWS.T
+_ZZ = _Z_ROWS * _Z_COLS
+_TWO_I2 = 2.0 * np.eye(2)
 _ROB_MOMENTUM_FLIP = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 
@@ -70,60 +76,83 @@ def make_two_mode_squeezed(r):
 
 
 def rotation(theta):
-    """Single-mode phase advance R(theta) = [[cos, sin], [-sin, cos]]."""
+    """Single-mode phase advance R(theta) = [[cos, sin], [-sin, cos]];
+    an array of angles gives a stack of shape theta.shape + (2, 2)."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]])
+    out = np.empty(np.shape(theta) + (2, 2))
+    out[..., 0, 0] = c
+    out[..., 0, 1] = s
+    out[..., 1, 0] = -s
+    out[..., 1, 1] = c
+    return out
 
 
 def local_rotation(theta_a, theta_b):
-    """Two-mode symplectic applying phases theta_a, theta_b locally."""
-    out = np.zeros((4, 4))
-    out[:2, :2] = rotation(theta_a)
-    out[2:, 2:] = rotation(theta_b)
+    """Two-mode symplectic applying phases theta_a, theta_b locally
+    (stacked like `rotation` for arrays of angles)."""
+    out = np.zeros(np.broadcast_shapes(np.shape(theta_a),
+                                       np.shape(theta_b)) + (4, 4))
+    out[..., :2, :2] = rotation(theta_a)
+    out[..., 2:, 2:] = rotation(theta_b)
     return out
 
 
 def partial_transpose(sigma):
-    """Partial transpose of a two-mode state: flip the momentum sign of
-    Rob's (second) mode.  Flipping Alice's instead gives the same
-    symplectic spectrum."""
+    """Partial transpose of a two-mode state (or of each state in a
+    stack): flip the momentum sign of Rob's (second) mode.  Flipping
+    Alice's instead gives the same symplectic spectrum."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (4, 4):
+    if sigma.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 covariance, got {sigma.shape}")
     return sigma * _ROB_MOMENTUM_FLIP
 
 
 def _check_symmetric(m):
-    scale = max(float(np.max(np.abs(m))), 1.0)
-    dev = float(np.max(np.abs(m - m.T)))
-    if dev > SYMMETRY_RTOL * scale:
+    if not (m != m.swapaxes(-1, -2)).any():
+        return
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    dev = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (dev > SYMMETRY_RTOL * scale).any():
+        worst = float((dev / scale).max())
         raise PhysicalityError(
-            f"matrix is not symmetric (relative deviation {dev / scale:.3e})")
+            f"matrix is not symmetric (relative deviation {worst:.3e})")
+
+
+@lru_cache(maxsize=None)
+def _omega(n_modes):
+    omega = symplectic_form(n_modes)
+    omega.flags.writeable = False
+    return omega
 
 
 def symplectic_eigenvalues(m):
-    """Symplectic spectrum of a symmetric positive definite matrix.
+    """Symplectic spectrum of a symmetric positive definite matrix, in
+    ascending order; a stack (..., 2n, 2n) gives (..., n).
 
-    Computed as the moduli of the eigenvalues of i Omega M, which come in
-    equal pairs; adjacent pairs after sorting are averaged.  A pair
-    mismatch beyond PAIR_TOL (relative) aborts, since it signals a
-    defective or non-positive input.
+    With the Cholesky factor M = L L^T, the Hermitian L^T (i Omega) L is
+    similar to i Omega M, so its eigenvalues are the spectrum with both
+    signs, +-nu; the positive half is returned.  A failed factorisation
+    means M is not positive definite.  The negative half must mirror the
+    positive one within PAIR_TOL (relative), or the input was defective.
     """
     m = np.asarray(m, dtype=float)
     _check_symmetric(m)
-    n = m.shape[0] // 2
-    evs = np.linalg.eigvalsh(m)
-    if evs[0] <= 0:
+    n = m.shape[-1] // 2
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        lowest = float(np.min(np.linalg.eigvalsh(m)))
         raise PhysicalityError(
-            f"matrix is not positive definite (min eigenvalue {evs[0]:.3e})")
-    mods = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ m)))
-    lo, hi = mods[0::2], mods[1::2]
-    mean = 0.5 * (lo + hi)
-    mismatch = np.max((hi - lo) / np.maximum(mean, 1.0))
+            f"matrix is not positive definite (min eigenvalue "
+            f"{lowest:.3e})") from None
+    evs = np.linalg.eigvalsh(
+        1j * (chol.swapaxes(-1, -2) @ _omega(n) @ chol))
+    lo, hi = -evs[..., n - 1::-1], evs[..., n:]
+    mismatch = (np.abs(hi - lo) / np.maximum(hi, 1.0)).max()
     if mismatch > PAIR_TOL:
         raise PhysicalityError(
             f"symplectic eigenvalue pairing failed (mismatch {mismatch:.3e})")
-    return mean
+    return hi
 
 
 def validate_covariance(sigma, n_modes=None):
@@ -135,7 +164,7 @@ def validate_covariance(sigma, n_modes=None):
     if n_modes is not None and n != n_modes:
         raise PhysicalityError(f"expected {n_modes} modes, got {n}")
     _check_symmetric(sigma)
-    h = sigma + 1j * symplectic_form(n)
+    h = sigma + 1j * _omega(n)
     lam = np.linalg.eigvalsh(h)[0]
     if lam < -PHYSICALITY_TOL:
         raise PhysicalityError(
@@ -144,7 +173,8 @@ def validate_covariance(sigma, n_modes=None):
 
 
 def teleport_fidelity(sigma, check=True):
-    """Coherent-state teleportation fidelity from a two-mode resource.
+    """Coherent-state teleportation fidelity from a two-mode resource, or
+    from each resource in a stack (..., 4, 4).
 
     The output noise matrix is the covariance N of the relayed quadrature
     errors (x_B - x_A, p_B + p_A); the average overlap with the input
@@ -152,12 +182,16 @@ def teleport_fidelity(sigma, check=True):
     """
     sigma = np.asarray(sigma, dtype=float)
     if check:
-        validate_covariance(sigma, n_modes=2)
-    a = sigma[:2, :2]
-    b = sigma[2:, 2:]
-    c = sigma[:2, 2:]
-    n = _Z @ a @ _Z + b - _Z @ c - c.T @ _Z
-    det = float(np.linalg.det(2.0 * np.eye(2) + n))
-    if det <= 0:
-        raise PhysicalityError(f"non-positive overlap determinant {det:.3e}")
-    return float(2.0 / np.sqrt(det))
+        for one in sigma.reshape((-1,) + sigma.shape[-2:]):
+            validate_covariance(one, n_modes=2)
+    a = sigma[..., :2, :2]
+    b = sigma[..., 2:, 2:]
+    c = sigma[..., :2, 2:]
+    # the products with Z = diag(1, -1) are exact sign flips
+    n = a * _ZZ + b - _Z_ROWS * c - c.swapaxes(-1, -2) * _Z_COLS
+    det = np.linalg.det(_TWO_I2 + n)
+    if (det <= 0).any():
+        raise PhysicalityError(
+            f"non-positive overlap determinant {det.min():.3e}")
+    fidelity = 2.0 / np.sqrt(det)
+    return float(fidelity) if fidelity.ndim == 0 else fidelity

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bogoliubov import (
     CavityGeometry,
     _warn_regime,
@@ -39,6 +41,7 @@ __all__ = [
     "parse_trajectory",
     "ledger",
     "phase_pair",
+    "burn_phase_pairs",
     "build_transform",
 ]
 
@@ -159,8 +162,14 @@ def ledger(trajectory, alice_clock="lab"):
             if alice_clock == "comoving":
                 t_alice += seg.tau
             else:
-                t_alice += (c / seg.a) * math.sinh(seg.a * seg.tau / c)
+                t_alice += _lab_time(seg.a, seg.tau, c)
     return ProperTimeLedger(t_alice, tau_rob)
+
+
+def _lab_time(a, tau, c):
+    # math.sinh rather than np.sinh, whose vectorised loop can round the
+    # last bit differently, so that a burn gets one phase on every path
+    return (c / a) * math.sinh(a * tau / c)
 
 
 @dataclass(frozen=True)
@@ -182,6 +191,20 @@ def phase_pair(trajectory, k, kp, alice_clock="lab"):
     led = ledger(trajectory, alice_clock)
     return PhasePair(geom.omega(k) * led.t_alice,
                      geom.omega(kp) * led.tau_rob)
+
+
+def burn_phase_pairs(a, taus, geometry, k, kp, alice_clock="lab"):
+    """`phase_pair` of each single-burn trajectory (Accelerated(a, tau),)
+    over the proper durations `taus`, as a PhasePair of arrays."""
+    if alice_clock not in _CLOCKS:
+        raise ValueError(f"alice_clock must be one of {_CLOCKS}")
+    taus = np.asarray(taus, dtype=float)
+    if alice_clock == "comoving":
+        t_alice = taus
+    else:
+        t_alice = np.array([_lab_time(a, tau, geometry.c)
+                            for tau in taus.tolist()])
+    return PhasePair(geometry.omega(k) * t_alice, geometry.omega(kp) * taus)
 
 
 def build_transform(trajectory):

@@ -532,6 +532,21 @@ def test_segment_symplectic_on_interior():
     assert gap < 1e-3
 
 
+def test_segment_transform_over_an_array_of_taus():
+    taus = np.linspace(0.0, 6e-10, 5)
+    column = one_segment_transform(taus, 0.2, GEOM)
+    assert column.alpha.shape == (5, 10, 10)
+    assert column.defect.shape == (5,)
+    for i, tau in enumerate(taus):
+        one = one_segment_transform(tau, 0.2, GEOM)
+        assert np.array_equal(column.alpha[i], one.alpha)
+        assert np.array_equal(column.beta[i], one.beta)
+        assert column.defect[i] == one.defect
+        res = identity_residuals(column.alpha, column.beta)
+        assert {k: v[i] for k, v in res.items()} == \
+            identity_residuals(one.alpha, one.beta)
+
+
 def test_segment_rejects_negative_duration():
     with pytest.raises(ValueError):
         one_segment_transform(-1e-10, 0.2, GEOM)
@@ -625,7 +640,7 @@ def test_segment_first_order_composition_matches_ladder():
 
 def test_f_sums_vanish_at_revival():
     tau = GEOM.fundamental_period
-    fa, fb = f_sums(3, tau, 0.1, GEOM)
+    fa, fb = f_sums(3, tau, GEOM)
     assert fa < 1e-15
     assert fb < 1e-15
 
@@ -633,7 +648,7 @@ def test_f_sums_vanish_at_revival():
 def test_f_sums_match_first_order_column():
     tau = 0.37e-9
     a1, b1 = segment_first_order_ladder(tau, GEOM)
-    fa, fb = f_sums(3, tau, 0.1, GEOM)
+    fa, fb = f_sums(3, tau, GEOM)
     assert fa == pytest.approx(0.5 * np.sum(np.abs(a1[:, 2]) ** 2))
     assert fb == pytest.approx(0.5 * np.sum(np.abs(b1[:, 2]) ** 2))
 
@@ -643,7 +658,7 @@ def test_f_sums_match_interference_formula():
     # mismatch, with the closed-form switch magnitudes
     tau = 0.13e-9
     tau_nat = GEOM.natural_time(tau)
-    fa, fb = f_sums(3, tau, 0.1, GEOM)
+    fa, fb = f_sums(3, tau, GEOM)
     n = np.arange(1, 11)
     mix = first_order_mixing_magnitude(n, 3)
     pairm = first_order_pairing_magnitude(n, 3)
@@ -655,14 +670,21 @@ def test_f_sums_match_interference_formula():
     assert fb == pytest.approx(want_b, rel=1e-6, abs=1e-12)
 
 
+def test_f_sums_over_an_array_of_taus():
+    taus = np.linspace(0.0, 3.0 * GEOM.fundamental_period, 7)
+    fa, fb = f_sums(3, taus, GEOM)
+    assert fa.shape == fb.shape == (7,)
+    for i, tau in enumerate(taus):
+        one_a, one_b = f_sums(3, [tau], GEOM)
+        assert (one_a[0], one_b[0]) == (fa[i], fb[i])
+
+
 def test_f_sums_truncation_gate():
     small = CavityGeometry(0.012, 1.2e8, 4)
     with pytest.raises(TruncationError):
-        f_sums(3, 0.3e-9, 0.1, small)
+        f_sums(3, 0.3e-9, small)
 
 
 def test_f_sums_validates_arguments():
     with pytest.raises(ValueError):
-        f_sums(11, 0.3e-9, 0.1, GEOM)
-    with pytest.raises(ValueError):
-        f_sums(3, 0.3e-9, 2.5, GEOM)
+        f_sums(11, 0.3e-9, GEOM)

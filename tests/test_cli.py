@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
 import csv
+import logging
 import math
 import os
 import stat
@@ -122,6 +123,18 @@ def test_config_overrides(tmp_path, capsys):
     assert code == 0
     fields = report_fields(out)
     assert float(fields["F_raw"]) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_fidelity_at_near_degenerate_squeezing(tmp_path, capsys):
+    # the partial transpose is nearly degenerate here; a non-symmetric
+    # eigensolver failed to converge on it and the run exited 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = 1.5973122800602525e-10\n")
+    code, out, err = run(["fidelity", "--config", str(cfg)], capsys)
+    assert code == 0, err
+    fields = report_fields(out)
+    assert fields["nu"] == pytest.approx(math.exp(-2 * 1.5973122800602525e-10),
+                                         abs=1e-12)
 
 
 def test_config_bad_key_reports_line(tmp_path, capsys):
@@ -261,6 +274,47 @@ def test_sweep_deterministic_and_parallel_identical(tmp_path, small_cfg,
          "--out", str(paths[2])], capsys)
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def clamp_lines(path):
+    meta, _, _ = read_csv(str(path))
+    at = next(i for i, line in enumerate(meta)
+              if line.startswith("# max_defect = "))
+    return meta[at + 1:at + 3]
+
+
+def test_sweep_reports_clamped_points(tmp_path, small_cfg, capsys, caplog):
+    paths = [tmp_path / "j1.csv", tmp_path / "j2.csv"]
+    with caplog.at_level(logging.DEBUG, logger="cavtel.protocol"):
+        run(["sweep", "--config", small_cfg, "--out", str(paths[0])],
+            capsys)
+    clamps = [rec.args[0] for rec in caplog.records
+              if rec.name == "cavtel.protocol" and "clamp" in rec.msg]
+    run(["sweep", "--config", small_cfg, "--jobs", "2",
+         "--out", str(paths[1])], capsys)
+    serial, parallel = clamp_lines(paths[0]), clamp_lines(paths[1])
+    assert serial == parallel
+    assert serial == [f"# clamped_points = {len(clamps)}",
+                      f"# clamp_max = {max(clamps)!r}"]
+    assert len(clamps) > 0
+
+
+def test_report_equals_its_row_of_a_sweep_column():
+    from cavtel.cli import RunConfig, sweep_rows
+    from cavtel.protocol import consistency_report
+    from cavtel.trajectory import Accelerated, Trajectory
+    cfg = RunConfig(tau_steps=100, a_steps=2)
+    rows, _ = sweep_rows(cfg)
+    taus, accs = cfg.grid()
+    params = cfg.params()
+    for i, tau in enumerate(taus):
+        for j, a in enumerate(accs):
+            rep = consistency_report(params, Trajectory(
+                (Accelerated(a, tau),), params.geometry))
+            want = [tau, a, rep.h, rep.phi, rep.F_raw, rep.F_corrected,
+                    rep.F_opt_numeric, rep.F_pert, rep.F_pert_opt, rep.nu,
+                    rep.residual_pert]
+            assert list(rows[i * len(accs) + j]) == want
 
 
 def test_sweep_plot_data_matrix(tmp_path, small_cfg, capsys):

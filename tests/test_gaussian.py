@@ -188,6 +188,20 @@ def test_symplectic_eigenvalues_reject_nonpositive():
         symplectic_eigenvalues(np.diag([1.0, 1.0, 1.0, -1.0]))
 
 
+@pytest.mark.parametrize("bad", [
+    # indefinite with a positive diagonal: only the factorisation sees it
+    np.array([[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0],
+              [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+    # singular, positive semidefinite
+    np.diag([1.0, 0.0, 1.0, 1.0]),
+    # a stack whose second state is the only bad one
+    np.stack([np.eye(4), np.diag([1.0, 1.0, -1e-3, 1.0])]),
+])
+def test_symplectic_eigenvalues_reject_non_positive_definite(bad):
+    with pytest.raises(PhysicalityError, match="not positive definite"):
+        symplectic_eigenvalues(bad)
+
+
 def test_symplectic_eigenvalues_of_thermal():
     sig = np.diag([3.0, 3.0, 7.0, 7.0])
     assert np.allclose(symplectic_eigenvalues(sig), [3.0, 7.0])
@@ -198,3 +212,38 @@ def test_fidelity_monotone_in_r():
               for r in np.linspace(0, 2.5, 12)]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[-1] < 1.0
+
+
+def random_states(rng, count):
+    states = []
+    for _ in range(count):
+        rot = local_rotation(rng.uniform(0, 7), rng.uniform(0, 7))
+        sig = rot @ make_two_mode_squeezed(rng.uniform(0, 1.5)) @ rot.T
+        states.append(sig + rng.uniform(0, 0.3) * np.eye(4))
+    return np.array(states)
+
+
+def test_leading_axes_match_one_at_a_time():
+    rng = np.random.default_rng(19)
+    states = random_states(rng, 12).reshape(3, 4, 4, 4)
+    fid = teleport_fidelity(states)
+    nus = symplectic_eigenvalues(partial_transpose(states))
+    assert fid.shape == (3, 4) and nus.shape == (3, 4, 2)
+    for idx in np.ndindex(3, 4):
+        assert fid[idx] == teleport_fidelity(states[idx])
+        assert np.array_equal(
+            nus[idx], symplectic_eigenvalues(partial_transpose(states[idx])))
+    thetas = rng.uniform(-7, 7, size=(2, 3))
+    rots = rotation(thetas)
+    assert rots.shape == (2, 3, 2, 2)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(rots[idx], rotation(thetas[idx]))
+        assert np.array_equal(local_rotation(thetas, -thetas)[idx],
+                              local_rotation(thetas[idx], -thetas[idx]))
+
+
+def test_stacked_fidelity_checks_every_state():
+    states = np.stack([make_two_mode_squeezed(0.3), 0.5 * np.eye(4)])
+    with pytest.raises(PhysicalityError):
+        teleport_fidelity(states)
+    assert teleport_fidelity(states[:1]).shape == (1,)

@@ -15,14 +15,22 @@ from cavtel.bogoliubov import (
     compose,
     identity_pair,
     make_pair,
+    one_segment_transform,
     phase_evolution_minkowski,
     phase_evolution_rindler,
     sudden_switch_oracle,
 )
+from cavtel.gaussian import (
+    local_rotation,
+    partial_transpose,
+    symplectic_eigenvalues,
+    teleport_fidelity,
+)
 from cavtel.protocol import (
     DEFAULT_GEOMETRY,
     ProtocolParams,
-    _motion_state,
+    _burn_state,
+    _trajectory_state,
     consistency_report,
 )
 from cavtel.trajectory import (
@@ -31,6 +39,7 @@ from cavtel.trajectory import (
     Trajectory,
     build_transform,
     h_parameter,
+    phase_pair,
 )
 from gaussian_reference import full_register_state
 
@@ -81,9 +90,32 @@ def measured_everywhere(trajectory):
        st.sampled_from(("lab", "comoving")))
 def test_row_state_matches_full_register(traj, r, k, kp, clock):
     params = ProtocolParams(r=r, k=k, kp=kp, geometry=GEOM)
-    sigma, _, _ = _motion_state(params, traj, clock)
+    sigma = _trajectory_state(params, traj, clock).sigma[0]
     want = full_register_state(params, traj, clock)
     assert np.max(np.abs(sigma - want)) <= 1e-12
+
+
+# one burn column against the full-register sandwich, point by point;
+# any acceleration of the validated regime, so most draws miss the cache
+@PROPERTY
+@given(st.floats(1e16, 2.9e17), st.lists(durations, min_size=1, max_size=6),
+       squeezing, st.integers(1, 3), st.integers(1, GEOM.n_max // 2),
+       st.sampled_from(("lab", "comoving")))
+def test_burn_column_matches_full_register(a, taus, r, k, kp, clock):
+    params = ProtocolParams(r=r, k=k, kp=kp, geometry=GEOM)
+    state, h = _burn_state(params, a, np.array(taus), clock)
+    for i, tau in enumerate(taus):
+        traj = Trajectory((Accelerated(a, tau),), GEOM)
+        sigma = full_register_state(params, traj, clock)
+        phases = phase_pair(traj, k, kp, clock)
+        undo = local_rotation(-phases.theta_alice, -phases.theta_rob)
+        assert abs(state.f_raw[i] - teleport_fidelity(sigma)) <= 1e-12
+        assert abs(state.f_corr[i]
+                   - teleport_fidelity(undo @ sigma @ undo.T)) <= 1e-12
+        nu = symplectic_eigenvalues(partial_transpose(sigma))[0]
+        assert abs(state.nu[i] - nu) <= 1e-12
+        assert abs(state.defect[i]
+                   - one_segment_transform(tau, h, GEOM).defect) <= 1e-15
 
 
 @PROPERTY

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from cavtel.bogoliubov import CavityGeometry
-from cavtel.errors import TruncationError
+from cavtel.bogoliubov import BogoliubovPair, CavityGeometry
+from cavtel.errors import PhysicalityError, TruncationError
 from cavtel.protocol import (
     DEFAULT_GEOMETRY,
     FidelityReport,
     ProtocolParams,
+    _state_kernel,
+    burn_column,
     consistency_report,
     fidelity_corrected,
     fidelity_optimal,
@@ -18,7 +20,7 @@ from cavtel.protocol import (
     perturbative_fidelity,
     perturbative_optimal,
 )
-from cavtel.trajectory import Accelerated, Inertial, Trajectory
+from cavtel.trajectory import Accelerated, Inertial, PhasePair, Trajectory
 
 PARAMS = ProtocolParams()
 REST = Trajectory((Inertial(0.0),), DEFAULT_GEOMETRY)
@@ -82,7 +84,9 @@ def test_rest_classical_limit():
     assert nu == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("r", [1e-9, 1e-6, 0.1, 0.5, math.log(2.0), 1.5])
+# 1.5973122800602525e-10 once stalled the non-symmetric eigensolver
+@pytest.mark.parametrize("r", [1.5973122800602525e-10, 1e-9, 1e-6, 0.1, 0.5,
+                               math.log(2.0), 1.5])
 def test_rest_nu_is_squeezing_exponential(r):
     _, nu = fidelity_optimal(ProtocolParams(r=r), REST)
     assert nu == pytest.approx(math.exp(-2 * r), abs=1e-12)
@@ -298,3 +302,44 @@ def test_rob_mode_outside_interior_block_is_truncation_error(kp, segments):
     with pytest.raises(TruncationError, match="interior block 1..5"):
         consistency_report(params, traj)
 
+
+# ---------------------------------------------------------------------------
+# the column kernel
+
+def kernel_column(scales):
+    """Stacked pairs alpha = scale * I, beta = 0 with zero defect; a
+    scale below one loses signal without adding the vacuum noise that
+    any physical channel must, so the reduced state is unphysical."""
+    n = DEFAULT_GEOMETRY.n_max
+    alpha = np.array([s * np.eye(n, dtype=complex) for s in scales])
+    pair = BogoliubovPair(alpha, np.zeros_like(alpha), np.zeros(len(scales)))
+    zeros = np.zeros(len(scales))
+    return pair, PhasePair(zeros, zeros)
+
+
+def test_column_with_one_unphysical_point_raises_like_that_point():
+    with pytest.raises(PhysicalityError) as column:
+        _state_kernel(PARAMS, *kernel_column([1.0, 0.9, 1.0]))
+    with pytest.raises(PhysicalityError) as alone:
+        _state_kernel(PARAMS, *kernel_column([0.9]))
+    assert str(column.value) == str(alone.value)
+    state = _state_kernel(PARAMS, *kernel_column([1.0, 1.0]))
+    assert np.allclose(state.f_corr, REST_F, atol=1e-12)
+
+
+def test_column_clamps_within_the_allowance(caplog):
+    # a loss of 1e-10 violates the bound by less than the 1e-9 floor
+    with caplog.at_level("DEBUG", logger="cavtel.protocol"):
+        state = _state_kernel(PARAMS, *kernel_column([1.0, 1.0 - 1e-10]))
+    assert state.violation[0] == 0.0
+    assert 0.0 < state.violation[1] <= 1e-9
+    assert [rec.args[0] for rec in caplog.records] == [state.violation[1]]
+
+
+def test_burn_column_validates_its_grid():
+    with pytest.raises(ValueError):
+        burn_column(PARAMS, 0.0, [1e-10])
+    with pytest.raises(ValueError):
+        burn_column(PARAMS, 1e17, [1e-10, math.inf])
+    with pytest.raises(ValueError):
+        burn_column(PARAMS, 1e17, [-1e-10])

@@ -29,7 +29,6 @@ from .bogoliubov import (
     RindlerGeometry,
     compose,
     f_sums,
-    inverse,
     one_segment_transform,
     sudden_switch_oracle,
     sudden_switch_perturbative,
@@ -64,7 +63,7 @@ __all__ = [
     "make_two_mode_squeezed", "partial_transpose",
     "symplectic_eigenvalues", "teleport_fidelity",
     "BogoliubovPair", "CavityGeometry", "RindlerGeometry", "compose",
-    "f_sums", "inverse", "one_segment_transform", "sudden_switch_oracle",
+    "f_sums", "one_segment_transform", "sudden_switch_oracle",
     "sudden_switch_perturbative", "to_symplectic",
     "Accelerated", "Inertial", "Trajectory", "h_parameter", "ledger",
     "parse_trajectory", "phase_pair",

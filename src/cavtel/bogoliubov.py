@@ -24,9 +24,10 @@ truncated transformation carry order h couplings to modes just outside
 the window, so no finite matrix can close the identities there; interior
 modes are the ones downstream consumers are allowed to use.  They are
 measured once per oracle cache entry, on each one-segment transform and
-on a trajectory's running product after each burn that follows another;
-`compose`, `inverse` and the diagonal (unitary) phase steps only carry
-the larger input defect.
+on a trajectory's running product after each burn that follows another.
+`compose` carries the larger input defect, and a coast's diagonal
+(unitary) phases carry it unchanged: they leave the modulus of every
+residual as it was.
 """
 
 from __future__ import annotations
@@ -46,15 +47,11 @@ __all__ = [
     "RindlerGeometry",
     "BogoliubovPair",
     "PerturbativeCoefficients",
-    "identity_pair",
     "make_pair",
     "identity_residuals",
     "sudden_switch_oracle",
     "sudden_switch_perturbative",
-    "phase_evolution_minkowski",
-    "phase_evolution_rindler",
     "compose",
-    "inverse",
     "one_segment_transform",
     "one_segment_first_order",
     "f_sums",
@@ -71,6 +68,8 @@ EXTRACTION_H_BASE = 0.1
 EXTRACTION_LEVELS = 4
 EXTRACTION_MAX_LEVELS = 6
 REGIME_H_SQUARED = 0.06
+# largest estimated share of a Rob mode's first-order weight above n_max
+TAIL_LIMIT = 0.01
 
 
 def _warn_regime(h):
@@ -159,11 +158,12 @@ def _interior_count(n):
 
 
 def identity_residuals(alpha, beta):
-    """Worst-case residuals of the canonical identities.
+    """Worst residual of the four canonical identities (column and row
+    norm and cross terms).
 
     Sums run over the full stored index range; the free indices are
-    restricted to the interior block (see module docstring).  A stack of
-    pairs (..., n, n) gives one residual per pair, as arrays.
+    restricted to the interior block (see module docstring).  One pair
+    gives a float, a stack of pairs (..., n, n) one residual per pair.
     """
     k = _interior_count(alpha.shape[-1])
     alpha_c, beta_c = alpha.conj(), beta.conj()
@@ -171,17 +171,16 @@ def identity_residuals(alpha, beta):
     ar, br = alpha[..., :k, :], beta[..., :k, :]
     ach, bct = alpha_c[..., :, :k].swapaxes(-1, -2), bc.swapaxes(-1, -2)
     eye = np.eye(k)
-    res = {
-        "column_norm": ach @ ac - bct @ beta_c[..., :, :k] - eye,
-        "column_cross": ach @ bc - bct @ alpha_c[..., :, :k],
-        "row_norm": ar @ alpha_c[..., :k, :].swapaxes(-1, -2)
+    res = (
+        ach @ ac - bct @ beta_c[..., :, :k] - eye,
+        ach @ bc - bct @ alpha_c[..., :, :k],
+        ar @ alpha_c[..., :k, :].swapaxes(-1, -2)
         - br @ beta_c[..., :k, :].swapaxes(-1, -2) - eye,
-        "row_cross": ar @ br.swapaxes(-1, -2)
-        - br @ ar.swapaxes(-1, -2),
-    }
-    if alpha.ndim == 2:
-        return {key: float(np.abs(v).max()) for key, v in res.items()}
-    return {key: np.abs(v).max(axis=(-2, -1)) for key, v in res.items()}
+        ar @ br.swapaxes(-1, -2) - br @ ar.swapaxes(-1, -2),
+    )
+    worst = reduce(np.maximum,
+                   (np.abs(v).max(axis=(-2, -1)) for v in res))
+    return float(worst) if alpha.ndim == 2 else worst
 
 
 @dataclass(frozen=True)
@@ -209,15 +208,9 @@ def make_pair(alpha, beta, floor=0.0):
     if alpha.shape != beta.shape or alpha.ndim < 2 \
             or alpha.shape[-2] != alpha.shape[-1]:
         raise ValueError("alpha and beta must be equal square matrices")
-    res = identity_residuals(alpha, beta)
-    defect = reduce(np.maximum, res.values(), floor)
+    defect = np.maximum(identity_residuals(alpha, beta), floor)
     return BogoliubovPair(alpha, beta,
                           float(defect) if alpha.ndim == 2 else defect)
-
-
-def identity_pair(n):
-    return BogoliubovPair(np.eye(n, dtype=complex),
-                          np.zeros((n, n), dtype=complex), 0.0)
 
 
 def compose(b2, b1):
@@ -227,12 +220,6 @@ def compose(b2, b1):
     alpha = b2.alpha @ b1.alpha + b2.beta @ b1.beta.conj()
     beta = b2.alpha @ b1.beta + b2.beta @ b1.alpha.conj()
     return BogoliubovPair(alpha, beta, max(b1.defect, b2.defect))
-
-
-def inverse(b):
-    """Canonical inverse (alpha -> alpha^dagger, beta -> -beta^T); it
-    swaps the row and column identities, so the defect carries over."""
-    return BogoliubovPair(b.alpha.conj().T, -b.beta.T, b.defect)
 
 
 def to_symplectic(pair):
@@ -330,32 +317,22 @@ def sudden_switch_oracle(h, geometry, tol=ORACLE_TOL):
     quadrature residual.
     """
     if h == 0.0:
-        raise ValueError("h must be nonzero; use identity_pair for rest")
+        raise ValueError("h must be nonzero")
     return _oracle_cached(float(h), geometry.n_max, tol)
 
 
-def phase_evolution_minkowski(t_seconds, geometry):
-    """Free inertial evolution for a lab-time duration (beta = 0)."""
+def _inertial_phases(t_seconds, geometry):
+    """A coast's phases exp(-i n pi t c / L) of modes 1..n_max, with a
+    trailing mode axis after the axes of the lab time `t_seconds`."""
     n = np.arange(1, geometry.n_max + 1)
-    theta = n * np.pi * geometry.natural_time(t_seconds)
-    return BogoliubovPair(np.diag(np.exp(-1j * theta)),
-                          np.zeros((geometry.n_max,) * 2, dtype=complex), 0.0)
-
-
-def phase_evolution_rindler(tau_seconds, h, geometry):
-    """Free accelerated evolution for a center proper-time duration.
-
-    The dimensionless wedge time is eta = |h| tau c / L; phases approach
-    the inertial ones as h -> 0 (relative frequency shift about h^2/12).
-    """
-    theta = _rindler_angles(tau_seconds, h, geometry)
-    return BogoliubovPair(np.diag(np.exp(-1j * theta)),
-                          np.zeros((geometry.n_max,) * 2, dtype=complex), 0.0)
+    t = geometry.natural_time(np.asarray(t_seconds, dtype=float))
+    return np.exp(-1j * n * np.pi * t[..., None])
 
 
 def _rindler_angles(tau_seconds, h, geometry):
     """Wedge phase angles omega_mode(n) eta of modes 1..n_max, with a
-    trailing mode axis after the axes of `tau_seconds`."""
+    trailing mode axis after the axes of `tau_seconds`; the wedge time
+    is eta = |h| tau c / L."""
     rind = RindlerGeometry(abs(h))
     eta = abs(h) * geometry.natural_time(np.asarray(tau_seconds, dtype=float))
     n = np.arange(1, geometry.n_max + 1)
@@ -366,7 +343,8 @@ def one_segment_transform(tau_seconds, h, geometry, tol=ORACLE_TOL):
     """Net transformation for one accelerated segment.
 
     Switch into the accelerated basis, evolve for proper time tau at the
-    center, switch back: inverse(B) o phases o B, measuring the defect.
+    center, switch back: B^-1 o phases o B with the canonical inverse
+    B^-1 = (A^dagger, -B^T), measuring the defect.
     With the switch pair (A, B) and the wedge phases D, that is
     alpha = A^dagger D A - B^T D^* B^* and beta = A^dagger D B - B^T D^* A^*.
     An array of durations gives a stacked pair, one transform per
@@ -483,7 +461,7 @@ def sudden_switch_perturbative(geometry):
 def one_segment_first_order(tau_seconds, geometry):
     """First order in h of `one_segment_transform` at fixed tau.
 
-    The free phases are even in h, so composing inverse(B) o D(tau) o B
+    The free phases are even in h, so composing B^-1 o D(tau) o B
     with B = 1 + h (A1, B1) gives the first order exactly:
     alpha1 = A1^dagger D + D A1 and beta1 = D B1 - B1^T D^*, with
     D = diag(exp(-i n pi tau c / L)).  Returns (alpha1, beta1, error);
@@ -493,8 +471,7 @@ def one_segment_first_order(tau_seconds, geometry):
     if (taus < 0).any():
         raise ValueError("segment duration must be >= 0")
     first = sudden_switch_perturbative(geometry)
-    n = np.arange(1, geometry.n_max + 1)
-    d = np.exp(-1j * n * np.pi * geometry.natural_time(taus)[..., None])
+    d = _inertial_phases(taus, geometry)
     row, col = d[..., None, :], d[..., :, None]
     a1, b1 = first.alpha1, first.beta1
     alpha1 = a1.conj().T * row + col * a1
@@ -529,17 +506,23 @@ def f_sums(kp, taus, geometry):
     These are h -> 0 objects, so they are shared by every acceleration
     of a sweep row.
 
-    Raises TruncationError when the closed-form envelope estimates more
-    than 1% of the column sum to live above n_max.
+    Raises TruncationError, naming the smallest adequate n_max, when the
+    closed-form envelope estimates more than TAIL_LIMIT (1%) of the
+    column sum to live above n_max.
     """
     if not 1 <= kp <= geometry.n_max:
         raise ValueError(f"kp must lie in 1..{geometry.n_max}")
     ratio = _tail_ratio(kp, geometry.n_max)
-    if ratio > 0.01:
+    if ratio > TAIL_LIMIT:
+        # the smallest n_max whose interior block holds kp and that passes
+        need = next((n for n in range(2 * kp, 65)
+                     if _tail_ratio(kp, n) <= TAIL_LIMIT), None)
+        advice = (f"use n_max >= {need}" if need is not None
+                  else "no n_max up to 64 is adequate")
         raise TruncationError(
             f"mode {kp} leaks an estimated {100 * ratio:.2f}% of its "
-            f"first-order weight above n_max = {geometry.n_max}; increase "
-            "the truncation (need roughly n_max >= 2 kp)")
+            f"first-order weight above n_max = {geometry.n_max} (limit "
+            f"{100 * TAIL_LIMIT:g}%); {advice}")
     a1, b1, _ = one_segment_first_order(taus, geometry)
     col = kp - 1
     f_alpha = 0.5 * np.sum(np.abs(a1[..., :, col]) ** 2, axis=-1)

@@ -54,7 +54,6 @@ from .gaussian import (
     teleport_fidelity,
 )
 from .trajectory import (
-    Accelerated,
     PhasePair,
     Trajectory,
     build_transform,
@@ -204,31 +203,13 @@ def _state_kernel(params, pair, phases):
     return _State(sigma, pair.defect, violation, phases, f_raw, f_corr, nu)
 
 
-def _burn_state(params, a, taus, alice_clock):
-    """The kernel on single burns of acceleration a over the proper
-    durations `taus` (1-D), with the dimensionless h: one switch from the
-    oracle cache and one stacked transform for the whole column."""
-    _check_interior(params)
-    geom = params.geometry
-    h = h_parameter(a, geom.L, geom.c)
-    pair = one_segment_transform(taus, h, geom)
-    phases = burn_phase_pairs(a, taus, geom, params.k, params.kp,
-                              alice_clock)
-    return _state_kernel(params, pair, phases), h
-
-
 def _trajectory_state(params, trajectory, alice_clock):
-    """The kernel on one trajectory, as a column of length 1.  A lone
-    burn takes the column transform; any other trajectory passes the
-    rows of its composed `build_transform`."""
+    """The kernel on one trajectory, as a column of length 1: its
+    `build_transform` pair and its `phase_pair`."""
     if not isinstance(trajectory, Trajectory):
         raise TypeError("expected a Trajectory")
     if trajectory.geometry != params.geometry:
         raise ValueError("trajectory and params disagree on the geometry")
-    segments = trajectory.segments
-    if len(segments) == 1 and isinstance(segments[0], Accelerated):
-        seg = segments[0]
-        return _burn_state(params, seg.a, [seg.tau], alice_clock)[0]
     if trajectory.n_accelerated:
         _check_interior(params)
     pair = build_transform(trajectory)
@@ -367,9 +348,14 @@ def burn_column(params, a, taus, alice_clock="lab"):
     if taus.ndim != 1 or not ((taus >= 0.0) & (taus < math.inf)).all():
         raise ValueError("proper durations must be a 1-D array of finite "
                          "values >= 0")
-    state, h = _burn_state(params, a, taus, alice_clock)
-    sums = f_sums(params.kp, taus, params.geometry)
-    return _report_column(params, state, h, sums)
+    _check_interior(params)
+    geom = params.geometry
+    h = h_parameter(a, geom.L, geom.c)
+    pair = one_segment_transform(taus, h, geom)
+    phases = burn_phase_pairs(a, taus, geom, params.k, params.kp,
+                              alice_clock)
+    state = _state_kernel(params, pair, phases)
+    return _report_column(params, state, h, f_sums(params.kp, taus, geom))
 
 
 def consistency_report(params, trajectory, alice_clock="lab"):

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import (
+    BogoliubovPair,
     CavityGeometry,
+    _inertial_phases,
     _warn_regime,
     compose,
-    identity_pair,
     make_pair,
     one_segment_transform,
-    phase_evolution_minkowski,
 )
 from .errors import TrajectoryParseError
 
@@ -210,23 +210,39 @@ def burn_phase_pairs(a, taus, geometry, k, kp, alice_clock="lab"):
 def build_transform(trajectory):
     """Net Bogoliubov pair for Rob's cavity over the whole trajectory.
 
-    The running product's defect is measured again after each burn that
-    follows an earlier one.  Before a second burn the product is the
-    first burn's measured transform between diagonal unitary phase
-    steps, which leave the modulus of every residual unchanged.
+    A coast is its diagonal phase vector d = exp(-i omega_n t).  After a
+    burn it scales the running product's rows (alpha -> d alpha,
+    beta -> d beta); the coasts before the first burn scale that burn's
+    columns (alpha D, beta D^*), so `compose` only joins burns.  The
+    running product's defect is measured again after each burn that
+    follows an earlier one; the unitary phases leave the modulus of
+    every residual unchanged.  A trajectory without a burn gives the
+    diagonal pair of its phases, with defect 0.
     """
     geom = trajectory.geometry
-    total = identity_pair(geom.n_max)
-    burned = False
+    lead = None          # the coasts' phases before the first burn
+    total = None
     for seg in trajectory.segments:
         if isinstance(seg, Inertial):
-            total = compose(phase_evolution_minkowski(seg.duration, geom),
-                            total)
+            d = _inertial_phases(seg.duration, geom)
+            if total is None:
+                lead = d if lead is None else d * lead
+            else:
+                total = BogoliubovPair(d[:, None] * total.alpha,
+                                       d[:, None] * total.beta, total.defect)
+            continue
+        h = h_parameter(seg.a, geom.L, geom.c)
+        step = one_segment_transform(seg.tau, h, geom)
+        if total is not None:
+            joined = compose(step, total)
+            total = make_pair(joined.alpha, joined.beta,
+                              floor=joined.defect)
+        elif lead is None:
+            total = step
         else:
-            h = h_parameter(seg.a, geom.L, geom.c)
-            total = compose(one_segment_transform(seg.tau, h, geom), total)
-            if burned:
-                total = make_pair(total.alpha, total.beta,
-                                  floor=total.defect)
-            burned = True
+            total = BogoliubovPair(step.alpha * lead,
+                                   step.beta * lead.conj(), step.defect)
+    if total is None:
+        return BogoliubovPair(np.diag(lead),
+                              np.zeros((geom.n_max,) * 2, dtype=complex), 0.0)
     return total

@@ -22,14 +22,10 @@ from cavtel.bogoliubov import (
     f_sums,
     first_order_mixing_magnitude,
     first_order_pairing_magnitude,
-    identity_pair,
     identity_residuals,
-    inverse,
     make_pair,
     one_segment_first_order,
     one_segment_transform,
-    phase_evolution_minkowski,
-    phase_evolution_rindler,
     sudden_switch_oracle,
     sudden_switch_perturbative,
     to_symplectic,
@@ -37,6 +33,13 @@ from cavtel.bogoliubov import (
 from cavtel.errors import QuadratureError, TruncationError
 from cavtel.gaussian import rotation, symplectic_form
 from cavtel.quadrature import integrate_stack, richardson_limit
+
+from bogoliubov_reference import (
+    identity_pair,
+    inverse,
+    phase_evolution_minkowski,
+    phase_evolution_rindler,
+)
 
 GEOM = CavityGeometry(0.012, 1.2e8, 10)
 
@@ -413,10 +416,7 @@ def test_oracle_small_h_limit():
 def test_oracle_identity_health():
     pair = sudden_switch_oracle(0.245, GEOM)
     assert pair.defect <= 1e-3
-    res = identity_residuals(pair.alpha, pair.beta)
-    assert set(res) == {"column_norm", "column_cross",
-                        "row_norm", "row_cross"}
-    assert max(res.values()) <= 1e-3
+    assert identity_residuals(pair.alpha, pair.beta) <= 1e-3
 
 
 def test_oracle_rejects_zero_h():
@@ -543,8 +543,7 @@ def test_segment_transform_over_an_array_of_taus():
         assert np.array_equal(column.beta[i], one.beta)
         assert column.defect[i] == one.defect
         res = identity_residuals(column.alpha, column.beta)
-        assert {k: v[i] for k, v in res.items()} == \
-            identity_residuals(one.alpha, one.beta)
+        assert res[i] == identity_residuals(one.alpha, one.beta)
 
 
 def test_segment_rejects_negative_duration():

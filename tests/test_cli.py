@@ -11,6 +11,7 @@ import warnings
 
 import pytest
 
+from cavtel.bogoliubov import BogoliubovPair
 from cavtel.cli import main
 
 REST_F = 1.0 / (1.0 + math.exp(-1.0))
@@ -192,6 +193,23 @@ def test_rob_mode_outside_interior_block_exits_3(tmp_path, capsys):
     assert code == 3
     assert "interior block" in err
     assert out == ""
+
+
+def test_first_order_tail_gate_names_adequate_truncation(tmp_path, capsys):
+    # mode 1 leaks 1.15% at n_max 10 although 10 >= 2 kp; 12 is the
+    # smallest truncation that keeps the leak within 1%
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kp = 1\n")
+    traj = tmp_path / "burn.traj"
+    traj.write_text("accel 2e17 3e-10\n")
+    argv = ["fidelity", "--config", str(cfg), "--trajectory", str(traj)]
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert "1.15%" in err and "use n_max >= 12" in err
+    assert out == ""
+    code, out, err = run(argv + ["--nmax", "12"], capsys)
+    assert code == 0, err
+    assert "F_pert_opt" in out
 
 
 def test_bad_trajectory_exit_code(tmp_path, capsys):
@@ -470,17 +488,34 @@ def test_validate_truncated_basis_fails(capsys):
     assert any(ln.startswith("FAIL") for ln in out.splitlines())
 
 
-def test_validate_mutated_oracle_fails(capsys):
-    code, out, _ = run(["validate", "--mutate"], capsys)
+def test_validate_mutated_oracle_fails(monkeypatch, capsys):
+    from cavtel import cli
+    real = cli.sudden_switch_oracle
+
+    def mutated(h, geometry):
+        pair = real(h, geometry)
+        beta = pair.beta.copy()
+        beta[0, 1] = -beta[0, 1]
+        return BogoliubovPair(pair.alpha, beta, pair.defect)
+
+    monkeypatch.setattr(cli, "sudden_switch_oracle", mutated)
+    code, out, _ = run(["validate"], capsys)
     assert code == 5
-    assert any(ln.startswith("FAIL") for ln in out.splitlines())
+    assert "FAIL bogoliubov-identities" in out
 
 
 # ---------------------------------------------------------------------------
 # installed entry point
 
 def test_console_script_runs():
+    # the child imports cavtel from this checkout, installed or not
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "cavtel.cli", "fidelity"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
     assert proc.returncode == 0
     assert "F_opt_numeric" in proc.stdout

@@ -13,11 +13,8 @@ from hypothesis import strategies as st
 
 from cavtel.bogoliubov import (
     compose,
-    identity_pair,
     make_pair,
     one_segment_transform,
-    phase_evolution_minkowski,
-    phase_evolution_rindler,
     sudden_switch_oracle,
 )
 from cavtel.gaussian import (
@@ -29,8 +26,9 @@ from cavtel.gaussian import (
 from cavtel.protocol import (
     DEFAULT_GEOMETRY,
     ProtocolParams,
-    _burn_state,
+    _state_kernel,
     _trajectory_state,
+    burn_column,
     consistency_report,
 )
 from cavtel.trajectory import (
@@ -38,8 +36,14 @@ from cavtel.trajectory import (
     Inertial,
     Trajectory,
     build_transform,
+    burn_phase_pairs,
     h_parameter,
     phase_pair,
+)
+from bogoliubov_reference import (
+    identity_pair,
+    phase_evolution_minkowski,
+    phase_evolution_rindler,
 )
 from gaussian_reference import full_register_state
 
@@ -96,14 +100,19 @@ def test_row_state_matches_full_register(traj, r, k, kp, clock):
 
 
 # one burn column against the full-register sandwich, point by point;
-# any acceleration of the validated regime, so most draws miss the cache
+# any acceleration of the validated regime, so most draws miss the cache.
+# The column's stacked transform and phases go through the state kernel
+# as `burn_column` passes them: its f_sums tail gate would reject kp = 1
+# at n_max 10, and the property below pins `burn_column` to the reports
 @PROPERTY
 @given(st.floats(1e16, 2.9e17), st.lists(durations, min_size=1, max_size=6),
        squeezing, st.integers(1, 3), st.integers(1, GEOM.n_max // 2),
        st.sampled_from(("lab", "comoving")))
 def test_burn_column_matches_full_register(a, taus, r, k, kp, clock):
     params = ProtocolParams(r=r, k=k, kp=kp, geometry=GEOM)
-    state, h = _burn_state(params, a, np.array(taus), clock)
+    h = h_parameter(a, GEOM.L, GEOM.c)
+    state = _state_kernel(params, one_segment_transform(taus, h, GEOM),
+                          burn_phase_pairs(a, taus, GEOM, k, kp, clock))
     for i, tau in enumerate(taus):
         traj = Trajectory((Accelerated(a, tau),), GEOM)
         sigma = full_register_state(params, traj, clock)
@@ -118,12 +127,29 @@ def test_burn_column_matches_full_register(a, taus, r, k, kp, clock):
                    - one_segment_transform(tau, h, GEOM).defect) <= 1e-15
 
 
+# a lone burn takes the same `build_transform` path as any trajectory,
+# and still equals its row of a burn column bit for bit
+@PROPERTY
+@given(st.floats(1e16, 2.9e17), st.lists(durations, min_size=1, max_size=6),
+       squeezing, st.integers(1, 3), st.integers(2, GEOM.n_max // 2),
+       st.sampled_from(("lab", "comoving")))
+def test_report_equals_its_burn_column_row(a, taus, r, k, kp, clock):
+    params = ProtocolParams(r=r, k=k, kp=kp, geometry=GEOM)
+    column = burn_column(params, a, taus, clock)
+    for i, tau in enumerate(taus):
+        rep = consistency_report(
+            params, Trajectory((Accelerated(a, tau),), GEOM), clock)
+        assert rep == column.report(i)
+
+
 @PROPERTY
 @given(trajectories(st.one_of(coasts, burns)))
 def test_defect_matches_measure_after_every_compose(traj):
-    got = build_transform(traj).defect
-    want = measured_everywhere(traj).defect
-    assert abs(got - want) <= 1e-15
+    got = build_transform(traj)
+    want = measured_everywhere(traj)
+    assert abs(got.defect - want.defect) <= 1e-15
+    assert np.max(np.abs(got.alpha - want.alpha)) <= 1e-14
+    assert np.max(np.abs(got.beta - want.beta)) <= 1e-14
 
 
 @PROPERTY

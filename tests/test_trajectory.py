@@ -229,8 +229,8 @@ def test_accelerated_transform_has_pairing():
 
 
 def test_transform_matches_segment_engine():
-    from cavtel.bogoliubov import compose, one_segment_transform, \
-        phase_evolution_minkowski
+    from cavtel.bogoliubov import compose, one_segment_transform
+    from bogoliubov_reference import phase_evolution_minkowski
     traj = Trajectory((Inertial(1e-10), Accelerated(2e17, 3e-10)), GEOM)
     got = build_transform(traj)
     h = h_parameter(2e17, GEOM.L, GEOM.c)
@@ -241,23 +241,31 @@ def test_transform_matches_segment_engine():
 
 
 def test_running_product_measured_only_after_a_later_burn(monkeypatch):
-    from cavtel import bogoliubov
+    from cavtel import bogoliubov, trajectory
     one = Trajectory((Inertial(1e-10), Accelerated(2e17, 3e-10),
                       Inertial(2e-10)), GEOM)
     two = Trajectory((Accelerated(2e17, 3e-10), Inertial(1e-10),
                       Accelerated(1e17, 2e-10)), GEOM)
     build_transform(one)
     build_transform(two)    # warm the switch cache
-    calls = []
+    calls, joins = [], []
     real = bogoliubov.identity_residuals
+    real_compose = trajectory.compose
 
     def counted(alpha, beta):
         calls.append(1)
         return real(alpha, beta)
 
+    def counted_compose(b2, b1):
+        joins.append(1)
+        return real_compose(b2, b1)
+
     monkeypatch.setattr(bogoliubov, "identity_residuals", counted)
+    monkeypatch.setattr(trajectory, "compose", counted_compose)
     build_transform(one)
     assert len(calls) == 1          # the burn's own transform only
+    assert len(joins) == 0          # coasts are phase vectors
     calls.clear()
     build_transform(two)
     assert len(calls) == 3          # two burns, then the product once
+    assert len(joins) == 1          # compose only joins the two burns

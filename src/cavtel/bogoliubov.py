@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-import warnings
 
 import numpy as np
 
@@ -70,14 +69,6 @@ EXTRACTION_MAX_LEVELS = 6
 REGIME_H_SQUARED = 0.06
 # largest estimated share of a Rob mode's first-order weight above n_max
 TAIL_LIMIT = 0.01
-
-
-def _warn_regime(h):
-    if h * h > REGIME_H_SQUARED * (1.0 + 1e-12):
-        warnings.warn(
-            f"h^2 = {h * h:.4f} exceeds {REGIME_H_SQUARED}; second-order "
-            "perturbative results are outside their validated regime",
-            RuntimeWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -125,7 +116,6 @@ class RindlerGeometry:
             raise ValueError(
                 f"h must lie in (0, 2) for the wall to stay outside the "
                 f"horizon, got {self.h}")
-        _warn_regime(self.h)
 
     @property
     def chi_center(self):
@@ -214,12 +204,13 @@ def make_pair(alpha, beta, floor=0.0):
 
 
 def compose(b2, b1):
-    """Pair applying b1 first, then b2, carrying the larger defect."""
+    """Pair applying b1 first, then b2 (stacks broadcast), carrying the
+    larger defect."""
     if b2.n_modes != b1.n_modes:
         raise ValueError("mode counts differ")
     alpha = b2.alpha @ b1.alpha + b2.beta @ b1.beta.conj()
     beta = b2.alpha @ b1.beta + b2.beta @ b1.alpha.conj()
-    return BogoliubovPair(alpha, beta, max(b1.defect, b2.defect))
+    return BogoliubovPair(alpha, beta, np.maximum(b1.defect, b2.defect))
 
 
 def to_symplectic(pair):

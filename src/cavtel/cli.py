@@ -44,7 +44,7 @@ from .gaussian import symplectic_form
 from .protocol import (
     DEFAULT_GEOMETRY,
     ProtocolParams,
-    burn_column,
+    _report,
     consistency_report,
     perturbative_fidelity,
 )
@@ -244,21 +244,21 @@ class SweepStats(namedtuple("SweepStats",
 
 
 def _sweep_column(params, alice_clock, taus, a):
-    col = burn_column(params, a, taus, alice_clock)
-    table = np.column_stack([
-        taus, np.full(taus.shape, a), np.full(taus.shape, col.h), col.phi,
-        col.F_raw, col.F_corrected, col.F_opt_numeric, col.F_pert,
-        col.F_pert_opt, col.nu, col.residual_pert])
-    return table.tolist(), col.defect, col.clamp
+    # consistency_report's body: bench/tracer.py wraps it per trajectory
+    traj = Trajectory((Accelerated(a, taus),), params.geometry)
+    rep, _ = _report(params, traj, alice_clock)
+    table = np.column_stack([taus, np.full(taus.shape, a)]
+                            + [getattr(rep, c) for c in SWEEP_COLUMNS[2:]])
+    return table.tolist(), rep.defect, rep.clamp
 
 
 def sweep_rows(cfg, jobs=1):
     """Evaluate the full grid, returning (rows, SweepStats) with the rows
     in tau-major order.
 
-    Each acceleration column is one `burn_column` call, so its switch
-    comes out of the oracle cache once and the state kernel runs over
-    all taus at once; with jobs > 1 the pool gets whole columns.
+    Each acceleration column is one report on the column trajectory
+    (Accelerated(a, taus),): one switch and one state kernel pass over
+    all taus; with jobs > 1 the pool gets whole columns.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")

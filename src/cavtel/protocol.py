@@ -20,9 +20,10 @@ the two is a genuine cross-check rather than a tautology.
 Every numeric result comes from one state kernel that works on a column
 of T transforms at once: the reduced states, the physicality check and
 clamp, both fidelities, nu and the ordering check are (T, ...) array
-operations.  A sweep column (one acceleration, T proper durations) shares
-one switch pair and one stacked transform (`burn_column`); a single
-trajectory is a column of length 1.
+operations.  A trajectory whose burn duration is a 1-D array is such a
+column (one switch pair, one stacked transform), and every entry point
+returns (T,) arrays for it; a single trajectory is a column of length 1
+and gets floats back.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,7 +42,6 @@ from .bogoliubov import (
     CavityGeometry,
     _interior_count,
     f_sums,
-    one_segment_transform,
     to_symplectic,
 )
 from .errors import ConsistencyError, PhysicalityError, TruncationError
@@ -57,7 +57,6 @@ from .trajectory import (
     PhasePair,
     Trajectory,
     build_transform,
-    burn_phase_pairs,
     h_parameter,
     phase_pair,
 )
@@ -66,14 +65,12 @@ __all__ = [
     "DEFAULT_GEOMETRY",
     "ProtocolParams",
     "FidelityReport",
-    "ReportColumn",
     "fidelity_raw",
     "fidelity_corrected",
     "fidelity_optimal",
     "perturbative_fidelity",
     "perturbative_optimal",
     "consistency_report",
-    "burn_column",
 ]
 
 log = logging.getLogger(__name__)
@@ -204,8 +201,8 @@ def _state_kernel(params, pair, phases):
 
 
 def _trajectory_state(params, trajectory, alice_clock):
-    """The kernel on one trajectory, as a column of length 1: its
-    `build_transform` pair and its `phase_pair`."""
+    """The kernel on the trajectory's `build_transform` and `phase_pair`,
+    and whether it is a column; else it enters as a column of length 1."""
     if not isinstance(trajectory, Trajectory):
         raise TypeError("expected a Trajectory")
     if trajectory.geometry != params.geometry:
@@ -214,22 +211,30 @@ def _trajectory_state(params, trajectory, alice_clock):
         _check_interior(params)
     pair = build_transform(trajectory)
     phases = phase_pair(trajectory, params.k, params.kp, alice_clock)
-    stacked = BogoliubovPair(pair.alpha[None], pair.beta[None],
-                             np.array([pair.defect]))
-    column = PhasePair(np.array([phases.theta_alice]),
-                       np.array([phases.theta_rob]))
-    return _state_kernel(params, stacked, column)
+    column = pair.alpha.ndim == 3
+    if not column:
+        pair = BogoliubovPair(pair.alpha[None], pair.beta[None],
+                              np.array([pair.defect]))
+        phases = PhasePair(np.array([phases.theta_alice]),
+                           np.array([phases.theta_rob]))
+    return _state_kernel(params, pair, phases), column
+
+
+def _kernel_output(params, trajectory, alice_clock, name):
+    # a column's (T,) array, never a silent row 0 of it
+    state, column = _trajectory_state(params, trajectory, alice_clock)
+    values = getattr(state, name)
+    return values if column else float(values[0])
 
 
 def fidelity_raw(params, trajectory, alice_clock="lab"):
     """Fidelity with no phase correction applied."""
-    return float(_trajectory_state(params, trajectory, alice_clock).f_raw[0])
+    return _kernel_output(params, trajectory, alice_clock, "f_raw")
 
 
 def fidelity_corrected(params, trajectory, alice_clock="lab"):
     """Fidelity after both parties undo their proper-time phases."""
-    return float(
-        _trajectory_state(params, trajectory, alice_clock).f_corr[0])
+    return _kernel_output(params, trajectory, alice_clock, "f_corr")
 
 
 def fidelity_optimal(params, trajectory, alice_clock="lab"):
@@ -239,7 +244,7 @@ def fidelity_optimal(params, trajectory, alice_clock="lab"):
     symplectic eigenvalue of the reduced state; invariant under the
     phase correction because local rotations are symplectic.
     """
-    nu = float(_trajectory_state(params, trajectory, alice_clock).nu[0])
+    nu = _kernel_output(params, trajectory, alice_clock, "nu")
     return 1.0 / (1.0 + nu), nu
 
 
@@ -275,12 +280,14 @@ def perturbative_optimal(r, f_alpha, f_beta, h):
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """All pipelines evaluated on one trajectory.
+    """All pipelines evaluated on one trajectory; on a column every field
+    is a (T,) array and `row(i)` is the report of trajectory i.
 
     The perturbative fields hold NaN when the trajectory has more than
     one accelerated segment; the quadratic formula describes a single
     switch-evolve-switch episode and silently misapplying it to
-    composites would be worse than admitting ignorance.
+    composites would be worse than admitting ignorance.  `clamp` is the
+    noise floor that moved the reduced state into the physical cone.
     """
 
     F_raw: float
@@ -293,82 +300,42 @@ class FidelityReport:
     h: float
     residual_pert: float
     defect: float
+    clamp: float
+
+    def row(self, i):
+        """The report of trajectory i of a column."""
+        return FidelityReport(**{name: float(value[i])
+                                 for name, value in vars(self).items()})
 
 
-class ReportColumn(namedtuple(
-        "ReportColumn", "F_raw F_corrected F_opt_numeric F_pert F_pert_opt "
-                        "nu phi h residual_pert defect clamp")):
-    """The `FidelityReport` fields of T trajectories as (T,) arrays (h is
-    shared), with `clamp`, the noise floor each reduced state was
-    shifted by to bring it back into the physical cone (0 if none)."""
-
-    __slots__ = ()
-
-    def report(self, i):
-        """The FidelityReport of trajectory i."""
-        values = {name: float(getattr(self, name)[i])
-                  for name in _PER_POINT_FIELDS}
-        return FidelityReport(h=float(self.h), **values)
-
-
-_PER_POINT_FIELDS = tuple(f.name for f in fields(FidelityReport)
-                          if f.name != "h")
-
-
-def _report_column(params, state, h, sums):
-    """Add the quadratic model, from the degradation sums (f_alpha,
-    f_beta) or NaN when `sums` is None, to the numeric pipelines."""
+def _report(params, trajectory, alice_clock):
+    """Every pipeline as a report of (T,) arrays, and whether the
+    trajectory is a column (else T = 1)."""
+    state, column = _trajectory_state(params, trajectory, alice_clock)
+    geom = params.geometry
     phi = state.phases.phi
-    if sums is None:
-        f_pert = f_pert_opt = residual = np.full(phi.shape, math.nan)
+    n_acc = trajectory.n_accelerated
+    if n_acc > 1:
+        h = math.nan
+        f_pert = f_pert_opt = np.full(phi.shape, h)
     else:
-        fa, fb = sums
+        h, fa, fb = 0.0, np.zeros(phi.shape), np.zeros(phi.shape)
+        if n_acc:
+            seg = trajectory.single_acceleration()
+            h = h_parameter(seg.a, geom.L, geom.c)
+            fa, fb = f_sums(params.kp, np.atleast_1d(seg.tau), geom)
         f_pert = perturbative_fidelity(params.r, phi, fa, fb, h)
         f_pert_opt = perturbative_optimal(params.r, fa, fb, h)
-        residual = np.abs(state.f_corr - f_pert_opt)
-    return ReportColumn(
+    return FidelityReport(
         F_raw=state.f_raw, F_corrected=state.f_corr,
         F_opt_numeric=1.0 / (1.0 + state.nu), F_pert=f_pert,
-        F_pert_opt=f_pert_opt, nu=state.nu, phi=phi, h=h,
-        residual_pert=residual, defect=state.defect,
-        clamp=state.violation)
-
-
-def burn_column(params, a, taus, alice_clock="lab"):
-    """Every pipeline on the single-burn trajectories (Accelerated(a, tau),)
-    for each proper duration in the 1-D `taus`, as one ReportColumn.
-
-    The column shares one switch from the oracle cache, one stacked
-    transform and one pass of the state kernel; row i equals
-    `consistency_report` on the trajectory of taus[i] bit for bit.
-    """
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError("acceleration must be positive and finite")
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or not ((taus >= 0.0) & (taus < math.inf)).all():
-        raise ValueError("proper durations must be a 1-D array of finite "
-                         "values >= 0")
-    _check_interior(params)
-    geom = params.geometry
-    h = h_parameter(a, geom.L, geom.c)
-    pair = one_segment_transform(taus, h, geom)
-    phases = burn_phase_pairs(a, taus, geom, params.k, params.kp,
-                              alice_clock)
-    state = _state_kernel(params, pair, phases)
-    return _report_column(params, state, h, f_sums(params.kp, taus, geom))
+        F_pert_opt=f_pert_opt, nu=state.nu, phi=phi, h=np.full(phi.shape, h),
+        residual_pert=np.abs(state.f_corr - f_pert_opt),
+        defect=state.defect, clamp=state.violation), column
 
 
 def consistency_report(params, trajectory, alice_clock="lab"):
-    """Evaluate every pipeline on the trajectory and cross-check them."""
-    state = _trajectory_state(params, trajectory, alice_clock)
-    geom = params.geometry
-    n_acc = trajectory.n_accelerated
-    if n_acc == 0:
-        h, sums = 0.0, (np.zeros(1), np.zeros(1))
-    elif n_acc == 1:
-        seg = trajectory.single_acceleration()
-        h = h_parameter(seg.a, geom.L, geom.c)
-        sums = f_sums(params.kp, [seg.tau], geom)
-    else:
-        h, sums = math.nan, None
-    return _report_column(params, state, h, sums).report(0)
+    """Evaluate every pipeline on the trajectory and cross-check them:
+    floats for a single trajectory, (T,) arrays for a column."""
+    report, column = _report(params, trajectory, alice_clock)
+    return report if column else report.row(0)

@@ -11,20 +11,25 @@ the phase reference on Alice's side advances with either the lab frame
 (default, appropriate when her equipment stays put) or with a clock
 comoving with Rob.  During an accelerated stretch of center proper time
 tau the lab clock advances (c / a) sinh(a tau / c).
+
+A burn whose tau is a 1-D array makes the trajectory a column: T
+trajectories that differ only in that burn's duration, whose ledger,
+phases and transform carry a leading axis of length T.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bogoliubov import (
+    REGIME_H_SQUARED,
     BogoliubovPair,
     CavityGeometry,
     _inertial_phases,
-    _warn_regime,
     compose,
     make_pair,
     one_segment_transform,
@@ -41,7 +46,6 @@ __all__ = [
     "parse_trajectory",
     "ledger",
     "phase_pair",
-    "burn_phase_pairs",
     "build_transform",
 ]
 
@@ -51,7 +55,11 @@ _CLOCKS = ("lab", "comoving")
 def h_parameter(a, L, c):
     """Dimensionless center acceleration a L / c^2 (regime-checked)."""
     h = a * L / c ** 2
-    _warn_regime(h)
+    if h * h > REGIME_H_SQUARED * (1.0 + 1e-12):
+        warnings.warn(
+            f"h^2 = {h * h:.4f} exceeds {REGIME_H_SQUARED}; second-order "
+            "perturbative results are outside their validated regime",
+            RuntimeWarning, stacklevel=2)
     return h
 
 
@@ -70,18 +78,30 @@ class Inertial:
 class Accelerated:
     """Uniform acceleration a (m/s^2) for center proper time tau (s).
 
+    tau may be a non-empty 1-D array of durations, kept as a read-only
+    copy; the trajectory is then a column (see the module docstring).
     Only speed-up segments are supported; direction reversal would need
     a matched pair of wedge charts and is out of scope.
     """
 
     a: float
-    tau: float
+    tau: float | np.ndarray
 
     def __post_init__(self):
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise ValueError("acceleration must be positive and finite")
-        if not 0.0 <= self.tau < math.inf:
-            raise ValueError("proper duration tau must be finite and >= 0")
+        tau = self.tau
+        if isinstance(tau, float) or not np.ndim(tau):
+            ok = 0.0 <= tau < math.inf
+        else:
+            tau = np.array(tau, dtype=float)
+            tau.flags.writeable = False
+            object.__setattr__(self, "tau", tau)
+            ok = tau.ndim == 1 and tau.size \
+                and ((tau >= 0.0) & (tau < math.inf)).all()
+        if not ok:
+            raise ValueError("proper duration tau must be finite and >= 0, "
+                             "or a non-empty 1-D array of such")
 
 
 @dataclass(frozen=True)
@@ -141,10 +161,10 @@ def parse_trajectory(text):
 
 @dataclass(frozen=True)
 class ProperTimeLedger:
-    """Elapsed time on Alice's reference clock and on Rob's cavity."""
+    """Time on Alice's reference clock and Rob's cavity, (T,) on a column."""
 
-    t_alice: float
-    tau_rob: float
+    t_alice: float | np.ndarray
+    tau_rob: float | np.ndarray
 
 
 def ledger(trajectory, alice_clock="lab"):
@@ -167,17 +187,20 @@ def ledger(trajectory, alice_clock="lab"):
 
 
 def _lab_time(a, tau, c):
-    # math.sinh rather than np.sinh, whose vectorised loop can round the
-    # last bit differently, so that a burn gets one phase on every path
-    return (c / a) * math.sinh(a * tau / c)
+    # math.sinh per entry, not np.sinh, whose vectorised loop can round
+    # the last bit differently: row i of a column keeps tau[i]'s phase
+    x = a * tau / c
+    if isinstance(x, float) or not np.ndim(x):
+        return (c / a) * math.sinh(x)
+    return (c / a) * np.array([math.sinh(v) for v in x.tolist()])
 
 
 @dataclass(frozen=True)
 class PhasePair:
-    """Free-evolution phases accumulated by the two protocol modes."""
+    """Free-evolution phases of the two protocol modes, (T,) on a column."""
 
-    theta_alice: float
-    theta_rob: float
+    theta_alice: float | np.ndarray
+    theta_rob: float | np.ndarray
 
     @property
     def phi(self):
@@ -193,20 +216,6 @@ def phase_pair(trajectory, k, kp, alice_clock="lab"):
                      geom.omega(kp) * led.tau_rob)
 
 
-def burn_phase_pairs(a, taus, geometry, k, kp, alice_clock="lab"):
-    """`phase_pair` of each single-burn trajectory (Accelerated(a, tau),)
-    over the proper durations `taus`, as a PhasePair of arrays."""
-    if alice_clock not in _CLOCKS:
-        raise ValueError(f"alice_clock must be one of {_CLOCKS}")
-    taus = np.asarray(taus, dtype=float)
-    if alice_clock == "comoving":
-        t_alice = taus
-    else:
-        t_alice = np.array([_lab_time(a, tau, geometry.c)
-                            for tau in taus.tolist()])
-    return PhasePair(geometry.omega(k) * t_alice, geometry.omega(kp) * taus)
-
-
 def build_transform(trajectory):
     """Net Bogoliubov pair for Rob's cavity over the whole trajectory.
 
@@ -217,7 +226,8 @@ def build_transform(trajectory):
     running product's defect is measured again after each burn that
     follows an earlier one; the unitary phases leave the modulus of
     every residual unchanged.  A trajectory without a burn gives the
-    diagonal pair of its phases, with defect 0.
+    diagonal pair of its phases, with defect 0.  A column gives a
+    stacked pair with one defect per row.
     """
     geom = trajectory.geometry
     lead = None          # the coasts' phases before the first burn

@@ -4,6 +4,7 @@ Each test covers one claim, prints a single PASS/FAIL line with the
 measured number, and enforces the stated tolerance and runtime budget.
 """
 
+import hashlib
 import math
 import time
 
@@ -30,6 +31,9 @@ from cavtel.protocol import (
 from cavtel.trajectory import Accelerated, Inertial, Trajectory, h_parameter
 
 REST_F = 1.0 / (1.0 + math.exp(-1.0))
+# the default sweep's bytes; a change that moves any row re-pins this
+DEFAULT_SWEEP_SHA256 = (
+    "d4fc9d419a421a82723d298d047cf70082a1dd3d142e22d1b83689fb5c6fe7b4")
 PARAMS = ProtocolParams()
 REST = Trajectory((Inertial(0.0),), DEFAULT_GEOMETRY)
 
@@ -190,7 +194,8 @@ def test_acceptance_deterministic_output(tmp_path):
     assert main(["sweep", "--out", paths[1]]) == 0
     assert main(["sweep", "--jobs", "4", "--out", paths[2]]) == 0
     blobs = [open(p, "rb").read() for p in paths]
-    ok = blobs[0] == blobs[1] == blobs[2] and len(blobs[0]) > 10000
+    digest = hashlib.sha256(blobs[0]).hexdigest()
+    ok = blobs[0] == blobs[1] == blobs[2] and digest == DEFAULT_SWEEP_SHA256
     report("deterministic-output", ok,
            f"serial rerun and --jobs 4 byte-identical "
-           f"({len(blobs[0])} bytes)")
+           f"({len(blobs[0])} bytes, sha256 {digest})")

@@ -160,8 +160,14 @@ def test_rindler_center_clock_frequency_limit():
 
 
 def test_regime_warning():
-    with pytest.warns(RuntimeWarning):
+    # the chart is exact on (0, 2); only h_parameter flags the regime
+    import warnings
+    from cavtel.trajectory import h_parameter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         RindlerGeometry(0.3)
+    with pytest.warns(RuntimeWarning):
+        h_parameter(0.3 * GEOM.c ** 2 / GEOM.L, GEOM.L, GEOM.c)
 
 
 # ---------------------------------------------------------------------------

@@ -26,17 +26,17 @@ from cavtel.gaussian import (
 from cavtel.protocol import (
     DEFAULT_GEOMETRY,
     ProtocolParams,
-    _state_kernel,
     _trajectory_state,
-    burn_column,
     consistency_report,
+    fidelity_corrected,
+    fidelity_optimal,
+    fidelity_raw,
 )
 from cavtel.trajectory import (
     Accelerated,
     Inertial,
     Trajectory,
     build_transform,
-    burn_phase_pairs,
     h_parameter,
     phase_pair,
 )
@@ -94,16 +94,15 @@ def measured_everywhere(trajectory):
        st.sampled_from(("lab", "comoving")))
 def test_row_state_matches_full_register(traj, r, k, kp, clock):
     params = ProtocolParams(r=r, k=k, kp=kp, geometry=GEOM)
-    sigma = _trajectory_state(params, traj, clock).sigma[0]
+    sigma = _trajectory_state(params, traj, clock)[0].sigma[0]
     want = full_register_state(params, traj, clock)
     assert np.max(np.abs(sigma - want)) <= 1e-12
 
 
 # one burn column against the full-register sandwich, point by point;
 # any acceleration of the validated regime, so most draws miss the cache.
-# The column's stacked transform and phases go through the state kernel
-# as `burn_column` passes them: its f_sums tail gate would reject kp = 1
-# at n_max 10, and the property below pins `burn_column` to the reports
+# The column goes through the state kernel without the report's f_sums,
+# whose tail gate would reject kp = 1 at n_max 10
 @PROPERTY
 @given(st.floats(1e16, 2.9e17), st.lists(durations, min_size=1, max_size=6),
        squeezing, st.integers(1, 3), st.integers(1, GEOM.n_max // 2),
@@ -111,8 +110,9 @@ def test_row_state_matches_full_register(traj, r, k, kp, clock):
 def test_burn_column_matches_full_register(a, taus, r, k, kp, clock):
     params = ProtocolParams(r=r, k=k, kp=kp, geometry=GEOM)
     h = h_parameter(a, GEOM.L, GEOM.c)
-    state = _state_kernel(params, one_segment_transform(taus, h, GEOM),
-                          burn_phase_pairs(a, taus, GEOM, k, kp, clock))
+    state, column = _trajectory_state(
+        params, Trajectory((Accelerated(a, taus),), GEOM), clock)
+    assert column and state.f_raw.shape == (len(taus),)
     for i, tau in enumerate(taus):
         traj = Trajectory((Accelerated(a, tau),), GEOM)
         sigma = full_register_state(params, traj, clock)
@@ -127,19 +127,67 @@ def test_burn_column_matches_full_register(a, taus, r, k, kp, clock):
                    - one_segment_transform(tau, h, GEOM).defect) <= 1e-15
 
 
-# a lone burn takes the same `build_transform` path as any trajectory,
-# and still equals its row of a burn column bit for bit
+# row i of a column report is the report of the trajectory of taus[i],
+# bit for bit
 @PROPERTY
 @given(st.floats(1e16, 2.9e17), st.lists(durations, min_size=1, max_size=6),
        squeezing, st.integers(1, 3), st.integers(2, GEOM.n_max // 2),
        st.sampled_from(("lab", "comoving")))
 def test_report_equals_its_burn_column_row(a, taus, r, k, kp, clock):
     params = ProtocolParams(r=r, k=k, kp=kp, geometry=GEOM)
-    column = burn_column(params, a, taus, clock)
+    column = consistency_report(
+        params, Trajectory((Accelerated(a, taus),), GEOM), clock)
     for i, tau in enumerate(taus):
         rep = consistency_report(
             params, Trajectory((Accelerated(a, tau),), GEOM), clock)
-        assert rep == column.report(i)
+        assert rep == column.row(i)
+
+
+# the array burn between two coasts, joined to a scalar burn before or
+# after it: the stacked running product meets a single pair in `compose`.
+# Two burns leave the perturbative fields NaN, so rows compare by repr,
+# which is exact for floats and equal for NaN
+@PROPERTY
+@given(st.sampled_from(THRUSTS), st.lists(durations, min_size=1, max_size=5),
+       durations, durations, burns, st.booleans(), squeezing,
+       st.integers(1, 3), st.integers(1, GEOM.n_max // 2),
+       st.sampled_from(("lab", "comoving")))
+def test_column_rows_equal_their_reports(a, taus, before, after, other,
+                                         other_first, r, k, kp, clock):
+    params = ProtocolParams(r=r, k=k, kp=kp, geometry=GEOM)
+
+    def build(tau):
+        segs = (Inertial(before), Accelerated(a, tau), Inertial(after))
+        return Trajectory((other,) + segs if other_first
+                          else segs + (other,), GEOM)
+
+    column = consistency_report(params, build(taus), clock)
+    for i, tau in enumerate(taus):
+        assert repr(consistency_report(params, build(tau), clock)) \
+            == repr(column.row(i))
+
+
+# the three wrappers give a column's (T,) arrays, not its first row, and
+# a single trajectory's float
+@PROPERTY
+@given(st.sampled_from(THRUSTS), st.lists(durations, min_size=1, max_size=5),
+       squeezing, st.integers(1, GEOM.n_max // 2),
+       st.sampled_from(("lab", "comoving")))
+def test_wrappers_return_a_column_on_a_column(a, taus, r, kp, clock):
+    params = ProtocolParams(r=r, kp=kp, geometry=GEOM)
+    column = Trajectory((Accelerated(a, taus),), GEOM)
+    state, _ = _trajectory_state(params, column, clock)
+    f_opt, nu = fidelity_optimal(params, column, clock)
+    for got, want in ((fidelity_raw(params, column, clock), state.f_raw),
+                      (fidelity_corrected(params, column, clock),
+                       state.f_corr),
+                      (nu, state.nu), (f_opt, 1.0 / (1.0 + state.nu))):
+        assert isinstance(got, np.ndarray) and got.shape == (len(taus),)
+        assert np.array_equal(got, want)
+    single = Trajectory((Accelerated(a, taus[-1]),), GEOM)
+    assert type(fidelity_raw(params, single, clock)) is float
+    assert fidelity_corrected(params, single, clock) == state.f_corr[-1]
+    assert fidelity_optimal(params, single, clock)[1] == state.nu[-1]
 
 
 @PROPERTY

@@ -12,7 +12,6 @@ from cavtel.protocol import (
     FidelityReport,
     ProtocolParams,
     _state_kernel,
-    burn_column,
     consistency_report,
     fidelity_corrected,
     fidelity_optimal,
@@ -334,12 +333,3 @@ def test_column_clamps_within_the_allowance(caplog):
     assert state.violation[0] == 0.0
     assert 0.0 < state.violation[1] <= 1e-9
     assert [rec.args[0] for rec in caplog.records] == [state.violation[1]]
-
-
-def test_burn_column_validates_its_grid():
-    with pytest.raises(ValueError):
-        burn_column(PARAMS, 0.0, [1e-10])
-    with pytest.raises(ValueError):
-        burn_column(PARAMS, 1e17, [1e-10, math.inf])
-    with pytest.raises(ValueError):
-        burn_column(PARAMS, 1e17, [-1e-10])

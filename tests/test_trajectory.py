@@ -39,6 +39,13 @@ def test_segment_validation():
         Inertial(math.inf)
     with pytest.raises(ValueError):
         Accelerated(2e17, math.inf)
+    # an array of durations: every entry finite and >= 0, one axis
+    for taus in ([1e-10, -1e-10], [1e-10, math.inf], [math.nan, 1e-10],
+                 [[1e-10, 2e-10]], []):
+        with pytest.raises(ValueError):
+            Accelerated(2e17, taus)
+    with pytest.raises(ValueError):
+        Accelerated(0.0, [1e-10])
 
 
 def test_trajectory_counts_accelerated_segments():
@@ -231,11 +238,13 @@ def test_accelerated_transform_has_pairing():
 def test_transform_matches_segment_engine():
     from cavtel.bogoliubov import compose, one_segment_transform
     from bogoliubov_reference import phase_evolution_minkowski
-    traj = Trajectory((Inertial(1e-10), Accelerated(2e17, 3e-10)), GEOM)
+    # 1.37e-10 s is not a whole number of L / c, so the coast's phases
+    # are not all +-1 and D and D^* differ
+    traj = Trajectory((Inertial(1.37e-10), Accelerated(2e17, 3e-10)), GEOM)
     got = build_transform(traj)
     h = h_parameter(2e17, GEOM.L, GEOM.c)
     want = compose(one_segment_transform(3e-10, h, GEOM),
-                   phase_evolution_minkowski(1e-10, GEOM))
+                   phase_evolution_minkowski(1.37e-10, GEOM))
     assert np.allclose(got.alpha, want.alpha, atol=1e-14)
     assert np.allclose(got.beta, want.beta, atol=1e-14)
 

@@ -333,3 +333,20 @@ def test_column_clamps_within_the_allowance(caplog):
     assert state.violation[0] == 0.0
     assert 0.0 < state.violation[1] <= 1e-9
     assert [rec.args[0] for rec in caplog.records] == [state.violation[1]]
+
+
+def burn_column_report(a, taus):
+    """The report of the burn column (Accelerated(a, taus),)."""
+    traj = Trajectory((Accelerated(a, taus),), DEFAULT_GEOMETRY)
+    return consistency_report(PARAMS, traj)
+
+
+def test_burn_column_validates_its_grid():
+    with pytest.raises(ValueError):
+        burn_column_report(0.0, [1e-10])
+    with pytest.raises(ValueError):
+        burn_column_report(1e17, [1e-10, math.inf])
+    with pytest.raises(ValueError):
+        burn_column_report(1e17, [-1e-10])
+    report = burn_column_report(1e17, [0.0, 1e-10])
+    assert report.F_raw.shape == (2,)

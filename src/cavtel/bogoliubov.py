@@ -61,7 +61,6 @@ __all__ = [
 
 ORACLE_TOL = 1e-10
 # first-order extraction ladder: oracle slopes at +-H_BASE / 2^i
-EXTRACTION_TOL = 1e-12
 EXTRACTION_TARGET = 1e-8
 EXTRACTION_H_BASE = 0.1
 EXTRACTION_LEVELS = 4
@@ -235,7 +234,7 @@ def to_symplectic(pair):
 # ---------------------------------------------------------------------------
 # Sudden switch oracle
 
-def _switch_overlaps(h, n_max, tol):
+def _switch_overlaps(h, n_max):
     """Raw co- and counter-rotating overlap matrices for the switch at
     parameter h (sign = direction of acceleration).
 
@@ -272,7 +271,7 @@ def _switch_overlaps(h, n_max, tol):
         return np.stack([sin_we, sin_we * inv_rad]), sin_in
 
     (i0, i1), residual, _ = integrate_stack(
-        evaluate, 0.0, 1.0, tol=tol, base_panels=max(4, n_max // 2))
+        evaluate, 0.0, 1.0, tol=ORACLE_TOL, base_panels=max(4, n_max // 2))
     norm = 1.0 / (np.pi * np.sqrt(np.outer(modes, modes)))
     co = norm * (omega[None, :] * i0 + omega_wedge[:, None] * i1)
     counter = norm * (omega[None, :] * i0 - omega_wedge[:, None] * i1)
@@ -280,16 +279,16 @@ def _switch_overlaps(h, n_max, tol):
 
 
 @lru_cache(maxsize=1024)
-def _oracle_cached(h, n_max, tol):
+def _oracle_cached(h, n_max):
     """Switch pair with its defect, measured once per cache entry."""
-    co, counter, residual = _switch_overlaps(h, n_max, tol)
+    co, counter, residual = _switch_overlaps(h, n_max)
     pair = make_pair(co, -counter, floor=residual)
     pair.alpha.flags.writeable = False
     pair.beta.flags.writeable = False
     return pair
 
 
-def sudden_switch_oracle(h, geometry, tol=ORACLE_TOL):
+def sudden_switch_oracle(h, geometry):
     """Bogoliubov pair for an instantaneous inertial-to-accelerated jump.
 
     Parameters
@@ -299,17 +298,14 @@ def sudden_switch_oracle(h, geometry, tol=ORACLE_TOL):
         0 < |h| < 2, sign selecting the direction.
     geometry : CavityGeometry
         Supplies the mode truncation.
-    tol : float
-        Absolute quadrature tolerance per matrix element.
 
     Returns
     -------
-    Shared BogoliubovPair (read-only arrays) whose defect includes the
-    quadrature residual.
+    Shared BogoliubovPair (read-only arrays), computed once per
+    (h, n_max) to ORACLE_TOL per matrix element, whose defect includes
+    the quadrature residual.
     """
-    if h == 0.0:
-        raise ValueError("h must be nonzero")
-    return _oracle_cached(float(h), geometry.n_max, tol)
+    return _oracle_cached(float(h), geometry.n_max)
 
 
 def _inertial_phases(t_seconds, geometry):
@@ -330,7 +326,7 @@ def _rindler_angles(tau_seconds, h, geometry):
     return rind.omega_mode(n) * eta[..., None]
 
 
-def one_segment_transform(tau_seconds, h, geometry, tol=ORACLE_TOL):
+def one_segment_transform(tau_seconds, h, geometry):
     """Net transformation for one accelerated segment.
 
     Switch into the accelerated basis, evolve for proper time tau at the
@@ -344,7 +340,7 @@ def one_segment_transform(tau_seconds, h, geometry, tol=ORACLE_TOL):
     taus = np.asarray(tau_seconds, dtype=float)
     if (taus < 0).any():
         raise ValueError("segment duration must be >= 0")
-    b0 = sudden_switch_oracle(h, geometry, tol)
+    b0 = sudden_switch_oracle(h, geometry)
     d = np.exp(-1j * _rindler_angles(taus, h, geometry))[..., None]
     da, db = d * b0.alpha, d * b0.beta
     a_dag, minus_bt = b0.alpha.conj().T, -b0.beta.T
@@ -422,8 +418,8 @@ def _switch_first_order_cached(n_max):
     slopes_a, slopes_b = [], []
     for i in range(EXTRACTION_MAX_LEVELS):
         h = EXTRACTION_H_BASE / 2.0 ** i
-        plus = _oracle_cached(h, n_max, EXTRACTION_TOL)
-        minus = _oracle_cached(-h, n_max, EXTRACTION_TOL)
+        plus = _oracle_cached(h, n_max)
+        minus = _oracle_cached(-h, n_max)
         slopes_a.append((plus.alpha - minus.alpha) / (2.0 * h))
         slopes_b.append((plus.beta - minus.beta) / (2.0 * h))
         if i + 1 >= EXTRACTION_LEVELS:
@@ -455,8 +451,8 @@ def one_segment_first_order(tau_seconds, geometry):
     The free phases are even in h, so composing B^-1 o D(tau) o B
     with B = 1 + h (A1, B1) gives the first order exactly:
     alpha1 = A1^dagger D + D A1 and beta1 = D B1 - B1^T D^*, with
-    D = diag(exp(-i n pi tau c / L)).  Returns (alpha1, beta1, error);
-    an array of durations stacks alpha1 and beta1 along its axes.
+    D = diag(exp(-i n pi tau c / L)).  Returns (alpha1, beta1); an
+    array of durations stacks both along its axes.
     """
     taus = np.asarray(tau_seconds, dtype=float)
     if (taus < 0).any():
@@ -467,7 +463,7 @@ def one_segment_first_order(tau_seconds, geometry):
     a1, b1 = first.alpha1, first.beta1
     alpha1 = a1.conj().T * row + col * a1
     beta1 = col * b1 - b1.T * row.conj()
-    return alpha1, beta1, 2.0 * first.error   # two extracted terms
+    return alpha1, beta1
 
 
 @lru_cache(maxsize=256)
@@ -514,7 +510,7 @@ def f_sums(kp, taus, geometry):
             f"mode {kp} leaks an estimated {100 * ratio:.2f}% of its "
             f"first-order weight above n_max = {geometry.n_max} (limit "
             f"{100 * TAIL_LIMIT:g}%); {advice}")
-    a1, b1, _ = one_segment_first_order(taus, geometry)
+    a1, b1 = one_segment_first_order(taus, geometry)
     col = kp - 1
     f_alpha = 0.5 * np.sum(np.abs(a1[..., :, col]) ** 2, axis=-1)
     f_beta = 0.5 * np.sum(np.abs(b1[..., :, col]) ** 2, axis=-1)

@@ -24,6 +24,7 @@ from .bogoliubov import (
     REGIME_H_SQUARED,
     TAIL_LIMIT,
     CavityGeometry,
+    _interior_count,
     _tail_ratio,
     identity_residuals,
     one_segment_transform,
@@ -69,26 +70,27 @@ _PRESETS = {
 
 @dataclass
 class RunConfig:
-    """Resolved parameters for one CLI invocation."""
+    """Resolved parameters for one CLI invocation, each field named
+    after its config key (SI unit suffix included)."""
 
     preset: str = "fig3"
     r: float = 0.5
     k: int = 1
     kp: int = 3
-    L: float = DEFAULT_GEOMETRY.L
-    c: float = DEFAULT_GEOMETRY.c
+    L_m: float = DEFAULT_GEOMETRY.L
+    c_m_per_s: float = DEFAULT_GEOMETRY.c
     n_max: int = DEFAULT_GEOMETRY.n_max
     alice_clock: str = "lab"
     # grid bounds default to the regime reconstruction; None = derive
-    tau_min: float = 0.0
-    tau_max: float | None = None
+    tau_min_s: float = 0.0
+    tau_max_s: float | None = None
     tau_steps: int = 100
-    a_min: float = 1e16
-    a_max: float | None = None
+    a_min_m_s2: float = 1e16
+    a_max_m_s2: float | None = None
     a_steps: int = 100
 
     def geometry(self):
-        return CavityGeometry(self.L, self.c, self.n_max)
+        return CavityGeometry(self.L_m, self.c_m_per_s, self.n_max)
 
     def params(self):
         return ProtocolParams(r=self.r, k=self.k, kp=self.kp,
@@ -96,43 +98,32 @@ class RunConfig:
 
     def grid(self):
         geom = self.geometry()
-        for key, value in (("tau_min_s", self.tau_min),
-                           ("tau_max_s", self.tau_max),
-                           ("a_min_m_s2", self.a_min),
-                           ("a_max_m_s2", self.a_max)):
+        for key in ("tau_min_s", "tau_max_s", "a_min_m_s2", "a_max_m_s2"):
+            value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
-        tau_max = self.tau_max
+        tau_max = self.tau_max_s
         if tau_max is None:
             tau_max = 3.0 * geom.fundamental_period
-        a_max = self.a_max
+        a_max = self.a_max_m_s2
         if a_max is None:
-            a_max = REGIME_H_MAX * self.c ** 2 / self.L
+            a_max = REGIME_H_MAX * self.c_m_per_s ** 2 / self.L_m
         if self.tau_steps < 2 or self.a_steps < 2:
             raise ValueError("sweep steps must be >= 2")
-        if not 0.0 <= self.tau_min < tau_max:
+        if not 0.0 <= self.tau_min_s < tau_max:
             raise ValueError("need 0 <= tau_min < tau_max")
-        if not 0.0 < self.a_min < a_max:
+        if not 0.0 < self.a_min_m_s2 < a_max:
             raise ValueError("need 0 < a_min < a_max")
-        taus = np.linspace(self.tau_min, tau_max, self.tau_steps)
-        accs = np.linspace(self.a_min, a_max, self.a_steps)
+        taus = np.linspace(self.tau_min_s, tau_max, self.tau_steps)
+        accs = np.linspace(self.a_min_m_s2, a_max, self.a_steps)
         return taus, accs
 
 
 _CONFIG_FIELDS = {
-    "r": ("r", float),
-    "k": ("k", int),
-    "kp": ("kp", int),
-    "L_m": ("L", float),
-    "c_m_per_s": ("c", float),
-    "n_max": ("n_max", int),
-    "alice_clock": ("alice_clock", str),
-    "tau_min_s": ("tau_min", float),
-    "tau_max_s": ("tau_max", float),
-    "tau_steps": ("tau_steps", int),
-    "a_min_m_s2": ("a_min", float),
-    "a_max_m_s2": ("a_max", float),
-    "a_steps": ("a_steps", int),
+    "r": float, "k": int, "kp": int, "L_m": float, "c_m_per_s": float,
+    "n_max": int, "alice_clock": str, "tau_min_s": float,
+    "tau_max_s": float, "tau_steps": int, "a_min_m_s2": float,
+    "a_max_m_s2": float, "a_steps": int,
 }
 
 
@@ -155,9 +146,8 @@ def apply_config_text(config, text):
             known = ", ".join(sorted(_CONFIG_FIELDS))
             raise TrajectoryParseError(
                 f"unknown key {key!r} (known: {known})", line=lineno)
-        attr, cast = _CONFIG_FIELDS[key]
         try:
-            setattr(config, attr, cast(value))
+            setattr(config, key, _CONFIG_FIELDS[key](value))
         except ValueError:
             raise TrajectoryParseError(
                 f"bad value for {key}: {value!r}", line=lineno) from None
@@ -172,7 +162,7 @@ def _load_config(args):
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             apply_config_text(cfg, fh.read())
-    if getattr(args, "nmax", None) is not None:
+    if args.nmax is not None:
         cfg.n_max = args.nmax
     return cfg
 
@@ -225,7 +215,8 @@ def _metadata_lines(cfg, extra=()):
         f"# cavtel {__version__}",
         f"# preset = {cfg.preset}",
         f"# r = {cfg.r!r}, k = {cfg.k}, kp = {cfg.kp}",
-        f"# L_m = {cfg.L!r}, c_m_per_s = {cfg.c!r}, n_max = {cfg.n_max}",
+        f"# L_m = {cfg.L_m!r}, c_m_per_s = {cfg.c_m_per_s!r}, "
+        f"n_max = {cfg.n_max}",
         f"# alice_clock = {cfg.alice_clock}",
         f"# fundamental_period_s = {geom.fundamental_period!r}",
     ]
@@ -280,7 +271,7 @@ def sweep_rows(cfg, jobs=1):
     return rows, stats
 
 
-def _plot_matrix(cfg, rows):
+def _plot_matrix(rows):
     """Gnuplot nonuniform-matrix text of F_opt over the grid."""
     taus = sorted({row[0] for row in rows})
     accs = sorted({row[1] for row in rows})
@@ -318,7 +309,7 @@ def cmd_sweep(args):
     else:
         sys.stdout.write(text)
     if args.plot_data is not None:
-        _write_text(args.plot_data, _plot_matrix(cfg, rows))
+        _write_text(args.plot_data, _plot_matrix(rows))
     return 0
 
 
@@ -369,7 +360,7 @@ def _check_symplectic(cfg):
     geom = cfg.geometry()
     s = to_symplectic(one_segment_transform(0.3e-9, 0.2, geom))
     omega = symplectic_form(geom.n_max)
-    k = 2 * max(1, geom.n_max // 2)
+    k = 2 * _interior_count(geom.n_max)
     gap = np.max(np.abs((s @ omega @ s.T - omega)[:k, :k]))
     thr = 1e-3 if geom.n_max <= 10 else 1e-4
     return gap <= thr, f"interior form defect {gap:.3e} (limit {thr:.0e})"
@@ -409,7 +400,7 @@ def _check_order_h4(cfg):
     tau = params.geometry.fundamental_period
     res = {}
     for h in (0.05, 0.1, 0.2):
-        a = h * cfg.c ** 2 / cfg.L
+        a = h * cfg.c_m_per_s ** 2 / cfg.L_m
         traj = Trajectory((Accelerated(a, tau),), params.geometry)
         rep = consistency_report(params, traj, alice_clock=cfg.alice_clock)
         res[h] = abs(rep.F_corrected - rep.F_pert_opt)
@@ -462,14 +453,13 @@ def build_parser():
                         version=f"cavtel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, nmax=True):
+    def common(p):
         p.add_argument("--preset", default="fig3",
                        help="parameter preset: fig3 or experiment")
         p.add_argument("--config", metavar="PATH",
                        help="key = value override file")
-        if nmax:
-            p.add_argument("--nmax", type=int, metavar="N",
-                           help="override the mode truncation")
+        p.add_argument("--nmax", type=int, metavar="N",
+                       help="override the mode truncation")
 
     p = sub.add_parser("fidelity",
                        help="report all fidelity pipelines for one "

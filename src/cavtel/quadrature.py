@@ -33,8 +33,7 @@ def panel_rule(a, b, n_panels):
     return nodes, weights
 
 
-def integrate_stack(evaluate, a, b, tol=1e-10, base_panels=16,
-                    max_panels=MAX_PANELS):
+def integrate_stack(evaluate, a, b, tol=1e-10, base_panels=16):
     """Integrate a bilinear stack of integrands over [a, b] to absolute
     tolerance.
 
@@ -51,8 +50,8 @@ def integrate_stack(evaluate, a, b, tol=1e-10, base_panels=16,
     tol : float
         Absolute tolerance per stack element, judged by the change under
         panel doubling.
-    base_panels, max_panels : int
-        Initial and maximal panel counts.  Exceeding the budget raises
+    base_panels : int
+        Initial panel count.  Doubling past MAX_PANELS raises
         QuadratureError.
 
     Returns
@@ -65,7 +64,7 @@ def integrate_stack(evaluate, a, b, tol=1e-10, base_panels=16,
     n = base_panels
     prev = None
     residual = np.inf
-    while n <= max_panels:
+    while n <= MAX_PANELS:
         nodes, weights = panel_rule(a, b, n)
         vals = None
         # chunked accumulation keeps memory bounded near the panel budget
@@ -81,9 +80,9 @@ def integrate_stack(evaluate, a, b, tol=1e-10, base_panels=16,
         prev = vals
         n *= 2
     raise QuadratureError(
-        f"no convergence to tol={tol:g} within {max_panels} panels "
+        f"no convergence to tol={tol:g} within {MAX_PANELS} panels "
         f"(last residual {residual:g})",
-        residual=residual, panels=max_panels)
+        residual=residual, panels=MAX_PANELS)
 
 
 def richardson_limit(values):

@@ -241,7 +241,9 @@ def build_transform(trajectory):
                 total = BogoliubovPair(d[:, None] * total.alpha,
                                        d[:, None] * total.beta, total.defect)
             continue
-        h = h_parameter(seg.a, geom.L, geom.c)
+        # h_parameter's arithmetic without its regime warning: the switch
+        # chart is exact on (0, 2), only the second-order model is not
+        h = seg.a * geom.L / geom.c ** 2
         step = one_segment_transform(seg.tau, h, geom)
         if total is not None:
             joined = compose(step, total)

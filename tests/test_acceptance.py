@@ -112,7 +112,6 @@ def test_acceptance_phase_correction_recovery():
            f"50 coasts, max |F_corrected - rest| = {dev:.2e}")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_acceptance_oracle_health():
     _oracle_cached.cache_clear()
     _switch_first_order_cached.cache_clear()

@@ -13,7 +13,7 @@ from scipy.linalg import block_diag
 
 from cavtel import bogoliubov, quadrature
 from cavtel.bogoliubov import (
-    EXTRACTION_TOL,
+    EXTRACTION_H_BASE,
     ORACLE_TOL,
     CavityGeometry,
     RindlerGeometry,
@@ -65,13 +65,13 @@ def test_integrate_stack_matches_scipy():
     assert residual < 1e-12
 
 
-def test_integrate_stack_budget_exhaustion():
+def test_integrate_stack_budget_exhaustion(monkeypatch):
     def evaluate(x):
         return np.sin(3000.0 * x)[None, :], np.ones((1, x.size))
 
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 4)
     with pytest.raises(QuadratureError):
-        integrate_stack(evaluate, 0.0, 1.0, tol=1e-14,
-                        base_panels=2, max_panels=4)
+        integrate_stack(evaluate, 0.0, 1.0, tol=1e-14, base_panels=2)
 
 
 def test_integrate_stack_bilinear_matches_explicit_product():
@@ -143,7 +143,6 @@ def test_rindler_parameter_range(h):
         RindlerGeometry(h)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rindler_chart_fields():
     rind = RindlerGeometry(0.5)
     assert rind.chi_center == pytest.approx(2.0)
@@ -160,14 +159,39 @@ def test_rindler_center_clock_frequency_limit():
 
 
 def test_regime_warning():
-    # the chart is exact on (0, 2); only h_parameter flags the regime
+    # the chart is exact on (0, 2); only h_parameter flags the regime, so
+    # a report warns once and the numeric pipelines not at all
     import warnings
-    from cavtel.trajectory import h_parameter
+    from cavtel.protocol import (
+        ProtocolParams,
+        consistency_report,
+        fidelity_corrected,
+        fidelity_optimal,
+        fidelity_raw,
+    )
+    from cavtel.trajectory import (
+        Accelerated,
+        Trajectory,
+        build_transform,
+        h_parameter,
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         RindlerGeometry(0.3)
+    a = 0.3 * GEOM.c ** 2 / GEOM.L
     with pytest.warns(RuntimeWarning):
-        h_parameter(0.3 * GEOM.c ** 2 / GEOM.L, GEOM.L, GEOM.c)
+        h_parameter(a, GEOM.L, GEOM.c)
+    params = ProtocolParams(geometry=GEOM)
+    traj = Trajectory((Accelerated(a, 3e-10),), GEOM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_transform(traj)
+        for pipeline in (fidelity_raw, fidelity_corrected, fidelity_optimal):
+            pipeline(params, traj)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        consistency_report(params, traj)
+    assert [w.category for w in caught] == [RuntimeWarning]
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +257,12 @@ def test_inertial_modes_orthonormal(m, n):
     assert kg_inertial(m, n) == pytest.approx(float(m == n), abs=1e-9)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (4, 4), (1, 3), (2, 5)])
 def test_rindler_modes_orthonormal(m, n):
     rind = RindlerGeometry(0.4)
     assert kg_rindler(m, n, rind) == pytest.approx(float(m == n), abs=1e-9)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mode_functions_vanish_at_walls():
     for n in (1, 2, 7):
         for xi in (0.0, 1.0):
@@ -252,7 +274,6 @@ def test_mode_functions_vanish_at_walls():
         assert abs(val) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mode_functions_reject_outside():
     with pytest.raises(ValueError):
         mode_function_inertial(1, 1.5)
@@ -282,7 +303,6 @@ def overlap_entry(m, n, h, counter=False):
     return val
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2), (5, 4),
                                  (4, 7), (10, 9)])
 def test_oracle_alpha_matches_scipy(m, n):
@@ -292,7 +312,6 @@ def test_oracle_alpha_matches_scipy(m, n):
     assert pair.alpha[m - 1, n - 1].imag == 0.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2), (5, 4)])
 def test_oracle_beta_matches_scipy(m, n):
     pair = sudden_switch_oracle(0.3, GEOM)
@@ -300,7 +319,6 @@ def test_oracle_beta_matches_scipy(m, n):
     assert pair.beta[m - 1, n - 1].real == pytest.approx(want, abs=1e-8)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_oracle_left_wedge_matches_scipy():
     # mirrored chart integrated independently: rho measured from the
     # far wall, mode sign (-1)^(m+1), horizon on the other side
@@ -323,7 +341,6 @@ def test_oracle_left_wedge_matches_scipy():
 GEOM40 = CavityGeometry(0.012, 1.2e8, 40)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("h", [0.3, 1.5])
 @pytest.mark.parametrize("m,n", [(1, 1), (20, 21), (39, 40), (40, 40),
                                  (33, 8)])
@@ -371,11 +388,10 @@ def elementwise_switch_overlaps(h, n_max, tol):
             norm * (omega[None, :] * i0 - omega_wedge[:, None] * i1))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n_max", [10, 20, 40, 64])
 def test_switch_overlaps_match_elementwise_reference(n_max, monkeypatch):
     for h in (0.003125, -0.003125, 0.245, 1.5, -1.99):
-        co, counter, _ = _switch_overlaps(h, n_max, ORACLE_TOL)
+        co, counter, _ = _switch_overlaps(h, n_max)
         with monkeypatch.context() as patch:
             # small node chunks bound the reference stack's memory
             patch.setattr(quadrature, "_NODE_CHUNK", 256)
@@ -385,7 +401,6 @@ def test_switch_overlaps_match_elementwise_reference(n_max, monkeypatch):
         assert np.max(np.abs(counter - ref_counter)) <= 1e-13
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_switch_overlaps_evaluate_factors_only(monkeypatch):
     shapes = []
 
@@ -397,7 +412,7 @@ def test_switch_overlaps_evaluate_factors_only(monkeypatch):
         return integrate_stack(recorded, *args, **kwargs)
 
     monkeypatch.setattr(bogoliubov, "integrate_stack", spy)
-    _switch_overlaps(0.245, 40, ORACLE_TOL)
+    _switch_overlaps(0.245, 40)
     assert shapes
     for left, right, k in shapes:
         assert left == (2, 40, k) and right == (40, k)
@@ -418,11 +433,32 @@ def test_oracle_small_h_limit():
     assert np.max(np.abs(pair.beta)) < 1e-5
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_oracle_identity_health():
     pair = sudden_switch_oracle(0.245, GEOM)
     assert pair.defect <= 1e-3
     assert identity_residuals(pair.alpha, pair.beta) <= 1e-3
+
+
+def test_ladder_and_oracle_share_cache_entries(monkeypatch):
+    # one quadrature tolerance: the first-order ladder's +-h switches are
+    # the oracle's own cache entries
+    from cavtel.protocol import DEFAULT_GEOMETRY
+    cached = bogoliubov._oracle_cached
+    ladder = {}
+
+    def spy(h, *rest):
+        ladder.setdefault(h, cached(h, *rest))
+        return ladder[h]
+
+    cached.cache_clear()
+    bogoliubov._switch_first_order_cached.cache_clear()
+    monkeypatch.setattr(bogoliubov, "_oracle_cached", spy)
+    sudden_switch_perturbative(DEFAULT_GEOMETRY)
+    before = cached.cache_info()
+    pair = sudden_switch_oracle(EXTRACTION_H_BASE, DEFAULT_GEOMETRY)
+    after = cached.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert pair is ladder[EXTRACTION_H_BASE]
 
 
 def test_oracle_rejects_zero_h():
@@ -605,7 +641,7 @@ def test_second_order_diagonal_against_oracle():
     # fit (alpha_nn(h) - 1) / h^2 from the oracle at shrinking h
     fits = []
     for h in (0.02, 0.01):
-        pair = sudden_switch_oracle(h, GEOM, tol=1e-12)
+        pair = sudden_switch_oracle(h, GEOM)
         fits.append((pair.alpha.real.diagonal() - 1.0) / h ** 2)
     extrap = fits[1] + (fits[1] - fits[0]) / 3.0
     # interior diagonal entries only; edges are truncation-limited
@@ -621,8 +657,8 @@ def segment_first_order_ladder(tau, geometry, h_base=0.1, levels=4,
     slopes_a, slopes_b = [], []
     for i in range(max_levels):
         h = h_base / 2.0 ** i
-        plus = one_segment_transform(tau, h, geometry, tol=EXTRACTION_TOL)
-        minus = one_segment_transform(tau, -h, geometry, tol=EXTRACTION_TOL)
+        plus = one_segment_transform(tau, h, geometry)
+        minus = one_segment_transform(tau, -h, geometry)
         slopes_a.append((plus.alpha - minus.alpha) / (2.0 * h))
         slopes_b.append((plus.beta - minus.beta) / (2.0 * h))
         if i + 1 >= levels:
@@ -636,7 +672,7 @@ def segment_first_order_ladder(tau, geometry, h_base=0.1, levels=4,
 def test_segment_first_order_composition_matches_ladder():
     worst = 0.0
     for tau in np.linspace(0.0, 3.0 * GEOM.fundamental_period, 25):
-        a1, b1, _ = one_segment_first_order(tau, GEOM)
+        a1, b1 = one_segment_first_order(tau, GEOM)
         ref_a, ref_b = segment_first_order_ladder(tau, GEOM)
         worst = max(worst, np.max(np.abs(a1 - ref_a)),
                     np.max(np.abs(b1 - ref_b)))

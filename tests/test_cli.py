@@ -466,7 +466,6 @@ def test_coeffs_rejects_out_of_range(capsys):
 # ---------------------------------------------------------------------------
 # validate
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_validate_passes(capsys):
     code, out, _ = run(["validate"], capsys)
     assert code == 0
@@ -481,7 +480,6 @@ def test_validate_reports_each_check_once(capsys):
     assert len(names) == len(set(names))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_validate_truncated_basis_fails(capsys):
     code, out, _ = run(["validate", "--nmax", "4"], capsys)
     assert code == 5

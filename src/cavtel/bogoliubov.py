@@ -52,9 +52,9 @@ __all__ = [
     "sudden_switch_perturbative",
     "compose",
     "one_segment_transform",
-    "one_segment_first_order",
     "f_sums",
     "to_symplectic",
+    "symplectic_rows",
     "first_order_mixing_magnitude",
     "first_order_pairing_magnitude",
 ]
@@ -212,6 +212,18 @@ def compose(b2, b1):
     return BogoliubovPair(alpha, beta, np.maximum(b1.defect, b2.defect))
 
 
+def _quadrature_rows(alpha, beta):
+    # rows (..., r, n) of a pair give their (..., 2r, 2n) quadrature image
+    plus = alpha + beta
+    minus = alpha - beta
+    s = np.empty(plus.shape[:-2] + (2 * plus.shape[-2], 2 * plus.shape[-1]))
+    s[..., 0::2, 0::2] = plus.real
+    s[..., 0::2, 1::2] = -minus.imag
+    s[..., 1::2, 0::2] = plus.imag
+    s[..., 1::2, 1::2] = minus.real
+    return s
+
+
 def to_symplectic(pair):
     """Quadrature-space matrix of the pair (mode-major ordering).
 
@@ -220,15 +232,16 @@ def to_symplectic(pair):
     `gaussian`; a real one-mode squeezer (alpha, beta) = (cosh s, sinh s)
     maps to diag(e^s, e^-s).  A stacked pair gives a stack of matrices.
     """
-    plus = pair.alpha + pair.beta
-    minus = pair.alpha - pair.beta
-    n = pair.n_modes
-    s = np.empty(plus.shape[:-2] + (2 * n, 2 * n))
-    s[..., 0::2, 0::2] = plus.real
-    s[..., 0::2, 1::2] = -minus.imag
-    s[..., 1::2, 0::2] = plus.imag
-    s[..., 1::2, 1::2] = minus.real
-    return s
+    return _quadrature_rows(pair.alpha, pair.beta)
+
+
+def symplectic_rows(pair, mode):
+    """The two rows of `to_symplectic(pair)` that belong to `mode`
+    (1-based), (..., 2, 2n), built from that mode's row of alpha and
+    beta alone."""
+    i = mode - 1
+    return _quadrature_rows(pair.alpha[..., i:i + 1, :],
+                            pair.beta[..., i:i + 1, :])
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +348,27 @@ def one_segment_transform(tau_seconds, h, geometry):
     With the switch pair (A, B) and the wedge phases D, that is
     alpha = A^dagger D A - B^T D^* B^* and beta = A^dagger D B - B^T D^* A^*.
     An array of durations gives a stacked pair, one transform per
-    duration, each with its own measured defect.
+    duration, each with its own measured defect.  The T phased switch
+    matrices D A sit side by side as one (n, T n) matrix, so each of the
+    four products is a single matrix product whatever T is.
     """
     taus = np.asarray(tau_seconds, dtype=float)
     if (taus < 0).any():
         raise ValueError("segment duration must be >= 0")
     b0 = sudden_switch_oracle(h, geometry)
-    d = np.exp(-1j * _rindler_angles(taus, h, geometry))[..., None]
-    da, db = d * b0.alpha, d * b0.beta
+    n = geometry.n_max
+    phases = np.exp(-1j * _rindler_angles(taus.reshape(-1), h, geometry))
+    # (n, T, n) -> (n, T n): row m of D A for every duration, side by side
+    d = phases.T[:, :, None]
+    da = (d * b0.alpha[:, None, :]).reshape(n, -1)
+    db = (d * b0.beta[:, None, :]).reshape(n, -1)
     a_dag, minus_bt = b0.alpha.conj().T, -b0.beta.T
     alpha = a_dag @ da + minus_bt @ db.conj()
     beta = a_dag @ db + minus_bt @ da.conj()
-    return make_pair(alpha, beta, floor=b0.defect)
+    shape = taus.shape + (n, n)
+    return make_pair(alpha.reshape(n, -1, n).swapaxes(0, 1).reshape(shape),
+                     beta.reshape(n, -1, n).swapaxes(0, 1).reshape(shape),
+                     floor=b0.defect)
 
 
 # ---------------------------------------------------------------------------
@@ -445,27 +467,6 @@ def sudden_switch_perturbative(geometry):
     return _switch_first_order_cached(geometry.n_max)
 
 
-def one_segment_first_order(tau_seconds, geometry):
-    """First order in h of `one_segment_transform` at fixed tau.
-
-    The free phases are even in h, so composing B^-1 o D(tau) o B
-    with B = 1 + h (A1, B1) gives the first order exactly:
-    alpha1 = A1^dagger D + D A1 and beta1 = D B1 - B1^T D^*, with
-    D = diag(exp(-i n pi tau c / L)).  Returns (alpha1, beta1); an
-    array of durations stacks both along its axes.
-    """
-    taus = np.asarray(tau_seconds, dtype=float)
-    if (taus < 0).any():
-        raise ValueError("segment duration must be >= 0")
-    first = sudden_switch_perturbative(geometry)
-    d = _inertial_phases(taus, geometry)
-    row, col = d[..., None, :], d[..., :, None]
-    a1, b1 = first.alpha1, first.beta1
-    alpha1 = a1.conj().T * row + col * a1
-    beta1 = col * b1 - b1.T * row.conj()
-    return alpha1, beta1
-
-
 @lru_cache(maxsize=256)
 def _tail_ratio(kp, n_max):
     """Estimated fraction of mode kp's first-order couplings that leak
@@ -487,9 +488,12 @@ def f_sums(kp, taus, geometry):
     """Degradation sums entering the quadratic fidelity correction, one
     pair of arrays (f_alpha, f_beta) over the durations `taus`.
 
-    f_alpha = 1/2 sum_n |alpha1_{n, kp}(tau)|^2 over the first-order
-    one-segment matrices, f_beta likewise for beta1, both composed from
-    the switch's first-order coefficients (`one_segment_first_order`).
+    f_alpha = 1/2 sum_n |alpha1_{n, kp}(tau)|^2 over column kp of the
+    first-order one-segment matrix, f_beta likewise for beta1.  The free
+    phases are even in h, so composing B^-1 o D(tau) o B with the switch
+    B = 1 + h (A1, B1) gives the first order exactly:
+    alpha1 = A1^dagger D + D A1 and beta1 = D B1 - B1^T D^*, with
+    D = diag(exp(-i n pi tau c / L)); only column kp of each is built.
     These are h -> 0 objects, so they are shared by every acceleration
     of a sweep row.
 
@@ -510,8 +514,16 @@ def f_sums(kp, taus, geometry):
             f"mode {kp} leaks an estimated {100 * ratio:.2f}% of its "
             f"first-order weight above n_max = {geometry.n_max} (limit "
             f"{100 * TAIL_LIMIT:g}%); {advice}")
-    a1, b1 = one_segment_first_order(taus, geometry)
+    taus = np.asarray(taus, dtype=float)
+    if (taus < 0).any():
+        raise ValueError("segment duration must be >= 0")
     col = kp - 1
-    f_alpha = 0.5 * np.sum(np.abs(a1[..., :, col]) ** 2, axis=-1)
-    f_beta = 0.5 * np.sum(np.abs(b1[..., :, col]) ** 2, axis=-1)
+    first = sudden_switch_perturbative(geometry)
+    d = _inertial_phases(taus, geometry)
+    a1, b1 = first.alpha1, first.beta1
+    d_col = d[..., col:col + 1]
+    alpha1 = a1[col, :].conj() * d_col + d * a1[:, col]
+    beta1 = d * b1[:, col] - b1[col, :] * d_col.conj()
+    f_alpha = 0.5 * np.sum(np.abs(alpha1) ** 2, axis=-1)
+    f_beta = 0.5 * np.sum(np.abs(beta1) ** 2, axis=-1)
     return f_alpha, f_beta

@@ -13,7 +13,6 @@ import argparse
 import math
 import sys
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -109,11 +108,17 @@ class RunConfig:
         if a_max is None:
             a_max = REGIME_H_MAX * self.c_m_per_s ** 2 / self.L_m
         if self.tau_steps < 2 or self.a_steps < 2:
-            raise ValueError("sweep steps must be >= 2")
+            raise ValueError(
+                f"tau_steps and a_steps must be >= 2, got "
+                f"{self.tau_steps} and {self.a_steps}")
         if not 0.0 <= self.tau_min_s < tau_max:
-            raise ValueError("need 0 <= tau_min < tau_max")
+            raise ValueError(
+                f"need 0 <= tau_min_s < tau_max_s, got tau_min_s = "
+                f"{self.tau_min_s!r} and tau_max_s = {tau_max!r}")
         if not 0.0 < self.a_min_m_s2 < a_max:
-            raise ValueError("need 0 < a_min < a_max")
+            raise ValueError(
+                f"need 0 < a_min_m_s2 < a_max_m_s2, got a_min_m_s2 = "
+                f"{self.a_min_m_s2!r} and a_max_m_s2 = {a_max!r}")
         taus = np.linspace(self.tau_min_s, tau_max, self.tau_steps)
         accs = np.linspace(self.a_min_m_s2, a_max, self.a_steps)
         return taus, accs
@@ -180,11 +185,24 @@ def _fmt(x):
     return FLOAT_FMT % x
 
 
-def _sweep_row_text(row):
-    # coordinates round-trip exactly so h = a L / c^2 survives the file;
-    # derived quantities carry the fixed 12-digit format
-    coords = [repr(float(v)) for v in row[:3]]
-    return ",".join(coords + [_fmt(v) for v in row[3:]])
+def _sweep_row_text(rows):
+    """CSV body lines of the sweep rows, in their order."""
+    # coordinates round-trip exactly so h = a L / c^2 survives the file,
+    # each distinct tau and (a, h) formatted once (but zeros every time:
+    # 0.0 and -0.0 are one key with two texts); derived quantities carry
+    # the fixed 12-digit format, one template per row
+    line = "%s,%s," + ",".join([FLOAT_FMT] * (len(SWEEP_COLUMNS) - 3))
+    tau_text, ah_text = {}, {}
+    lines = []
+    for tau, a, h, *values in rows:
+        t = tau_text.get(tau) if tau else None
+        if t is None:
+            t = tau_text[tau] = repr(float(tau))
+        ah = ah_text.get((a, h)) if a and h else None
+        if ah is None:
+            ah = ah_text[a, h] = f"{float(a)!r},{float(h)!r}"
+        lines.append(line % (t, ah, *values))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +275,8 @@ def sweep_rows(cfg, jobs=1):
     taus, accs = cfg.grid()
     worker = partial(_sweep_column, params, cfg.alice_clock, taus)
     if jobs > 1:
+        # imported here, so that a --jobs 1 run does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(accs) // (8 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             columns = list(pool.map(worker, accs.tolist(), chunksize=chunk))
@@ -302,7 +322,7 @@ def cmd_sweep(args):
            f"# clamped_points = {stats.clamped_points}",
            f"# clamp_max = {stats.clamp_max!r}",
            ",".join(SWEEP_COLUMNS)]
-    out.extend(_sweep_row_text(row) for row in rows)
+    out.extend(_sweep_row_text(rows))
     text = "\n".join(out) + "\n"
     if args.out is not None:
         _write_text(args.out, text)

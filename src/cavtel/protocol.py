@@ -42,7 +42,7 @@ from .bogoliubov import (
     CavityGeometry,
     _interior_count,
     f_sums,
-    to_symplectic,
+    symplectic_rows,
 )
 from .errors import ConsistencyError, PhysicalityError, TruncationError
 from .gaussian import (
@@ -155,7 +155,7 @@ def _state_kernel(params, pair, phases):
     """
     alice, cross, excess = _resource(params.r)
     j = 2 * (params.kp - 1)
-    rows = to_symplectic(pair)[:, j:j + 2]
+    rows = symplectic_rows(pair, params.kp)
     s_kk = rows[:, :, j:j + 2]
     s_kk_t = s_kk.swapaxes(-1, -2)
     sigma = np.empty((rows.shape[0], 4, 4))

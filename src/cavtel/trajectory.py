@@ -103,6 +103,21 @@ class Accelerated:
             raise ValueError("proper duration tau must be finite and >= 0, "
                              "or a non-empty 1-D array of such")
 
+    # segments compare and hash by value, a duration array as the tuple of
+    # its entries: the generated methods would compare arrays elementwise
+    # and could not hash them
+    def _key(self):
+        tau = self.tau
+        return self.a, (tuple(tau.tolist()) if np.ndim(tau) else tau)
+
+    def __eq__(self, other):
+        if not isinstance(other, Accelerated):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -4,12 +4,21 @@ The library applies a coast as a phase vector that scales the rows or
 columns of a burn's transform, and never forms the identity, a free
 evolution or a canonical inverse as a pair.  These builders form them as
 dense (alpha, beta) matrices, so that tests can compose a trajectory
-step by step with `compose` and compare.
+step by step with `compose` and compare.  Likewise `f_sums` builds one
+column of the first-order one-segment matrices and `one_segment_transform`
+forms its products side by side; the full matrices and the products per
+duration are built here.
 """
 
 import numpy as np
 
-from cavtel.bogoliubov import BogoliubovPair, _rindler_angles
+from cavtel.bogoliubov import (
+    BogoliubovPair,
+    _inertial_phases,
+    _rindler_angles,
+    sudden_switch_oracle,
+    sudden_switch_perturbative,
+)
 
 
 def identity_pair(n):
@@ -40,3 +49,37 @@ def phase_evolution_rindler(tau_seconds, h, geometry):
     theta = _rindler_angles(tau_seconds, h, geometry)
     return BogoliubovPair(np.diag(np.exp(-1j * theta)),
                           np.zeros((geometry.n_max,) * 2, dtype=complex), 0.0)
+
+
+def one_segment_first_order(tau_seconds, geometry):
+    """First order in h of `one_segment_transform` at fixed tau.
+
+    The free phases are even in h, so composing B^-1 o D(tau) o B
+    with B = 1 + h (A1, B1) gives the first order exactly:
+    alpha1 = A1^dagger D + D A1 and beta1 = D B1 - B1^T D^*, with
+    D = diag(exp(-i n pi tau c / L)).  Returns (alpha1, beta1); an
+    array of durations stacks both along its axes.
+    """
+    taus = np.asarray(tau_seconds, dtype=float)
+    if (taus < 0).any():
+        raise ValueError("segment duration must be >= 0")
+    first = sudden_switch_perturbative(geometry)
+    d = _inertial_phases(taus, geometry)
+    row, col = d[..., None, :], d[..., :, None]
+    a1, b1 = first.alpha1, first.beta1
+    alpha1 = a1.conj().T * row + col * a1
+    beta1 = col * b1 - b1.T * row.conj()
+    return alpha1, beta1
+
+
+def one_segment_products(tau_seconds, h, geometry):
+    """(alpha, beta) of `one_segment_transform` as stacked products, one
+    small matrix product per duration and term:
+    alpha = A^dagger D A - B^T D^* B^* and beta = A^dagger D B - B^T D^* A^*
+    with the switch pair (A, B) and the wedge phases D."""
+    b0 = sudden_switch_oracle(h, geometry)
+    d = np.exp(-1j * _rindler_angles(tau_seconds, h, geometry))[..., None]
+    da, db = d * b0.alpha, d * b0.beta
+    a_dag, minus_bt = b0.alpha.conj().T, -b0.beta.T
+    return (a_dag @ da + minus_bt @ db.conj(),
+            a_dag @ db + minus_bt @ da.conj())

@@ -24,10 +24,10 @@ from cavtel.bogoliubov import (
     first_order_pairing_magnitude,
     identity_residuals,
     make_pair,
-    one_segment_first_order,
     one_segment_transform,
     sudden_switch_oracle,
     sudden_switch_perturbative,
+    symplectic_rows,
     to_symplectic,
 )
 from cavtel.errors import QuadratureError, TruncationError
@@ -37,6 +37,8 @@ from cavtel.quadrature import integrate_stack, richardson_limit
 from bogoliubov_reference import (
     identity_pair,
     inverse,
+    one_segment_first_order,
+    one_segment_products,
     phase_evolution_minkowski,
     phase_evolution_rindler,
 )
@@ -575,17 +577,40 @@ def test_segment_symplectic_on_interior():
 
 
 def test_segment_transform_over_an_array_of_taus():
-    taus = np.linspace(0.0, 6e-10, 5)
-    column = one_segment_transform(taus, 0.2, GEOM)
-    assert column.alpha.shape == (5, 10, 10)
-    assert column.defect.shape == (5,)
-    for i, tau in enumerate(taus):
-        one = one_segment_transform(tau, 0.2, GEOM)
-        assert np.array_equal(column.alpha[i], one.alpha)
-        assert np.array_equal(column.beta[i], one.beta)
-        assert column.defect[i] == one.defect
-        res = identity_residuals(column.alpha, column.beta)
-        assert res[i] == identity_residuals(one.alpha, one.beta)
+    # the side-by-side products give each duration's transform bit for
+    # bit: against a lone duration and against one product per duration
+    rng = np.random.default_rng(11)
+    for n_max in (2, 10, 40, 64):
+        geom = CavityGeometry(0.012, 1.2e8, n_max)
+        for count in (1, 2, 5):
+            taus = np.sort(rng.uniform(0.0, 6e-10, count))
+            if count == 5:
+                taus[0] = 0.0
+            column = one_segment_transform(taus, 0.2, geom)
+            assert column.alpha.shape == (count, n_max, n_max)
+            assert column.defect.shape == (count,)
+            res = identity_residuals(column.alpha, column.beta)
+            ref_alpha, ref_beta = one_segment_products(taus, 0.2, geom)
+            assert np.array_equal(column.alpha, ref_alpha)
+            assert np.array_equal(column.beta, ref_beta)
+            for i, tau in enumerate(taus):
+                one = one_segment_transform(tau, 0.2, geom)
+                assert np.array_equal(column.alpha[i], one.alpha)
+                assert np.array_equal(column.beta[i], one.beta)
+                assert column.defect[i] == one.defect
+                assert res[i] == identity_residuals(one.alpha, one.beta)
+
+
+def test_symplectic_rows_are_rows_of_the_full_matrix():
+    column = one_segment_transform(np.linspace(0.0, 6e-10, 4), 0.2, GEOM)
+    one = one_segment_transform(0.37e-9, 0.2, GEOM)
+    for pair in (column, one):
+        full = to_symplectic(pair)
+        for mode in range(1, GEOM.n_max + 1):
+            j = 2 * (mode - 1)
+            rows = symplectic_rows(pair, mode)
+            assert rows.shape == full.shape[:-2] + (2, 2 * GEOM.n_max)
+            assert np.array_equal(rows, full[..., j:j + 2, :])
 
 
 def test_segment_rejects_negative_duration():
@@ -718,6 +743,32 @@ def test_f_sums_over_an_array_of_taus():
     for i, tau in enumerate(taus):
         one_a, one_b = f_sums(3, [tau], GEOM)
         assert (one_a[0], one_b[0]) == (fa[i], fb[i])
+
+
+def test_f_sums_equal_the_reference_column():
+    # f_sums builds column kp - 1 alone; the sums of that column of the
+    # full first-order matrices must come out bit for bit
+    rng = np.random.default_rng(5)
+    for n_max in (10, 20, 40):
+        geom = CavityGeometry(0.012, 1.2e8, n_max)
+        adequate = [kp for kp in range(1, n_max // 2 + 1)
+                    if bogoliubov._tail_ratio(kp, n_max)
+                    <= bogoliubov.TAIL_LIMIT]
+        for kp in rng.choice(adequate, size=3):
+            kp = int(kp)
+            taus = rng.uniform(0.0, 3.0 * geom.fundamental_period,
+                               int(rng.integers(1, 9)))
+            fa, fb = f_sums(kp, taus, geom)
+            a1, b1 = one_segment_first_order(taus, geom)
+            col = kp - 1
+            assert np.array_equal(
+                fa, 0.5 * np.sum(np.abs(a1[..., :, col]) ** 2, axis=-1))
+            assert np.array_equal(
+                fb, 0.5 * np.sum(np.abs(b1[..., :, col]) ** 2, axis=-1))
+            one_a, one_b = f_sums(kp, float(taus[0]), geom)
+            assert (one_a, one_b) == (fa[0], fb[0])
+    with pytest.raises(ValueError):
+        f_sums(3, [1e-10, -1e-10], GEOM)
 
 
 def test_f_sums_truncation_gate():

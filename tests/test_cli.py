@@ -9,10 +9,17 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from cavtel.bogoliubov import BogoliubovPair
-from cavtel.cli import main
+from cavtel.cli import (
+    RunConfig,
+    _sweep_row_text,
+    apply_config_text,
+    main,
+    sweep_rows,
+)
 
 REST_F = 1.0 / (1.0 + math.exp(-1.0))
 
@@ -404,6 +411,41 @@ def test_sweep_non_finite_grid_bound_is_usage_error(tmp_path, capsys,
     key = line.split(" = ")[0]
     assert f"{key} must be finite" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("line,keys", [
+    ("tau_min_s = 5", ("tau_min_s", "tau_max_s")),
+    ("a_min_m_s2 = 3e17", ("a_min_m_s2", "a_max_m_s2")),
+    ("a_steps = 1", ("tau_steps", "a_steps")),
+])
+def test_sweep_grid_range_error_names_config_keys(tmp_path, capsys, line,
+                                                  keys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    for key in keys:
+        assert key in err
+    assert out == ""
+
+
+def reference_row_text(row):
+    # the per-row formatter the sweep used before it formatted each
+    # distinct coordinate once
+    coords = [repr(float(v)) for v in row[:3]]
+    return ",".join(coords + ["%.11e" % v for v in row[3:]])
+
+
+def test_sweep_row_text_matches_per_row_formatter(small_cfg):
+    cfg = apply_config_text(RunConfig(), open(small_cfg).read())
+    rows, _ = sweep_rows(cfg)
+    assert _sweep_row_text(rows) == [reference_row_text(r) for r in rows]
+    # rows need not come from a grid: both zeros, a repeated a with a new
+    # h, numpy scalars
+    odd = [[-0.0, 1e17, 0.1] + [0.5] * 8, [0.0, 1e17, 0.2] + [-0.0] * 8,
+           [1e-10, 0.0, -0.0] + [1.0] * 8, [1e-10, -0.0, 0.0] + [1.0] * 8,
+           [np.float64(1e-10), 2e17, 0.1] + [np.float64(1 / 3)] * 8]
+    assert _sweep_row_text(odd) == [reference_row_text(r) for r in odd]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -57,6 +57,22 @@ def test_trajectory_counts_accelerated_segments():
     assert single.single_acceleration() == Accelerated(1e17, 1e-10)
 
 
+def test_segments_compare_and_hash_by_value():
+    column = Accelerated(1e17, [1e-10, 2e-10])
+    same = Accelerated(1e17, np.array([1e-10, 2e-10]))
+    assert column == same and hash(column) == hash(same)
+    assert column != Accelerated(1e17, [1e-10, 3e-10])
+    assert column != Accelerated(2e17, [1e-10, 2e-10])
+    # a one-point column is not the single trajectory it holds
+    assert Accelerated(1e17, [1e-10]) != Accelerated(1e17, 1e-10)
+    assert Accelerated(1e17, 1e-10) == Accelerated(1e17, 1e-10)
+    assert hash(Accelerated(1e17, 1e-10)) == hash(Accelerated(1e17, 1e-10))
+    assert column != Inertial(1e-10)
+    trajs = {Trajectory((Inertial(1e-10), column), GEOM),
+             Trajectory((Inertial(1e-10), same), GEOM)}
+    assert len(trajs) == 1
+
+
 def test_trajectory_rejects_non_segments():
     with pytest.raises(TypeError):
         Trajectory(("coast",), GEOM)

@@ -353,11 +353,11 @@ def one_segment_transform(tau_seconds, h, geometry):
     four products is a single matrix product whatever T is.
     """
     taus = np.asarray(tau_seconds, dtype=float)
-    if (taus < 0).any():
+    if taus.size and taus.min() < 0:
         raise ValueError("segment duration must be >= 0")
     b0 = sudden_switch_oracle(h, geometry)
     n = geometry.n_max
-    phases = np.exp(-1j * _rindler_angles(taus.reshape(-1), h, geometry))
+    phases = np.exp(-1j * _rindler_angles(taus, h, geometry)).reshape(-1, n)
     # (n, T, n) -> (n, T n): row m of D A for every duration, side by side
     d = phases.T[:, :, None]
     da = (d * b0.alpha[:, None, :]).reshape(n, -1)

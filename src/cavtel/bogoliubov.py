@@ -365,6 +365,8 @@ def one_segment_transform(tau_seconds, h, geometry):
     a_dag, minus_bt = b0.alpha.conj().T, -b0.beta.T
     alpha = a_dag @ da + minus_bt @ db.conj()
     beta = a_dag @ db + minus_bt @ da.conj()
+    # freed before make_pair copies the results into (T, n, n) order
+    del da, db
     shape = taus.shape + (n, n)
     return make_pair(alpha.reshape(n, -1, n).swapaxes(0, 1).reshape(shape),
                      beta.reshape(n, -1, n).swapaxes(0, 1).reshape(shape),

@@ -348,29 +348,18 @@ def one_segment_transform(tau_seconds, h, geometry):
     With the switch pair (A, B) and the wedge phases D, that is
     alpha = A^dagger D A - B^T D^* B^* and beta = A^dagger D B - B^T D^* A^*.
     An array of durations gives a stacked pair, one transform per
-    duration, each with its own measured defect.  The T phased switch
-    matrices D A sit side by side as one (n, T n) matrix, so each of the
-    four products is a single matrix product whatever T is.
+    duration, each with its own measured defect.
     """
     taus = np.asarray(tau_seconds, dtype=float)
-    if taus.size and taus.min() < 0:
+    if (taus < 0).any():
         raise ValueError("segment duration must be >= 0")
     b0 = sudden_switch_oracle(h, geometry)
-    n = geometry.n_max
-    phases = np.exp(-1j * _rindler_angles(taus, h, geometry)).reshape(-1, n)
-    # (n, T, n) -> (n, T n): row m of D A for every duration, side by side
-    d = phases.T[:, :, None]
-    da = (d * b0.alpha[:, None, :]).reshape(n, -1)
-    db = (d * b0.beta[:, None, :]).reshape(n, -1)
+    d = np.exp(-1j * _rindler_angles(taus, h, geometry))[..., None]
+    da, db = d * b0.alpha, d * b0.beta
     a_dag, minus_bt = b0.alpha.conj().T, -b0.beta.T
     alpha = a_dag @ da + minus_bt @ db.conj()
     beta = a_dag @ db + minus_bt @ da.conj()
-    # freed before make_pair copies the results into (T, n, n) order
-    del da, db
-    shape = taus.shape + (n, n)
-    return make_pair(alpha.reshape(n, -1, n).swapaxes(0, 1).reshape(shape),
-                     beta.reshape(n, -1, n).swapaxes(0, 1).reshape(shape),
-                     floor=b0.defect)
+    return make_pair(alpha, beta, floor=b0.defect)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,8 @@ columns of a burn's transform, and never forms the identity, a free
 evolution or a canonical inverse as a pair.  These builders form them as
 dense (alpha, beta) matrices, so that tests can compose a trajectory
 step by step with `compose` and compare.  Likewise `f_sums` builds one
-column of the first-order one-segment matrices and `one_segment_transform`
-forms its products side by side; the full matrices and the products per
-duration are built here.
+column of the first-order one-segment matrices; the full matrices are
+built here.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ from cavtel.bogoliubov import (
     BogoliubovPair,
     _inertial_phases,
     _rindler_angles,
-    sudden_switch_oracle,
     sudden_switch_perturbative,
 )
 
@@ -70,16 +68,3 @@ def one_segment_first_order(tau_seconds, geometry):
     alpha1 = a1.conj().T * row + col * a1
     beta1 = col * b1 - b1.T * row.conj()
     return alpha1, beta1
-
-
-def one_segment_products(tau_seconds, h, geometry):
-    """(alpha, beta) of `one_segment_transform` as stacked products, one
-    small matrix product per duration and term:
-    alpha = A^dagger D A - B^T D^* B^* and beta = A^dagger D B - B^T D^* A^*
-    with the switch pair (A, B) and the wedge phases D."""
-    b0 = sudden_switch_oracle(h, geometry)
-    d = np.exp(-1j * _rindler_angles(tau_seconds, h, geometry))[..., None]
-    da, db = d * b0.alpha, d * b0.beta
-    a_dag, minus_bt = b0.alpha.conj().T, -b0.beta.T
-    return (a_dag @ da + minus_bt @ db.conj(),
-            a_dag @ db + minus_bt @ da.conj())

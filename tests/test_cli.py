@@ -437,7 +437,8 @@ def reference_row_text(row):
 
 
 def test_sweep_row_text_matches_per_row_formatter(small_cfg):
-    cfg = apply_config_text(RunConfig(), open(small_cfg).read())
+    with open(small_cfg) as fh:
+        cfg = apply_config_text(RunConfig(), fh.read())
     rows, _ = sweep_rows(cfg)
     assert _sweep_row_text(rows) == [reference_row_text(r) for r in rows]
     # rows need not come from a grid: both zeros, a repeated a with a new

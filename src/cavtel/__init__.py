@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import (
     CavtelError,
     ConsistencyError,
-    ExtrapolationError,
     PhysicalityError,
     QuadratureError,
     TrajectoryParseError,
@@ -57,9 +56,8 @@ from .protocol import (
 
 __all__ = [
     "__version__",
-    "CavtelError", "ConsistencyError", "ExtrapolationError",
-    "PhysicalityError", "QuadratureError", "TrajectoryParseError",
-    "TruncationError",
+    "CavtelError", "ConsistencyError", "PhysicalityError",
+    "QuadratureError", "TrajectoryParseError", "TruncationError",
     "make_two_mode_squeezed", "partial_transpose",
     "symplectic_eigenvalues", "teleport_fidelity",
     "BogoliubovPair", "CavityGeometry", "RindlerGeometry", "compose",

@@ -13,10 +13,7 @@ basis to the new one, b_m = sum_n alpha_mn a_n + beta_mn a_n^dagger.  The
 pair for the instantaneous switch is obtained from Klein-Gordon overlaps
 of the two mode families on the shared constant-time slice, evaluated by
 adaptive quadrature; the sign convention is fixed by alpha -> identity as
-h -> 0.  Negative h means acceleration toward the other wall and is
-integrated directly against the mirrored wedge modes, which makes the
-parity relation between the two signs a testable property rather than an
-assumption.
+h -> 0.
 
 Identity residuals are measured on the adequately resolved interior block
 (mode indices up to n_max / 2).  The outermost rows and columns of any
@@ -38,8 +35,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import ExtrapolationError, TruncationError
-from .quadrature import integrate_stack, richardson_limit
+from .errors import TruncationError
+from .quadrature import integrate_stack
 
 __all__ = [
     "CavityGeometry",
@@ -55,16 +52,11 @@ __all__ = [
     "f_sums",
     "to_symplectic",
     "symplectic_rows",
-    "first_order_mixing_magnitude",
-    "first_order_pairing_magnitude",
+    "first_order_mixing",
+    "first_order_pairing",
 ]
 
 ORACLE_TOL = 1e-10
-# first-order extraction ladder: oracle slopes at +-H_BASE / 2^i
-EXTRACTION_TARGET = 1e-8
-EXTRACTION_H_BASE = 0.1
-EXTRACTION_LEVELS = 4
-EXTRACTION_MAX_LEVELS = 6
 REGIME_H_SQUARED = 0.06
 # largest estimated share of a Rob mode's first-order weight above n_max
 TAIL_LIMIT = 0.01
@@ -249,7 +241,7 @@ def symplectic_rows(pair, mode):
 
 def _switch_overlaps(h, n_max):
     """Raw co- and counter-rotating overlap matrices for the switch at
-    parameter h (sign = direction of acceleration).
+    parameter h.
 
     Both are built from I0 = S_we diag(w) S_in^T and
     I1 = S_we diag(w / chi) S_in^T, Gram products of the wedge and
@@ -257,30 +249,23 @@ def _switch_overlaps(h, n_max):
     quadrature nodes, weighted by the quadrature weights w and the
     inverse Rindler position 1 / chi.  The base of n_max // 2 panels (at least 4) puts
     two periods of the fastest product, cos(2 n_max pi u), on each
-    16-node panel; its first doubling converges for |h| up to 1.5, and
+    16-node panel; its first doubling converges for h up to 1.5, and
     nearer the horizon, where the wedge modes crowd toward one wall, the
     doubling goes on by itself.
     """
-    rind = RindlerGeometry(abs(h))
-    width = rind.log_width
+    width = RindlerGeometry(h).log_width
     # integrate in the wall offset u = chi - chi_left in [0, 1]; the raw
     # chart coordinate 1/h +- 1/2 loses all precision below h ~ 1e-12
-    scale = abs(h) / (1.0 - abs(h) / 2.0)      # 1 / chi_left
+    scale = h / (1.0 - h / 2.0)                # 1 / chi_left
     modes = np.arange(1, n_max + 1)
     omega = modes * np.pi                      # inertial, L = c = 1
     omega_wedge = modes * np.pi / width
-    mirrored = h < 0
-    row_sign = np.where(modes % 2 == 1, 1.0, -1.0) if mirrored else None
 
     def evaluate(u):
         sin_in = np.sin(np.outer(omega, u))
-        w = 1.0 - u if mirrored else u
-        z = np.log1p(w * scale) / width
+        z = np.log1p(u * scale) / width
         sin_we = np.sin(np.pi * np.outer(modes, z))
-        if mirrored:
-            # keep the labeling that tends to the inertial family as h -> 0
-            sin_we = sin_we * row_sign[:, None]
-        inv_rad = scale / (1.0 + w * scale)
+        inv_rad = scale / (1.0 + u * scale)
         return np.stack([sin_we, sin_we * inv_rad]), sin_in
 
     (i0, i1), residual, _ = integrate_stack(
@@ -307,8 +292,8 @@ def sudden_switch_oracle(h, geometry):
     Parameters
     ----------
     h : float
-        Dimensionless acceleration a L / c^2 at the cavity center;
-        0 < |h| < 2, sign selecting the direction.
+        Dimensionless acceleration a L / c^2 at the cavity center,
+        0 < h < 2.
     geometry : CavityGeometry
         Supplies the mode truncation.
 
@@ -332,9 +317,9 @@ def _inertial_phases(t_seconds, geometry):
 def _rindler_angles(tau_seconds, h, geometry):
     """Wedge phase angles omega_mode(n) eta of modes 1..n_max, with a
     trailing mode axis after the axes of `tau_seconds`; the wedge time
-    is eta = |h| tau c / L."""
-    rind = RindlerGeometry(abs(h))
-    eta = abs(h) * geometry.natural_time(np.asarray(tau_seconds, dtype=float))
+    is eta = h tau c / L."""
+    rind = RindlerGeometry(h)
+    eta = h * geometry.natural_time(np.asarray(tau_seconds, dtype=float))
     n = np.arange(1, geometry.n_max + 1)
     return rind.omega_mode(n) * eta[..., None]
 
@@ -365,95 +350,54 @@ def one_segment_transform(tau_seconds, h, geometry):
 # ---------------------------------------------------------------------------
 # First order in h
 
-def first_order_mixing_magnitude(m, n):
-    """Closed-form size of the first-order alpha coefficient.
-
-    2 sqrt(m n) / (pi^2 |m - n|^3) for m + n odd, zero otherwise; kept
-    only as a cross-check against the extrapolated values.
-    """
+def first_order_mixing(m, n):
+    """Exact first-order alpha coefficient of the switch,
+    A1_mn = -2 sqrt(m n) / (pi^2 (m - n)^3) for m + n odd, zero
+    otherwise."""
     m, n = np.asarray(m), np.asarray(n)
     odd = (m + n) % 2 == 1
-    diff = np.where(odd, np.abs(m - n), 1)
-    out = 2.0 * np.sqrt(m * n) / (np.pi ** 2 * diff ** 3)
+    diff = np.where(odd, m - n, 1)
+    out = -2.0 * np.sqrt(m * n) / (np.pi ** 2 * diff ** 3)
     return np.where(odd, out, 0.0)
 
 
-def first_order_pairing_magnitude(m, n):
-    """Closed-form size of the first-order beta coefficient,
-    2 sqrt(m n) / (pi^2 (m + n)^3) for m + n odd."""
+def first_order_pairing(m, n):
+    """Exact first-order beta coefficient of the switch,
+    B1_mn = -2 sqrt(m n) / (pi^2 (m + n)^3) for m + n odd, zero
+    otherwise."""
     m, n = np.asarray(m), np.asarray(n)
     odd = (m + n) % 2 == 1
-    out = 2.0 * np.sqrt(m * n) / (np.pi ** 2 * (m + n) ** 3)
+    out = -2.0 * np.sqrt(m * n) / (np.pi ** 2 * (m + n) ** 3)
     return np.where(odd, out, 0.0)
 
 
 @dataclass(frozen=True)
 class PerturbativeCoefficients:
-    """First order in h of the sudden switch, with cross-checks."""
+    """First order in h of the sudden switch: alpha = 1 + h alpha1 and
+    beta = h beta1 up to O(h^2), both real (n_max, n_max)."""
 
     alpha1: np.ndarray
     beta1: np.ndarray
-    error: float
-
-    @property
-    def n_modes(self):
-        return self.alpha1.shape[0]
-
-    def ansatz_alpha(self):
-        m = np.arange(1, self.n_modes + 1)
-        return first_order_mixing_magnitude(m[:, None], m[None, :])
-
-    def ansatz_beta(self):
-        m = np.arange(1, self.n_modes + 1)
-        return first_order_pairing_magnitude(m[:, None], m[None, :])
-
-    def match_flags(self):
-        """Per-entry agreement with the closed-form magnitudes.
-
-        Odd m + n entries must match within 1% relative; even ones must
-        vanish below 1e-8.
-        """
-        rtol = 0.01
-        m = np.arange(1, self.n_modes + 1)
-        odd = (m[:, None] + m[None, :]) % 2 == 1
-        ans_a, ans_b = self.ansatz_alpha(), self.ansatz_beta()
-        got_a, got_b = np.abs(self.alpha1), np.abs(self.beta1)
-        ok_odd = (np.abs(got_a - ans_a) <= rtol * np.maximum(ans_a, 1e-300)) \
-            & (np.abs(got_b - ans_b) <= rtol * np.maximum(ans_b, 1e-300))
-        ok_even = (got_a <= 1e-8) & (got_b <= 1e-8)
-        return np.where(odd, ok_odd, ok_even)
 
 
 @lru_cache(maxsize=64)
 def _switch_first_order_cached(n_max):
-    # central differences kill the even orders, so the error series of
-    # the slopes runs in h^2 and the Richardson table uses ratio 4
-    slopes_a, slopes_b = [], []
-    for i in range(EXTRACTION_MAX_LEVELS):
-        h = EXTRACTION_H_BASE / 2.0 ** i
-        plus = _oracle_cached(h, n_max)
-        minus = _oracle_cached(-h, n_max)
-        slopes_a.append((plus.alpha - minus.alpha) / (2.0 * h))
-        slopes_b.append((plus.beta - minus.beta) / (2.0 * h))
-        if i + 1 >= EXTRACTION_LEVELS:
-            a1, err_a = richardson_limit(slopes_a)
-            b1, err_b = richardson_limit(slopes_b)
-            err = max(err_a, err_b)
-            if err <= EXTRACTION_TARGET:
-                a1.flags.writeable = False
-                b1.flags.writeable = False
-                return PerturbativeCoefficients(a1, b1, float(err))
-    raise ExtrapolationError(
-        f"first-order extraction stalled at residual {err:.3e} "
-        f"(target {EXTRACTION_TARGET:g})")
+    m = np.arange(1, n_max + 1)
+    alpha1 = first_order_mixing(m[:, None], m)
+    beta1 = first_order_pairing(m[:, None], m)
+    alpha1.flags.writeable = False
+    beta1.flags.writeable = False
+    return PerturbativeCoefficients(alpha1, beta1)
 
 
 def sudden_switch_perturbative(geometry):
-    """Extract the first-order switch coefficients by finite differences.
+    """Exact first-order switch coefficients, cached per truncation.
 
-    The oracle is evaluated at +-h on a halving ladder and the slopes are
-    Richardson extrapolated to h = 0; closed-form magnitudes are attached
-    for comparison but never substituted.  Cached per truncation.
+    For m + n odd, A1_mn = -2 sqrt(m n) / (pi^2 (m - n)^3) and
+    B1_mn = -2 sqrt(m n) / (pi^2 (m + n)^3); every other entry is zero
+    (Bruschi, Fuentes and Louko, arXiv:1105.1875).  No oracle call is
+    made; the tests check these against central differences of the
+    oracle.
     """
     return _switch_first_order_cached(geometry.n_max)
 
@@ -467,8 +411,8 @@ def _tail_ratio(kp, n_max):
     n_out = np.arange(n_max + 1, n_max + 401)
 
     def env(n):
-        return (first_order_mixing_magnitude(n, kp)
-                + first_order_pairing_magnitude(n, kp))
+        return (np.abs(first_order_mixing(n, kp))
+                + np.abs(first_order_pairing(n, kp)))
 
     total = float(np.sum(env(n_in)))
     tail = float(np.sum(env(n_out)))
@@ -483,10 +427,11 @@ def f_sums(kp, taus, geometry):
     first-order one-segment matrix, f_beta likewise for beta1.  The free
     phases are even in h, so composing B^-1 o D(tau) o B with the switch
     B = 1 + h (A1, B1) gives the first order exactly:
-    alpha1 = A1^dagger D + D A1 and beta1 = D B1 - B1^T D^*, with
+    alpha1 = A1^T D + D A1 and beta1 = D B1 - B1^T D^*, with
     D = diag(exp(-i n pi tau c / L)); only column kp of each is built.
-    These are h -> 0 objects, so they are shared by every acceleration
-    of a sweep row.
+    These are h -> 0 objects, shared by every acceleration of a sweep:
+    they are memoised per (kp, geometry, durations), and the arrays
+    returned are read-only.
 
     Raises TruncationError, naming the smallest adequate n_max, when the
     closed-form envelope estimates more than TAIL_LIMIT (1%) of the
@@ -508,13 +453,22 @@ def f_sums(kp, taus, geometry):
     taus = np.asarray(taus, dtype=float)
     if (taus < 0).any():
         raise ValueError("segment duration must be >= 0")
+    return _f_sums_cached(kp, geometry, taus.shape, taus.tobytes())
+
+
+@lru_cache(maxsize=256)
+def _f_sums_cached(kp, geometry, shape, raw):
+    taus = np.frombuffer(raw).reshape(shape)
     col = kp - 1
     first = sudden_switch_perturbative(geometry)
     d = _inertial_phases(taus, geometry)
     a1, b1 = first.alpha1, first.beta1
     d_col = d[..., col:col + 1]
-    alpha1 = a1[col, :].conj() * d_col + d * a1[:, col]
+    alpha1 = a1[col, :] * d_col + d * a1[:, col]
     beta1 = d * b1[:, col] - b1[col, :] * d_col.conj()
-    f_alpha = 0.5 * np.sum(np.abs(alpha1) ** 2, axis=-1)
-    f_beta = 0.5 * np.sum(np.abs(beta1) ** 2, axis=-1)
-    return f_alpha, f_beta
+    sums = (0.5 * np.sum(np.abs(alpha1) ** 2, axis=-1),
+            0.5 * np.sum(np.abs(beta1) ** 2, axis=-1))
+    for f in sums:
+        if f.ndim:          # a scalar (one duration) is immutable anyway
+            f.flags.writeable = False
+    return sums

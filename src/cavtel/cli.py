@@ -34,7 +34,6 @@ from .bogoliubov import (
 from .errors import (
     CavtelError,
     ConsistencyError,
-    ExtrapolationError,
     PhysicalityError,
     QuadratureError,
     TrajectoryParseError,
@@ -343,12 +342,9 @@ def cmd_coeffs(args):
     geom = cfg.geometry()
     pair = sudden_switch_oracle(args.h, geom)
     first = sudden_switch_perturbative(geom)
-    flags = first.match_flags()
-    lines = [_metadata_lines(cfg, extra=[
-        ("h", args.h), ("defect", pair.defect),
-        ("extrapolation_error", first.error)]),
-        "m,n,re_alpha,im_alpha,re_beta,im_beta,"
-        "abs_alpha1,abs_beta1,closed_form_match_flag"]
+    lines = [_metadata_lines(cfg, extra=[("h", args.h),
+                                         ("defect", pair.defect)]),
+             "m,n,re_alpha,im_alpha,re_beta,im_beta,alpha1,beta1"]
     n = geom.n_max
     for i in range(n):
         for j in range(n):
@@ -356,8 +352,7 @@ def cmd_coeffs(args):
                 str(i + 1), str(j + 1),
                 _fmt(pair.alpha[i, j].real), _fmt(pair.alpha[i, j].imag),
                 _fmt(pair.beta[i, j].real), _fmt(pair.beta[i, j].imag),
-                _fmt(abs(first.alpha1[i, j])), _fmt(abs(first.beta1[i, j])),
-                str(int(flags[i, j]))]))
+                _fmt(first.alpha1[i, j]), _fmt(first.beta1[i, j])]))
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         _write_text(args.out, text)
@@ -386,18 +381,23 @@ def _check_symplectic(cfg):
     return gap <= thr, f"interior form defect {gap:.3e} (limit {thr:.0e})"
 
 def _check_first_order(cfg):
-    first = sudden_switch_perturbative(cfg.geometry())
-    m = np.arange(1, first.n_modes + 1)
-    even = (m[:, None] + m[None, :]) % 2 == 0
-    worst = max(np.abs(first.alpha1[even]).max(),
-                np.abs(first.beta1[even]).max())
-    return worst <= 1e-8, f"largest even-parity coefficient {worst:.3e}"
-
-def _check_closed_form(cfg):
-    first = sudden_switch_perturbative(cfg.geometry())
-    flags = first.match_flags()
-    bad = int(flags.size - flags.sum())
-    return bad == 0, f"{bad} of {flags.size} entries off the closed form"
+    # the odd-parity entries of alpha(h) / h and beta(h) / h are the
+    # oracle's central differences (the wedges' parity makes them odd in
+    # h), so their gap to the closed form must shrink as h^2
+    geom = cfg.geometry()
+    first = sudden_switch_perturbative(geom)
+    m = np.arange(1, geom.n_max + 1)
+    odd = (m[:, None] + m[None, :]) % 2 == 1
+    gap = {}
+    for h in (0.1, 0.05, 0.025):
+        pair = sudden_switch_oracle(h, geom)
+        gap[h] = max(np.abs(pair.alpha[odd] / h - first.alpha1[odd]).max(),
+                     np.abs(pair.beta[odd] / h - first.beta1[odd]).max())
+    r1 = gap[0.1] / gap[0.05]
+    r2 = gap[0.05] / gap[0.025]
+    ok = 3.0 <= r1 <= 5.0 and 3.0 <= r2 <= 5.0
+    return ok, (f"gap to the closed form {gap[0.025]:.3e} at h = 0.025, "
+                f"halving ratios {r1:.2f}, {r2:.2f} (want 3..5)")
 
 def _check_phase_closure(cfg):
     params = cfg.params()
@@ -416,16 +416,17 @@ def _check_phase_closure(cfg):
     return worst <= 1e-9, f"worst closed-form deviation {worst:.3e}"
 
 def _check_order_h4(cfg):
+    # a generic duration: at whole periods the first-order sums vanish
     params = cfg.params()
-    tau = params.geometry.fundamental_period
+    tau = 0.7 * params.geometry.fundamental_period
     res = {}
-    for h in (0.05, 0.1, 0.2):
+    for h in (0.025, 0.05, 0.1):
         a = h * cfg.c_m_per_s ** 2 / cfg.L_m
         traj = Trajectory((Accelerated(a, tau),), params.geometry)
         rep = consistency_report(params, traj, alice_clock=cfg.alice_clock)
         res[h] = abs(rep.F_corrected - rep.F_pert_opt)
-    r1 = res[0.1] / res[0.05]
-    r2 = res[0.2] / res[0.1]
+    r1 = res[0.05] / res[0.025]
+    r2 = res[0.1] / res[0.05]
     ok = 10.0 <= r1 <= 22.0 and 10.0 <= r2 <= 22.0
     return ok, f"halving ratios {r1:.1f}, {r2:.1f} (want 10..22)"
 
@@ -441,8 +442,7 @@ def cmd_validate(args):
     checks = [
         ("bogoliubov-identities", lambda: _check_identities(cfg)),
         ("symplectic-form", lambda: _check_symplectic(cfg)),
-        ("first-order-parity", lambda: _check_first_order(cfg)),
-        ("closed-form-match", lambda: _check_closed_form(cfg)),
+        ("first-order", lambda: _check_first_order(cfg)),
         ("truncation-adequacy", lambda: _check_truncation(cfg)),
         ("phase-closure", lambda: _check_phase_closure(cfg)),
         ("order-h4", lambda: _check_order_h4(cfg)),
@@ -502,8 +502,8 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("coeffs",
-                       help="dump switch coefficients and first-order "
-                            "extrapolations")
+                       help="dump switch coefficients and the exact "
+                            "first-order ones")
     common(p)
     p.add_argument("h", type=float, help="acceleration parameter, (0, 2)")
     p.add_argument("--out", metavar="PATH",
@@ -524,8 +524,8 @@ def main(argv=None):
     except TrajectoryParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PhysicalityError, QuadratureError, ExtrapolationError,
-            TruncationError, ConsistencyError) as exc:
+    except (PhysicalityError, QuadratureError, TruncationError,
+            ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -18,10 +18,6 @@ class QuadratureError(CavtelError, RuntimeError):
         self.panels = panels
 
 
-class ExtrapolationError(CavtelError, RuntimeError):
-    """Richardson extrapolation failed to reach its target accuracy."""
-
-
 class TruncationError(CavtelError, RuntimeError):
     """The mode truncation is too small for the requested quantity."""
 

@@ -259,23 +259,29 @@ def perturbative_fidelity(r, phi, f_alpha, f_beta, h):
     """Closed-form phase-dependent fidelity to second order in h.
 
     The leading term is 1 / (1 + cosh 2r - cos phi sinh 2r); motion
-    subtracts h^2 (F0)^2 (1 + e^{-2r}) (f_beta + f_alpha tanh 2r).
+    subtracts h^2 (F0)^2 (1 + e^{-2r}) (f_beta + f_alpha tanh r).
     phi and the sums may be arrays.
     """
     _check_sums(f_alpha, f_beta, h)
     f0 = 1.0 / (1.0 + math.cosh(2 * r) - np.cos(phi) * math.sinh(2 * r))
     f2 = f0 * f0 * (1.0 + math.exp(-2 * r)) \
-        * (f_beta + f_alpha * math.tanh(2 * r))
+        * (f_beta + f_alpha * math.tanh(r))
     return f0 - f2 * h * h
 
 
 def perturbative_optimal(r, f_alpha, f_beta, h):
     """Phase-corrected optimum to second order in h,
-    (1 - (f_beta + f_alpha tanh 2r) h^2) / (1 + e^{-2r}); the sums may be
-    arrays."""
+    (1 - (f_beta + f_alpha tanh r) h^2) / (1 + e^{-2r}); the sums may be
+    arrays.
+
+    To O(h^2) the noise that motion adds to the relayed mode is
+    isotropic, h^2 [f_alpha (1 - e^{-2r}) + f_beta (1 + e^{-2r})], on top
+    of the resource's 1 + e^{-2r}; over F0 that is the weight
+    f_beta + f_alpha tanh r.
+    """
     _check_sums(f_alpha, f_beta, h)
     f0 = 1.0 / (1.0 + math.exp(-2 * r))
-    return f0 * (1.0 - (f_beta + f_alpha * math.tanh(2 * r)) * h * h)
+    return f0 * (1.0 - (f_beta + f_alpha * math.tanh(r)) * h * h)
 
 
 @dataclass(frozen=True)

@@ -84,24 +84,3 @@ def integrate_stack(evaluate, a, b, tol=1e-10, base_panels=16):
         f"(last residual {residual:g})",
         residual=residual, panels=MAX_PANELS)
 
-
-def richardson_limit(values):
-    """Extrapolate a sequence with error series in powers of 1/4.
-
-    `values[i]` is the estimate at step i, whose error shrinks fourfold
-    per step (an h^2 series on a halving ladder).  Returns the
-    extrapolated limit and an error estimate (the size of the last
-    correction).
-    """
-    if len(values) < 2:
-        raise ValueError("need at least two values to extrapolate")
-    prev_row = [np.asarray(values[0])]
-    for i in range(1, len(values)):
-        row = [np.asarray(values[i])]
-        for j in range(1, i + 1):
-            fac = 4.0 ** j
-            row.append((fac * row[j - 1] - prev_row[j - 1]) / (fac - 1.0))
-        prev_row = row
-    limit = prev_row[-1]
-    err = float(np.max(np.abs(limit - prev_row[-2])))
-    return limit, err

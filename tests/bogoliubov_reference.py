@@ -7,16 +7,31 @@ dense (alpha, beta) matrices, so that tests can compose a trajectory
 step by step with `compose` and compare.  Likewise `f_sums` builds one
 column of the first-order one-segment matrices; the full matrices are
 built here.
+
+The library's switch takes h > 0 only and its first order is the closed
+form.  Here the switch is also integrated at h < 0, against the mirrored
+wedge modes, and the first order is extracted numerically from central
+differences on a Richardson ladder: the independent cross-check of the
+closed form.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
 from cavtel.bogoliubov import (
+    ORACLE_TOL,
     BogoliubovPair,
+    RindlerGeometry,
     _inertial_phases,
     _rindler_angles,
+    compose,
+    make_pair,
+    one_segment_transform,
+    sudden_switch_oracle,
     sudden_switch_perturbative,
 )
+from cavtel.quadrature import integrate_stack
 
 
 def identity_pair(n):
@@ -44,7 +59,7 @@ def phase_evolution_rindler(tau_seconds, h, geometry):
     The dimensionless wedge time is eta = |h| tau c / L; phases approach
     the inertial ones as h -> 0 (relative frequency shift about h^2/12).
     """
-    theta = _rindler_angles(tau_seconds, h, geometry)
+    theta = _rindler_angles(tau_seconds, abs(h), geometry)
     return BogoliubovPair(np.diag(np.exp(-1j * theta)),
                           np.zeros((geometry.n_max,) * 2, dtype=complex), 0.0)
 
@@ -68,3 +83,123 @@ def one_segment_first_order(tau_seconds, geometry):
     alpha1 = a1.conj().T * row + col * a1
     beta1 = col * b1 - b1.T * row.conj()
     return alpha1, beta1
+
+
+def richardson_limit(values):
+    """Extrapolate a sequence with error series in powers of 1/4.
+
+    `values[i]` is the estimate at step i, whose error shrinks fourfold
+    per step (an h^2 series on a halving ladder).  Returns the
+    extrapolated limit and an error estimate (the size of the last
+    correction).
+    """
+    if len(values) < 2:
+        raise ValueError("need at least two values to extrapolate")
+    prev_row = [np.asarray(values[0])]
+    for i in range(1, len(values)):
+        row = [np.asarray(values[i])]
+        for j in range(1, i + 1):
+            fac = 4.0 ** j
+            row.append((fac * row[j - 1] - prev_row[j - 1]) / (fac - 1.0))
+        prev_row = row
+    limit = prev_row[-1]
+    err = float(np.max(np.abs(limit - prev_row[-2])))
+    return limit, err
+
+
+def elementwise_switch_overlaps(h, n_max, tol):
+    """Reference for `_switch_overlaps`: the full n_max^2 x K stack of
+    pointwise mode products, integrated as a plain stack from an
+    over-resolving base of max(32, 2 n_max) panels.
+
+    Negative h means acceleration toward the other wall: the wedge modes
+    are mirrored (measured from the far wall) and mode m carries the
+    sign (-1)^(m+1), the labeling that tends to the inertial family as
+    h -> 0.  The stack holds 2 n_max^2 rows per node, so at large n_max
+    callers shrink `quadrature._NODE_CHUNK` to bound its memory.
+    """
+    rind = RindlerGeometry(abs(h))
+    width = rind.log_width
+    scale = abs(h) / (1.0 - abs(h) / 2.0)
+    modes = np.arange(1, n_max + 1)
+    omega = modes * np.pi
+    omega_wedge = modes * np.pi / width
+    mirrored = h < 0
+    row_sign = np.where(modes % 2 == 1, 1.0, -1.0)
+
+    def evaluate(u):
+        sin_in = np.sin(np.outer(omega, u))
+        w = 1.0 - u if mirrored else u
+        sin_we = np.sin(np.pi * np.outer(modes, np.log1p(w * scale) / width))
+        if mirrored:
+            sin_we = sin_we * row_sign[:, None]
+        inv_rad = scale / (1.0 + w * scale)
+        flat = (sin_we[:, None, :] * sin_in[None, :, :]).reshape(
+            n_max * n_max, -1)
+        return (np.concatenate([flat, flat * inv_rad[None, :]]),
+                np.ones((1, u.size)))
+
+    vals, _, _ = integrate_stack(evaluate, 0.0, 1.0, tol=tol,
+                                 base_panels=max(32, 2 * n_max))
+    i0 = vals[:n_max * n_max, 0].reshape(n_max, n_max)
+    i1 = vals[n_max * n_max:, 0].reshape(n_max, n_max)
+    norm = 1.0 / (np.pi * np.sqrt(np.outer(modes, modes)))
+    return (norm * (omega[None, :] * i0 + omega_wedge[:, None] * i1),
+            norm * (omega[None, :] * i0 - omega_wedge[:, None] * i1))
+
+
+@lru_cache(maxsize=None)
+def mirrored_switch(h, n_max):
+    """Switch pair at h < 0 from the elementwise reference, with its
+    measured defect, read-only like the oracle's."""
+    if not h < 0:
+        raise ValueError("the mirrored switch takes h < 0")
+    co, counter = elementwise_switch_overlaps(h, n_max, ORACLE_TOL)
+    pair = make_pair(co, -counter)
+    pair.alpha.flags.writeable = False
+    pair.beta.flags.writeable = False
+    return pair
+
+
+def segment_transform(tau_seconds, h, geometry):
+    """`one_segment_transform` at either sign of h: the library's for
+    h > 0; for h < 0, inverse(B) o wedge phases o B composed densely
+    from the mirrored switch B."""
+    if h > 0:
+        return one_segment_transform(tau_seconds, h, geometry)
+    b0 = mirrored_switch(h, geometry.n_max)
+    phases = phase_evolution_rindler(tau_seconds, h, geometry)
+    return compose(inverse(b0), compose(phases, b0))
+
+
+def first_order_ladder(pair_at, h_base=0.1, levels=4, target=1e-8,
+                       max_levels=6):
+    """First order in h of `pair_at(h)`, a pair at either sign of h, by
+    central differences on the halving ladder h_base / 2^i, Richardson
+    extrapolated (the even orders cancel, so the error series runs in
+    h^2 and the ratio is 4).  Returns (alpha1, beta1, error estimate)
+    once the estimate is at most `target`, after at least `levels`
+    levels."""
+    slopes_a, slopes_b = [], []
+    for i in range(max_levels):
+        h = h_base / 2.0 ** i
+        plus, minus = pair_at(h), pair_at(-h)
+        slopes_a.append((plus.alpha - minus.alpha) / (2.0 * h))
+        slopes_b.append((plus.beta - minus.beta) / (2.0 * h))
+        if i + 1 >= levels:
+            a1, err_a = richardson_limit(slopes_a)
+            b1, err_b = richardson_limit(slopes_b)
+            err = max(err_a, err_b)
+            if err <= target:
+                return a1, b1, err
+    raise AssertionError(f"first-order ladder stalled at {err:.3e}")
+
+
+def switch_first_order_ladder(geometry):
+    """The switch's first order from the oracle at +h and the mirrored
+    reference at -h."""
+    def pair_at(h):
+        if h > 0:
+            return sudden_switch_oracle(h, geometry)
+        return mirrored_switch(h, geometry.n_max)
+    return first_order_ladder(pair_at)

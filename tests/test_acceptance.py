@@ -33,7 +33,7 @@ from cavtel.trajectory import Accelerated, Inertial, Trajectory, h_parameter
 REST_F = 1.0 / (1.0 + math.exp(-1.0))
 # the default sweep's bytes; a change that moves any row re-pins this
 DEFAULT_SWEEP_SHA256 = (
-    "d4fc9d419a421a82723d298d047cf70082a1dd3d142e22d1b83689fb5c6fe7b4")
+    "fb052a2eab51f6089576da9fc7be4bb228d3022a2717777c5edce09a7e994a55")
 PARAMS = ProtocolParams()
 REST = Trajectory((Inertial(0.0),), DEFAULT_GEOMETRY)
 
@@ -144,6 +144,25 @@ def test_acceptance_fourth_order_residual():
     ratios += [resid[0.1][i] / resid[0.05][i] for i in (0, 1)]
     ok = all(10.0 <= ratio <= 22.0 for ratio in ratios)
     report("fourth-order-residual", ok,
+           "halving ratios " + ", ".join(f"{ratio:.2f}" for ratio in ratios)
+           + " all in [10, 22]")
+
+
+def test_acceptance_fourth_order_residual_generic_tau():
+    # away from whole periods the sums are nonzero, so the h^2 weight
+    # f_beta + f_alpha tanh r is tested; at r = ln 2, tau = 0.37 T the h^4
+    # coefficient nearly cancels and h^6 takes over by h = 0.2, so the
+    # ladder stops at 0.1
+    period = DEFAULT_GEOMETRY.fundamental_period
+    ratios = []
+    for r in (0.5, math.log(2.0)):
+        params = ProtocolParams(r=r)
+        for frac in (0.37, 0.7, 1.6):
+            resid = [abs(consistency_report(params, burn_for(h, frac * period))
+                         .residual_pert) for h in (0.025, 0.05, 0.1)]
+            ratios += [resid[1] / resid[0], resid[2] / resid[1]]
+    ok = all(10.0 <= ratio <= 22.0 for ratio in ratios)
+    report("fourth-order-residual-generic-tau", ok,
            "halving ratios " + ", ".join(f"{ratio:.2f}" for ratio in ratios)
            + " all in [10, 22]")
 

@@ -13,15 +13,14 @@ from scipy.linalg import block_diag
 
 from cavtel import bogoliubov, quadrature
 from cavtel.bogoliubov import (
-    EXTRACTION_H_BASE,
     ORACLE_TOL,
     CavityGeometry,
     RindlerGeometry,
     _switch_overlaps,
     compose,
     f_sums,
-    first_order_mixing_magnitude,
-    first_order_pairing_magnitude,
+    first_order_mixing,
+    first_order_pairing,
     identity_residuals,
     make_pair,
     one_segment_transform,
@@ -32,14 +31,20 @@ from cavtel.bogoliubov import (
 )
 from cavtel.errors import QuadratureError, TruncationError
 from cavtel.gaussian import rotation, symplectic_form
-from cavtel.quadrature import integrate_stack, richardson_limit
+from cavtel.quadrature import integrate_stack
 
 from bogoliubov_reference import (
+    elementwise_switch_overlaps,
+    first_order_ladder,
     identity_pair,
     inverse,
+    mirrored_switch,
     one_segment_first_order,
     phase_evolution_minkowski,
     phase_evolution_rindler,
+    richardson_limit,
+    segment_transform,
+    switch_first_order_ladder,
 )
 
 GEOM = CavityGeometry(0.012, 1.2e8, 10)
@@ -335,7 +340,7 @@ def test_oracle_left_wedge_matches_scipy():
         return fm * un * (n * math.pi + rind.omega_mode(m) / rho)
 
     want, _ = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
-    pair = sudden_switch_oracle(-h, GEOM)
+    pair = mirrored_switch(-h, GEOM.n_max)
     assert pair.alpha[m - 1, n - 1].real == pytest.approx(want, abs=1e-8)
 
 
@@ -355,43 +360,9 @@ def test_oracle_matches_scipy_at_nmax_40(h, m, n):
                                                          abs=1e-8)
 
 
-def elementwise_switch_overlaps(h, n_max, tol):
-    """Reference for `_switch_overlaps`: the full n_max^2 x K stack of
-    pointwise mode products, integrated as a plain stack from an
-    over-resolving base of max(32, 2 n_max) panels."""
-    rind = RindlerGeometry(abs(h))
-    width = rind.log_width
-    scale = abs(h) / (1.0 - abs(h) / 2.0)
-    modes = np.arange(1, n_max + 1)
-    omega = modes * np.pi
-    omega_wedge = modes * np.pi / width
-    mirrored = h < 0
-    row_sign = np.where(modes % 2 == 1, 1.0, -1.0)
-
-    def evaluate(u):
-        sin_in = np.sin(np.outer(omega, u))
-        w = 1.0 - u if mirrored else u
-        sin_we = np.sin(np.pi * np.outer(modes, np.log1p(w * scale) / width))
-        if mirrored:
-            sin_we = sin_we * row_sign[:, None]
-        inv_rad = scale / (1.0 + w * scale)
-        flat = (sin_we[:, None, :] * sin_in[None, :, :]).reshape(
-            n_max * n_max, -1)
-        return (np.concatenate([flat, flat * inv_rad[None, :]]),
-                np.ones((1, u.size)))
-
-    vals, _, _ = integrate_stack(evaluate, 0.0, 1.0, tol=tol,
-                                 base_panels=max(32, 2 * n_max))
-    i0 = vals[:n_max * n_max, 0].reshape(n_max, n_max)
-    i1 = vals[n_max * n_max:, 0].reshape(n_max, n_max)
-    norm = 1.0 / (np.pi * np.sqrt(np.outer(modes, modes)))
-    return (norm * (omega[None, :] * i0 + omega_wedge[:, None] * i1),
-            norm * (omega[None, :] * i0 - omega_wedge[:, None] * i1))
-
-
 @pytest.mark.parametrize("n_max", [10, 20, 40, 64])
 def test_switch_overlaps_match_elementwise_reference(n_max, monkeypatch):
-    for h in (0.003125, -0.003125, 0.245, 1.5, -1.99):
+    for h in (0.003125, 0.245, 1.5, 1.99):
         co, counter, _ = _switch_overlaps(h, n_max)
         with monkeypatch.context() as patch:
             # small node chunks bound the reference stack's memory
@@ -420,8 +391,9 @@ def test_switch_overlaps_evaluate_factors_only(monkeypatch):
 
 
 def test_oracle_parity_between_wedges():
+    # the mirrored wedge is the reference's own integrand
     plus = sudden_switch_oracle(0.1, GEOM)
-    minus = sudden_switch_oracle(-0.1, GEOM)
+    minus = mirrored_switch(-0.1, GEOM.n_max)
     m = np.arange(1, 11)
     signs = (-1.0) ** (m[:, None] + m[None, :])
     assert np.max(np.abs(minus.alpha - signs * plus.alpha)) < 1e-12
@@ -440,31 +412,20 @@ def test_oracle_identity_health():
     assert identity_residuals(pair.alpha, pair.beta) <= 1e-3
 
 
-def test_ladder_and_oracle_share_cache_entries(monkeypatch):
-    # one quadrature tolerance: the first-order ladder's +-h switches are
-    # the oracle's own cache entries
-    from cavtel.protocol import DEFAULT_GEOMETRY
+def test_first_order_makes_no_oracle_call():
     cached = bogoliubov._oracle_cached
-    ladder = {}
-
-    def spy(h, *rest):
-        ladder.setdefault(h, cached(h, *rest))
-        return ladder[h]
-
-    cached.cache_clear()
     bogoliubov._switch_first_order_cached.cache_clear()
-    monkeypatch.setattr(bogoliubov, "_oracle_cached", spy)
-    sudden_switch_perturbative(DEFAULT_GEOMETRY)
     before = cached.cache_info()
-    pair = sudden_switch_oracle(EXTRACTION_H_BASE, DEFAULT_GEOMETRY)
-    after = cached.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    assert pair is ladder[EXTRACTION_H_BASE]
+    for n_max in (10, 20, 40):
+        sudden_switch_perturbative(CavityGeometry(0.012, 1.2e8, n_max))
+    assert cached.cache_info() == before
 
 
 def test_oracle_rejects_zero_h():
     with pytest.raises(ValueError):
         sudden_switch_oracle(0.0, GEOM)
+    with pytest.raises(ValueError):
+        sudden_switch_oracle(-0.1, GEOM)
 
 
 def test_oracle_arrays_are_frozen():
@@ -623,17 +584,25 @@ def test_first_order_even_parity_vanishes():
     even = (m[:, None] + m[None, :]) % 2 == 0
     assert np.abs(first.alpha1[even]).max() < 1e-8
     assert np.abs(first.beta1[even]).max() < 1e-8
-    assert first.error < 1e-8
 
 
-def test_first_order_matches_closed_form():
-    first = sudden_switch_perturbative(GEOM)
-    assert bool(first.match_flags().all())
-    # spot values
-    assert abs(first.alpha1[1, 0]) == pytest.approx(
-        2 * math.sqrt(2) / math.pi ** 2, rel=1e-6)
-    assert abs(first.beta1[1, 0]) == pytest.approx(
-        2 * math.sqrt(2) / (27 * math.pi ** 2), rel=1e-6)
+def test_first_order_matches_closed_form(monkeypatch):
+    # the Richardson ladder of oracle central differences, with the
+    # mirrored switch at -h, reaches the closed form within its own
+    # error estimate
+    monkeypatch.setattr(quadrature, "_NODE_CHUNK", 256)
+    for n_max in (10, 20, 40):
+        geom = CavityGeometry(0.012, 1.2e8, n_max)
+        a1, b1, err = switch_first_order_ladder(geom)
+        first = sudden_switch_perturbative(geom)
+        assert err <= 1e-8
+        assert np.max(np.abs(a1 - first.alpha1)) <= err
+        assert np.max(np.abs(b1 - first.beta1)) <= err
+    # spot values, signs included
+    assert first.alpha1[1, 0] == pytest.approx(
+        -2 * math.sqrt(2) / math.pi ** 2, rel=1e-15)
+    assert first.beta1[1, 0] == pytest.approx(
+        -2 * math.sqrt(2) / (27 * math.pi ** 2), rel=1e-15)
 
 
 def test_first_order_symmetries():
@@ -644,12 +613,14 @@ def test_first_order_symmetries():
 
 
 def test_closed_form_magnitudes():
-    assert first_order_mixing_magnitude(2, 1) == pytest.approx(
+    assert first_order_mixing(2, 1) == pytest.approx(
+        -2 * math.sqrt(2) / math.pi ** 2)
+    assert first_order_mixing(1, 2) == pytest.approx(
         2 * math.sqrt(2) / math.pi ** 2)
-    assert first_order_mixing_magnitude(3, 1) == 0.0
-    assert first_order_pairing_magnitude(2, 1) == pytest.approx(
-        2 * math.sqrt(2) / (27 * math.pi ** 2))
-    assert first_order_pairing_magnitude(1, 1) == 0.0
+    assert first_order_mixing(3, 1) == 0.0
+    assert first_order_pairing(2, 1) == pytest.approx(
+        -2 * math.sqrt(2) / (27 * math.pi ** 2))
+    assert first_order_pairing(1, 1) == 0.0
 
 
 def test_second_order_diagonal_against_oracle():
@@ -669,25 +640,14 @@ def test_second_order_diagonal_against_oracle():
     assert np.allclose(extrap[:5], a2[:5], rtol=0.02, atol=1e-4)
 
 
-def segment_first_order_ladder(tau, geometry, h_base=0.1, levels=4,
-                               target=1e-8, max_levels=6):
+def segment_first_order_ladder(tau, geometry):
     """First order in h of `one_segment_transform` at fixed tau, by
-    central differences of the full segment on a halving h ladder,
-    Richardson extrapolated (error series in h^2, ratio 4).  Independent
-    of the composition identity the library uses."""
-    slopes_a, slopes_b = [], []
-    for i in range(max_levels):
-        h = h_base / 2.0 ** i
-        plus = one_segment_transform(tau, h, geometry)
-        minus = one_segment_transform(tau, -h, geometry)
-        slopes_a.append((plus.alpha - minus.alpha) / (2.0 * h))
-        slopes_b.append((plus.beta - minus.beta) / (2.0 * h))
-        if i + 1 >= levels:
-            a1, err_a = richardson_limit(slopes_a)
-            b1, err_b = richardson_limit(slopes_b)
-            if max(err_a, err_b) <= target:
-                return a1, b1
-    raise AssertionError("first-order ladder did not converge")
+    central differences of the full segment (the mirrored switch at -h)
+    on a halving h ladder.  Independent of the composition identity the
+    library uses."""
+    a1, b1, _ = first_order_ladder(
+        lambda h: segment_transform(tau, h, geometry))
+    return a1, b1
 
 
 def test_segment_first_order_composition_matches_ladder():
@@ -717,13 +677,13 @@ def test_f_sums_match_first_order_column():
 
 def test_f_sums_match_interference_formula():
     # first-order column weights interfere as sin^2 of half the phase
-    # mismatch, with the closed-form switch magnitudes
+    # mismatch, with the closed-form switch coefficients
     tau = 0.13e-9
     tau_nat = GEOM.natural_time(tau)
     fa, fb = f_sums(3, tau, GEOM)
     n = np.arange(1, 11)
-    mix = first_order_mixing_magnitude(n, 3)
-    pairm = first_order_pairing_magnitude(n, 3)
+    mix = first_order_mixing(n, 3)
+    pairm = first_order_pairing(n, 3)
     want_a = 2.0 * np.sum(mix ** 2
                           * np.sin((n - 3) * math.pi * tau_nat / 2) ** 2)
     want_b = 2.0 * np.sum(pairm ** 2

@@ -376,8 +376,33 @@ def test_sweep_wider_than_oracle_cache_computes_each_switch_once():
     bogoliubov._switch_first_order_cached.cache_clear()
     rows, _ = sweep_rows(cfg)
     assert len(rows) == 2200
-    # one switch per acceleration, plus the first-order extraction ladder
-    assert bogoliubov._oracle_cached.cache_info().misses <= cfg.a_steps + 12
+    # one switch per acceleration; the first order is the closed form
+    assert bogoliubov._oracle_cached.cache_info().misses == cfg.a_steps
+
+
+def test_sweep_evaluates_the_first_order_sums_once():
+    from cavtel import bogoliubov
+    from cavtel.cli import RunConfig, sweep_rows
+    from cavtel.protocol import perturbative_optimal
+    cfg = RunConfig(tau_steps=7, a_steps=40)
+    bogoliubov._f_sums_cached.cache_clear()
+    rows, _ = sweep_rows(cfg)
+    info = bogoliubov._f_sums_cached.cache_info()
+    assert (info.misses, info.hits) == (1, cfg.a_steps - 1)
+    taus, accs = cfg.grid()
+    geom = cfg.geometry()
+    fa, fb = bogoliubov.f_sums(cfg.kp, taus, geom)
+    assert not fa.flags.writeable and not fb.flags.writeable
+    # the shared sums are the ones each column would compute afresh
+    fresh = bogoliubov._f_sums_cached.__wrapped__(
+        cfg.kp, geom, taus.shape, taus.tobytes())
+    assert np.array_equal(fa, fresh[0]) and np.array_equal(fb, fresh[1])
+    for j in range(cfg.a_steps):
+        column = rows[j::cfg.a_steps]
+        assert [row[1] for row in column] == [accs[j]] * cfg.tau_steps
+        h = column[0][2]
+        want = perturbative_optimal(cfg.r, fresh[0], fresh[1], h)
+        assert np.array_equal([row[8] for row in column], want)
 
 
 def test_sweep_near_rest_grid(tmp_path, capsys):
@@ -473,8 +498,7 @@ def test_coeffs_small_h_is_identity(tmp_path, capsys):
     assert code == 0
     _, header, body = read_csv(str(out_path))
     assert header == ["m", "n", "re_alpha", "im_alpha", "re_beta",
-                      "im_beta", "abs_alpha1", "abs_beta1",
-                      "closed_form_match_flag"]
+                      "im_beta", "alpha1", "beta1"]
     assert len(body) == 100
     for row in body:
         m, n = int(row["m"]), int(row["n"])
@@ -483,20 +507,26 @@ def test_coeffs_small_h_is_identity(tmp_path, capsys):
         assert float(row["im_alpha"]) == 0.0
         assert float(row["re_beta"]) == pytest.approx(0.0, abs=1e-5)
         if (m + n) % 2 == 0:
-            assert float(row["abs_alpha1"]) < 1e-8
-            assert float(row["abs_beta1"]) < 1e-8
-        assert row["closed_form_match_flag"] == "1"
+            assert row["alpha1"] == row["beta1"] == "0.00000000000e+00"
 
 
 def test_coeffs_closed_form_column(tmp_path, capsys):
     out_path = tmp_path / "coeffs.csv"
     run(["coeffs", "0.1", "--out", str(out_path)], capsys)
-    _, _, body = read_csv(str(out_path))
+    meta, _, body = read_csv(str(out_path))
+    assert not any("extrapolation_error" in line for line in meta)
     table = {(int(r["m"]), int(r["n"])): r for r in body}
-    assert float(table[(2, 1)]["abs_alpha1"]) == pytest.approx(
-        2 * math.sqrt(2) / math.pi ** 2, rel=1e-4)
-    assert float(table[(2, 1)]["abs_beta1"]) == pytest.approx(
-        2 * math.sqrt(2) / (27 * math.pi ** 2), rel=1e-4)
+    # signed: A1_mn = -2 sqrt(mn) / (pi^2 (m - n)^3), B1 with m + n
+    for (m, n) in ((2, 1), (1, 2), (7, 4)):
+        assert float(table[(m, n)]["alpha1"]) == pytest.approx(
+            -2 * math.sqrt(m * n) / (math.pi ** 2 * (m - n) ** 3),
+            rel=1e-11)
+        assert float(table[(m, n)]["beta1"]) == pytest.approx(
+            -2 * math.sqrt(m * n) / (math.pi ** 2 * (m + n) ** 3),
+            rel=1e-11)
+    # at odd parity alpha(h) / h is the closed form up to O(h^2)
+    assert float(table[(2, 1)]["re_alpha"]) / 0.1 == pytest.approx(
+        float(table[(2, 1)]["alpha1"]), rel=0.05)
 
 
 def test_coeffs_rejects_out_of_range(capsys):
@@ -519,8 +549,25 @@ def test_validate_passes(capsys):
 
 def test_validate_reports_each_check_once(capsys):
     _, out, _ = run(["validate"], capsys)
-    names = [ln.split()[1] for ln in out.splitlines() if ln]
-    assert len(names) == len(set(names))
+    names = [ln.split()[1].rstrip(":") for ln in out.splitlines() if ln]
+    assert names == ["bogoliubov-identities", "symplectic-form",
+                     "first-order", "truncation-adequacy", "phase-closure",
+                     "order-h4"]
+
+
+def test_validate_first_order_catches_a_wrong_sign(monkeypatch, capsys):
+    from cavtel import cli
+    from cavtel.bogoliubov import PerturbativeCoefficients
+    real = cli.sudden_switch_perturbative
+
+    def flipped(geometry):
+        first = real(geometry)
+        return PerturbativeCoefficients(first.alpha1, -first.beta1)
+
+    monkeypatch.setattr(cli, "sudden_switch_perturbative", flipped)
+    code, out, _ = run(["validate"], capsys)
+    assert code == 5
+    assert "FAIL first-order" in out
 
 
 def test_validate_truncated_basis_fails(capsys):

@@ -254,7 +254,7 @@ def test_report_single_burn_perturbative_tracking():
     assert rep.h == pytest.approx(1e17 * 0.012 / 1.2e8 ** 2, rel=1e-15)
     deficit = REST_F - rep.F_pert_opt
     assert deficit > 1e-3
-    assert rep.F_opt_numeric < REST_F
+    assert rep.F_pert_opt < rep.F_opt_numeric < REST_F
     assert rep.residual_pert < 0.03 * deficit
     assert abs(rep.F_opt_numeric - rep.F_pert_opt) < 0.01 * deficit
     assert rep.residual_pert == pytest.approx(

@@ -391,14 +391,11 @@ def _switch_first_order_cached(n_max):
 
 
 def sudden_switch_perturbative(geometry):
-    """Exact first-order switch coefficients, cached per truncation.
-
-    For m + n odd, A1_mn = -2 sqrt(m n) / (pi^2 (m - n)^3) and
-    B1_mn = -2 sqrt(m n) / (pi^2 (m + n)^3); every other entry is zero
-    (Bruschi, Fuentes and Louko, arXiv:1105.1875).  No oracle call is
-    made; the tests check these against central differences of the
-    oracle.
-    """
+    """Exact first-order switch coefficients over modes 1..n_max, the
+    closed forms `first_order_mixing` and `first_order_pairing`
+    (Bruschi, Fuentes and Louko, arXiv:1105.1875), cached per truncation.
+    No oracle call is made; the tests check them against central
+    differences of the oracle."""
     return _switch_first_order_cached(geometry.n_max)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 
@@ -120,6 +119,14 @@ class RunConfig:
                 f"{self.a_min_m_s2!r} and a_max_m_s2 = {a_max!r}")
         taus = np.linspace(self.tau_min_s, tau_max, self.tau_steps)
         accs = np.linspace(self.a_min_m_s2, a_max, self.a_steps)
+        # a range a few ulps wide repeats values; the CSV would keep every
+        # row but the plot matrix can hold each coordinate only once
+        for axis, keys in ((taus, "tau_min_s, tau_max_s and tau_steps"),
+                           (accs, "a_min_m_s2, a_max_m_s2 and a_steps")):
+            if not (np.diff(axis) > 0.0).all():
+                raise ValueError(
+                    f"{keys} give a grid axis that is not strictly "
+                    "increasing; widen the range or take fewer steps")
         return taus, accs
 
 
@@ -184,24 +191,19 @@ def _fmt(x):
     return FLOAT_FMT % x
 
 
-def _sweep_row_text(rows):
-    """CSV body lines of the sweep rows, in their order."""
-    # coordinates round-trip exactly so h = a L / c^2 survives the file,
-    # each distinct tau and (a, h) formatted once (but zeros every time:
-    # 0.0 and -0.0 are one key with two texts); derived quantities carry
-    # the fixed 12-digit format, one template per row
+def _sweep_row_text(taus, accs, reports):
+    """CSV body lines of the grid in tau-major order: row i of each
+    column report in turn, then row i + 1."""
+    # coordinates round-trip exactly so h = a L / c^2 survives the file;
+    # derived quantities carry the fixed 12-digit format
     line = "%s,%s," + ",".join([FLOAT_FMT] * (len(SWEEP_COLUMNS) - 3))
-    tau_text, ah_text = {}, {}
-    lines = []
-    for tau, a, h, *values in rows:
-        t = tau_text.get(tau) if tau else None
-        if t is None:
-            t = tau_text[tau] = repr(float(tau))
-        ah = ah_text.get((a, h)) if a and h else None
-        if ah is None:
-            ah = ah_text[a, h] = f"{float(a)!r},{float(h)!r}"
-        lines.append(line % (t, ah, *values))
-    return lines
+    coords = [f"{a!r},{float(rep.h[0])!r}"
+              for a, rep in zip(accs.tolist(), reports)]
+    values = [np.column_stack([getattr(rep, c) for c in SWEEP_COLUMNS[3:]])
+              .tolist() for rep in reports]
+    return [line % (tau, coords[j], *values[j][i])
+            for i, tau in enumerate(map(repr, taus.tolist()))
+            for j in range(len(reports))]
 
 
 # ---------------------------------------------------------------------------
@@ -242,65 +244,45 @@ def _metadata_lines(cfg, extra=()):
     return "\n".join(lines)
 
 
-class SweepStats(namedtuple("SweepStats",
-                            "max_defect clamped_points clamp_max")):
-    """Deterministic counters of one sweep: the worst transform defect,
-    and how many reduced states were clamped into the physical cone and
-    by how much at most (0.0 when none were)."""
-
-    __slots__ = ()
-
-
 def _sweep_column(params, alice_clock, taus, a):
     # consistency_report's body: bench/tracer.py wraps it per trajectory
     traj = Trajectory((Accelerated(a, taus),), params.geometry)
-    rep, _ = _report(params, traj, alice_clock)
-    table = np.column_stack([taus, np.full(taus.shape, a)]
-                            + [getattr(rep, c) for c in SWEEP_COLUMNS[2:]])
-    return table.tolist(), rep.defect, rep.clamp
+    return _report(params, traj, alice_clock)[0]
 
 
 def sweep_rows(cfg, jobs=1):
-    """Evaluate the full grid, returning (rows, SweepStats) with the rows
-    in tau-major order.
+    """Evaluate the full grid, returning (taus, accs, reports): one
+    column report of (T,) arrays per acceleration, in the order of accs.
 
-    Each acceleration column is one report on the column trajectory
+    Each column is one report on the column trajectory
     (Accelerated(a, taus),): one switch and one state kernel pass over
-    all taus; with jobs > 1 the pool gets whole columns.
+    all taus; with jobs > 1 the pool gets whole columns, and never more
+    workers than there are columns.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     params = cfg.params()
     taus, accs = cfg.grid()
     worker = partial(_sweep_column, params, cfg.alice_clock, taus)
+    jobs = min(jobs, len(accs))
     if jobs > 1:
         # imported here, so that a --jobs 1 run does not pay for it
         from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(accs) // (8 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            columns = list(pool.map(worker, accs.tolist(), chunksize=chunk))
+            reports = list(pool.map(worker, accs.tolist(), chunksize=chunk))
     else:
-        columns = [worker(a) for a in accs.tolist()]
-    rows = [col[i] for i in range(len(taus)) for col, _, _ in columns]
-    defect = np.concatenate([d for _, d, _ in columns])
-    clamp = np.concatenate([c for _, _, c in columns])
-    stats = SweepStats(max_defect=float(defect.max()),
-                       clamped_points=int(np.count_nonzero(clamp)),
-                       clamp_max=float(clamp.max()))
-    return rows, stats
+        reports = [worker(a) for a in accs.tolist()]
+    return taus, accs, reports
 
 
-def _plot_matrix(rows):
+def _plot_matrix(taus, accs, reports):
     """Gnuplot nonuniform-matrix text of F_opt over the grid."""
-    taus = sorted({row[0] for row in rows})
-    accs = sorted({row[1] for row in rows})
-    f_opt = {(row[0], row[1]): row[6] for row in rows}
     lines = ["# gnuplot nonuniform matrix: F_opt_numeric(tau, a)",
-             "# plot with: splot 'file' nonuniform matrix with pm3d"]
-    head = [str(len(taus))] + [_fmt(t) for t in taus]
-    lines.append(" ".join(head))
-    for a in accs:
-        cells = [_fmt(a)] + [_fmt(f_opt[(t, a)]) for t in taus]
+             "# plot with: splot 'file' nonuniform matrix with pm3d",
+             " ".join([str(len(taus))] + [_fmt(t) for t in taus.tolist()])]
+    for a, rep in zip(accs.tolist(), reports):
+        cells = [_fmt(a)] + [_fmt(f) for f in rep.F_opt_numeric.tolist()]
         lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -312,23 +294,25 @@ def _write_text(path, text):
 
 def cmd_sweep(args):
     cfg = _load_config(args)
-    rows, stats = sweep_rows(cfg, jobs=args.jobs)
+    taus, accs, reports = sweep_rows(cfg, jobs=args.jobs)
+    defect = np.concatenate([rep.defect for rep in reports])
+    clamp = np.concatenate([rep.clamp for rep in reports])
     out = ["# sweep grid: tau-major row order",
            _metadata_lines(cfg),
            "# grid axes are a reconstruction of the regime, not published",
            "# coordinates",
-           f"# max_defect = {stats.max_defect!r}",
-           f"# clamped_points = {stats.clamped_points}",
-           f"# clamp_max = {stats.clamp_max!r}",
+           f"# max_defect = {float(defect.max())!r}",
+           f"# clamped_points = {np.count_nonzero(clamp)}",
+           f"# clamp_max = {float(clamp.max())!r}",
            ",".join(SWEEP_COLUMNS)]
-    out.extend(_sweep_row_text(rows))
+    out.extend(_sweep_row_text(taus, accs, reports))
     text = "\n".join(out) + "\n"
     if args.out is not None:
         _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     if args.plot_data is not None:
-        _write_text(args.plot_data, _plot_matrix(rows))
+        _write_text(args.plot_data, _plot_matrix(taus, accs, reports))
     return 0
 
 

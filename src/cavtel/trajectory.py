@@ -14,7 +14,9 @@ tau the lab clock advances (c / a) sinh(a tau / c).
 
 A burn whose tau is a 1-D array makes the trajectory a column: T
 trajectories that differ only in that burn's duration, whose ledger,
-phases and transform carry a leading axis of length T.
+phases and transform carry a leading axis of length T.  Several array
+burns zip row by row: trajectory i takes the i-th duration of each, so
+their arrays must have one length.
 """
 
 from __future__ import annotations
@@ -131,6 +133,13 @@ class Trajectory:
                 raise TypeError(f"unknown segment type {type(s).__name__}")
         if not segs:
             raise ValueError("trajectory needs at least one segment")
+        lengths = sorted({s.tau.size for s in segs
+                          if isinstance(s, Accelerated)
+                          and isinstance(s.tau, np.ndarray) and s.tau.ndim})
+        if len(lengths) > 1:
+            raise ValueError(
+                "a column's duration arrays zip row by row and need one "
+                f"length, got lengths {' and '.join(map(str, lengths))}")
         object.__setattr__(self, "segments", segs)
 
     @property

@@ -30,6 +30,8 @@ from cavtel.protocol import (
 )
 from cavtel.trajectory import Accelerated, Inertial, Trajectory, h_parameter
 
+from sweep_reference import sweep_table
+
 REST_F = 1.0 / (1.0 + math.exp(-1.0))
 # the default sweep's bytes; a change that moves any row re-pins this
 DEFAULT_SWEEP_SHA256 = (
@@ -187,7 +189,7 @@ def test_acceptance_optimality_coincidence():
 
 def test_acceptance_default_sweep_band():
     start = time.perf_counter()
-    rows, _ = sweep_rows(RunConfig(), jobs=1)
+    rows = sweep_table(*sweep_rows(RunConfig(), jobs=1))
     elapsed = time.perf_counter() - start
     deficit = max((REST_F - row[6]) / REST_F for row in rows)
     ok = 0.02 <= deficit <= 0.06 and elapsed < 300.0

@@ -21,6 +21,8 @@ from cavtel.cli import (
     sweep_rows,
 )
 
+from sweep_reference import sweep_table
+
 REST_F = 1.0 / (1.0 + math.exp(-1.0))
 
 
@@ -329,8 +331,8 @@ def test_report_equals_its_row_of_a_sweep_column():
     from cavtel.protocol import consistency_report
     from cavtel.trajectory import Accelerated, Trajectory
     cfg = RunConfig(tau_steps=100, a_steps=2)
-    rows, _ = sweep_rows(cfg)
-    taus, accs = cfg.grid()
+    taus, accs, reports = sweep_rows(cfg)
+    rows = sweep_table(taus, accs, reports)
     params = cfg.params()
     for i, tau in enumerate(taus):
         for j, a in enumerate(accs):
@@ -343,19 +345,34 @@ def test_report_equals_its_row_of_a_sweep_column():
 
 
 def test_sweep_plot_data_matrix(tmp_path, small_cfg, capsys):
+    from cavtel.protocol import consistency_report
+    from cavtel.trajectory import Accelerated, Trajectory
     out_path = tmp_path / "sweep.csv"
-    plot_path = tmp_path / "sweep.dat"
-    code, _, _ = run(["sweep", "--config", small_cfg,
-                      "--out", str(out_path),
-                      "--plot-data", str(plot_path)], capsys)
-    assert code == 0
-    lines = [ln for ln in plot_path.read_text().splitlines()
+    plot_paths = [tmp_path / "j1.dat", tmp_path / "j2.dat"]
+    for jobs, plot_path in zip(("1", "2"), plot_paths):
+        code, _, _ = run(["sweep", "--config", small_cfg, "--jobs", jobs,
+                          "--out", str(out_path),
+                          "--plot-data", str(plot_path)], capsys)
+        assert code == 0
+    assert plot_paths[0].read_bytes() == plot_paths[1].read_bytes()
+    lines = [ln for ln in plot_paths[0].read_text().splitlines()
              if ln and not ln.startswith("#")]
     first = lines[0].split()
     assert int(first[0]) == 5  # tau count then tau values
     assert len(first) == 6
     assert len(lines) == 1 + 4  # one row per acceleration
     assert all(len(ln.split()) == 6 for ln in lines[1:])
+    # every cell is F_opt_numeric of the report at its (tau, a)
+    with open(small_cfg) as fh:
+        cfg = apply_config_text(RunConfig(), fh.read())
+    taus, accs = cfg.grid()
+    params = cfg.params()
+    assert first[1:] == ["%.11e" % tau for tau in taus]
+    for line, a in zip(lines[1:], accs):
+        want = [consistency_report(params, Trajectory(
+            (Accelerated(a, tau),), params.geometry)).F_opt_numeric
+            for tau in taus]
+        assert line.split() == ["%.11e" % v for v in [a] + want]
 
 
 def test_sweep_stdout_when_no_out(small_cfg, capsys):
@@ -374,7 +391,7 @@ def test_sweep_wider_than_oracle_cache_computes_each_switch_once():
     assert cfg.a_steps > bogoliubov._oracle_cached.cache_info().maxsize
     bogoliubov._oracle_cached.cache_clear()
     bogoliubov._switch_first_order_cached.cache_clear()
-    rows, _ = sweep_rows(cfg)
+    rows = sweep_table(*sweep_rows(cfg))
     assert len(rows) == 2200
     # one switch per acceleration; the first order is the closed form
     assert bogoliubov._oracle_cached.cache_info().misses == cfg.a_steps
@@ -386,10 +403,10 @@ def test_sweep_evaluates_the_first_order_sums_once():
     from cavtel.protocol import perturbative_optimal
     cfg = RunConfig(tau_steps=7, a_steps=40)
     bogoliubov._f_sums_cached.cache_clear()
-    rows, _ = sweep_rows(cfg)
+    taus, accs, reports = sweep_rows(cfg)
+    rows = sweep_table(taus, accs, reports)
     info = bogoliubov._f_sums_cached.cache_info()
     assert (info.misses, info.hits) == (1, cfg.a_steps - 1)
-    taus, accs = cfg.grid()
     geom = cfg.geometry()
     fa, fb = bogoliubov.f_sums(cfg.kp, taus, geom)
     assert not fa.flags.writeable and not fb.flags.writeable
@@ -442,6 +459,10 @@ def test_sweep_non_finite_grid_bound_is_usage_error(tmp_path, capsys,
     ("tau_min_s = 5", ("tau_min_s", "tau_max_s")),
     ("a_min_m_s2 = 3e17", ("a_min_m_s2", "a_max_m_s2")),
     ("a_steps = 1", ("tau_steps", "a_steps")),
+    # ranges a few ulps wide, where np.linspace repeats values
+    ("tau_max_s = 1e-322", ("tau_min_s", "tau_max_s", "tau_steps")),
+    (f"a_max_m_s2 = {1e16 * (1 + 1e-15)!r}",
+     ("a_min_m_s2", "a_max_m_s2", "a_steps")),
 ])
 def test_sweep_grid_range_error_names_config_keys(tmp_path, capsys, line,
                                                   keys):
@@ -464,14 +485,40 @@ def reference_row_text(row):
 def test_sweep_row_text_matches_per_row_formatter(small_cfg):
     with open(small_cfg) as fh:
         cfg = apply_config_text(RunConfig(), fh.read())
-    rows, _ = sweep_rows(cfg)
-    assert _sweep_row_text(rows) == [reference_row_text(r) for r in rows]
-    # rows need not come from a grid: both zeros, a repeated a with a new
-    # h, numpy scalars
-    odd = [[-0.0, 1e17, 0.1] + [0.5] * 8, [0.0, 1e17, 0.2] + [-0.0] * 8,
-           [1e-10, 0.0, -0.0] + [1.0] * 8, [1e-10, -0.0, 0.0] + [1.0] * 8,
-           [np.float64(1e-10), 2e17, 0.1] + [np.float64(1 / 3)] * 8]
-    assert _sweep_row_text(odd) == [reference_row_text(r) for r in odd]
+    taus, accs, reports = sweep_rows(cfg)
+    assert _sweep_row_text(taus, accs, reports) == [
+        reference_row_text(r) for r in sweep_table(taus, accs, reports)]
+
+
+def test_sweep_jobs_bounded_by_column_count(tmp_path, small_cfg, capsys,
+                                            monkeypatch):
+    # a pool that records its size and maps in this process: a fork pool
+    # starts all max_workers processes at its first task
+    import concurrent.futures
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    paths = [tmp_path / "j1.csv", tmp_path / "many.csv"]
+    for jobs, path in zip(("1", "1000000"), paths):
+        code, _, _ = run(["sweep", "--config", small_cfg, "--jobs", jobs,
+                          "--out", str(path)], capsys)
+        assert code == 0
+    assert sizes == [4]  # the 5 x 4 grid's column count
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

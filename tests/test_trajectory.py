@@ -7,6 +7,7 @@ import pytest
 
 from cavtel.bogoliubov import CavityGeometry
 from cavtel.errors import TrajectoryParseError
+from cavtel.protocol import ProtocolParams, consistency_report
 from cavtel.trajectory import (
     Accelerated,
     Inertial,
@@ -76,6 +77,24 @@ def test_segments_compare_and_hash_by_value():
 def test_trajectory_rejects_non_segments():
     with pytest.raises(TypeError):
         Trajectory(("coast",), GEOM)
+
+
+def test_column_burns_zip_row_by_row():
+    # row i takes the i-th duration of each array burn; two burns leave
+    # the perturbative fields NaN, so rows compare by repr
+    params = ProtocolParams(geometry=GEOM)
+
+    def build(first, second):
+        return Trajectory((Accelerated(1e17, first), Inertial(1e-10),
+                           Accelerated(2e17, second)), GEOM)
+
+    firsts, seconds = [1e-10, 2.5e-10], [3e-10, 0.7e-10]
+    column = consistency_report(params, build(firsts, seconds))
+    for i, (first, second) in enumerate(zip(firsts, seconds)):
+        assert repr(consistency_report(params, build(first, second))) \
+            == repr(column.row(i))
+    with pytest.raises(ValueError, match="got lengths 3 and 4"):
+        build([1e-10] * 3, [2e-10] * 4)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,11 @@ Identity residuals are measured on the adequately resolved interior block
 truncated transformation carry order h couplings to modes just outside
 the window, so no finite matrix can close the identities there; interior
 modes are the ones downstream consumers are allowed to use.  They are
-measured once per oracle cache entry, on each one-segment transform and
-on a trajectory's running product after each burn that follows another.
-`compose` carries the larger input defect, and a coast's diagonal
-(unitary) phases carry it unchanged: they leave the modulus of every
-residual as it was.
+measured once per oracle cache entry, and once per trajectory in one
+stacked pass over each one-segment transform and the running product
+after each burn that follows another.  `compose` carries the larger
+input defect, and a coast's diagonal (unitary) phases carry it
+unchanged: they leave the modulus of every residual as it was.
 """
 
 from __future__ import annotations
@@ -324,6 +324,21 @@ def _rindler_angles(tau_seconds, h, geometry):
     return rind.omega_mode(n) * eta[..., None]
 
 
+def _segment_matrices(tau_seconds, h, geometry):
+    """`one_segment_transform`'s (alpha, beta), unmeasured, with the
+    switch's defect as the floor of theirs."""
+    taus = np.asarray(tau_seconds, dtype=float)
+    if (taus < 0).any():
+        raise ValueError("segment duration must be >= 0")
+    b0 = sudden_switch_oracle(h, geometry)
+    d = np.exp(-1j * _rindler_angles(taus, h, geometry))[..., None]
+    da, db = d * b0.alpha, d * b0.beta
+    a_dag, minus_bt = b0.alpha.conj().T, -b0.beta.T
+    alpha = a_dag @ da + minus_bt @ db.conj()
+    beta = a_dag @ db + minus_bt @ da.conj()
+    return alpha, beta, b0.defect
+
+
 def one_segment_transform(tau_seconds, h, geometry):
     """Net transformation for one accelerated segment.
 
@@ -335,16 +350,7 @@ def one_segment_transform(tau_seconds, h, geometry):
     An array of durations gives a stacked pair, one transform per
     duration, each with its own measured defect.
     """
-    taus = np.asarray(tau_seconds, dtype=float)
-    if (taus < 0).any():
-        raise ValueError("segment duration must be >= 0")
-    b0 = sudden_switch_oracle(h, geometry)
-    d = np.exp(-1j * _rindler_angles(taus, h, geometry))[..., None]
-    da, db = d * b0.alpha, d * b0.beta
-    a_dag, minus_bt = b0.alpha.conj().T, -b0.beta.T
-    alpha = a_dag @ da + minus_bt @ db.conj()
-    beta = a_dag @ db + minus_bt @ da.conj()
-    return make_pair(alpha, beta, floor=b0.defect)
+    return make_pair(*_segment_matrices(tau_seconds, h, geometry))
 
 
 # ---------------------------------------------------------------------------

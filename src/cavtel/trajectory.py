@@ -32,9 +32,9 @@ from .bogoliubov import (
     BogoliubovPair,
     CavityGeometry,
     _inertial_phases,
+    _segment_matrices,
     compose,
-    make_pair,
-    one_segment_transform,
+    identity_residuals,
 )
 from .errors import TrajectoryParseError
 
@@ -192,9 +192,20 @@ class ProperTimeLedger:
 
 
 def ledger(trajectory, alice_clock="lab"):
-    """Accumulate both clocks over the trajectory."""
+    """Accumulate both clocks over the trajectory.
+
+    Raises ValueError, naming the burn, when a burn's time on Alice's
+    lab clock is not finite.
+    """
     if alice_clock not in _CLOCKS:
         raise ValueError(f"alice_clock must be one of {_CLOCKS}")
+    for _, t_alice, tau_rob in _clock_steps(trajectory, alice_clock):
+        pass
+    return ProperTimeLedger(t_alice, tau_rob)
+
+
+def _clock_steps(trajectory, alice_clock):
+    """Both clocks after each segment: (segment, t_alice, tau_rob)."""
     c = trajectory.geometry.c
     t_alice = tau_rob = 0.0
     for seg in trajectory.segments:
@@ -206,17 +217,50 @@ def ledger(trajectory, alice_clock="lab"):
             if alice_clock == "comoving":
                 t_alice += seg.tau
             else:
-                t_alice += _lab_time(seg.a, seg.tau, c)
-    return ProperTimeLedger(t_alice, tau_rob)
+                t_alice += _lab_time(seg, c)
+        yield seg, t_alice, tau_rob
 
 
-def _lab_time(a, tau, c):
+def _lab_time(seg, c):
+    """The burn's lab-clock time (c / a) sinh(a tau / c)."""
     # math.sinh per entry, not np.sinh, whose vectorised loop can round
     # the last bit differently: row i of a column keeps tau[i]'s phase
-    x = a * tau / c
+    x = seg.a * seg.tau / c
     if isinstance(x, float) or not np.ndim(x):
-        return (c / a) * math.sinh(x)
-    return (c / a) * np.array([math.sinh(v) for v in x.tolist()])
+        t = (c / seg.a) * _sinh(x)
+        if math.isfinite(t):
+            return t
+        bad = True
+    else:
+        t = (c / seg.a) * np.array([_sinh(v) for v in x.tolist()])
+        bad = ~np.isfinite(t)
+        if not bad.any():
+            return t
+    raise _not_finite(seg, bad, "its time on Alice's lab clock is not "
+                      "finite; shorten it, or use the comoving clock")
+
+
+def _sinh(x):
+    try:
+        return math.sinh(x)
+    except OverflowError:           # x >= 0 for a burn
+        return math.inf
+
+
+def _not_finite(seg, bad, problem):
+    """ValueError naming the segment, on a column its first row where
+    `bad`, and then its problem."""
+    if isinstance(seg, Inertial):
+        name = f"the coast of {seg.duration!r} s"
+    else:
+        tau = seg.tau
+        if np.ndim(tau):
+            row = int(np.argmax(bad))
+            tau, name = float(tau[row]), f"row {row}: "
+        else:
+            name = ""
+        name += f"the burn of a = {seg.a!r} m/s^2 for tau = {tau!r} s"
+    return ValueError(f"{name}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -233,11 +277,25 @@ class PhasePair:
 
 
 def phase_pair(trajectory, k, kp, alice_clock="lab"):
-    """Phases omega_k t_alice and omega_kp tau_rob for the mode pair."""
+    """Phases omega_k t_alice and omega_kp tau_rob for the mode pair.
+
+    Raises ValueError, naming the segment after which they stop being
+    finite, when they are not.
+    """
     geom = trajectory.geometry
     led = ledger(trajectory, alice_clock)
-    return PhasePair(geom.omega(k) * led.t_alice,
-                     geom.omega(kp) * led.tau_rob)
+    with np.errstate(over="ignore"):        # an overflow is named below
+        phases = PhasePair(geom.omega(k) * led.t_alice,
+                           geom.omega(kp) * led.tau_rob)
+        # phi is not finite where either phase is not
+        if np.isfinite(phases.phi).all():
+            return phases
+        for seg, t_alice, tau_rob in _clock_steps(trajectory, alice_clock):
+            bad = ~np.isfinite(geom.omega(k) * t_alice
+                               + geom.omega(kp) * tau_rob)
+            if bad.any():
+                raise _not_finite(seg, bad, "the mode phases after it are "
+                                  f"not finite on the {alice_clock} clock")
 
 
 def build_transform(trajectory):
@@ -247,15 +305,16 @@ def build_transform(trajectory):
     burn it scales the running product's rows (alpha -> d alpha,
     beta -> d beta); the coasts before the first burn scale that burn's
     columns (alpha D, beta D^*), so `compose` only joins burns.  The
-    running product's defect is measured again after each burn that
-    follows an earlier one; the unitary phases leave the modulus of
-    every residual unchanged.  A trajectory without a burn gives the
-    diagonal pair of its phases, with defect 0.  A column gives a
-    stacked pair with one defect per row.
+    defect is measured in one stacked pass over each burn's transform
+    and the running product after each burn that follows an earlier one;
+    the unitary phases leave the modulus of every residual unchanged.  A
+    trajectory without a burn gives the diagonal pair of its phases, with
+    defect 0.  A column gives a stacked pair with one defect per row.
     """
     geom = trajectory.geometry
     lead = None          # the coasts' phases before the first burn
     total = None
+    measured = []        # the pairs whose residuals bound the defect
     for seg in trajectory.segments:
         if isinstance(seg, Inertial):
             d = _inertial_phases(seg.duration, geom)
@@ -268,11 +327,11 @@ def build_transform(trajectory):
         # h_parameter's arithmetic without its regime warning: the switch
         # chart is exact on (0, 2), only the second-order model is not
         h = seg.a * geom.L / geom.c ** 2
-        step = one_segment_transform(seg.tau, h, geom)
+        step = BogoliubovPair(*_segment_matrices(seg.tau, h, geom))
+        measured.append(step)
         if total is not None:
-            joined = compose(step, total)
-            total = make_pair(joined.alpha, joined.beta,
-                              floor=joined.defect)
+            total = compose(step, total)
+            measured.append(total)
         elif lead is None:
             total = step
         else:
@@ -281,4 +340,21 @@ def build_transform(trajectory):
     if total is None:
         return BogoliubovPair(np.diag(lead),
                               np.zeros((geom.n_max,) * 2, dtype=complex), 0.0)
-    return total
+    # the pairs' defects are still their switches' floors
+    defect = np.maximum(_worst_residual(measured), total.defect)
+    return BogoliubovPair(total.alpha, total.beta,
+                          float(defect) if defect.ndim == 0 else defect)
+
+
+def _worst_residual(pairs):
+    """`identity_residuals` of each pair in one call, the worst per row;
+    a stacked residual has the single one's bits, so this is the maximum
+    of the pairs' own.  Scalar and column pairs broadcast together."""
+    if len(pairs) == 1:
+        return identity_residuals(pairs[0].alpha, pairs[0].beta)
+    alphas = [p.alpha for p in pairs]
+    betas = [p.beta for p in pairs]
+    if len({a.shape for a in alphas}) > 1:
+        alphas = np.broadcast_arrays(*alphas)
+        betas = np.broadcast_arrays(*betas)
+    return identity_residuals(np.stack(alphas), np.stack(betas)).max(axis=0)

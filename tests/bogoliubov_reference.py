@@ -8,6 +8,11 @@ step by step with `compose` and compare.  Likewise `f_sums` builds one
 column of the first-order one-segment matrices; the full matrices are
 built here.
 
+`build_transform_per_burn` is the transform builder before the
+library measured a trajectory's pairs in one stacked pass: it measures
+each burn's transform and each running product with `make_pair` as it
+goes.  The library's must equal it bit for bit.
+
 The library's switch takes h > 0 only and its first order is the closed
 form.  Here the switch is also integrated at h < 0, against the mirrored
 wedge modes, and the first order is extracted numerically from central
@@ -32,6 +37,7 @@ from cavtel.bogoliubov import (
     sudden_switch_perturbative,
 )
 from cavtel.quadrature import integrate_stack
+from cavtel.trajectory import Inertial
 
 
 def identity_pair(n):
@@ -203,3 +209,35 @@ def switch_first_order_ladder(geometry):
             return sudden_switch_oracle(h, geometry)
         return mirrored_switch(h, geometry.n_max)
     return first_order_ladder(pair_at)
+
+
+def build_transform_per_burn(trajectory):
+    """`trajectory.build_transform` with every burn's transform and every
+    running product after a later burn measured on its own."""
+    geom = trajectory.geometry
+    lead = None          # the coasts' phases before the first burn
+    total = None
+    for seg in trajectory.segments:
+        if isinstance(seg, Inertial):
+            d = _inertial_phases(seg.duration, geom)
+            if total is None:
+                lead = d if lead is None else d * lead
+            else:
+                total = BogoliubovPair(d[:, None] * total.alpha,
+                                       d[:, None] * total.beta, total.defect)
+            continue
+        h = seg.a * geom.L / geom.c ** 2
+        step = one_segment_transform(seg.tau, h, geom)
+        if total is not None:
+            joined = compose(step, total)
+            total = make_pair(joined.alpha, joined.beta,
+                              floor=joined.defect)
+        elif lead is None:
+            total = step
+        else:
+            total = BogoliubovPair(step.alpha * lead,
+                                   step.beta * lead.conj(), step.defect)
+    if total is None:
+        return BogoliubovPair(np.diag(lead),
+                              np.zeros((geom.n_max,) * 2, dtype=complex), 0.0)
+    return total

@@ -6,6 +6,7 @@ measured number, and enforces the stated tolerance and runtime budget.
 
 import hashlib
 import math
+import os
 import time
 
 import numpy as np
@@ -36,6 +37,11 @@ REST_F = 1.0 / (1.0 + math.exp(-1.0))
 # the default sweep's bytes; a change that moves any row re-pins this
 DEFAULT_SWEEP_SHA256 = (
     "fb052a2eab51f6089576da9fc7be4bb228d3022a2717777c5edce09a7e994a55")
+# `cavtel fidelity --out` on the ten-segment tests/multiburn.traj: the
+# default sweep's bytes cover single-burn columns only
+MULTIBURN_TRAJ = os.path.join(os.path.dirname(__file__), "multiburn.traj")
+MULTIBURN_SHA256 = (
+    "3677714d5c45a10d068f305ee409bea00947149f724b7d6cd799fc4f7df51f82")
 PARAMS = ProtocolParams()
 REST = Trajectory((Inertial(0.0),), DEFAULT_GEOMETRY)
 
@@ -222,3 +228,14 @@ def test_acceptance_deterministic_output(tmp_path):
     report("deterministic-output", ok,
            f"serial rerun and --jobs 4 byte-identical "
            f"({len(blobs[0])} bytes, sha256 {digest})")
+
+
+def test_acceptance_multiburn_output(tmp_path):
+    out = tmp_path / "multiburn.csv"
+    assert main(["fidelity", "--trajectory", MULTIBURN_TRAJ,
+                 "--out", str(out)]) == 0
+    blob = out.read_bytes()
+    digest = hashlib.sha256(blob).hexdigest()
+    report("multiburn-output", digest == MULTIBURN_SHA256,
+           f"10 segments, 5 burns, {len(blob)} bytes with the defect, "
+           f"sha256 {digest}")

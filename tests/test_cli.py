@@ -192,6 +192,24 @@ def test_trajectory_non_finite_is_usage_error(tmp_path, capsys, text,
     assert out == ""
 
 
+# a burn whose lab-clock time (1e-3 s: sinh overflows) or phases
+# (8.5e-7 s: the time is finite, omega t is not) leave the float range is
+# a usage error naming the burn; the comoving clock takes it
+@pytest.mark.parametrize("tau", ["1e-3", "8.5e-7"])
+def test_long_burn_on_lab_clock_is_usage_error(tmp_path, capsys, tau):
+    traj = tmp_path / "long.traj"
+    traj.write_text(f"inertial 1e-10\naccel 1e17 {tau}\n")
+    code, out, err = run(["fidelity", "--trajectory", str(traj)], capsys)
+    assert code == 2 and out == ""
+    assert f"burn of a = 1e+17 m/s^2 for tau = {float(tau)!r} s" in err
+    cfg = tmp_path / "comoving.cfg"
+    cfg.write_text("alice_clock = comoving\n")
+    code, out, _ = run(["fidelity", "--config", str(cfg),
+                        "--trajectory", str(traj)], capsys)
+    assert code == 0
+    assert all(map(math.isfinite, report_fields(out).values()))
+
+
 def test_rob_mode_outside_interior_block_exits_3(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kp = 7\n")

@@ -41,6 +41,7 @@ from cavtel.trajectory import (
     phase_pair,
 )
 from bogoliubov_reference import (
+    build_transform_per_burn,
     identity_pair,
     phase_evolution_minkowski,
     phase_evolution_rindler,
@@ -198,6 +199,46 @@ def test_defect_matches_measure_after_every_compose(traj):
     assert abs(got.defect - want.defect) <= 1e-15
     assert np.max(np.abs(got.alpha - want.alpha)) <= 1e-14
     assert np.max(np.abs(got.beta - want.beta)) <= 1e-14
+
+
+@st.composite
+def columns(draw):
+    """Columns of one to four rows: coasts, scalar burns and array burns
+    of one length, mixed."""
+    rows = draw(st.integers(1, 4))
+    arrays = st.builds(Accelerated, st.sampled_from(THRUSTS),
+                       st.lists(durations, min_size=rows, max_size=rows))
+    return draw(trajectories(st.one_of(coasts, burns, arrays)))
+
+
+def assert_same_bits(got, want):
+    for x, y in ((got.alpha, want.alpha), (got.beta, want.beta),
+                 (got.defect, want.defect)):
+        assert type(x) is type(y)
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+# one stacked residual pass gives the per-burn chain's pair and defect,
+# bit for bit: lead coasts, coast-only trajectories, and columns whose
+# array burns meet scalar ones
+@PROPERTY
+@given(trajectories(st.one_of(coasts, burns)))
+def test_transform_has_the_per_burn_chain_bits(traj):
+    assert_same_bits(build_transform(traj), build_transform_per_burn(traj))
+
+
+@PROPERTY
+@given(trajectories(coasts))
+def test_coast_transform_has_the_per_burn_chain_bits(traj):
+    assert_same_bits(build_transform(traj), build_transform_per_burn(traj))
+
+
+@PROPERTY
+@given(columns())
+def test_column_transform_has_the_per_burn_chain_bits(traj):
+    assert_same_bits(build_transform(traj), build_transform_per_burn(traj))
 
 
 @PROPERTY

@@ -186,6 +186,30 @@ def test_ledger_comoving_clock():
         ledger(traj, alice_clock="sidereal")
 
 
+@pytest.mark.parametrize("tau,problem", [
+    (1e-3, "its time on Alice's lab clock is not finite"),
+    (8.5e-7, "the mode phases after it are not finite on the lab clock"),
+])
+def test_long_burn_on_lab_clock_names_its_column_row(tau, problem):
+    traj = Trajectory((Inertial(1e-10), Accelerated(1e17, [1e-10, tau])),
+                      GEOM)
+    with pytest.raises(ValueError) as exc:
+        phase_pair(traj, 1, 3)
+    assert str(exc.value).startswith(
+        f"row 1: the burn of a = 1e+17 m/s^2 for tau = {tau!r} s: {problem}")
+    comoving = phase_pair(traj, 1, 3, alice_clock="comoving")
+    assert np.isfinite(comoving.phi).all()
+    assert ledger(traj, alice_clock="comoving").t_alice[1] == 1e-10 + tau
+
+
+def test_endless_coast_phases_name_the_coast():
+    traj = Trajectory((Accelerated(1e17, 1e-10), Inertial(1e300)), GEOM)
+    with pytest.raises(ValueError, match=r"^the coast of 1e\+300 s: the "
+                                         "mode phases after it are not "
+                                         "finite on the comoving clock"):
+        phase_pair(traj, 1, 3, alice_clock="comoving")
+
+
 # ---------------------------------------------------------------------------
 # phases
 
@@ -285,31 +309,36 @@ def test_transform_matches_segment_engine():
 
 
 def test_running_product_measured_only_after_a_later_burn(monkeypatch):
-    from cavtel import bogoliubov, trajectory
+    from cavtel import trajectory
     one = Trajectory((Inertial(1e-10), Accelerated(2e17, 3e-10),
                       Inertial(2e-10)), GEOM)
     two = Trajectory((Accelerated(2e17, 3e-10), Inertial(1e-10),
                       Accelerated(1e17, 2e-10)), GEOM)
     build_transform(one)
     build_transform(two)    # warm the switch cache
-    calls, joins = [], []
-    real = bogoliubov.identity_residuals
+    calls, pairs, joins = [], [], []
+    real = trajectory.identity_residuals
     real_compose = trajectory.compose
 
     def counted(alpha, beta):
         calls.append(1)
+        # a scalar trajectory's pairs arrive one alone or stacked
+        pairs.append(1 if alpha.ndim == 2 else alpha.shape[0])
         return real(alpha, beta)
 
     def counted_compose(b2, b1):
         joins.append(1)
         return real_compose(b2, b1)
 
-    monkeypatch.setattr(bogoliubov, "identity_residuals", counted)
+    monkeypatch.setattr(trajectory, "identity_residuals", counted)
     monkeypatch.setattr(trajectory, "compose", counted_compose)
     build_transform(one)
-    assert len(calls) == 1          # the burn's own transform only
+    assert len(calls) == 1          # one measuring pass per trajectory
+    assert sum(pairs) == 1          # the burn's own transform only
     assert len(joins) == 0          # coasts are phase vectors
     calls.clear()
+    pairs.clear()
     build_transform(two)
-    assert len(calls) == 3          # two burns, then the product once
+    assert len(calls) == 1
+    assert sum(pairs) == 3          # two burns, then the product once
     assert len(joins) == 1          # compose only joins the two burns

@@ -30,8 +30,10 @@ unchanged: they leave the modulus of every residual as it was.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +64,14 @@ REGIME_H_SQUARED = 0.06
 TAIL_LIMIT = 0.01
 
 
+def _require_index(name, value):
+    """Raise ValueError, naming the field, unless `value` is an integer:
+    a float index fails later in a slice or arange, and a bool is an int
+    that no caller means as a mode index."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CavityGeometry:
     """Cavity length L (m), speed of light c (m/s) and mode truncation."""
@@ -75,6 +85,7 @@ class CavityGeometry:
             raise ValueError("cavity length L must be finite and > 0")
         if not 0 < self.c < math.inf:
             raise ValueError("speed of light c must be finite and > 0")
+        _require_index("n_max", self.n_max)
         if not 2 <= self.n_max <= 64:
             raise ValueError(f"n_max must lie in 2..64, got {self.n_max}")
 
@@ -138,6 +149,13 @@ def _interior_count(n):
     return max(1, n // 2)
 
 
+@lru_cache(maxsize=None)
+def _interior_eye(k):
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
+
+
 def identity_residuals(alpha, beta):
     """Worst residual of the four canonical identities (column and row
     norm and cross terms).
@@ -151,16 +169,18 @@ def identity_residuals(alpha, beta):
     ac, bc = alpha[..., :, :k], beta[..., :, :k]
     ar, br = alpha[..., :k, :], beta[..., :k, :]
     ach, bct = alpha_c[..., :, :k].swapaxes(-1, -2), bc.swapaxes(-1, -2)
-    eye = np.eye(k)
-    res = (
-        ach @ ac - bct @ beta_c[..., :, :k] - eye,
-        ach @ bc - bct @ alpha_c[..., :, :k],
-        ar @ alpha_c[..., :k, :].swapaxes(-1, -2)
-        - br @ beta_c[..., :k, :].swapaxes(-1, -2) - eye,
-        ar @ br.swapaxes(-1, -2) - br @ ar.swapaxes(-1, -2),
-    )
-    worst = reduce(np.maximum,
-                   (np.abs(v).max(axis=(-2, -1)) for v in res))
+    eye = _interior_eye(k)
+    # the four residual blocks side by side, for one abs and one max
+    res = np.empty(alpha.shape[:-2] + (4, k, k), dtype=complex)
+    np.subtract(ach @ ac - bct @ beta_c[..., :, :k], eye,
+                out=res[..., 0, :, :])
+    np.subtract(ach @ bc, bct @ alpha_c[..., :, :k], out=res[..., 1, :, :])
+    np.subtract(ar @ alpha_c[..., :k, :].swapaxes(-1, -2)
+                - br @ beta_c[..., :k, :].swapaxes(-1, -2), eye,
+                out=res[..., 2, :, :])
+    np.subtract(ar @ br.swapaxes(-1, -2), br @ ar.swapaxes(-1, -2),
+                out=res[..., 3, :, :])
+    worst = np.abs(res).max(axis=(-3, -2, -1))
     return float(worst) if alpha.ndim == 2 else worst
 
 
@@ -276,14 +296,28 @@ def _switch_overlaps(h, n_max):
     return co, counter, residual
 
 
+class _Switch(NamedTuple):
+    """A switch's cache entry: its pair, the wedge rates omega_mode(n) of
+    modes 1..n_max, and its canonical inverse's A^dagger and -B^T."""
+
+    pair: BogoliubovPair
+    rates: np.ndarray
+    a_dag: np.ndarray
+    minus_bt: np.ndarray
+
+
 @lru_cache(maxsize=1024)
 def _oracle_cached(h, n_max):
-    """Switch pair with its defect, measured once per cache entry."""
+    """The switch's `_Switch`, its pair's defect measured once per cache
+    entry; every array is read-only."""
     co, counter, residual = _switch_overlaps(h, n_max)
     pair = make_pair(co, -counter, floor=residual)
-    pair.alpha.flags.writeable = False
-    pair.beta.flags.writeable = False
-    return pair
+    switch = _Switch(
+        pair, RindlerGeometry(h).omega_mode(np.arange(1, n_max + 1)),
+        pair.alpha.conj().T, -pair.beta.T)
+    for a in (pair.alpha, pair.beta, *switch[1:]):
+        a.flags.writeable = False
+    return switch
 
 
 def sudden_switch_oracle(h, geometry):
@@ -303,25 +337,21 @@ def sudden_switch_oracle(h, geometry):
     (h, n_max) to ORACLE_TOL per matrix element, whose defect includes
     the quadrature residual.
     """
-    return _oracle_cached(float(h), geometry.n_max)
+    return _oracle_cached(float(h), geometry.n_max).pair
+
+
+@lru_cache(maxsize=64)
+def _coast_rates(n_max):
+    rates = -1j * np.arange(1, n_max + 1) * np.pi
+    rates.flags.writeable = False
+    return rates
 
 
 def _inertial_phases(t_seconds, geometry):
     """A coast's phases exp(-i n pi t c / L) of modes 1..n_max, with a
     trailing mode axis after the axes of the lab time `t_seconds`."""
-    n = np.arange(1, geometry.n_max + 1)
     t = geometry.natural_time(np.asarray(t_seconds, dtype=float))
-    return np.exp(-1j * n * np.pi * t[..., None])
-
-
-def _rindler_angles(tau_seconds, h, geometry):
-    """Wedge phase angles omega_mode(n) eta of modes 1..n_max, with a
-    trailing mode axis after the axes of `tau_seconds`; the wedge time
-    is eta = h tau c / L."""
-    rind = RindlerGeometry(h)
-    eta = h * geometry.natural_time(np.asarray(tau_seconds, dtype=float))
-    n = np.arange(1, geometry.n_max + 1)
-    return rind.omega_mode(n) * eta[..., None]
+    return np.exp(_coast_rates(geometry.n_max) * t[..., None])
 
 
 def _segment_matrices(tau_seconds, h, geometry):
@@ -330,13 +360,14 @@ def _segment_matrices(tau_seconds, h, geometry):
     taus = np.asarray(tau_seconds, dtype=float)
     if (taus < 0).any():
         raise ValueError("segment duration must be >= 0")
-    b0 = sudden_switch_oracle(h, geometry)
-    d = np.exp(-1j * _rindler_angles(taus, h, geometry))[..., None]
-    da, db = d * b0.alpha, d * b0.beta
-    a_dag, minus_bt = b0.alpha.conj().T, -b0.beta.T
-    alpha = a_dag @ da + minus_bt @ db.conj()
-    beta = a_dag @ db + minus_bt @ da.conj()
-    return alpha, beta, b0.defect
+    switch = _oracle_cached(float(h), geometry.n_max)
+    # wedge phase angles omega_mode(n) eta, at wedge time eta = h tau c / L
+    eta = h * geometry.natural_time(taus)
+    d = np.exp(-1j * (switch.rates * eta[..., None]))[..., None]
+    da, db = d * switch.pair.alpha, d * switch.pair.beta
+    alpha = switch.a_dag @ da + switch.minus_bt @ db.conj()
+    beta = switch.a_dag @ db + switch.minus_bt @ da.conj()
+    return alpha, beta, switch.pair.defect
 
 
 def one_segment_transform(tau_seconds, h, geometry):

@@ -41,12 +41,12 @@ from .bogoliubov import (
     BogoliubovPair,
     CavityGeometry,
     _interior_count,
+    _require_index,
     f_sums,
     symplectic_rows,
 )
 from .errors import ConsistencyError, PhysicalityError, TruncationError
 from .gaussian import (
-    local_rotation,
     make_two_mode_squeezed,
     partial_transpose,
     rotation,
@@ -109,6 +109,8 @@ class ProtocolParams:
     def __post_init__(self):
         if not 0 <= self.r < math.inf:
             raise ValueError("squeezing r must be finite and >= 0")
+        _require_index("Alice mode index k", self.k)
+        _require_index("Rob mode index kp", self.kp)
         if self.k < 1:
             raise ValueError("Alice mode index must be >= 1")
         if not 1 <= self.kp <= self.geometry.n_max:
@@ -130,7 +132,7 @@ def _check_interior(params):
 
 
 class _State(namedtuple("_State", "sigma defect violation phases f_raw "
-                                  "f_corr nu")):
+                                  "f_corr nu f_opt")):
     """Numeric pipelines on a column of T reduced states: sigma (T, 4, 4),
     the PhasePair of (T,) arrays, and the other fields (T,) each."""
 
@@ -158,46 +160,54 @@ def _state_kernel(params, pair, phases):
     rows = symplectic_rows(pair, params.kp)
     s_kk = rows[:, :, j:j + 2]
     s_kk_t = s_kk.swapaxes(-1, -2)
-    sigma = np.empty((rows.shape[0], 4, 4))
+    # R(theta_A) for the cross block, then the two undone phases
+    rot = rotation(np.array((phases.theta_alice, -phases.theta_alice,
+                             -phases.theta_rob)))
+    # the raw state, the corrected one and the undoing rotation, whose
+    # off-diagonal blocks stay zero
+    out = np.zeros((3, rows.shape[0], 4, 4))
+    sigma, undo = out[0], out[2]
     sigma[:, :2, :2] = alice
     sigma[:, 2:, 2:] = rows @ rows.swapaxes(-1, -2) + s_kk @ excess @ s_kk_t
-    sigma[:, :2, 2:] = rotation(phases.theta_alice) @ cross @ s_kk_t
+    sigma[:, :2, 2:] = rot[0] @ cross @ s_kk_t
     sigma[:, 2:, :2] = sigma[:, :2, 2:].swapaxes(-1, -2)
-    sigma = 0.5 * (sigma + sigma.swapaxes(-1, -2))
+    np.multiply(0.5, sigma + sigma.swapaxes(-1, -2), out=sigma)
 
     lam = np.linalg.eigvalsh(sigma + _I_OMEGA2)[:, 0]
     violation = np.maximum(0.0, -lam)
-    allowance = np.maximum(gaussian.PHYSICALITY_TOL, 10.0 * pair.defect)
-    over = violation > allowance
-    if over.any():
-        i = over.argmax()
-        raise PhysicalityError(
-            f"reduced state violates the uncertainty bound by "
-            f"{violation[i]:.3e} (allowance {allowance[i]:.3e}); this "
-            "indicates a defect in the mode transformation, not bad input")
+    margin = 10.0 * pair.defect
     if violation.any():
+        allowance = np.maximum(gaussian.PHYSICALITY_TOL, margin)
+        over = violation > allowance
+        if over.any():
+            i = over.argmax()
+            raise PhysicalityError(
+                f"reduced state violates the uncertainty bound by "
+                f"{violation[i]:.3e} (allowance {allowance[i]:.3e}); this "
+                "indicates a defect in the mode transformation, not bad "
+                "input")
         clamped = np.flatnonzero(violation)
         sigma[clamped] += violation[clamped, None, None] * _I4
         for i in clamped:
             log.debug("clamped reduced state by %.3e", float(violation[i]))
 
     # one fidelity call for both states: at T = 1 call overhead dominates
-    undo = local_rotation(-phases.theta_alice, -phases.theta_rob)
-    both = np.empty((2,) + sigma.shape)
-    both[0] = sigma
-    both[1] = undo @ sigma @ undo.swapaxes(-1, -2)
-    f_raw, f_corr = teleport_fidelity(both, check=False)
+    undo[:, :2, :2] = rot[1]
+    undo[:, 2:, 2:] = rot[2]
+    out[1] = undo @ sigma @ undo.swapaxes(-1, -2)
+    f_raw, f_corr = teleport_fidelity(out[:2], check=False)
     nu = symplectic_eigenvalues(partial_transpose(sigma))[:, 0]
 
     f_opt = 1.0 / (1.0 + nu)
-    slack = ORDER_TOL + 10.0 * pair.defect
-    bad = (f_raw > f_opt + slack) | (f_corr > f_opt + slack)
+    limit = f_opt + (ORDER_TOL + margin)
+    bad = (f_raw > limit) | (f_corr > limit)
     if bad.any():
         i = bad.argmax()
         raise ConsistencyError(
             f"fidelity ordering violated: raw {f_raw[i]:.12f}, corrected "
             f"{f_corr[i]:.12f}, optimal bound {f_opt[i]:.12f}")
-    return _State(sigma, pair.defect, violation, phases, f_raw, f_corr, nu)
+    return _State(sigma, pair.defect, violation, phases, f_raw, f_corr, nu,
+                  f_opt)
 
 
 def _trajectory_state(params, trajectory, alice_clock):
@@ -324,19 +334,23 @@ def _report(params, trajectory, alice_clock):
     if n_acc > 1:
         h = math.nan
         f_pert = f_pert_opt = np.full(phi.shape, h)
+        residual = np.full(phi.shape, h)
     else:
-        h, fa, fb = 0.0, np.zeros(phi.shape), np.zeros(phi.shape)
         if n_acc:
             seg = trajectory.single_acceleration()
             h = h_parameter(seg.a, geom.L, geom.c)
             fa, fb = f_sums(params.kp, np.atleast_1d(seg.tau), geom)
+        else:
+            h = 0.0
+            fa = fb = np.zeros(phi.shape)
         f_pert = perturbative_fidelity(params.r, phi, fa, fb, h)
         f_pert_opt = perturbative_optimal(params.r, fa, fb, h)
+        residual = np.abs(state.f_corr - f_pert_opt)
     return FidelityReport(
         F_raw=state.f_raw, F_corrected=state.f_corr,
-        F_opt_numeric=1.0 / (1.0 + state.nu), F_pert=f_pert,
+        F_opt_numeric=state.f_opt, F_pert=f_pert,
         F_pert_opt=f_pert_opt, nu=state.nu, phi=phi, h=np.full(phi.shape, h),
-        residual_pert=np.abs(state.f_corr - f_pert_opt),
+        residual_pert=residual,
         defect=state.defect, clamp=state.violation), column
 
 

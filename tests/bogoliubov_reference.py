@@ -13,6 +13,12 @@ library measured a trajectory's pairs in one stacked pass: it measures
 each burn's transform and each running product with `make_pair` as it
 goes.  The library's must equal it bit for bit.
 
+`segment_transform_reference` is `one_segment_transform` before the
+switch's cache entry carried its wedge rates and canonical inverse: the
+angles come from `RindlerGeometry(h).omega_mode`, A^dagger and -B^T are
+formed inline, and `identity_residuals_reference` reduces the four
+residual blocks one by one.  The library's must equal it bit for bit.
+
 The library's switch takes h > 0 only and its first order is the closed
 form.  Here the switch is also integrated at h < 0, against the mirrored
 wedge modes, and the first order is extracted numerically from central
@@ -20,7 +26,7 @@ differences on a Richardson ladder: the independent cross-check of the
 closed form.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -29,7 +35,7 @@ from cavtel.bogoliubov import (
     BogoliubovPair,
     RindlerGeometry,
     _inertial_phases,
-    _rindler_angles,
+    _interior_count,
     compose,
     make_pair,
     one_segment_transform,
@@ -59,13 +65,58 @@ def phase_evolution_minkowski(t_seconds, geometry):
                           np.zeros((geometry.n_max,) * 2, dtype=complex), 0.0)
 
 
+def rindler_angles(tau_seconds, h, geometry):
+    """Wedge phase angles omega_mode(n) eta of modes 1..n_max, with a
+    trailing mode axis after the axes of `tau_seconds`; the wedge time
+    is eta = h tau c / L."""
+    rind = RindlerGeometry(h)
+    eta = h * geometry.natural_time(np.asarray(tau_seconds, dtype=float))
+    n = np.arange(1, geometry.n_max + 1)
+    return rind.omega_mode(n) * eta[..., None]
+
+
+def identity_residuals_reference(alpha, beta):
+    """`identity_residuals` with a fresh identity and one abs and max per
+    residual block."""
+    k = _interior_count(alpha.shape[-1])
+    alpha_c, beta_c = alpha.conj(), beta.conj()
+    ac, bc = alpha[..., :, :k], beta[..., :, :k]
+    ar, br = alpha[..., :k, :], beta[..., :k, :]
+    ach, bct = alpha_c[..., :, :k].swapaxes(-1, -2), bc.swapaxes(-1, -2)
+    eye = np.eye(k)
+    res = (
+        ach @ ac - bct @ beta_c[..., :, :k] - eye,
+        ach @ bc - bct @ alpha_c[..., :, :k],
+        ar @ alpha_c[..., :k, :].swapaxes(-1, -2)
+        - br @ beta_c[..., :k, :].swapaxes(-1, -2) - eye,
+        ar @ br.swapaxes(-1, -2) - br @ ar.swapaxes(-1, -2),
+    )
+    worst = reduce(np.maximum,
+                   (np.abs(v).max(axis=(-2, -1)) for v in res))
+    return float(worst) if alpha.ndim == 2 else worst
+
+
+def segment_transform_reference(tau_seconds, h, geometry):
+    """(alpha, beta, defect) of one burn, every per-switch value formed
+    on the call."""
+    taus = np.asarray(tau_seconds, dtype=float)
+    b0 = sudden_switch_oracle(h, geometry)
+    d = np.exp(-1j * rindler_angles(taus, h, geometry))[..., None]
+    da, db = d * b0.alpha, d * b0.beta
+    a_dag, minus_bt = b0.alpha.conj().T, -b0.beta.T
+    alpha = a_dag @ da + minus_bt @ db.conj()
+    beta = a_dag @ db + minus_bt @ da.conj()
+    defect = np.maximum(identity_residuals_reference(alpha, beta), b0.defect)
+    return alpha, beta, float(defect) if alpha.ndim == 2 else defect
+
+
 def phase_evolution_rindler(tau_seconds, h, geometry):
     """Free accelerated evolution for a center proper-time duration.
 
     The dimensionless wedge time is eta = |h| tau c / L; phases approach
     the inertial ones as h -> 0 (relative frequency shift about h^2/12).
     """
-    theta = _rindler_angles(tau_seconds, abs(h), geometry)
+    theta = rindler_angles(tau_seconds, abs(h), geometry)
     return BogoliubovPair(np.diag(np.exp(-1j * theta)),
                           np.zeros((geometry.n_max,) * 2, dtype=complex), 0.0)
 

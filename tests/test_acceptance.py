@@ -42,6 +42,12 @@ DEFAULT_SWEEP_SHA256 = (
 MULTIBURN_TRAJ = os.path.join(os.path.dirname(__file__), "multiburn.traj")
 MULTIBURN_SHA256 = (
     "3677714d5c45a10d068f305ee409bea00947149f724b7d6cd799fc4f7df51f82")
+# `cavtel sweep --nmax 40` on the committed 3 x 12 grid: every row comes
+# from a fresh oracle quadrature at the high truncation, which the default
+# sweep's bytes do not reach
+HIGHN_CONFIG = os.path.join(os.path.dirname(__file__), "highn_sweep.conf")
+HIGHN_SHA256 = (
+    "2452d492962606db90e74e3641562861cb5d0afc07cff884713a10161dec718a")
 PARAMS = ProtocolParams()
 REST = Trajectory((Inertial(0.0),), DEFAULT_GEOMETRY)
 
@@ -239,3 +245,13 @@ def test_acceptance_multiburn_output(tmp_path):
     report("multiburn-output", digest == MULTIBURN_SHA256,
            f"10 segments, 5 burns, {len(blob)} bytes with the defect, "
            f"sha256 {digest}")
+
+
+def test_acceptance_highn_output(tmp_path):
+    out = tmp_path / "highn.csv"
+    assert main(["sweep", "--nmax", "40", "--config", HIGHN_CONFIG,
+                 "--out", str(out)]) == 0
+    blob = out.read_bytes()
+    digest = hashlib.sha256(blob).hexdigest()
+    report("highn-output", digest == HIGHN_SHA256,
+           f"3 x 12 grid at n_max 40, {len(blob)} bytes, sha256 {digest}")

@@ -37,6 +37,7 @@ from bogoliubov_reference import (
     elementwise_switch_overlaps,
     first_order_ladder,
     identity_pair,
+    identity_residuals_reference,
     inverse,
     mirrored_switch,
     one_segment_first_order,
@@ -44,6 +45,7 @@ from bogoliubov_reference import (
     phase_evolution_rindler,
     richardson_limit,
     segment_transform,
+    segment_transform_reference,
     switch_first_order_ladder,
 )
 
@@ -134,6 +136,18 @@ def test_cavity_geometry_validation():
         CavityGeometry(0.012, 1.2e8, n_max=1)
     with pytest.raises(ValueError):
         CavityGeometry(0.012, 1.2e8, n_max=100)
+
+
+# a float n_max used to pass construction and fail later in arange or a
+# slice; a bool is an int no caller means as a truncation
+@pytest.mark.parametrize("n_max", [10.0, 10.5, True, "10", None])
+def test_cavity_geometry_rejects_non_integer_n_max(n_max):
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        CavityGeometry(0.012, 1.2e8, n_max=n_max)
+
+
+def test_cavity_geometry_accepts_numpy_integer_n_max():
+    assert CavityGeometry(0.012, 1.2e8, n_max=np.int64(12)).n_max == 12
 
 
 def test_cavity_geometry_scales():
@@ -430,8 +444,54 @@ def test_oracle_rejects_zero_h():
 
 def test_oracle_arrays_are_frozen():
     pair = sudden_switch_oracle(0.13, GEOM)
-    with pytest.raises(ValueError):
-        pair.alpha[0, 0] = 5.0
+    switch = bogoliubov._oracle_cached(0.13, GEOM.n_max)
+    assert switch.pair is pair
+    shared = (pair.alpha, pair.beta, switch.rates, switch.a_dag,
+              switch.minus_bt, bogoliubov._coast_rates(GEOM.n_max),
+              bogoliubov._interior_eye(GEOM.n_max // 2))
+    for array in shared:
+        with pytest.raises(ValueError):
+            array[0] = 5.0
+
+
+# any of the four identities can be the worst: random pairs, one and
+# stacked; with a unitary alpha and a small beta the two cross terms
+# lead, otherwise the two norms do
+def test_identity_residuals_have_the_reference_bits():
+    rng = np.random.default_rng(2718)
+    for n in (2, 3, 10, 17):
+        for lead in ((), (5,)):
+            for scale in (1e-3, 0.3, 1.0, 30.0):
+                shape = lead + (n, n)
+                alpha = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                if scale < 1.0:
+                    alpha = np.linalg.qr(alpha)[0]
+                beta = scale * (rng.normal(size=shape)
+                                + 1j * rng.normal(size=shape))
+                got = identity_residuals(alpha, beta)
+                want = identity_residuals_reference(alpha, beta)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# one burn's alpha, beta and defect against the expression that formed
+# every per-switch value on the call, over truncations and both shapes
+# of tau
+def test_one_segment_transform_has_the_reference_bits():
+    rng = np.random.default_rng(1515)
+    for _ in range(10):
+        h = 0.245 * (1.0 - rng.random())           # (0, 0.245]
+        geom = CavityGeometry(0.012, 1.2e8, int(rng.integers(4, 41)))
+        span = 3.0 * geom.fundamental_period
+        for tau in (float(rng.uniform(0.0, span)),
+                    rng.uniform(0.0, span, int(rng.integers(1, 6)))):
+            got = one_segment_transform(tau, h, geom)
+            want = segment_transform_reference(tau, h, geom)
+            for x, y in zip((got.alpha, got.beta, got.defect), want):
+                assert type(x) is type(y)
+                x, y = np.asarray(x), np.asarray(y)
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
 
 
 # ---------------------------------------------------------------------------

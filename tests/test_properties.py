@@ -6,11 +6,13 @@ cache stays small and each example costs milliseconds.
 """
 
 import math
+import pickle
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavtel import bogoliubov
 from cavtel.bogoliubov import (
     compose,
     make_pair,
@@ -18,7 +20,6 @@ from cavtel.bogoliubov import (
     sudden_switch_oracle,
 )
 from cavtel.gaussian import (
-    local_rotation,
     partial_transpose,
     symplectic_eigenvalues,
     teleport_fidelity,
@@ -46,7 +47,7 @@ from bogoliubov_reference import (
     phase_evolution_minkowski,
     phase_evolution_rindler,
 )
-from gaussian_reference import full_register_state
+from gaussian_reference import full_register_state, local_rotation
 
 GEOM = DEFAULT_GEOMETRY
 THRUSTS = tuple(np.linspace(1e16, 2.9e17, 8))
@@ -239,6 +240,21 @@ def test_coast_transform_has_the_per_burn_chain_bits(traj):
 @given(columns())
 def test_column_transform_has_the_per_burn_chain_bits(traj):
     assert_same_bits(build_transform(traj), build_transform_per_burn(traj))
+
+
+# a report computed while the per-switch and per-truncation caches fill
+# has the bits of the same report read from them
+@PROPERTY
+@given(trajectories(st.one_of(coasts, burns)), st.integers(2, 5),
+       st.sampled_from(("lab", "comoving")))
+def test_report_bits_do_not_depend_on_warm_caches(traj, kp, clock):
+    params = ProtocolParams(kp=kp, geometry=GEOM)
+    for cache in (bogoliubov._oracle_cached, bogoliubov._coast_rates,
+                  bogoliubov._interior_eye):
+        cache.cache_clear()
+    cold = pickle.dumps(consistency_report(params, traj, clock))
+    warm = pickle.dumps(consistency_report(params, traj, clock))
+    assert cold == warm
 
 
 @PROPERTY

@@ -55,6 +55,24 @@ def test_params_validation():
         ProtocolParams(kp=11)
 
 
+# ProtocolParams(k=1.5) used to return a fidelity for a mode that does not
+# exist, and a float kp failed later with a TypeError from a slice
+@pytest.mark.parametrize("field, value", [
+    ("k", 1.5), ("k", 1.0), ("k", True), ("kp", 2.5), ("kp", 3.0),
+    ("kp", True), ("kp", "3"),
+])
+def test_params_reject_non_integer_mode_index(field, value):
+    with pytest.raises(ValueError, match=rf"mode index {field} must be an "
+                                         "integer"):
+        ProtocolParams(**{field: value})
+
+
+def test_params_accept_numpy_integer_mode_index():
+    params = ProtocolParams(k=np.int64(2), kp=np.int64(3))
+    assert fidelity_raw(params, REST) == fidelity_raw(
+        ProtocolParams(k=2, kp=3), REST)
+
+
 def test_trajectory_type_and_geometry_guard():
     with pytest.raises(TypeError):
         fidelity_raw(PARAMS, [Inertial(0.0)])

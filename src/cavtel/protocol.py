@@ -230,21 +230,21 @@ def _trajectory_state(params, trajectory, alice_clock):
     return _state_kernel(params, pair, phases), column
 
 
-def _kernel_output(params, trajectory, alice_clock, name):
-    # a column's (T,) array, never a silent row 0 of it
+def _kernel_outputs(params, trajectory, alice_clock, *names):
+    # a column's (T,) arrays, never a silent row 0 of them
     state, column = _trajectory_state(params, trajectory, alice_clock)
-    values = getattr(state, name)
-    return values if column else float(values[0])
+    return tuple(getattr(state, name) if column
+                 else float(getattr(state, name)[0]) for name in names)
 
 
 def fidelity_raw(params, trajectory, alice_clock="lab"):
     """Fidelity with no phase correction applied."""
-    return _kernel_output(params, trajectory, alice_clock, "f_raw")
+    return _kernel_outputs(params, trajectory, alice_clock, "f_raw")[0]
 
 
 def fidelity_corrected(params, trajectory, alice_clock="lab"):
     """Fidelity after both parties undo their proper-time phases."""
-    return _kernel_output(params, trajectory, alice_clock, "f_corr")
+    return _kernel_outputs(params, trajectory, alice_clock, "f_corr")[0]
 
 
 def fidelity_optimal(params, trajectory, alice_clock="lab"):
@@ -254,8 +254,7 @@ def fidelity_optimal(params, trajectory, alice_clock="lab"):
     symplectic eigenvalue of the reduced state; invariant under the
     phase correction because local rotations are symplectic.
     """
-    nu = _kernel_output(params, trajectory, alice_clock, "nu")
-    return 1.0 / (1.0 + nu), nu
+    return _kernel_outputs(params, trajectory, alice_clock, "f_opt", "nu")
 
 
 def _check_sums(f_alpha, f_beta, h):
@@ -334,23 +333,19 @@ def _report(params, trajectory, alice_clock):
     if n_acc > 1:
         h = math.nan
         f_pert = f_pert_opt = np.full(phi.shape, h)
-        residual = np.full(phi.shape, h)
     else:
+        h, fa, fb = 0.0, np.zeros(phi.shape), np.zeros(phi.shape)
         if n_acc:
             seg = trajectory.single_acceleration()
             h = h_parameter(seg.a, geom.L, geom.c)
             fa, fb = f_sums(params.kp, np.atleast_1d(seg.tau), geom)
-        else:
-            h = 0.0
-            fa = fb = np.zeros(phi.shape)
         f_pert = perturbative_fidelity(params.r, phi, fa, fb, h)
         f_pert_opt = perturbative_optimal(params.r, fa, fb, h)
-        residual = np.abs(state.f_corr - f_pert_opt)
     return FidelityReport(
         F_raw=state.f_raw, F_corrected=state.f_corr,
         F_opt_numeric=state.f_opt, F_pert=f_pert,
         F_pert_opt=f_pert_opt, nu=state.nu, phi=phi, h=np.full(phi.shape, h),
-        residual_pert=residual,
+        residual_pert=np.abs(state.f_corr - f_pert_opt),
         defect=state.defect, clamp=state.violation), column
 
 

@@ -287,11 +287,8 @@ def phase_pair(trajectory, k, kp, alice_clock="lab"):
     with np.errstate(over="ignore"):        # an overflow is named below
         phases = PhasePair(geom.omega(k) * led.t_alice,
                            geom.omega(kp) * led.tau_rob)
-        # phi is not finite where either phase is not; math.isfinite
-        # checks one trajectory's float without a numpy round trip
-        phi = phases.phi
-        if (math.isfinite(phi) if isinstance(phi, float)
-                else np.isfinite(phi).all()):
+        # phi is not finite where either phase is not
+        if np.isfinite(phases.phi).all():
             return phases
         for seg, t_alice, tau_rob in _clock_steps(trajectory, alice_clock):
             bad = ~np.isfinite(geom.omega(k) * t_alice

@@ -96,9 +96,15 @@ def identity_residuals_reference(alpha, beta):
     return float(worst) if alpha.ndim == 2 else worst
 
 
-def segment_transform_reference(tau_seconds, h, geometry):
-    """(alpha, beta, defect) of one burn, every per-switch value formed
-    on the call."""
+def coast_rates_reference(n_max):
+    """A coast's rates -i n pi of modes 1..n_max, formed on the call."""
+    return -1j * np.arange(1, n_max + 1) * np.pi
+
+
+def segment_matrices_reference(tau_seconds, h, geometry):
+    """(alpha, beta) of one burn, unmeasured, and its switch's defect
+    floor; every per-switch value but the oracle pair formed on the
+    call."""
     taus = np.asarray(tau_seconds, dtype=float)
     b0 = sudden_switch_oracle(h, geometry)
     d = np.exp(-1j * rindler_angles(taus, h, geometry))[..., None]
@@ -106,7 +112,14 @@ def segment_transform_reference(tau_seconds, h, geometry):
     a_dag, minus_bt = b0.alpha.conj().T, -b0.beta.T
     alpha = a_dag @ da + minus_bt @ db.conj()
     beta = a_dag @ db + minus_bt @ da.conj()
-    defect = np.maximum(identity_residuals_reference(alpha, beta), b0.defect)
+    return alpha, beta, b0.defect
+
+
+def segment_transform_reference(tau_seconds, h, geometry):
+    """(alpha, beta, defect) of one burn, every per-switch value formed
+    on the call."""
+    alpha, beta, floor = segment_matrices_reference(tau_seconds, h, geometry)
+    defect = np.maximum(identity_residuals_reference(alpha, beta), floor)
     return alpha, beta, float(defect) if alpha.ndim == 2 else defect
 
 

@@ -4,9 +4,6 @@ Embeds the resource into Alice's mode plus Rob's whole cavity register,
 applies the trajectory's symplectic matrix to all of it, and reads the
 4x4 block back out.  The library builds the same state from mode kp's
 two quadrature rows only; tests compare the two.
-
-`local_rotation` is the two-mode phase rotation as one block-diagonal
-matrix; the library's state kernel writes its blocks in place.
 """
 
 import numpy as np
@@ -15,16 +12,6 @@ from cavtel import gaussian
 from cavtel.bogoliubov import to_symplectic
 from cavtel.gaussian import make_two_mode_squeezed, rotation
 from cavtel.trajectory import build_transform, phase_pair
-
-
-def local_rotation(theta_a, theta_b):
-    """Two-mode symplectic applying phases theta_a, theta_b locally
-    (stacked like `rotation` for arrays of angles)."""
-    out = np.zeros(np.broadcast_shapes(np.shape(theta_a),
-                                       np.shape(theta_b)) + (4, 4))
-    out[..., :2, :2] = rotation(theta_a)
-    out[..., 2:, 2:] = rotation(theta_b)
-    return out
 
 
 def _block(sigma, i, j):

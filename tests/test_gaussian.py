@@ -8,6 +8,7 @@ from scipy.linalg import block_diag
 
 from cavtel.errors import PhysicalityError
 from cavtel.gaussian import (
+    local_rotation,
     make_two_mode_squeezed,
     partial_transpose,
     rotation,
@@ -16,7 +17,7 @@ from cavtel.gaussian import (
     teleport_fidelity,
     validate_covariance,
 )
-from gaussian_reference import embed_with_vacuum, local_rotation, reduce_modes
+from gaussian_reference import embed_with_vacuum, reduce_modes
 
 REST_F = 1.0 / (1.0 + math.exp(-1.0))
 

@@ -505,9 +505,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TrajectoryParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (PhysicalityError, QuadratureError, TruncationError,
             ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -331,8 +331,9 @@ def _report(params, trajectory, alice_clock):
     phi = state.phases.phi
     n_acc = trajectory.n_accelerated
     if n_acc > 1:
+        # one NaN array per field, so a write to one leaves the other NaN
         h = math.nan
-        f_pert = f_pert_opt = np.full(phi.shape, h)
+        f_pert, f_pert_opt = np.full(phi.shape, h), np.full(phi.shape, h)
     else:
         h, fa, fb = 0.0, np.zeros(phi.shape), np.zeros(phi.shape)
         if n_acc:

@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 _CLOCKS = ("lab", "comoving")
+# rad: the largest ulp the joint phase may carry, since every
+# phase-dependent column inherits phi's rounding; it holds for
+# |phi| < 2**33 rad, about 8.6e9 rad
+PHASE_ULP_LIMIT = 1e-6
 
 
 def h_parameter(a, L, c):
@@ -226,6 +230,8 @@ def _lab_time(seg, c):
     # math.sinh per entry, not np.sinh, whose vectorised loop can round
     # the last bit differently: row i of a column keeps tau[i]'s phase
     x = seg.a * seg.tau / c
+    # a single burn stays scalar: the array path's per-call overhead is
+    # some 25 times one math.sinh
     if isinstance(x, float) or not np.ndim(x):
         t = (c / seg.a) * _sinh(x)
         if math.isfinite(t):
@@ -236,8 +242,8 @@ def _lab_time(seg, c):
         bad = ~np.isfinite(t)
         if not bad.any():
             return t
-    raise _not_finite(seg, bad, "its time on Alice's lab clock is not "
-                      "finite; shorten it, or use the comoving clock")
+    raise _segment_error(seg, bad, "its time on Alice's lab clock is not "
+                         "finite; shorten it, or use the comoving clock")
 
 
 def _sinh(x):
@@ -247,7 +253,7 @@ def _sinh(x):
         return math.inf
 
 
-def _not_finite(seg, bad, problem):
+def _segment_error(seg, bad, problem):
     """ValueError naming the segment, on a column its first row where
     `bad`, and then its problem."""
     if isinstance(seg, Inertial):
@@ -280,22 +286,32 @@ def phase_pair(trajectory, k, kp, alice_clock="lab"):
     """Phases omega_k t_alice and omega_kp tau_rob for the mode pair.
 
     Raises ValueError, naming the segment after which they stop being
-    finite, when they are not.
+    finite, or after which one ulp of their sum phi exceeds
+    `PHASE_ULP_LIMIT` (|phi| >= 2**33 rad), when they do.
     """
     geom = trajectory.geometry
     led = ledger(trajectory, alice_clock)
     with np.errstate(over="ignore"):        # an overflow is named below
         phases = PhasePair(geom.omega(k) * led.t_alice,
                            geom.omega(kp) * led.tau_rob)
-        # phi is not finite where either phase is not
-        if np.isfinite(phases.phi).all():
+        # phi is not finite where either phase is not, and np.spacing of
+        # a non-finite phi is NaN, which fails the bound
+        if (np.spacing(np.abs(phases.phi)) <= PHASE_ULP_LIMIT).all():
             return phases
         for seg, t_alice, tau_rob in _clock_steps(trajectory, alice_clock):
-            bad = ~np.isfinite(geom.omega(k) * t_alice
-                               + geom.omega(kp) * tau_rob)
-            if bad.any():
-                raise _not_finite(seg, bad, "the mode phases after it are "
-                                  f"not finite on the {alice_clock} clock")
+            phi = geom.omega(k) * t_alice + geom.omega(kp) * tau_rob
+            bad = ~(np.spacing(np.abs(phi)) <= PHASE_ULP_LIMIT)
+            if not bad.any():
+                continue
+            phi = float(np.ravel(phi)[np.argmax(bad)])
+            if math.isfinite(phi):
+                problem = (f"the joint phase after it, {phi!r} rad, has an "
+                           f"ulp above {PHASE_ULP_LIMIT!r} rad on the "
+                           f"{alice_clock} clock; shorten it")
+            else:
+                problem = ("the mode phases after it are not finite on the "
+                           f"{alice_clock} clock")
+            raise _segment_error(seg, bad, problem)
 
 
 def build_transform(trajectory):
@@ -350,6 +366,8 @@ def _worst_residual(pairs):
     """`identity_residuals` of each pair in one call, the worst per row;
     a stacked residual has the single one's bits, so this is the maximum
     of the pairs' own.  Scalar and column pairs broadcast together."""
+    # a lone pair skips the stacking copy, which would add about a fifth
+    # to a single-burn transform's time
     if len(pairs) == 1:
         return identity_residuals(pairs[0].alpha, pairs[0].beta)
     alphas = [p.alpha for p in pairs]

@@ -7,6 +7,7 @@ measured number, and enforces the stated tolerance and runtime budget.
 import hashlib
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -34,20 +35,18 @@ from cavtel.trajectory import Accelerated, Inertial, Trajectory, h_parameter
 from sweep_reference import sweep_table
 
 REST_F = 1.0 / (1.0 + math.exp(-1.0))
-# the default sweep's bytes; a change that moves any row re-pins this
-DEFAULT_SWEEP_SHA256 = (
-    "fb052a2eab51f6089576da9fc7be4bb228d3022a2717777c5edce09a7e994a55")
-# `cavtel fidelity --out` on the ten-segment tests/multiburn.traj: the
-# default sweep's bytes cover single-burn columns only
-MULTIBURN_TRAJ = os.path.join(os.path.dirname(__file__), "multiburn.traj")
-MULTIBURN_SHA256 = (
-    "3677714d5c45a10d068f305ee409bea00947149f724b7d6cd799fc4f7df51f82")
-# `cavtel sweep --nmax 40` on the committed 3 x 12 grid: every row comes
-# from a fresh oracle quadrature at the high truncation, which the default
-# sweep's bytes do not reach
-HIGHN_CONFIG = os.path.join(os.path.dirname(__file__), "highn_sweep.conf")
-HIGHN_SHA256 = (
-    "2452d492962606db90e74e3641562861cb5d0afc07cff884713a10161dec718a")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def pinned_outputs():
+    """The rows of tests/pinned_outputs.txt: a sha256 and the cavtel
+    arguments it pins, named by those arguments."""
+    with open(os.path.join(ROOT, "tests", "pinned_outputs.txt")) as fh:
+        rows = [line.split() for line in fh if not line.startswith("#")]
+    return [pytest.param(digest, args, id=re.sub(r"\W+", "-", " ".join(args)))
+            for digest, *args in filter(None, rows)]
+
+
 PARAMS = ProtocolParams()
 REST = Trajectory((Inertial(0.0),), DEFAULT_GEOMETRY)
 
@@ -219,39 +218,21 @@ def test_acceptance_regime_arithmetic():
            f"h = {h!r}, relative error {rel:.2e}, h^2 = {h * h:.4f} > 0.06")
 
 
-def test_acceptance_deterministic_output(tmp_path):
-    paths = [str(tmp_path / name)
-             for name in ("s1.csv", "s2.csv", "s4.csv")]
-    assert main(["sweep", "--out", paths[0]]) == 0
-    assert main(["sweep", "--out", paths[1]]) == 0
-    assert main(["sweep", "--jobs", "4", "--out", paths[2]]) == 0
+@pytest.mark.parametrize("digest,args", pinned_outputs())
+def test_acceptance_pinned_output(tmp_path, monkeypatch, digest, args):
+    # a sweep must also give the same bytes on a serial rerun and at
+    # --jobs 4
+    runs = [[]]
+    if args[0] == "sweep":
+        runs += [[], ["--jobs", "4"]]
+    monkeypatch.chdir(ROOT)             # the table's paths are from here
     blobs = []
-    for path in paths:
-        with open(path, "rb") as fh:
-            blobs.append(fh.read())
-    digest = hashlib.sha256(blobs[0]).hexdigest()
-    ok = blobs[0] == blobs[1] == blobs[2] and digest == DEFAULT_SWEEP_SHA256
-    report("deterministic-output", ok,
-           f"serial rerun and --jobs 4 byte-identical "
-           f"({len(blobs[0])} bytes, sha256 {digest})")
-
-
-def test_acceptance_multiburn_output(tmp_path):
-    out = tmp_path / "multiburn.csv"
-    assert main(["fidelity", "--trajectory", MULTIBURN_TRAJ,
-                 "--out", str(out)]) == 0
-    blob = out.read_bytes()
-    digest = hashlib.sha256(blob).hexdigest()
-    report("multiburn-output", digest == MULTIBURN_SHA256,
-           f"10 segments, 5 burns, {len(blob)} bytes with the defect, "
-           f"sha256 {digest}")
-
-
-def test_acceptance_highn_output(tmp_path):
-    out = tmp_path / "highn.csv"
-    assert main(["sweep", "--nmax", "40", "--config", HIGHN_CONFIG,
-                 "--out", str(out)]) == 0
-    blob = out.read_bytes()
-    digest = hashlib.sha256(blob).hexdigest()
-    report("highn-output", digest == HIGHN_SHA256,
-           f"3 x 12 grid at n_max 40, {len(blob)} bytes, sha256 {digest}")
+    for i, extra in enumerate(runs):
+        out = tmp_path / f"run{i}.csv"
+        assert main(args + extra + ["--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    got = hashlib.sha256(blobs[0]).hexdigest()
+    ok = got == digest and all(blob == blobs[0] for blob in blobs)
+    report("pinned-output", ok,
+           f"cavtel {' '.join(args)}: {len(runs)} runs byte-identical, "
+           f"{len(blobs[0])} bytes, sha256 {got}")

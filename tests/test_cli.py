@@ -20,6 +20,13 @@ from cavtel.cli import (
     main,
     sweep_rows,
 )
+from cavtel.errors import (
+    ConsistencyError,
+    PhysicalityError,
+    QuadratureError,
+    TrajectoryParseError,
+    TruncationError,
+)
 
 from sweep_reference import sweep_table
 
@@ -210,6 +217,34 @@ def test_long_burn_on_lab_clock_is_usage_error(tmp_path, capsys, tau):
     assert all(map(math.isfinite, report_fields(out).values()))
 
 
+def test_phase_without_precision_is_usage_error(tmp_path, capsys):
+    # on the comoving clock the burn's time stays finite, but one ulp of
+    # phi = 1.26e211 rad is about 1e195 rad
+    cfg = tmp_path / "comoving.cfg"
+    cfg.write_text("alice_clock = comoving\n")
+    traj = tmp_path / "long.traj"
+    traj.write_text("accel 1e17 1e200\n")
+    code, out, err = run(["fidelity", "--config", str(cfg),
+                          "--trajectory", str(traj)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the burn of a = 1e+17 m/s^2 for "
+                          "tau = 1e+200 s: the joint phase after it, "
+                          "1.2566370614359173e+211 rad, has an ulp above "
+                          "1e-06 rad")
+
+
+# phi = 7.5e9 rad has an ulp of 9.5e-7 rad, phi = 8.8e9 rad one of 1.9e-6
+# rad: the 1e-6 rad limit lies between them, at |phi| = 2**33 rad
+@pytest.mark.parametrize("duration,code", [("0.06", 0), ("0.07", 2)])
+def test_coast_phase_ulp_limit(tmp_path, capsys, duration, code):
+    traj = tmp_path / "coast.traj"
+    traj.write_text(f"inertial {duration}\n")
+    got, out, err = run(["fidelity", "--trajectory", str(traj)], capsys)
+    assert got == code
+    assert (f"the coast of {duration} s" in err) == (code == 2)
+    assert bool(out) == (code == 0)
+
+
 def test_rob_mode_outside_interior_block_exits_3(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kp = 7\n")
@@ -251,6 +286,23 @@ def test_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run(["fidelity", "--trajectory",
                         str(tmp_path / "nope.traj")], capsys)
     assert code == 4
+
+
+@pytest.mark.parametrize("kind,code", [
+    (TrajectoryParseError, 2), (ValueError, 2), (TypeError, 2),
+    (PhysicalityError, 3), (QuadratureError, 3), (TruncationError, 3),
+    (ConsistencyError, 3), (OSError, 4),
+])
+def test_main_maps_each_error_kind_to_its_exit_code(monkeypatch, capsys,
+                                                    kind, code):
+    from cavtel import cli
+
+    def fail(args):
+        raise kind(f"a {kind.__name__}")
+
+    monkeypatch.setattr(cli, "cmd_fidelity", fail)
+    assert run(["fidelity"], capsys) == (code, "",
+                                         f"error: a {kind.__name__}\n")
 
 
 # ---------------------------------------------------------------------------

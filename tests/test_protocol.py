@@ -302,6 +302,15 @@ def test_report_multiple_burns_has_no_perturbative_row():
     assert rep.F_opt_numeric <= REST_F + 1e-9
 
 
+def test_multiburn_column_report_has_one_nan_array_per_field():
+    traj = Trajectory((Accelerated(1e17, [1e-10, 2e-10]), Inertial(1e-11),
+                       Accelerated(2e17, [3e-10, 1e-10])), DEFAULT_GEOMETRY)
+    rep = consistency_report(PARAMS, traj)
+    assert rep.F_pert is not rep.F_pert_opt
+    rep.F_pert[0] = 0.5
+    assert np.isnan(rep.F_pert_opt).all()
+
+
 def test_report_truncation_gate_propagates():
     small = CavityGeometry(0.012, 1.2e8, 4)
     params = ProtocolParams(kp=3, geometry=small)

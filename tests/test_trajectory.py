@@ -9,6 +9,7 @@ from cavtel.bogoliubov import CavityGeometry
 from cavtel.errors import TrajectoryParseError
 from cavtel.protocol import ProtocolParams, consistency_report
 from cavtel.trajectory import (
+    PHASE_ULP_LIMIT,
     Accelerated,
     Inertial,
     Trajectory,
@@ -208,6 +209,19 @@ def test_endless_coast_phases_name_the_coast():
                                          "mode phases after it are not "
                                          "finite on the comoving clock"):
         phase_pair(traj, 1, 3, alice_clock="comoving")
+
+
+def test_phase_past_the_ulp_limit_names_its_column_row():
+    # row 1's 0.1 s burn gives phi = 1.26e10 rad, whose ulp is 1.9e-6 rad
+    traj = Trajectory((Inertial(1e-10), Accelerated(1e17, [1e-10, 0.1])),
+                      GEOM)
+    with pytest.raises(ValueError) as exc:
+        phase_pair(traj, 1, 3, alice_clock="comoving")
+    assert str(exc.value).startswith(
+        "row 1: the burn of a = 1e+17 m/s^2 for tau = 0.1 s: the joint "
+        "phase after it, 12566370626.925543 rad")
+    assert f"ulp above {PHASE_ULP_LIMIT!r} rad on the comoving clock" \
+        in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ ORACLE_TOL = 1e-10
 REGIME_H_SQUARED = 0.06
 # largest estimated share of a Rob mode's first-order weight above n_max
 TAIL_LIMIT = 0.01
+# largest mode truncation
+N_MAX_CAP = 64
 
 
 def _require_index(name, value):
@@ -86,8 +88,9 @@ class CavityGeometry:
         if not 0 < self.c < math.inf:
             raise ValueError("speed of light c must be finite and > 0")
         _require_index("n_max", self.n_max)
-        if not 2 <= self.n_max <= 64:
-            raise ValueError(f"n_max must lie in 2..64, got {self.n_max}")
+        if not 2 <= self.n_max <= N_MAX_CAP:
+            raise ValueError(
+                f"n_max must lie in 2..{N_MAX_CAP}, got {self.n_max}")
 
     def omega(self, n):
         """Angular frequency of mode n, n pi c / L."""
@@ -261,7 +264,8 @@ def symplectic_rows(pair, mode):
 
 def _switch_overlaps(h, n_max):
     """Raw co- and counter-rotating overlap matrices for the switch at
-    parameter h.
+    parameter h, their quadrature residual and the wedge rates
+    `RindlerGeometry(h).omega_mode` of modes 1..n_max.
 
     Both are built from I0 = S_we diag(w) S_in^T and
     I1 = S_we diag(w / chi) S_in^T, Gram products of the wedge and
@@ -272,8 +276,15 @@ def _switch_overlaps(h, n_max):
     16-node panel; its first doubling converges for h up to 1.5, and
     nearer the horizon, where the wedge modes crowd toward one wall, the
     doubling goes on by itself.
+
+    Raises ValueError, naming h and n_max, when the fastest wedge rate
+    n_max pi / log_width is not finite (h below about n_max pi / DBL_MAX).
     """
     width = RindlerGeometry(h).log_width
+    if not math.isfinite(n_max * math.pi / width):
+        raise ValueError(
+            f"h = {h!r} is too small for the accelerated chart of modes "
+            f"1..n_max = {n_max}: its wedge rates overflow")
     # integrate in the wall offset u = chi - chi_left in [0, 1]; the raw
     # chart coordinate 1/h +- 1/2 loses all precision below h ~ 1e-12
     scale = h / (1.0 - h / 2.0)                # 1 / chi_left
@@ -293,7 +304,7 @@ def _switch_overlaps(h, n_max):
     norm = 1.0 / (np.pi * np.sqrt(np.outer(modes, modes)))
     co = norm * (omega[None, :] * i0 + omega_wedge[:, None] * i1)
     counter = norm * (omega[None, :] * i0 - omega_wedge[:, None] * i1)
-    return co, counter, residual
+    return co, counter, residual, omega_wedge
 
 
 class _Switch(NamedTuple):
@@ -310,11 +321,9 @@ class _Switch(NamedTuple):
 def _oracle_cached(h, n_max):
     """The switch's `_Switch`, its pair's defect measured once per cache
     entry; every array is read-only."""
-    co, counter, residual = _switch_overlaps(h, n_max)
+    co, counter, residual, rates = _switch_overlaps(h, n_max)
     pair = make_pair(co, -counter, floor=residual)
-    switch = _Switch(
-        pair, RindlerGeometry(h).omega_mode(np.arange(1, n_max + 1)),
-        pair.alpha.conj().T, -pair.beta.T)
+    switch = _Switch(pair, rates, pair.alpha.conj().T, -pair.beta.T)
     for a in (pair.alpha, pair.beta, *switch[1:]):
         a.flags.writeable = False
     return switch
@@ -453,6 +462,24 @@ def _tail_ratio(kp, n_max):
     return tail / total
 
 
+def _first_order_tail(kp, n_max):
+    """The first-order tail gate: mode kp's estimated share of weight
+    above n_max, `_tail_ratio`; raises TruncationError, naming the
+    smallest adequate n_max, when it exceeds TAIL_LIMIT."""
+    ratio = _tail_ratio(kp, n_max)
+    if ratio > TAIL_LIMIT:
+        # the smallest n_max whose interior block holds kp and that passes
+        need = next((n for n in range(2 * kp, N_MAX_CAP + 1)
+                     if _tail_ratio(kp, n) <= TAIL_LIMIT), None)
+        advice = (f"use n_max >= {need}" if need is not None
+                  else f"no n_max up to {N_MAX_CAP} is adequate")
+        raise TruncationError(
+            f"mode {kp} leaks an estimated {100 * ratio:.2f}% of its "
+            f"first-order weight above n_max = {n_max} (limit "
+            f"{100 * TAIL_LIMIT:g}%); {advice}")
+    return ratio
+
+
 def f_sums(kp, taus, geometry):
     """Degradation sums entering the quadratic fidelity correction, one
     pair of arrays (f_alpha, f_beta) over the durations `taus`.
@@ -469,21 +496,11 @@ def f_sums(kp, taus, geometry):
 
     Raises TruncationError, naming the smallest adequate n_max, when the
     closed-form envelope estimates more than TAIL_LIMIT (1%) of the
-    column sum to live above n_max.
+    column sum to live above n_max (`_first_order_tail`).
     """
     if not 1 <= kp <= geometry.n_max:
         raise ValueError(f"kp must lie in 1..{geometry.n_max}")
-    ratio = _tail_ratio(kp, geometry.n_max)
-    if ratio > TAIL_LIMIT:
-        # the smallest n_max whose interior block holds kp and that passes
-        need = next((n for n in range(2 * kp, 65)
-                     if _tail_ratio(kp, n) <= TAIL_LIMIT), None)
-        advice = (f"use n_max >= {need}" if need is not None
-                  else "no n_max up to 64 is adequate")
-        raise TruncationError(
-            f"mode {kp} leaks an estimated {100 * ratio:.2f}% of its "
-            f"first-order weight above n_max = {geometry.n_max} (limit "
-            f"{100 * TAIL_LIMIT:g}%); {advice}")
+    _first_order_tail(kp, geometry.n_max)
     taus = np.asarray(taus, dtype=float)
     if (taus < 0).any():
         raise ValueError("segment duration must be >= 0")

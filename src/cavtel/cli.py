@@ -22,8 +22,8 @@ from .bogoliubov import (
     REGIME_H_SQUARED,
     TAIL_LIMIT,
     CavityGeometry,
+    _first_order_tail,
     _interior_count,
-    _tail_ratio,
     identity_residuals,
     one_segment_transform,
     sudden_switch_oracle,
@@ -288,6 +288,10 @@ def _plot_matrix(taus, accs, reports):
 
 
 def _write_text(path, text):
+    """Write `text` to the file at `path`, or to stdout when it is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -306,11 +310,7 @@ def cmd_sweep(args):
            f"# clamp_max = {float(clamp.max())!r}",
            ",".join(SWEEP_COLUMNS)]
     out.extend(_sweep_row_text(taus, accs, reports))
-    text = "\n".join(out) + "\n"
-    if args.out is not None:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, "\n".join(out) + "\n")
     if args.plot_data is not None:
         _write_text(args.plot_data, _plot_matrix(taus, accs, reports))
     return 0
@@ -321,8 +321,6 @@ def cmd_sweep(args):
 
 def cmd_coeffs(args):
     cfg = _load_config(args)
-    if not 0.0 < args.h < 2.0:
-        raise ValueError("h must lie in (0, 2)")
     geom = cfg.geometry()
     pair = sudden_switch_oracle(args.h, geom)
     first = sudden_switch_perturbative(geom)
@@ -337,11 +335,7 @@ def cmd_coeffs(args):
                 _fmt(pair.alpha[i, j].real), _fmt(pair.alpha[i, j].imag),
                 _fmt(pair.beta[i, j].real), _fmt(pair.beta[i, j].imag),
                 _fmt(first.alpha1[i, j]), _fmt(first.beta1[i, j])]))
-    text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -415,10 +409,10 @@ def _check_order_h4(cfg):
     return ok, f"halving ratios {r1:.1f}, {r2:.1f} (want 10..22)"
 
 def _check_truncation(cfg):
-    ratio = _tail_ratio(cfg.kp, cfg.n_max)
-    return ratio <= TAIL_LIMIT, (
-        f"estimated first-order tail above n_max: {100 * ratio:.2f}% "
-        f"(limit {100 * TAIL_LIMIT:g}%)")
+    # the gate itself: a failing tail raises its TruncationError
+    ratio = _first_order_tail(cfg.kp, cfg.n_max)
+    return True, (f"estimated first-order tail above n_max: "
+                  f"{100 * ratio:.2f}% (limit {100 * TAIL_LIMIT:g}%)")
 
 
 def cmd_validate(args):

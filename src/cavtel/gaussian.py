@@ -38,6 +38,9 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 PHYSICALITY_TOL = 1e-9
 PAIR_TOL = 1e-7
+# largest squeezing whose resource stays finite: cosh 2r overflows above
+# r ~ 355.2, and the sum that symmetrises a state, 2 cosh 2r, at r ~ 354.9
+SQUEEZING_MAX = 354.0
 
 _Z = np.diag([1.0, -1.0])
 _Z_ROWS = np.array([[1.0], [-1.0]])
@@ -57,14 +60,16 @@ def symplectic_form(n_modes):
 
 
 def make_two_mode_squeezed(r):
-    """Two-mode squeezed vacuum with squeezing parameter r >= 0.
+    """Two-mode squeezed vacuum with squeezing parameter
+    0 <= r <= SQUEEZING_MAX.
 
     Blocks are A = B = cosh(2r) I and C = sinh(2r) diag(1, -1); the state
     is pure (det sigma = 1) and its partial transpose has smallest
     symplectic eigenvalue exp(-2r).
     """
-    if r < 0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
+    if not 0 <= r <= SQUEEZING_MAX:
+        raise ValueError(f"squeezing parameter must lie in "
+                         f"0..{SQUEEZING_MAX:g}, got {r}")
     ch = np.cosh(2.0 * r)
     sh = np.sinh(2.0 * r)
     sigma = np.zeros((4, 4))

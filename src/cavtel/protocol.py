@@ -47,6 +47,7 @@ from .bogoliubov import (
 )
 from .errors import ConsistencyError, PhysicalityError, TruncationError
 from .gaussian import (
+    SQUEEZING_MAX,
     make_two_mode_squeezed,
     partial_transpose,
     rotation,
@@ -107,8 +108,9 @@ class ProtocolParams:
     geometry: CavityGeometry = DEFAULT_GEOMETRY
 
     def __post_init__(self):
-        if not 0 <= self.r < math.inf:
-            raise ValueError("squeezing r must be finite and >= 0")
+        if not 0 <= self.r <= SQUEEZING_MAX:
+            raise ValueError(f"squeezing r must be finite and lie in "
+                             f"0..{SQUEEZING_MAX:g}, got {self.r!r}")
         _require_index("Alice mode index k", self.k)
         _require_index("Rob mode index kp", self.kp)
         if self.k < 1:

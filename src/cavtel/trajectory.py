@@ -254,17 +254,14 @@ def _sinh(x):
 
 
 def _segment_error(seg, bad, problem):
-    """ValueError naming the segment, on a column its first row where
-    `bad`, and then its problem."""
+    """ValueError naming, on a column (an array `bad`), its first row
+    where `bad`, then the segment and its problem."""
+    row = int(np.argmax(bad))
+    name = f"row {row}: " if np.ndim(bad) else ""
     if isinstance(seg, Inertial):
-        name = f"the coast of {seg.duration!r} s"
+        name += f"the coast of {seg.duration!r} s"
     else:
-        tau = seg.tau
-        if np.ndim(tau):
-            row = int(np.argmax(bad))
-            tau, name = float(tau[row]), f"row {row}: "
-        else:
-            name = ""
+        tau = float(seg.tau[row]) if np.ndim(seg.tau) else seg.tau
         name += f"the burn of a = {seg.a!r} m/s^2 for tau = {tau!r} s"
     return ValueError(f"{name}: {problem}")
 

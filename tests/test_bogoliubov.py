@@ -377,7 +377,7 @@ def test_oracle_matches_scipy_at_nmax_40(h, m, n):
 @pytest.mark.parametrize("n_max", [10, 20, 40, 64])
 def test_switch_overlaps_match_elementwise_reference(n_max, monkeypatch):
     for h in (0.003125, 0.245, 1.5, 1.99):
-        co, counter, _ = _switch_overlaps(h, n_max)
+        co, counter, _, _ = _switch_overlaps(h, n_max)
         with monkeypatch.context() as patch:
             # small node chunks bound the reference stack's memory
             patch.setattr(quadrature, "_NODE_CHUNK", 256)
@@ -385,6 +385,18 @@ def test_switch_overlaps_match_elementwise_reference(n_max, monkeypatch):
                 h, n_max, ORACLE_TOL)
         assert np.max(np.abs(co - ref_co)) <= 1e-13
         assert np.max(np.abs(counter - ref_counter)) <= 1e-13
+
+
+def test_switch_rates_are_the_chart_rates():
+    # the cached rates come from the overlaps' own wedge frequencies;
+    # they must be the chart's omega_mode bit for bit
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        h = float(10.0 ** rng.uniform(-8.0, math.log10(1.5)))
+        n_max = int(rng.integers(2, 17))
+        rates = bogoliubov._oracle_cached(h, n_max).rates
+        want = RindlerGeometry(h).omega_mode(np.arange(1, n_max + 1))
+        assert rates.dtype == want.dtype and np.array_equal(rates, want)
 
 
 def test_switch_overlaps_evaluate_factors_only(monkeypatch):
@@ -768,8 +780,7 @@ def test_f_sums_equal_the_reference_column():
     for n_max in (10, 20, 40):
         geom = CavityGeometry(0.012, 1.2e8, n_max)
         adequate = [kp for kp in range(1, n_max // 2 + 1)
-                    if bogoliubov._tail_ratio(kp, n_max)
-                    <= bogoliubov.TAIL_LIMIT]
+                    if passes_tail_gate(kp, n_max)]
         for kp in rng.choice(adequate, size=3):
             kp = int(kp)
             taus = rng.uniform(0.0, 3.0 * geom.fundamental_period,
@@ -785,6 +796,14 @@ def test_f_sums_equal_the_reference_column():
             assert (one_a, one_b) == (fa[0], fb[0])
     with pytest.raises(ValueError):
         f_sums(3, [1e-10, -1e-10], GEOM)
+
+
+def passes_tail_gate(kp, n_max):
+    try:
+        bogoliubov._first_order_tail(kp, n_max)
+    except TruncationError:
+        return False
+    return True
 
 
 def test_f_sums_truncation_gate():

@@ -257,6 +257,45 @@ def test_rob_mode_outside_interior_block_exits_3(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("r", ["355", "400"])
+def test_squeezing_past_the_limit_is_usage_error(tmp_path, capsys, r):
+    # cosh 2r is inf at r = 400; at 355 the symmetrised resource overflows
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"r = {r}\n")
+    code, out, err = run(["fidelity", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert f"squeezing r must be finite and lie in 0..354, got {r}.0" in err
+
+
+# h = a L / c^2 at the default geometry: 8.3e-309 and 8.3e-319 from the
+# burns, 1e-310 and 1.6e-307 given to coeffs; 10 pi / h overflows below
+# about 1.7e-307, so no wedge rate is formed
+@pytest.mark.parametrize("burn,h", [
+    ("accel 1e-290 1e-10", 8.333333333333336e-309),
+    ("accel 1e-300 1e-10", 8.33336e-319),
+    (None, 1e-310),
+    (None, 1.6e-307),
+])
+def test_h_too_small_to_chart_is_usage_error(tmp_path, capsys, burn, h):
+    argv = ["coeffs", repr(h)]
+    if burn is not None:
+        traj = tmp_path / "tiny.traj"
+        traj.write_text(burn + "\n")
+        argv = ["fidelity", "--trajectory", str(traj)]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"h = {h!r} is too small" in err and "n_max = 10" in err
+
+
+def test_smallest_chartable_burn_runs(tmp_path, capsys):
+    # h = 2.5e-307: 10 pi / h = 1.26e308 is still finite
+    traj = tmp_path / "tiny.traj"
+    traj.write_text("accel 3e-289 1e-10\n")
+    code, out, err = run(["fidelity", "--trajectory", str(traj)], capsys)
+    assert code == 0, err
+    assert all(map(math.isfinite, report_fields(out).values()))
+
+
 def test_first_order_tail_gate_names_adequate_truncation(tmp_path, capsys):
     # mode 1 leaks 1.15% at n_max 10 although 10 >= 2 kp; 12 is the
     # smallest truncation that keeps the leak within 1%
@@ -647,10 +686,11 @@ def test_coeffs_closed_form_column(tmp_path, capsys):
 
 
 def test_coeffs_rejects_out_of_range(capsys):
-    code, _, err = run(["coeffs", "2.5"], capsys)
-    assert code == 2
-    code, _, err = run(["coeffs", "0"], capsys)
-    assert code == 2
+    # the chart's own check
+    for h in ("2.5", "0", "nan"):
+        code, out, err = run(["coeffs", h], capsys)
+        assert code == 2 and out == ""
+        assert "h must lie in (0, 2)" in err
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +731,20 @@ def test_validate_truncated_basis_fails(capsys):
     code, out, _ = run(["validate", "--nmax", "4"], capsys)
     assert code == 5
     assert any(ln.startswith("FAIL") for ln in out.splitlines())
+
+
+def test_validate_reads_the_tail_gate(tmp_path, capsys):
+    # mode 1 leaks 1.15% at n_max 10: the adequacy check and the h^4
+    # check both fail with the gate's own message
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kp = 1\n")
+    code, out, _ = run(["validate", "--config", str(cfg)], capsys)
+    assert code == 5
+    lines = dict(ln.split(": ", 1) for ln in out.splitlines() if ln)
+    gate = ("TruncationError: mode 1 leaks an estimated 1.15% of its "
+            "first-order weight above n_max = 10 (limit 1%); use n_max >= 12")
+    assert lines["FAIL truncation-adequacy"] == gate
+    assert lines["FAIL order-h4"] == gate
 
 
 def test_validate_mutated_oracle_fails(monkeypatch, capsys):

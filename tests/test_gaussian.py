@@ -8,6 +8,7 @@ from scipy.linalg import block_diag
 
 from cavtel.errors import PhysicalityError
 from cavtel.gaussian import (
+    SQUEEZING_MAX,
     local_rotation,
     make_two_mode_squeezed,
     partial_transpose,
@@ -53,6 +54,14 @@ def test_tms_structure(r):
 def test_tms_rejects_negative_r():
     with pytest.raises(ValueError):
         make_two_mode_squeezed(-0.1)
+
+
+def test_tms_squeezing_limit():
+    # cosh 2r is finite at the limit and overflows at r = 400
+    assert np.isfinite(make_two_mode_squeezed(SQUEEZING_MAX)).all()
+    for r in (np.nextafter(SQUEEZING_MAX, np.inf), 400.0, math.nan):
+        with pytest.raises(ValueError, match="squeezing parameter"):
+            make_two_mode_squeezed(r)
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, math.log(2), 1.5])

@@ -224,6 +224,17 @@ def test_phase_past_the_ulp_limit_names_its_column_row():
         in str(exc.value)
 
 
+def test_phase_past_the_ulp_limit_after_a_coast_names_its_column_row():
+    # the coast after row 1's 0.05 s burn takes phi past 2**33 rad
+    traj = Trajectory((Accelerated(1e17, [1e-10, 0.05]), Inertial(0.03)),
+                      GEOM)
+    with pytest.raises(ValueError) as exc:
+        phase_pair(traj, 1, 3, alice_clock="comoving")
+    assert str(exc.value).startswith(
+        "row 1: the coast of 0.03 s: the joint phase after it, "
+        "10053096491.487337 rad")
+
+
 # ---------------------------------------------------------------------------
 # phases
 

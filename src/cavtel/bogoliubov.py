@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TruncationError
-from .quadrature import integrate_stack
+from .quadrature import FactorMemo, integrate_stack
 
 __all__ = [
     "CavityGeometry",
@@ -262,6 +262,36 @@ def symplectic_rows(pair, mode):
 # ---------------------------------------------------------------------------
 # Sudden switch oracle
 
+class _Truncation(NamedTuple):
+    """The h-independent factors of one truncation's switch overlaps:
+    modes 1..n_max, their inertial rates n pi, the normalisation
+    1 / (pi sqrt(mn)), and the inertial profiles sin(n pi u) at each
+    node chunk u that the quadrature has passed, keyed on u's bytes."""
+
+    modes: np.ndarray
+    omega: np.ndarray
+    norm: np.ndarray
+    profiles: FactorMemo
+
+
+# bytes of inertial profiles kept per truncation: a sweep's levels take
+# 0.3 MB at n_max 40; at n_max 64 and h = 1.99 the levels up to 256
+# panels fit (3.8 MiB), and the 512- and 1024-panel ones are built per call
+PROFILE_BUDGET = 4 * 2 ** 20
+
+
+@lru_cache(maxsize=1)
+def _truncation(n_max):
+    """The `_Truncation` of n_max, one truncation at a time, its arrays
+    read-only; its profiles hold at most PROFILE_BUDGET bytes."""
+    modes = np.arange(1, n_max + 1)
+    omega = modes * np.pi                      # inertial, L = c = 1
+    norm = 1.0 / (np.pi * np.sqrt(np.outer(modes, modes)))
+    for a in (modes, omega, norm):
+        a.flags.writeable = False
+    return _Truncation(modes, omega, norm, FactorMemo(PROFILE_BUDGET))
+
+
 def _switch_overlaps(h, n_max):
     """Raw co- and counter-rotating overlap matrices for the switch at
     parameter h, their quadrature residual and the wedge rates
@@ -277,6 +307,15 @@ def _switch_overlaps(h, n_max):
     nearer the horizon, where the wedge modes crowd toward one wall, the
     doubling goes on by itself.
 
+    Only S_we and 1 / chi depend on h.  S_in, the modes and the
+    normalisation come from `_truncation(n_max)`, built once per
+    truncation: S_in is memoised per node chunk (keyed on the chunk's
+    bytes, so any chunking is served correctly) in at most
+    PROFILE_BUDGET = 4 MiB, and the panel rules in at most
+    `quadrature.RULE_BUDGET` = 1 MiB.  Every value is formed by the same
+    operations in the same order as on a call with no memo, so the
+    results keep every bit.
+
     Raises ValueError, naming h and n_max, when the fastest wedge rate
     n_max pi / log_width is not finite (h below about n_max pi / DBL_MAX).
     """
@@ -288,20 +327,19 @@ def _switch_overlaps(h, n_max):
     # integrate in the wall offset u = chi - chi_left in [0, 1]; the raw
     # chart coordinate 1/h +- 1/2 loses all precision below h ~ 1e-12
     scale = h / (1.0 - h / 2.0)                # 1 / chi_left
-    modes = np.arange(1, n_max + 1)
-    omega = modes * np.pi                      # inertial, L = c = 1
+    modes, omega, norm, profiles = _truncation(n_max)
     omega_wedge = modes * np.pi / width
 
     def evaluate(u):
-        sin_in = np.sin(np.outer(omega, u))
+        sin_in = profiles.get(u.tobytes(), lambda: np.sin(np.outer(omega, u)))
         z = np.log1p(u * scale) / width
-        sin_we = np.sin(np.pi * np.outer(modes, z))
-        inv_rad = scale / (1.0 + u * scale)
-        return np.stack([sin_we, sin_we * inv_rad]), sin_in
+        wedge = np.empty((2, n_max, u.size))
+        np.sin(np.pi * np.outer(modes, z), out=wedge[0])
+        np.multiply(wedge[0], scale / (1.0 + u * scale), out=wedge[1])
+        return wedge, sin_in
 
     (i0, i1), residual, _ = integrate_stack(
         evaluate, 0.0, 1.0, tol=ORACLE_TOL, base_panels=max(4, n_max // 2))
-    norm = 1.0 / (np.pi * np.sqrt(np.outer(modes, modes)))
     co = norm * (omega[None, :] * i0 + omega_wedge[:, None] * i1)
     counter = norm * (omega[None, :] * i0 - omega_wedge[:, None] * i1)
     return co, counter, residual, omega_wedge

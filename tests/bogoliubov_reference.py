@@ -19,6 +19,11 @@ angles come from `RindlerGeometry(h).omega_mode`, A^dagger and -B^T are
 formed inline, and `identity_residuals_reference` reduces the four
 residual blocks one by one.  The library's must equal it bit for bit.
 
+`switch_overlaps_reference` is `_switch_overlaps` before the
+h-independent factors were built once per truncation: every call forms
+the modes, the normalisation and the inertial profiles, and stacks the
+wedge factors with `np.stack`.  The library's must equal it bit for bit.
+
 The library's switch takes h > 0 only and its first order is the closed
 form.  Here the switch is also integrated at h < 0, against the mirrored
 wedge modes, and the first order is extracted numerically from central
@@ -175,6 +180,30 @@ def richardson_limit(values):
     limit = prev_row[-1]
     err = float(np.max(np.abs(limit - prev_row[-2])))
     return limit, err
+
+
+def switch_overlaps_reference(h, n_max):
+    """(co, counter, residual, rates) of `_switch_overlaps`, with every
+    factor formed on the call."""
+    width = RindlerGeometry(h).log_width
+    scale = h / (1.0 - h / 2.0)
+    modes = np.arange(1, n_max + 1)
+    omega = modes * np.pi
+    omega_wedge = modes * np.pi / width
+
+    def evaluate(u):
+        sin_in = np.sin(np.outer(omega, u))
+        z = np.log1p(u * scale) / width
+        sin_we = np.sin(np.pi * np.outer(modes, z))
+        inv_rad = scale / (1.0 + u * scale)
+        return np.stack([sin_we, sin_we * inv_rad]), sin_in
+
+    (i0, i1), residual, _ = integrate_stack(
+        evaluate, 0.0, 1.0, tol=ORACLE_TOL, base_panels=max(4, n_max // 2))
+    norm = 1.0 / (np.pi * np.sqrt(np.outer(modes, modes)))
+    co = norm * (omega[None, :] * i0 + omega_wedge[:, None] * i1)
+    counter = norm * (omega[None, :] * i0 - omega_wedge[:, None] * i1)
+    return co, counter, residual, omega_wedge
 
 
 def elementwise_switch_overlaps(h, n_max, tol):

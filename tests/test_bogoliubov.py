@@ -5,6 +5,7 @@ shares no code with the production integrator.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from bogoliubov_reference import (
     segment_transform,
     segment_transform_reference,
     switch_first_order_ladder,
+    switch_overlaps_reference,
 )
 
 GEOM = CavityGeometry(0.012, 1.2e8, 10)
@@ -414,6 +416,51 @@ def test_switch_overlaps_evaluate_factors_only(monkeypatch):
     assert shapes
     for left, right, k in shapes:
         assert left == (2, 40, k) and right == (40, k)
+
+
+def test_switch_overlaps_equal_the_unmemoised_reference(monkeypatch):
+    # each draw first fills the truncation's memo at the default node
+    # chunk, then asks again with 256-node chunks: a memo keyed on the
+    # panel level rather than on the nodes would serve the wrong profiles
+    default = quadrature._NODE_CHUNK
+    rng = np.random.default_rng(18)
+    for _ in range(12):
+        h = float(rng.uniform(1e-8, 1.99))
+        n_max = int(rng.integers(2, 65))
+        for chunk in (default, 256):
+            monkeypatch.setattr(quadrature, "_NODE_CHUNK", chunk)
+            got = _switch_overlaps(h, n_max)
+            want = switch_overlaps_reference(h, n_max)
+            for name, g, w in zip(("co", "counter", "residual", "rates"),
+                                  got, want):
+                assert np.array_equal(g, w), (name, h, n_max, chunk)
+
+
+def test_quadrature_memos_are_read_only_and_bounded():
+    # at n_max 64 and h = 1.99 the oracle goes five doublings deep and its
+    # finest level spans two node chunks: 16.5 MB of inertial profiles
+    # if each were kept
+    bogoliubov._truncation.cache_clear()
+    for h in (1.99, 0.3):
+        _switch_overlaps(h, 64)
+    for memo, budget in ((bogoliubov._truncation(64).profiles, 4 * 2 ** 20),
+                         (quadrature._RULES, 2 ** 20)):
+        assert memo.entries
+        assert memo.nbytes == sum(v.nbytes + sys.getsizeof(k)
+                                  for k, v in memo.entries.items())
+        assert memo.nbytes <= budget
+        for v in memo.entries.values():
+            assert not v.flags.writeable
+    for n in (32, 1024):
+        nodes, weights = quadrature.panel_rule(0.0, 1.0, n)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        # the rule as it was built on every call
+        edges = np.linspace(0.0, 1.0, n + 1)
+        half = 0.5 / n
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        x0, w0 = np.polynomial.legendre.leggauss(quadrature.GAUSS_ORDER)
+        assert np.array_equal(nodes, (mid[:, None] + half * x0).ravel())
+        assert np.array_equal(weights, np.tile(half * w0, n))
 
 
 def test_oracle_parity_between_wedges():

@@ -227,6 +227,19 @@ def compose(b2, b1):
     return BogoliubovPair(alpha, beta, np.maximum(b1.defect, b2.defect))
 
 
+def _phases(rates, t):
+    """Diagonal phases exp(-i rates t), a trailing mode axis after the
+    axes of the time `t`."""
+    return np.exp(-1j * (rates * t[..., None]))
+
+
+def _phase_rows(d, pair):
+    """`pair` followed by the diagonal phases `d`, which scale its rows;
+    the unitary phases leave its defect as it was."""
+    d = d[..., None]
+    return BogoliubovPair(d * pair.alpha, d * pair.beta, pair.defect)
+
+
 def _quadrature_rows(alpha, beta):
     # rows (..., r, n) of a pair give their (..., 2r, 2n) quadrature image
     plus = alpha + beta
@@ -263,15 +276,18 @@ def symplectic_rows(pair, mode):
 # Sudden switch oracle
 
 class _Truncation(NamedTuple):
-    """The h-independent factors of one truncation's switch overlaps:
-    modes 1..n_max, their inertial rates n pi, the normalisation
-    1 / (pi sqrt(mn)), and the inertial profiles sin(n pi u) at each
-    node chunk u that the quadrature has passed, keyed on u's bytes."""
+    """Everything that depends on the truncation alone: modes 1..n_max,
+    their inertial rates n pi (a coast's phases are
+    `_phases(omega, t)`), the normalisation 1 / (pi sqrt(mn)) of the
+    switch overlaps, the inertial profiles sin(n pi u) at each node
+    chunk u that the overlap quadrature has passed, keyed on u's bytes,
+    and the exact first-order switch `sudden_switch_perturbative`."""
 
     modes: np.ndarray
     omega: np.ndarray
     norm: np.ndarray
     profiles: FactorMemo
+    first_order: PerturbativeCoefficients
 
 
 # bytes of inertial profiles kept per truncation: a sweep's levels take
@@ -287,9 +303,12 @@ def _truncation(n_max):
     modes = np.arange(1, n_max + 1)
     omega = modes * np.pi                      # inertial, L = c = 1
     norm = 1.0 / (np.pi * np.sqrt(np.outer(modes, modes)))
-    for a in (modes, omega, norm):
+    first = PerturbativeCoefficients(
+        first_order_mixing(modes[:, None], modes),
+        first_order_pairing(modes[:, None], modes))
+    for a in (modes, omega, norm, first.alpha1, first.beta1):
         a.flags.writeable = False
-    return _Truncation(modes, omega, norm, FactorMemo(PROFILE_BUDGET))
+    return _Truncation(modes, omega, norm, FactorMemo(PROFILE_BUDGET), first)
 
 
 def _switch_overlaps(h, n_max):
@@ -317,18 +336,19 @@ def _switch_overlaps(h, n_max):
     results keep every bit.
 
     Raises ValueError, naming h and n_max, when the fastest wedge rate
-    n_max pi / log_width is not finite (h below about n_max pi / DBL_MAX).
+    omega_mode(n_max) is not finite (h below about n_max pi / DBL_MAX).
     """
-    width = RindlerGeometry(h).log_width
-    if not math.isfinite(n_max * math.pi / width):
+    chart = RindlerGeometry(h)
+    if not math.isfinite(chart.omega_mode(n_max)):
         raise ValueError(
             f"h = {h!r} is too small for the accelerated chart of modes "
             f"1..n_max = {n_max}: its wedge rates overflow")
+    width = chart.log_width
     # integrate in the wall offset u = chi - chi_left in [0, 1]; the raw
     # chart coordinate 1/h +- 1/2 loses all precision below h ~ 1e-12
     scale = h / (1.0 - h / 2.0)                # 1 / chi_left
-    modes, omega, norm, profiles = _truncation(n_max)
-    omega_wedge = modes * np.pi / width
+    modes, omega, norm, profiles, _ = _truncation(n_max)
+    omega_wedge = chart.omega_mode(modes)
 
     def evaluate(u):
         sin_in = profiles.get(u.tobytes(), lambda: np.sin(np.outer(omega, u)))
@@ -347,12 +367,12 @@ def _switch_overlaps(h, n_max):
 
 class _Switch(NamedTuple):
     """A switch's cache entry: its pair, the wedge rates omega_mode(n) of
-    modes 1..n_max, and its canonical inverse's A^dagger and -B^T."""
+    modes 1..n_max, and its canonical inverse (A^dagger, -B^T), which
+    carries the pair's defect."""
 
     pair: BogoliubovPair
     rates: np.ndarray
-    a_dag: np.ndarray
-    minus_bt: np.ndarray
+    inverse: BogoliubovPair
 
 
 @lru_cache(maxsize=1024)
@@ -361,10 +381,10 @@ def _oracle_cached(h, n_max):
     entry; every array is read-only."""
     co, counter, residual, rates = _switch_overlaps(h, n_max)
     pair = make_pair(co, -counter, floor=residual)
-    switch = _Switch(pair, rates, pair.alpha.conj().T, -pair.beta.T)
-    for a in (pair.alpha, pair.beta, *switch[1:]):
+    inverse = BogoliubovPair(pair.alpha.conj().T, -pair.beta.T, pair.defect)
+    for a in (pair.alpha, pair.beta, rates, inverse.alpha, inverse.beta):
         a.flags.writeable = False
-    return switch
+    return _Switch(pair, rates, inverse)
 
 
 def sudden_switch_oracle(h, geometry):
@@ -387,34 +407,24 @@ def sudden_switch_oracle(h, geometry):
     return _oracle_cached(float(h), geometry.n_max).pair
 
 
-@lru_cache(maxsize=64)
-def _coast_rates(n_max):
-    rates = -1j * np.arange(1, n_max + 1) * np.pi
-    rates.flags.writeable = False
-    return rates
-
-
 def _inertial_phases(t_seconds, geometry):
     """A coast's phases exp(-i n pi t c / L) of modes 1..n_max, with a
     trailing mode axis after the axes of the lab time `t_seconds`."""
     t = geometry.natural_time(np.asarray(t_seconds, dtype=float))
-    return np.exp(_coast_rates(geometry.n_max) * t[..., None])
+    return _phases(_truncation(geometry.n_max).omega, t)
 
 
 def _segment_matrices(tau_seconds, h, geometry):
-    """`one_segment_transform`'s (alpha, beta), unmeasured, with the
-    switch's defect as the floor of theirs."""
+    """`one_segment_transform`'s pair, unmeasured: the switch, the wedge
+    phases and the switch's stored inverse, joined by `compose`.  Its
+    defect is the switch's, the floor of the measured one."""
     taus = np.asarray(tau_seconds, dtype=float)
     if (taus < 0).any():
         raise ValueError("segment duration must be >= 0")
     switch = _oracle_cached(float(h), geometry.n_max)
-    # wedge phase angles omega_mode(n) eta, at wedge time eta = h tau c / L
-    eta = h * geometry.natural_time(taus)
-    d = np.exp(-1j * (switch.rates * eta[..., None]))[..., None]
-    da, db = d * switch.pair.alpha, d * switch.pair.beta
-    alpha = switch.a_dag @ da + switch.minus_bt @ db.conj()
-    beta = switch.a_dag @ db + switch.minus_bt @ da.conj()
-    return alpha, beta, switch.pair.defect
+    # wedge phases exp(-i omega_mode(n) eta), at wedge time eta = h tau c / L
+    d = _phases(switch.rates, h * geometry.natural_time(taus))
+    return compose(switch.inverse, _phase_rows(d, switch.pair))
 
 
 def one_segment_transform(tau_seconds, h, geometry):
@@ -422,13 +432,15 @@ def one_segment_transform(tau_seconds, h, geometry):
 
     Switch into the accelerated basis, evolve for proper time tau at the
     center, switch back: B^-1 o phases o B with the canonical inverse
-    B^-1 = (A^dagger, -B^T), measuring the defect.
+    B^-1 = (A^dagger, -B^T), joined by `compose`, measuring the defect.
     With the switch pair (A, B) and the wedge phases D, that is
     alpha = A^dagger D A - B^T D^* B^* and beta = A^dagger D B - B^T D^* A^*.
     An array of durations gives a stacked pair, one transform per
-    duration, each with its own measured defect.
+    duration, each with its own measured defect.  The switch's pair and
+    its inverse are built once per (h, n_max) and shared by every burn.
     """
-    return make_pair(*_segment_matrices(tau_seconds, h, geometry))
+    step = _segment_matrices(tau_seconds, h, geometry)
+    return make_pair(step.alpha, step.beta, floor=step.defect)
 
 
 # ---------------------------------------------------------------------------
@@ -464,23 +476,14 @@ class PerturbativeCoefficients:
     beta1: np.ndarray
 
 
-@lru_cache(maxsize=64)
-def _switch_first_order_cached(n_max):
-    m = np.arange(1, n_max + 1)
-    alpha1 = first_order_mixing(m[:, None], m)
-    beta1 = first_order_pairing(m[:, None], m)
-    alpha1.flags.writeable = False
-    beta1.flags.writeable = False
-    return PerturbativeCoefficients(alpha1, beta1)
-
-
 def sudden_switch_perturbative(geometry):
     """Exact first-order switch coefficients over modes 1..n_max, the
     closed forms `first_order_mixing` and `first_order_pairing`
-    (Bruschi, Fuentes and Louko, arXiv:1105.1875), cached per truncation.
-    No oracle call is made; the tests check them against central
-    differences of the oracle."""
-    return _switch_first_order_cached(geometry.n_max)
+    (Bruschi, Fuentes and Louko, arXiv:1105.1875), read-only, kept in
+    the table of one truncation at a time (`_truncation`), so a process
+    that alternates n_max rebuilds them.  No oracle call is made; the
+    tests check them against central differences of the oracle."""
+    return _truncation(geometry.n_max).first_order
 
 
 @lru_cache(maxsize=256)
@@ -536,6 +539,7 @@ def f_sums(kp, taus, geometry):
     closed-form envelope estimates more than TAIL_LIMIT (1%) of the
     column sum to live above n_max (`_first_order_tail`).
     """
+    _require_index("kp", kp)
     if not 1 <= kp <= geometry.n_max:
         raise ValueError(f"kp must lie in 1..{geometry.n_max}")
     _first_order_tail(kp, geometry.n_max)

@@ -32,6 +32,7 @@ from .bogoliubov import (
     BogoliubovPair,
     CavityGeometry,
     _inertial_phases,
+    _phase_rows,
     _segment_matrices,
     compose,
     identity_residuals,
@@ -69,15 +70,28 @@ def h_parameter(a, L, c):
     return h
 
 
+def _scalar(value):
+    """A 0-d array as a float: kept as the caller's array, it would make
+    the segment unhashable, and a later write to it would change the
+    segment."""
+    if isinstance(value, np.ndarray) and not value.ndim:
+        return float(value)
+    return value
+
+
 @dataclass(frozen=True)
 class Inertial:
-    """Coasting segment; `duration` is lab-frame seconds."""
+    """Coasting segment; `duration` is lab-frame seconds, one number (a
+    0-d array is stored as a float)."""
 
     duration: float
 
     def __post_init__(self):
-        if not 0.0 <= self.duration < math.inf:
+        duration = _scalar(self.duration)
+        if isinstance(duration, np.ndarray) \
+                or not 0.0 <= duration < math.inf:
             raise ValueError("inertial duration must be finite and >= 0")
+        object.__setattr__(self, "duration", duration)
 
 
 @dataclass(frozen=True)
@@ -86,6 +100,7 @@ class Accelerated:
 
     tau may be a non-empty 1-D array of durations, kept as a read-only
     copy; the trajectory is then a column (see the module docstring).
+    A 0-d array, as a or tau, is stored as a float.
     Only speed-up segments are supported; direction reversal would need
     a matched pair of wedge charts and is out of scope.
     """
@@ -94,17 +109,19 @@ class Accelerated:
     tau: float | np.ndarray
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
+        a = _scalar(self.a)
+        if not (a > 0.0 and math.isfinite(a)):
             raise ValueError("acceleration must be positive and finite")
-        tau = self.tau
+        object.__setattr__(self, "a", a)
+        tau = _scalar(self.tau)
         if isinstance(tau, float) or not np.ndim(tau):
             ok = 0.0 <= tau < math.inf
         else:
             tau = np.array(tau, dtype=float)
             tau.flags.writeable = False
-            object.__setattr__(self, "tau", tau)
             ok = tau.ndim == 1 and tau.size \
                 and ((tau >= 0.0) & (tau < math.inf)).all()
+        object.__setattr__(self, "tau", tau)
         if not ok:
             raise ValueError("proper duration tau must be finite and >= 0, "
                              "or a non-empty 1-D array of such")
@@ -334,13 +351,12 @@ def build_transform(trajectory):
             if total is None:
                 lead = d if lead is None else d * lead
             else:
-                total = BogoliubovPair(d[:, None] * total.alpha,
-                                       d[:, None] * total.beta, total.defect)
+                total = _phase_rows(d, total)
             continue
         # h_parameter's arithmetic without its regime warning: the switch
         # chart is exact on (0, 2), only the second-order model is not
         h = seg.a * geom.L / geom.c ** 2
-        step = BogoliubovPair(*_segment_matrices(seg.tau, h, geom))
+        step = _segment_matrices(seg.tau, h, geom)
         measured.append(step)
         if total is not None:
             total = compose(step, total)

@@ -16,8 +16,12 @@ goes.  The library's must equal it bit for bit.
 `segment_transform_reference` is `one_segment_transform` before the
 switch's cache entry carried its wedge rates and canonical inverse: the
 angles come from `RindlerGeometry(h).omega_mode`, A^dagger and -B^T are
-formed inline, and `identity_residuals_reference` reduces the four
-residual blocks one by one.  The library's must equal it bit for bit.
+formed inline, the product B^-1 o D o B is written out rather than
+taken from `compose`, and `identity_residuals_reference` reduces the
+four residual blocks one by one.  `coast_phases_reference` forms a
+coast's rates -i n pi on the call, as the library did before its coasts
+read n pi from the truncation's table.  The library's must equal them
+bit for bit.
 
 `switch_overlaps_reference` is `_switch_overlaps` before the
 h-independent factors were built once per truncation: every call forms
@@ -101,13 +105,17 @@ def identity_residuals_reference(alpha, beta):
     return float(worst) if alpha.ndim == 2 else worst
 
 
-def coast_rates_reference(n_max):
-    """A coast's rates -i n pi of modes 1..n_max, formed on the call."""
-    return -1j * np.arange(1, n_max + 1) * np.pi
+def coast_phases_reference(t_seconds, geometry):
+    """A coast's phases exp(-i n pi t c / L), with a trailing mode axis
+    after the axes of the lab time `t_seconds`; the rates -i n pi of
+    modes 1..n_max are formed on the call."""
+    t = geometry.natural_time(np.asarray(t_seconds, dtype=float))
+    rates = -1j * np.arange(1, geometry.n_max + 1) * np.pi
+    return np.exp(rates * t[..., None])
 
 
 def segment_matrices_reference(tau_seconds, h, geometry):
-    """(alpha, beta) of one burn, unmeasured, and its switch's defect
+    """The pair of one burn, unmeasured, with its switch's defect as the
     floor; every per-switch value but the oracle pair formed on the
     call."""
     taus = np.asarray(tau_seconds, dtype=float)
@@ -117,14 +125,16 @@ def segment_matrices_reference(tau_seconds, h, geometry):
     a_dag, minus_bt = b0.alpha.conj().T, -b0.beta.T
     alpha = a_dag @ da + minus_bt @ db.conj()
     beta = a_dag @ db + minus_bt @ da.conj()
-    return alpha, beta, b0.defect
+    return BogoliubovPair(alpha, beta, b0.defect)
 
 
 def segment_transform_reference(tau_seconds, h, geometry):
     """(alpha, beta, defect) of one burn, every per-switch value formed
     on the call."""
-    alpha, beta, floor = segment_matrices_reference(tau_seconds, h, geometry)
-    defect = np.maximum(identity_residuals_reference(alpha, beta), floor)
+    step = segment_matrices_reference(tau_seconds, h, geometry)
+    alpha, beta = step.alpha, step.beta
+    defect = np.maximum(identity_residuals_reference(alpha, beta),
+                        step.defect)
     return alpha, beta, float(defect) if alpha.ndim == 2 else defect
 
 

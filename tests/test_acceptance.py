@@ -16,7 +16,7 @@ import pytest
 from cavtel.bogoliubov import (
     CavityGeometry,
     _oracle_cached,
-    _switch_first_order_cached,
+    _truncation,
     identity_residuals,
     sudden_switch_oracle,
     sudden_switch_perturbative,
@@ -127,7 +127,7 @@ def test_acceptance_phase_correction_recovery():
 
 def test_acceptance_oracle_health():
     _oracle_cached.cache_clear()
-    _switch_first_order_cached.cache_clear()
+    _truncation.cache_clear()
     start = time.perf_counter()
     pair10 = sudden_switch_oracle(0.245, DEFAULT_GEOMETRY)
     res10 = identity_residuals(pair10.alpha, pair10.beta)

@@ -487,7 +487,7 @@ def test_oracle_identity_health():
 
 def test_first_order_makes_no_oracle_call():
     cached = bogoliubov._oracle_cached
-    bogoliubov._switch_first_order_cached.cache_clear()
+    bogoliubov._truncation.cache_clear()
     before = cached.cache_info()
     for n_max in (10, 20, 40):
         sudden_switch_perturbative(CavityGeometry(0.012, 1.2e8, n_max))
@@ -505,8 +505,11 @@ def test_oracle_arrays_are_frozen():
     pair = sudden_switch_oracle(0.13, GEOM)
     switch = bogoliubov._oracle_cached(0.13, GEOM.n_max)
     assert switch.pair is pair
-    shared = (pair.alpha, pair.beta, switch.rates, switch.a_dag,
-              switch.minus_bt, bogoliubov._coast_rates(GEOM.n_max),
+    table = bogoliubov._truncation(GEOM.n_max)
+    assert sudden_switch_perturbative(GEOM) is table.first_order
+    shared = (pair.alpha, pair.beta, switch.rates, switch.inverse.alpha,
+              switch.inverse.beta, table.modes, table.omega, table.norm,
+              table.first_order.alpha1, table.first_order.beta1,
               bogoliubov._interior_eye(GEOM.n_max // 2))
     for array in shared:
         with pytest.raises(ValueError):
@@ -862,3 +865,7 @@ def test_f_sums_truncation_gate():
 def test_f_sums_validates_arguments():
     with pytest.raises(ValueError):
         f_sums(11, 0.3e-9, GEOM)
+    # a float mode index fails in a slice, and True reads as mode 1
+    for kp in (3.0, True):
+        with pytest.raises(ValueError, match="kp must be an integer"):
+            f_sums(kp, 0.3e-9, GEOM)

@@ -499,7 +499,7 @@ def test_sweep_wider_than_oracle_cache_computes_each_switch_once():
     cfg = RunConfig(tau_steps=2, a_steps=1100)
     assert cfg.a_steps > bogoliubov._oracle_cached.cache_info().maxsize
     bogoliubov._oracle_cached.cache_clear()
-    bogoliubov._switch_first_order_cached.cache_clear()
+    bogoliubov._truncation.cache_clear()
     rows = sweep_table(*sweep_rows(cfg))
     assert len(rows) == 2200
     # one switch per acceleration; the first order is the closed form

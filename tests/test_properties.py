@@ -44,7 +44,7 @@ from cavtel.trajectory import (
 )
 from bogoliubov_reference import (
     build_transform_per_burn,
-    coast_rates_reference,
+    coast_phases_reference,
     identity_pair,
     identity_residuals_reference,
     phase_evolution_minkowski,
@@ -258,8 +258,10 @@ def test_report_bits_do_not_depend_on_warm_caches(traj, kp, clock):
                     segment_matrices_reference), \
             mock.patch("cavtel.trajectory.identity_residuals",
                        identity_residuals_reference), \
-            mock.patch("cavtel.bogoliubov._coast_rates",
-                       coast_rates_reference):
+            mock.patch("cavtel.trajectory._inertial_phases",
+                       coast_phases_reference), \
+            mock.patch("cavtel.bogoliubov._inertial_phases",
+                       coast_phases_reference):
         uncached = pickle.dumps(consistency_report(params, traj, clock))
     cached = pickle.dumps(consistency_report(params, traj, clock))
     assert cached == uncached

@@ -75,6 +75,20 @@ def test_segments_compare_and_hash_by_value():
     assert len(trajs) == 1
 
 
+def test_zero_d_arrays_are_stored_as_floats():
+    a, tau, coast = np.array(2e17), np.array(3e-10), np.array(1e-10)
+    burn, rest = Accelerated(a, tau), Inertial(coast)
+    traj = Trajectory((rest, burn), GEOM)
+    assert hash(traj) == hash(Trajectory((Inertial(1e-10),
+                                          Accelerated(2e17, 3e-10)), GEOM))
+    # a later write to the caller's arrays leaves the segments as built
+    a[()], tau[()], coast[()] = 1e17, 5e-10, 2e-10
+    assert burn == Accelerated(2e17, 3e-10) and rest == Inertial(1e-10)
+    assert ledger(traj).tau_rob == 1e-10 + 3e-10
+    with pytest.raises(ValueError, match="inertial duration must be"):
+        Inertial(np.array([1e-10, 2e-10]))
+
+
 def test_trajectory_rejects_non_segments():
     with pytest.raises(TypeError):
         Trajectory(("coast",), GEOM)

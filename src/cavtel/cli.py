@@ -10,7 +10,9 @@ that carry no timestamps, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -191,19 +193,17 @@ def _fmt(x):
     return FLOAT_FMT % x
 
 
-def _sweep_row_text(taus, accs, reports):
-    """CSV body lines of the grid in tau-major order: row i of each
-    column report in turn, then row i + 1."""
+def _sweep_row_text(tau, coords, block):
+    """CSV body text of one tau: line j holds repr(tau), coords[j] (the
+    "a,h" text of column j) and row j of `block`, the (A, 8) slice of
+    the sweep table at that tau."""
     # coordinates round-trip exactly so h = a L / c^2 survives the file;
     # derived quantities carry the fixed 12-digit format
-    line = "%s,%s," + ",".join([FLOAT_FMT] * (len(SWEEP_COLUMNS) - 3))
-    coords = [f"{a!r},{float(rep.h[0])!r}"
-              for a, rep in zip(accs.tolist(), reports)]
-    values = [np.column_stack([getattr(rep, c) for c in SWEEP_COLUMNS[3:]])
-              .tolist() for rep in reports]
-    return [line % (tau, coords[j], *values[j][i])
-            for i, tau in enumerate(map(repr, taus.tolist()))
-            for j in range(len(reports))]
+    line = "%s,%s," + ",".join([FLOAT_FMT] * (len(SWEEP_COLUMNS) - 3)) \
+        + "\n"
+    tau = repr(tau)
+    return "".join([line % (tau, c, *v)
+                    for c, v in zip(coords, block.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +215,13 @@ def cmd_fidelity(args):
     traj = _load_trajectory(args.trajectory, params.geometry)
     report = consistency_report(params, traj, alice_clock=cfg.alice_clock)
     width = max(len(c) for c in REPORT_COLUMNS)
-    for name in REPORT_COLUMNS:
-        print(f"{name:<{width}}  {getattr(report, name):.12g}")
+    _write_text(None, [f"{name:<{width}}  {getattr(report, name):.12g}\n"
+                       for name in REPORT_COLUMNS])
     if args.out is not None:
         lines = [_metadata_lines(cfg, extra=[("defect", report.defect)]),
                  ",".join(REPORT_COLUMNS),
                  ",".join(_fmt(getattr(report, c)) for c in REPORT_COLUMNS)]
-        _write_text(args.out, "\n".join(filter(None, lines)) + "\n")
+        _write_text(args.out, ["\n".join(filter(None, lines)) + "\n"])
     return 0
 
 
@@ -277,23 +277,40 @@ def sweep_rows(cfg, jobs=1):
 
 
 def _plot_matrix(taus, accs, reports):
-    """Gnuplot nonuniform-matrix text of F_opt over the grid."""
-    lines = ["# gnuplot nonuniform matrix: F_opt_numeric(tau, a)",
-             "# plot with: splot 'file' nonuniform matrix with pm3d",
-             " ".join([str(len(taus))] + [_fmt(t) for t in taus.tolist()])]
+    """Gnuplot nonuniform-matrix text of F_opt over the grid, one line
+    per piece."""
+    yield "# gnuplot nonuniform matrix: F_opt_numeric(tau, a)\n"
+    yield "# plot with: splot 'file' nonuniform matrix with pm3d\n"
+    yield " ".join([str(len(taus))] + [_fmt(t) for t in taus.tolist()]) \
+        + "\n"
     for a, rep in zip(accs.tolist(), reports):
         cells = [_fmt(a)] + [_fmt(f) for f in rep.F_opt_numeric.tolist()]
-        lines.append(" ".join(cells))
-    return "\n".join(lines) + "\n"
+        yield " ".join(cells) + "\n"
 
 
-def _write_text(path, text):
-    """Write `text` to the file at `path`, or to stdout when it is None."""
-    if path is None:
-        sys.stdout.write(text)
+def _write_text(path, pieces):
+    """Write the text pieces in turn to the file at `path`, or to stdout
+    when it is None.
+
+    A reader of stdout that stops early (`cavtel sweep | head`) ends the
+    output quietly: the pipe error is not a failure of the run, and
+    later stdout text goes to the null device.  A failed write to a file
+    raises.
+    """
+    if path is not None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest of stdout's buffer would fail again at interpreter
+        # exit, with an "Exception ignored" line; send it to the null
+        # device instead
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def cmd_sweep(args):
@@ -301,16 +318,26 @@ def cmd_sweep(args):
     taus, accs, reports = sweep_rows(cfg, jobs=args.jobs)
     defect = np.concatenate([rep.defect for rep in reports])
     clamp = np.concatenate([rep.clamp for rep in reports])
-    out = ["# sweep grid: tau-major row order",
-           _metadata_lines(cfg),
-           "# grid axes are a reconstruction of the regime, not published",
-           "# coordinates",
-           f"# max_defect = {float(defect.max())!r}",
-           f"# clamped_points = {np.count_nonzero(clamp)}",
-           f"# clamp_max = {float(clamp.max())!r}",
-           ",".join(SWEEP_COLUMNS)]
-    out.extend(_sweep_row_text(taus, accs, reports))
-    _write_text(args.out, "\n".join(out) + "\n")
+    head = ["# sweep grid: tau-major row order",
+            _metadata_lines(cfg),
+            "# grid axes are a reconstruction of the regime, not published",
+            "# coordinates",
+            f"# max_defect = {float(defect.max())!r}",
+            f"# clamped_points = {np.count_nonzero(clamp)}",
+            f"# clamp_max = {float(clamp.max())!r}",
+            ",".join(SWEEP_COLUMNS)]
+    # the published columns as one (T, A, 8) table; the body is formatted
+    # and written one tau block at a time, so the text of the whole grid
+    # is never held, and the output opens only once every column is done
+    table = np.empty((len(taus), len(reports), len(SWEEP_COLUMNS) - 3))
+    for j, rep in enumerate(reports):
+        for k, name in enumerate(SWEEP_COLUMNS[3:]):
+            table[:, j, k] = getattr(rep, name)
+    coords = [f"{a!r},{float(rep.h[0])!r}"
+              for a, rep in zip(accs.tolist(), reports)]
+    body = (_sweep_row_text(tau, coords, block)
+            for tau, block in zip(taus.tolist(), table))
+    _write_text(args.out, itertools.chain(["\n".join(head) + "\n"], body))
     if args.plot_data is not None:
         _write_text(args.plot_data, _plot_matrix(taus, accs, reports))
     return 0
@@ -335,7 +362,7 @@ def cmd_coeffs(args):
                 _fmt(pair.alpha[i, j].real), _fmt(pair.alpha[i, j].imag),
                 _fmt(pair.beta[i, j].real), _fmt(pair.beta[i, j].imag),
                 _fmt(first.alpha1[i, j]), _fmt(first.beta1[i, j])]))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -431,7 +458,7 @@ def cmd_validate(args):
             ok, detail = run()
         except CavtelError as exc:
             ok, detail = False, f"{type(exc).__name__}: {exc}"
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        _write_text(None, [f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n"])
         if not ok:
             failures.append(name)
     if failures:

@@ -22,6 +22,7 @@ their arrays must have one length.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -70,26 +71,36 @@ def h_parameter(a, L, c):
     return h
 
 
-def _scalar(value):
-    """A 0-d array as a float: kept as the caller's array, it would make
-    the segment unhashable, and a later write to it would change the
-    segment."""
-    if isinstance(value, np.ndarray) and not value.ndim:
+def _real(value, field):
+    """`value` as one real number for the segment's `field`.
+
+    A 0-d numeric array is stored as a float: kept as the caller's
+    array, it would make the segment unhashable, and a later write to it
+    would change the segment.  Anything else that is not a real number
+    (a list, a string, None, a bool) is rejected by name before it is
+    compared with a bound.
+    """
+    if isinstance(value, float):  # most input, and the cheapest check
+        return value
+    if isinstance(value, np.ndarray) and not value.ndim \
+            and value.dtype.kind in "iuf":
         return float(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(
+            f"{field} must be a real number, got {type(value).__name__}")
     return value
 
 
 @dataclass(frozen=True)
 class Inertial:
-    """Coasting segment; `duration` is lab-frame seconds, one number (a
-    0-d array is stored as a float)."""
+    """Coasting segment; `duration` is lab-frame seconds, one real number
+    (a 0-d array is stored as a float)."""
 
     duration: float
 
     def __post_init__(self):
-        duration = _scalar(self.duration)
-        if isinstance(duration, np.ndarray) \
-                or not 0.0 <= duration < math.inf:
+        duration = _real(self.duration, "inertial duration")
+        if not 0.0 <= duration < math.inf:
             raise ValueError("inertial duration must be finite and >= 0")
         object.__setattr__(self, "duration", duration)
 
@@ -109,14 +120,19 @@ class Accelerated:
     tau: float | np.ndarray
 
     def __post_init__(self):
-        a = _scalar(self.a)
+        a = _real(self.a, "acceleration")
         if not (a > 0.0 and math.isfinite(a)):
             raise ValueError("acceleration must be positive and finite")
         object.__setattr__(self, "a", a)
-        tau = _scalar(self.tau)
+        tau = self.tau
         if isinstance(tau, float) or not np.ndim(tau):
+            tau = _real(tau, "proper duration tau")
             ok = 0.0 <= tau < math.inf
         else:
+            tau = np.asarray(tau)
+            if tau.dtype.kind not in "iuf":
+                raise ValueError("proper duration tau must hold real "
+                                 f"numbers, got {tau.dtype} entries")
             tau = np.array(tau, dtype=float)
             tau.flags.writeable = False
             ok = tau.ndim == 1 and tau.size \

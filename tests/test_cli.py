@@ -4,6 +4,7 @@ import csv
 import logging
 import math
 import os
+import select
 import stat
 import subprocess
 import sys
@@ -46,6 +47,17 @@ def report_fields(out):
         if len(tokens) == 2:
             fields[tokens[0]] = float(tokens[1])
     return fields
+
+
+def checkout_env():
+    """The environment for a child process that imports cavtel from this
+    checkout, installed or not."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def read_csv(path):
@@ -484,13 +496,98 @@ def test_sweep_plot_data_matrix(tmp_path, small_cfg, capsys):
         assert line.split() == ["%.11e" % v for v in [a] + want]
 
 
-def test_sweep_stdout_when_no_out(small_cfg, capsys):
-    code, out, _ = run(["sweep", "--config", small_cfg], capsys)
+def test_sweep_stdout_when_no_out(tmp_path, small_cfg, capsys):
+    plots = [tmp_path / "stdout.dat", tmp_path / "file.dat"]
+    code, out, _ = run(["sweep", "--config", small_cfg,
+                        "--plot-data", str(plots[0])], capsys)
     assert code == 0
     data_lines = [ln for ln in out.splitlines()
                   if ln and not ln.startswith("#")]
     assert data_lines[0].startswith("tau_s,")
     assert len(data_lines) == 21
+    # the same bytes as --out, and the same plot matrix beside either
+    out_path = tmp_path / "sweep.csv"
+    code, printed, _ = run(["sweep", "--config", small_cfg,
+                            "--out", str(out_path),
+                            "--plot-data", str(plots[1])], capsys)
+    assert code == 0 and printed == ""
+    assert out.encode() == out_path.read_bytes()
+    assert plots[0].read_bytes() == plots[1].read_bytes()
+
+
+@pytest.mark.parametrize("steps", [(100, 100), (400, 10), (10, 400)])
+def test_sweep_writer_holds_about_one_tau_block(tmp_path, capsys,
+                                                monkeypatch, steps):
+    # the grid is computed first; only the writing of its CSV is traced,
+    # and it must never hold as much as the text it writes
+    import tracemalloc
+    from cavtel import cli
+    cfg = RunConfig(tau_steps=steps[0], a_steps=steps[1])
+    computed = sweep_rows(cfg)
+    monkeypatch.setattr(cli, "sweep_rows", lambda cfg, jobs: computed)
+    out_path = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        code, _, _ = run(["sweep", "--out", str(out_path)], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = out_path.stat().st_size
+    assert peak < size, f"peak {peak / size:.2f} x the {size} B CSV"
+
+
+@pytest.mark.parametrize("target,code", [("stdout", 0), ("out", 4)])
+def test_sweep_reader_closing_early(tmp_path, target, code):
+    # a reader that takes 100 bytes of a CSV far larger than a pipe's
+    # buffer, then closes, as `cavtel sweep | head -c 100` does: on
+    # stdout the run ends quietly, while a failed --out write stays an
+    # I/O error
+    config = tmp_path / "long.cfg"
+    config.write_text("tau_steps = 1000\na_steps = 2\n")
+    argv = [sys.executable, "-m", "cavtel.cli", "sweep",
+            "--config", str(config)]
+    if target == "stdout":
+        proc = subprocess.Popen(argv, env=checkout_env(),
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        reader = proc.stdout
+    else:
+        fifo = tmp_path / "sweep.fifo"
+        os.mkfifo(fifo)
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        proc = subprocess.Popen(argv + ["--out", str(fifo)],
+                                env=checkout_env(),
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE)
+        # until the sweep writes, wait for it, but not forever
+        select.select([fd], [], [], 120)
+        os.set_blocking(fd, True)
+        reader = os.fdopen(fd, "rb")
+    try:
+        assert reader.read(100).startswith(b"# sweep grid")
+    finally:
+        reader.close()
+    assert proc.wait(timeout=120) == code
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    if code == 0:
+        assert err == ""
+    else:
+        assert err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("command", ["fidelity", "validate"])
+def test_report_to_a_reader_gone_before_it_is_quiet(command):
+    # as `cavtel fidelity | true`: the reader has closed before the first
+    # line is written
+    proc = subprocess.Popen([sys.executable, "-m", "cavtel.cli", command],
+                            env=checkout_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_sweep_wider_than_oracle_cache_computes_each_switch_once():
@@ -588,15 +685,20 @@ def reference_row_text(row):
     # the per-row formatter the sweep used before it formatted each
     # distinct coordinate once
     coords = [repr(float(v)) for v in row[:3]]
-    return ",".join(coords + ["%.11e" % v for v in row[3:]])
+    return ",".join(coords + ["%.11e" % v for v in row[3:]]) + "\n"
 
 
 def test_sweep_row_text_matches_per_row_formatter(small_cfg):
     with open(small_cfg) as fh:
         cfg = apply_config_text(RunConfig(), fh.read())
     taus, accs, reports = sweep_rows(cfg)
-    assert _sweep_row_text(taus, accs, reports) == [
-        reference_row_text(r) for r in sweep_table(taus, accs, reports)]
+    rows = sweep_table(taus, accs, reports)
+    width = len(accs)
+    coords = [f"{a!r},{h!r}" for _, a, h, *_ in rows[:width]]
+    for i, tau in enumerate(taus.tolist()):
+        block = rows[i * width:(i + 1) * width]
+        assert _sweep_row_text(tau, coords, np.array(block)[:, 3:]) \
+            == "".join(map(reference_row_text, block))
 
 
 def test_sweep_jobs_bounded_by_column_count(tmp_path, small_cfg, capsys,
@@ -770,14 +872,8 @@ def test_validate_mutated_oracle_fails(monkeypatch, capsys):
 # installed entry point
 
 def test_console_script_runs():
-    # the child imports cavtel from this checkout, installed or not
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "cavtel.cli", "fidelity"],
                           capture_output=True, text=True, timeout=120,
-                          env=env)
+                          env=checkout_env())
     assert proc.returncode == 0
     assert "F_opt_numeric" in proc.stdout

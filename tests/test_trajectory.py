@@ -89,6 +89,23 @@ def test_zero_d_arrays_are_stored_as_floats():
         Inertial(np.array([1e-10, 2e-10]))
 
 
+@pytest.mark.parametrize("build,field", [
+    (lambda: Inertial([1e-10]), "inertial duration"),
+    (lambda: Inertial("1e-10"), "inertial duration"),
+    (lambda: Inertial(None), "inertial duration"),
+    (lambda: Inertial(True), "inertial duration"),
+    (lambda: Inertial(np.array("1e-10")), "inertial duration"),
+    (lambda: Accelerated("1e17", 1e-10), "acceleration"),
+    (lambda: Accelerated(1e17, "1e-10"), "proper duration tau"),
+    (lambda: Accelerated(1e17, None), "proper duration tau"),
+    (lambda: Accelerated(1e17, ["1e-10", "2e-10"]), "proper duration tau"),
+])
+def test_segment_rejects_non_numbers_by_name(build, field):
+    # a comparison with the bound would raise a bare TypeError instead
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        build()
+
+
 def test_trajectory_rejects_non_segments():
     with pytest.raises(TypeError):
         Trajectory(("coast",), GEOM)

@@ -29,6 +29,7 @@ from .bogoliubov import (
     compose,
     f_sums,
     one_segment_transform,
+    rindler_period,
     sudden_switch_oracle,
     sudden_switch_perturbative,
     to_symplectic,
@@ -61,7 +62,8 @@ __all__ = [
     "make_two_mode_squeezed", "partial_transpose",
     "symplectic_eigenvalues", "teleport_fidelity",
     "BogoliubovPair", "CavityGeometry", "RindlerGeometry", "compose",
-    "f_sums", "one_segment_transform", "sudden_switch_oracle",
+    "f_sums", "one_segment_transform", "rindler_period",
+    "sudden_switch_oracle",
     "sudden_switch_perturbative", "to_symplectic",
     "Accelerated", "Inertial", "Trajectory", "h_parameter", "ledger",
     "parse_trajectory", "phase_pair",

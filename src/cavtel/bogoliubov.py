@@ -15,16 +15,19 @@ of the two mode families on the shared constant-time slice, evaluated by
 adaptive quadrature; the sign convention is fixed by alpha -> identity as
 h -> 0.
 
-Identity residuals are measured on the adequately resolved interior block
-(mode indices up to n_max / 2).  The outermost rows and columns of any
-truncated transformation carry order h couplings to modes just outside
-the window, so no finite matrix can close the identities there; interior
-modes are the ones downstream consumers are allowed to use.  They are
-measured once per oracle cache entry, and once per trajectory in one
-stacked pass over each one-segment transform and the running product
-after each burn that follows another.  `compose` carries the larger
-input defect, and a coast's diagonal (unitary) phases carry it
-unchanged: they leave the modulus of every residual as it was.
+A pair's identity residuals are measured on the adequately resolved
+interior block (mode indices up to n_max / 2).  The outermost rows and
+columns of any truncated transformation carry order h couplings to modes
+just outside the window, so no finite matrix can close the identities
+there; interior modes are the ones downstream consumers are allowed to
+use.  They are measured once per oracle cache entry, as the switch's
+health check, and on every `one_segment_transform`; `compose` carries
+the larger input defect.
+
+A trajectory's report carries Rob's row alone (`trajectory.rob_row`),
+with that row's residual as its defect.  A small row residual shows that
+the row is unitary, not that it is accurate, so Rob's mode stays inside
+the interior block.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .quadrature import FactorMemo, integrate_stack
 __all__ = [
     "CavityGeometry",
     "RindlerGeometry",
+    "rindler_period",
     "BogoliubovPair",
     "PerturbativeCoefficients",
     "make_pair",
@@ -53,7 +57,6 @@ __all__ = [
     "one_segment_transform",
     "f_sums",
     "to_symplectic",
-    "symplectic_rows",
     "first_order_mixing",
     "first_order_pairing",
 ]
@@ -145,18 +148,20 @@ class RindlerGeometry:
         return n * math.pi / self.log_width
 
 
+def rindler_period(h, geometry):
+    """Rob's proper time (s) over which a burn's wedge phases repeat,
+    (2 L / c) ln((1 + h/2) / (1 - h/2)) / h, that is T (1 + h^2/12 +
+    O(h^4)) for the fundamental period T.  The wedge rates are n times
+    one rate, so in the full theory a burn of this duration is
+    B^-1 B = identity, at any 0 < h < 2."""
+    return geometry.fundamental_period * RindlerGeometry(h).log_width / h
+
+
 # ---------------------------------------------------------------------------
 # Bogoliubov pairs
 
 def _interior_count(n):
     return max(1, n // 2)
-
-
-@lru_cache(maxsize=None)
-def _interior_eye(k):
-    eye = np.eye(k)
-    eye.flags.writeable = False
-    return eye
 
 
 def identity_residuals(alpha, beta):
@@ -172,7 +177,7 @@ def identity_residuals(alpha, beta):
     ac, bc = alpha[..., :, :k], beta[..., :, :k]
     ar, br = alpha[..., :k, :], beta[..., :k, :]
     ach, bct = alpha_c[..., :, :k].swapaxes(-1, -2), bc.swapaxes(-1, -2)
-    eye = _interior_eye(k)
+    eye = np.eye(k)
     # the four residual blocks side by side, for one abs and one max
     res = np.empty(alpha.shape[:-2] + (4, k, k), dtype=complex)
     np.subtract(ach @ ac - bct @ beta_c[..., :, :k], eye,
@@ -233,25 +238,6 @@ def _phases(rates, t):
     return np.exp(-1j * (rates * t[..., None]))
 
 
-def _phase_rows(d, pair):
-    """`pair` followed by the diagonal phases `d`, which scale its rows;
-    the unitary phases leave its defect as it was."""
-    d = d[..., None]
-    return BogoliubovPair(d * pair.alpha, d * pair.beta, pair.defect)
-
-
-def _quadrature_rows(alpha, beta):
-    # rows (..., r, n) of a pair give their (..., 2r, 2n) quadrature image
-    plus = alpha + beta
-    minus = alpha - beta
-    s = np.empty(plus.shape[:-2] + (2 * plus.shape[-2], 2 * plus.shape[-1]))
-    s[..., 0::2, 0::2] = plus.real
-    s[..., 0::2, 1::2] = -minus.imag
-    s[..., 1::2, 0::2] = plus.imag
-    s[..., 1::2, 1::2] = minus.real
-    return s
-
-
 def to_symplectic(pair):
     """Quadrature-space matrix of the pair (mode-major ordering).
 
@@ -259,17 +245,17 @@ def to_symplectic(pair):
     [[cos, sin], [-sin, cos]], matching the covariance convention in
     `gaussian`; a real one-mode squeezer (alpha, beta) = (cosh s, sinh s)
     maps to diag(e^s, e^-s).  A stacked pair gives a stack of matrices.
+    Rows (..., r, n) of a pair give their (..., 2r, 2n) rows of it: mode
+    m's row alone gives the two rows of mode m.
     """
-    return _quadrature_rows(pair.alpha, pair.beta)
-
-
-def symplectic_rows(pair, mode):
-    """The two rows of `to_symplectic(pair)` that belong to `mode`
-    (1-based), (..., 2, 2n), built from that mode's row of alpha and
-    beta alone."""
-    i = mode - 1
-    return _quadrature_rows(pair.alpha[..., i:i + 1, :],
-                            pair.beta[..., i:i + 1, :])
+    plus = pair.alpha + pair.beta
+    minus = pair.alpha - pair.beta
+    s = np.empty(plus.shape[:-2] + (2 * plus.shape[-2], 2 * plus.shape[-1]))
+    s[..., 0::2, 0::2] = plus.real
+    s[..., 0::2, 1::2] = -minus.imag
+    s[..., 1::2, 0::2] = plus.imag
+    s[..., 1::2, 1::2] = minus.real
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -414,32 +400,28 @@ def _inertial_phases(t_seconds, geometry):
     return _phases(_truncation(geometry.n_max).omega, t)
 
 
-def _segment_matrices(tau_seconds, h, geometry):
-    """`one_segment_transform`'s pair, unmeasured: the switch, the wedge
-    phases and the switch's stored inverse, joined by `compose`.  Its
-    defect is the switch's, the floor of the measured one."""
-    taus = np.asarray(tau_seconds, dtype=float)
-    if (taus < 0).any():
-        raise ValueError("segment duration must be >= 0")
-    switch = _oracle_cached(float(h), geometry.n_max)
-    # wedge phases exp(-i omega_mode(n) eta), at wedge time eta = h tau c / L
-    d = _phases(switch.rates, h * geometry.natural_time(taus))
-    return compose(switch.inverse, _phase_rows(d, switch.pair))
-
-
 def one_segment_transform(tau_seconds, h, geometry):
     """Net transformation for one accelerated segment.
 
     Switch into the accelerated basis, evolve for proper time tau at the
     center, switch back: B^-1 o phases o B with the canonical inverse
-    B^-1 = (A^dagger, -B^T), joined by `compose`, measuring the defect.
-    With the switch pair (A, B) and the wedge phases D, that is
-    alpha = A^dagger D A - B^T D^* B^* and beta = A^dagger D B - B^T D^* A^*.
-    An array of durations gives a stacked pair, one transform per
-    duration, each with its own measured defect.  The switch's pair and
-    its inverse are built once per (h, n_max) and shared by every burn.
+    B^-1 = (A^dagger, -B^T), joined by `compose`, measuring the defect
+    (at least the switch's).  With the switch pair (A, B) and the wedge
+    phases D, that is alpha = A^dagger D A - B^T D^* B^* and
+    beta = A^dagger D B - B^T D^* A^*.  An array of durations gives a
+    stacked pair, one transform per duration, each with its own measured
+    defect.  The switch's pair and its inverse are built once per
+    (h, n_max) and shared by every burn.
     """
-    step = _segment_matrices(tau_seconds, h, geometry)
+    taus = np.asarray(tau_seconds, dtype=float)
+    if (taus < 0).any():
+        raise ValueError("segment duration must be >= 0")
+    switch = _oracle_cached(float(h), geometry.n_max)
+    # wedge phases exp(-i omega_mode(n) eta), at wedge time eta = h tau c / L
+    d = _phases(switch.rates, h * geometry.natural_time(taus))[..., None]
+    pair = switch.pair
+    step = compose(switch.inverse, BogoliubovPair(d * pair.alpha,
+                                                  d * pair.beta, pair.defect))
     return make_pair(step.alpha, step.beta, floor=step.defect)
 
 

@@ -28,6 +28,7 @@ from .bogoliubov import (
     _interior_count,
     identity_residuals,
     one_segment_transform,
+    rindler_period,
     sudden_switch_oracle,
     sudden_switch_perturbative,
     to_symplectic,
@@ -44,6 +45,7 @@ from .gaussian import symplectic_form
 from .protocol import (
     DEFAULT_GEOMETRY,
     ProtocolParams,
+    _kernel_outputs,
     _report,
     consistency_report,
     perturbative_fidelity,
@@ -52,6 +54,8 @@ from .trajectory import Accelerated, Inertial, Trajectory, parse_trajectory
 
 FLOAT_FMT = "%.11e"          # 12 significant digits, scientific
 REGIME_H_MAX = math.sqrt(REGIME_H_SQUARED)
+# the revival check's h, from the perturbative regime to near the horizon
+REVIVAL_H = (0.05, 0.245, 0.8, 1.5)
 
 SWEEP_COLUMNS = ("tau_s", "a_m_s2", "h", "phi", "F_raw", "F_corrected",
                  "F_opt_numeric", "F_pert", "F_pert_opt", "nu",
@@ -435,6 +439,27 @@ def _check_order_h4(cfg):
     ok = 10.0 <= r1 <= 22.0 and 10.0 <= r2 <= 22.0
     return ok, f"halving ratios {r1:.1f}, {r2:.1f} (want 10..22)"
 
+def _check_revival(cfg):
+    # a burn of one Rindler period is the identity in the full theory, so
+    # between coasts it gives the resting optimum, here within its row
+    # residual; the kernel path has no regime warning
+    params = cfg.params()
+    geom = params.geometry
+    coast = Inertial(0.3 * geom.fundamental_period)
+    gaps = []
+    for h in REVIVAL_H:
+        a = h * geom.c ** 2 / geom.L
+        burn = Accelerated(a, rindler_period(a * geom.L / geom.c ** 2, geom))
+        f_opt, defect = _kernel_outputs(
+            params, Trajectory((coast, burn, coast), geom), cfg.alice_clock,
+            "f_opt", "defect")
+        gaps.append((abs(f_opt - 1.0 / (1.0 + math.exp(-2.0 * params.r))),
+                     defect))
+    return all(gap <= defect for gap, defect in gaps), (
+        "F_opt gap to 1/(1 + e^-2r) after one Rindler period / row "
+        "residual: " + ", ".join(f"{g:.1e} / {d:.1e}" for g, d in gaps)
+        + f" at h = {', '.join(map(str, REVIVAL_H))}")
+
 def _check_truncation(cfg):
     # the gate itself: a failing tail raises its TruncationError
     ratio = _first_order_tail(cfg.kp, cfg.n_max)
@@ -451,6 +476,7 @@ def cmd_validate(args):
         ("truncation-adequacy", lambda: _check_truncation(cfg)),
         ("phase-closure", lambda: _check_phase_closure(cfg)),
         ("order-h4", lambda: _check_order_h4(cfg)),
+        ("revival", lambda: _check_revival(cfg)),
     ]
     failures = []
     for name, run in checks:

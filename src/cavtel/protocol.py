@@ -38,12 +38,11 @@ import numpy as np
 
 from . import gaussian
 from .bogoliubov import (
-    BogoliubovPair,
     CavityGeometry,
     _interior_count,
     _require_index,
     f_sums,
-    symplectic_rows,
+    to_symplectic,
 )
 from .errors import ConsistencyError, PhysicalityError, TruncationError
 from .gaussian import (
@@ -57,9 +56,9 @@ from .gaussian import (
 from .trajectory import (
     PhasePair,
     Trajectory,
-    build_transform,
     h_parameter,
     phase_pair,
+    rob_row,
 )
 
 __all__ = [
@@ -121,8 +120,8 @@ class ProtocolParams:
 
 
 def _check_interior(params):
-    # an accelerated transform's defect covers only the interior block,
-    # so outside it neither the physicality allowance nor the ordering
+    # a small row residual shows unitarity, not accuracy: outside the
+    # interior block neither the physicality allowance nor the ordering
     # slack bounds the truncation error; coasting phases are exact
     n_max = params.geometry.n_max
     interior = _interior_count(n_max)
@@ -143,23 +142,24 @@ class _State(namedtuple("_State", "sigma defect violation phases f_raw "
 
 def _state_kernel(params, pair, phases):
     """Reduced (Alice, Rob-kp) covariances and the numeric pipelines for
-    a stacked pair (T, n, n) with one defect per transform, and a
-    PhasePair of (T,) arrays.
+    Rob's rows, a stacked pair (T, 1, n) of row kp of each trajectory's
+    transform with its row residual as the defect, and a PhasePair of
+    (T,) arrays.
 
     Rob's other modes start in vacuum, so only mode kp's rows S_k of each
     transform's symplectic matrix enter, with their diagonal block S_kk
     and resource blocks A, B, C:
     sigma_BB = S_k S_k^T + S_kk (B - I) S_kk^T, sigma_AB = R_A C S_kk^T.
     Truncation can push a reduced matrix slightly outside the physical
-    cone; violations within ten times that transform's defect are
-    projected back by a uniform noise floor (one DEBUG record per
-    clamped state), anything larger raises PhysicalityError.  A raw or
-    corrected fidelity above the optimal bound by more than the defect
-    slack raises ConsistencyError.
+    cone; violations within ten times that row's residual are projected
+    back by a uniform noise floor (one DEBUG record per clamped state),
+    anything larger raises PhysicalityError.  A raw or corrected
+    fidelity above the optimal bound by more than the same slack raises
+    ConsistencyError.
     """
     alice, cross, excess = _resource(params.r)
     j = 2 * (params.kp - 1)
-    rows = symplectic_rows(pair, params.kp)
+    rows = to_symplectic(pair)
     s_kk = rows[:, :, j:j + 2]
     s_kk_t = s_kk.swapaxes(-1, -2)
     # R(theta_A) for the cross block, then the two undone phases
@@ -213,22 +213,19 @@ def _state_kernel(params, pair, phases):
 
 
 def _trajectory_state(params, trajectory, alice_clock):
-    """The kernel on the trajectory's `build_transform` and `phase_pair`,
-    and whether it is a column; else it enters as a column of length 1."""
+    """The kernel on the trajectory's `rob_row` and `phase_pair`, and
+    whether it is a column; else it enters as a column of length 1."""
     if not isinstance(trajectory, Trajectory):
         raise TypeError("expected a Trajectory")
     if trajectory.geometry != params.geometry:
         raise ValueError("trajectory and params disagree on the geometry")
     if trajectory.n_accelerated:
         _check_interior(params)
-    pair = build_transform(trajectory)
+    pair = rob_row(trajectory, params.kp)
     phases = phase_pair(trajectory, params.k, params.kp, alice_clock)
-    column = pair.alpha.ndim == 3
-    if not column:
-        pair = BogoliubovPair(pair.alpha[None], pair.beta[None],
-                              np.array([pair.defect]))
-        phases = PhasePair(np.array([phases.theta_alice]),
-                           np.array([phases.theta_rob]))
+    column = np.ndim(phases.phi) == 1
+    phases = PhasePair(np.atleast_1d(phases.theta_alice),
+                       np.atleast_1d(phases.theta_rob))
     return _state_kernel(params, pair, phases), column
 
 
@@ -303,8 +300,9 @@ class FidelityReport:
     The perturbative fields hold NaN when the trajectory has more than
     one accelerated segment; the quadratic formula describes a single
     switch-evolve-switch episode and silently misapplying it to
-    composites would be worse than admitting ignorance.  `clamp` is the
-    noise floor that moved the reduced state into the physical cone.
+    composites would be worse than admitting ignorance.  `defect` is the
+    residual of Rob's row (`trajectory.rob_row`), and `clamp` the noise
+    floor that moved the reduced state into the physical cone.
     """
 
     F_raw: float

@@ -1,10 +1,13 @@
 """Piecewise trajectories for the moving cavity and their clock ledger.
 
 A trajectory is an ordered list of segments, each either inertial
-coasting for a lab-frame duration or uniform acceleration for a proper
-time measured at the cavity center.  Durations are SI seconds and
-accelerations m/s^2; conversion to the dimensionless parameter
-h = a L / c^2 happens against a specific `CavityGeometry`.
+coasting or uniform acceleration for a proper time measured at the
+cavity center.  Durations are SI seconds and accelerations m/s^2;
+conversion to the dimensionless parameter h = a L / c^2 happens against
+a specific `CavityGeometry`.  A coast's duration is Rob's proper time in
+the transform, and both clocks add it unchanged, which holds only while
+the cavity is at rest in the lab; after a burn it is not (ROADMAP
+item 8).
 
 Two clocks matter.  Rob's cavity accumulates its own proper time, while
 the phase reference on Alice's side advances with either the lab frame
@@ -33,10 +36,8 @@ from .bogoliubov import (
     BogoliubovPair,
     CavityGeometry,
     _inertial_phases,
-    _phase_rows,
-    _segment_matrices,
-    compose,
-    identity_residuals,
+    _oracle_cached,
+    _phases,
 )
 from .errors import TrajectoryParseError
 
@@ -50,7 +51,7 @@ __all__ = [
     "parse_trajectory",
     "ledger",
     "phase_pair",
-    "build_transform",
+    "rob_row",
 ]
 
 _CLOCKS = ("lab", "comoving")
@@ -93,8 +94,10 @@ def _real(value, field):
 
 @dataclass(frozen=True)
 class Inertial:
-    """Coasting segment; `duration` is lab-frame seconds, one real number
-    (a 0-d array is stored as a float)."""
+    """Coasting segment for `duration` seconds, one real number (a 0-d
+    array is stored as a float).  The transform takes the duration as
+    Rob's proper time, and both clocks add it as it is, as if the cavity
+    were at rest in the lab (see the module docstring)."""
 
     duration: float
 
@@ -112,8 +115,8 @@ class Accelerated:
     tau may be a non-empty 1-D array of durations, kept as a read-only
     copy; the trajectory is then a column (see the module docstring).
     A 0-d array, as a or tau, is stored as a float.
-    Only speed-up segments are supported; direction reversal would need
-    a matched pair of wedge charts and is out of scope.
+    Only a > 0 is supported yet: a deceleration (direction reversal) is
+    rejected; ROADMAP item 8 plans it from the same switch.
     """
 
     a: float
@@ -344,64 +347,52 @@ def phase_pair(trajectory, k, kp, alice_clock="lab"):
             raise _segment_error(seg, bad, problem)
 
 
-def build_transform(trajectory):
-    """Net Bogoliubov pair for Rob's cavity over the whole trajectory.
+def rob_row(trajectory, kp):
+    """Rob's row kp of the trajectory's net Bogoliubov pair, a stacked
+    pair (T, 1, n) (T = 1 for a single trajectory) whose defect (T,) is
+    the row residual |sum |alpha|^2 - sum |beta|^2 - 1|, 0 without a burn.
 
-    A coast is its diagonal phase vector d = exp(-i omega_n t).  After a
-    burn it scales the running product's rows (alpha -> d alpha,
-    beta -> d beta); the coasts before the first burn scale that burn's
-    columns (alpha D, beta D^*), so `compose` only joins burns.  The
-    defect is measured in one stacked pass over each burn's transform
-    and the running product after each burn that follows an earlier one;
-    the unitary phases leave the modulus of every residual unchanged.  A
-    trajectory without a burn gives the diagonal pair of its phases, with
-    defect 0.  A column gives a stacked pair with one defect per row.
+    A chain of vector-matrix products from (e_kp, 0), walked from the
+    last segment back: rows (a, b) followed by (alpha, beta) are
+    (a alpha + b beta^*, a beta + b alpha^*).  A coast scales (a, b) by
+    (d, d^*); a burn is its switch's stored inverse (from (e_kp, 0), its
+    row kp), the wedge phases and the switch.
     """
     geom = trajectory.geometry
-    lead = None          # the coasts' phases before the first burn
-    total = None
-    measured = []        # the pairs whose residuals bound the defect
-    for seg in trajectory.segments:
+    k = kp - 1
+    # (a, b^*) stacked, (T, 2, n): a phase vector d scales both rows
+    rows = np.zeros((1, 2, geom.n_max), dtype=complex)
+    rows[0, 0, k] = 1.0
+    burned = False
+    for seg in reversed(trajectory.segments):
         if isinstance(seg, Inertial):
-            d = _inertial_phases(seg.duration, geom)
-            if total is None:
-                lead = d if lead is None else d * lead
-            else:
-                total = _phase_rows(d, total)
+            rows = rows * _inertial_phases(seg.duration, geom)
             continue
         # h_parameter's arithmetic without its regime warning: the switch
         # chart is exact on (0, 2), only the second-order model is not
         h = seg.a * geom.L / geom.c ** 2
-        step = _segment_matrices(seg.tau, h, geom)
-        measured.append(step)
-        if total is not None:
-            total = compose(step, total)
-            measured.append(total)
-        elif lead is None:
-            total = step
+        switch = _oracle_cached(float(h), geom.n_max)
+        inv = switch.inverse
+        if burned:
+            rows = _rows_then(rows, inv)
         else:
-            total = BogoliubovPair(step.alpha * lead,
-                                   step.beta * lead.conj(), step.defect)
-    if total is None:
-        return BogoliubovPair(np.diag(lead),
-                              np.zeros((geom.n_max,) * 2, dtype=complex), 0.0)
-    # the pairs' defects are still their switches' floors
-    defect = np.maximum(_worst_residual(measured), total.defect)
-    return BogoliubovPair(total.alpha, total.beta,
-                          float(defect) if defect.ndim == 0 else defect)
+            phase = rows[0, 0, k]
+            rows = np.array([[phase * inv.alpha[k],
+                              (phase * inv.beta[k]).conj()]])
+            burned = True
+        # wedge phases at wedge time eta = h tau c / L, (T, n) on a column
+        d = _phases(switch.rates, h * geom.natural_time(
+            np.asarray(seg.tau, dtype=float)))
+        rows = _rows_then(rows * d[..., None, :], switch.pair)
+    norms = (rows.real ** 2 + rows.imag ** 2).sum(axis=-1)
+    defect = np.abs(norms[:, 0] - norms[:, 1] - 1.0) if burned \
+        else np.zeros(1)
+    return BogoliubovPair(rows[:, :1], rows[:, 1:].conj(), defect)
 
 
-def _worst_residual(pairs):
-    """`identity_residuals` of each pair in one call, the worst per row;
-    a stacked residual has the single one's bits, so this is the maximum
-    of the pairs' own.  Scalar and column pairs broadcast together."""
-    # a lone pair skips the stacking copy, which would add about a fifth
-    # to a single-burn transform's time
-    if len(pairs) == 1:
-        return identity_residuals(pairs[0].alpha, pairs[0].beta)
-    alphas = [p.alpha for p in pairs]
-    betas = [p.beta for p in pairs]
-    if len({a.shape for a in alphas}) > 1:
-        alphas = np.broadcast_arrays(*alphas)
-        betas = np.broadcast_arrays(*betas)
-    return identity_residuals(np.array(alphas), np.array(betas)).max(axis=0)
+def _rows_then(rows, pair):
+    """The stacked rows (a, b^*) followed by `pair`: with p = rows alpha
+    and q = rows beta, a alpha + b beta^* = p_0 + q_1^* and
+    (a beta + b alpha^*)^* = p_1 + q_0^*.  Each trajectory of a column
+    takes the (2, n) x (n, n) products of a single one, with its bits."""
+    return rows @ pair.alpha + (rows @ pair.beta)[..., ::-1, :].conj()

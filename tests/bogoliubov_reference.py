@@ -8,17 +8,22 @@ step by step with `compose` and compare.  Likewise `f_sums` builds one
 column of the first-order one-segment matrices; the full matrices are
 built here.
 
-`build_transform_per_burn` is the transform builder before the
-library measured a trajectory's pairs in one stacked pass: it measures
-each burn's transform and each running product with `make_pair` as it
-goes.  The library's must equal it bit for bit.
+`build_transform` is the full-matrix reference for a trajectory: its net
+n x n pair, with the worst interior-block residual of each burn's
+transform and each running product after a later burn, measured in one
+stacked pass.  The library carries Rob's row alone
+(`trajectory.rob_row`), which must match row kp of it.
+`build_transform_per_burn` measures each burn's transform and each
+running product with `make_pair` as it goes; `build_transform` must
+equal it bit for bit.
 
 `segment_transform_reference` is `one_segment_transform` before the
-switch's cache entry carried its wedge rates and canonical inverse: the
-angles come from `RindlerGeometry(h).omega_mode`, A^dagger and -B^T are
-formed inline, the product B^-1 o D o B is written out rather than
-taken from `compose`, and `identity_residuals_reference` reduces the
-four residual blocks one by one.  `coast_phases_reference` forms a
+switch's cache entry carried its wedge rates and canonical inverse
+(`switch_reference` forms that entry on the call): the angles come
+from `RindlerGeometry(h).omega_mode`, A^dagger and -B^T are formed
+inline, the product B^-1 o D o B is written out rather than taken from
+`compose`, and `identity_residuals_reference` reduces the four residual
+blocks one by one.  `coast_phases_reference` forms a
 coast's rates -i n pi on the call, as the library did before its coasts
 read n pi from the truncation's table.  The library's must equal them
 bit for bit.
@@ -45,7 +50,10 @@ from cavtel.bogoliubov import (
     RindlerGeometry,
     _inertial_phases,
     _interior_count,
+    _oracle_cached,
+    _Switch,
     compose,
+    identity_residuals,
     make_pair,
     one_segment_transform,
     sudden_switch_oracle,
@@ -103,6 +111,15 @@ def identity_residuals_reference(alpha, beta):
     worst = reduce(np.maximum,
                    (np.abs(v).max(axis=(-2, -1)) for v in res))
     return float(worst) if alpha.ndim == 2 else worst
+
+
+def switch_reference(h, n_max):
+    """The switch's cache entry (pair, rates, inverse), its wedge rates
+    and canonical inverse formed on the call; only the oracle pair is
+    the cached one."""
+    pair = _oracle_cached(h, n_max).pair
+    rates = RindlerGeometry(h).omega_mode(np.arange(1, n_max + 1))
+    return _Switch(pair, rates, inverse(pair))
 
 
 def coast_phases_reference(t_seconds, geometry):
@@ -344,3 +361,70 @@ def build_transform_per_burn(trajectory):
         return BogoliubovPair(np.diag(lead),
                               np.zeros((geom.n_max,) * 2, dtype=complex), 0.0)
     return total
+
+
+def build_transform(trajectory):
+    """Net Bogoliubov pair for Rob's cavity over the whole trajectory.
+
+    A coast is its diagonal phase vector d = exp(-i omega_n t).  After a
+    burn it scales the running product's rows (alpha -> d alpha,
+    beta -> d beta); the coasts before the first burn scale that burn's
+    columns (alpha D, beta D^*), so `compose` only joins burns.  The
+    defect is measured in one stacked pass over each burn's transform
+    and the running product after each burn that follows an earlier one;
+    the unitary phases leave the modulus of every residual unchanged.  A
+    trajectory without a burn gives the diagonal pair of its phases, with
+    defect 0.  A column gives a stacked pair with one defect per row.
+    """
+    geom = trajectory.geometry
+    lead = None          # the coasts' phases before the first burn
+    total = None
+    measured = []        # the pairs whose residuals bound the defect
+    for seg in trajectory.segments:
+        if isinstance(seg, Inertial):
+            d = _inertial_phases(seg.duration, geom)
+            if total is None:
+                lead = d if lead is None else d * lead
+            else:
+                total = BogoliubovPair(d[..., None] * total.alpha,
+                                       d[..., None] * total.beta,
+                                       total.defect)
+            continue
+        h = seg.a * geom.L / geom.c ** 2
+        step = segment_matrices_reference(seg.tau, h, geom)
+        measured.append(step)
+        if total is not None:
+            total = compose(step, total)
+            measured.append(total)
+        elif lead is None:
+            total = step
+        else:
+            total = BogoliubovPair(step.alpha * lead,
+                                   step.beta * lead.conj(), step.defect)
+    if total is None:
+        return BogoliubovPair(np.diag(lead),
+                              np.zeros((geom.n_max,) * 2, dtype=complex), 0.0)
+    # the pairs' defects are still their switches' floors
+    defect = np.maximum(worst_residual(measured), total.defect)
+    return BogoliubovPair(total.alpha, total.beta,
+                          float(defect) if defect.ndim == 0 else defect)
+
+
+def worst_residual(pairs):
+    """`identity_residuals` of each pair in one call, the worst per row;
+    a stacked residual has the single one's bits, so this is the maximum
+    of the pairs' own.  Scalar and column pairs broadcast together."""
+    if len(pairs) == 1:
+        return identity_residuals(pairs[0].alpha, pairs[0].beta)
+    alphas = [p.alpha for p in pairs]
+    betas = [p.beta for p in pairs]
+    if len({a.shape for a in alphas}) > 1:
+        alphas = np.broadcast_arrays(*alphas)
+        betas = np.broadcast_arrays(*betas)
+    return identity_residuals(np.array(alphas), np.array(betas)).max(axis=0)
+
+
+def row_residual(alpha_row, beta_row):
+    """|sum |alpha|^2 - sum |beta|^2 - 1| over the last axis."""
+    return np.abs(np.sum(np.abs(alpha_row) ** 2, axis=-1)
+                  - np.sum(np.abs(beta_row) ** 2, axis=-1) - 1.0)

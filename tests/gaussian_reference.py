@@ -11,7 +11,9 @@ import numpy as np
 from cavtel import gaussian
 from cavtel.bogoliubov import to_symplectic
 from cavtel.gaussian import make_two_mode_squeezed, rotation
-from cavtel.trajectory import build_transform, phase_pair
+from cavtel.trajectory import phase_pair
+
+from bogoliubov_reference import build_transform
 
 
 def _block(sigma, i, j):

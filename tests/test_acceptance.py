@@ -18,6 +18,7 @@ from cavtel.bogoliubov import (
     _oracle_cached,
     _truncation,
     identity_residuals,
+    rindler_period,
     sudden_switch_oracle,
     sudden_switch_perturbative,
 )
@@ -25,6 +26,7 @@ from cavtel.cli import RunConfig, main, sweep_rows
 from cavtel.protocol import (
     DEFAULT_GEOMETRY,
     ProtocolParams,
+    _trajectory_state,
     consistency_report,
     fidelity_corrected,
     fidelity_optimal,
@@ -207,6 +209,44 @@ def test_acceptance_default_sweep_band():
     report("default-sweep-band", ok,
            f"100x100 grid, max relative F_opt deficit {100 * deficit:.4f}%"
            f" in [2%, 6%], {elapsed:.1f}s")
+
+
+def test_acceptance_sweep_clamps_within_row_residual():
+    # every clamp on the default grid is bounded by the residual of the
+    # row it was built from, without the PHYSICALITY_TOL floor
+    _, _, reports = sweep_rows(RunConfig(), jobs=1)
+    clamp = np.concatenate([rep.clamp for rep in reports])
+    defect = np.concatenate([rep.defect for rep in reports])
+    ratio = float(np.max(clamp / defect))
+    ok = ratio <= 10.0 and np.count_nonzero(clamp) > 0
+    report("sweep-clamp-bound", ok,
+           f"{np.count_nonzero(clamp)} clamped points, worst clamp / row "
+           f"residual {ratio:.3f} (limit 10)")
+
+
+def test_acceptance_revival_converges():
+    # a burn of one Rindler period between two coasts is the identity in
+    # the full theory: the gap of F_opt to the resting value falls with
+    # n_max at each h, and each stays within its report's row residual
+    period = DEFAULT_GEOMETRY.fundamental_period
+    gaps = {}
+    for n_max in (10, 20, 40):
+        geom = CavityGeometry(DEFAULT_GEOMETRY.L, DEFAULT_GEOMETRY.c, n_max)
+        params = ProtocolParams(geometry=geom)
+        for h in (0.05, 0.245, 0.8, 1.5):
+            a = h * geom.c ** 2 / geom.L
+            tau = rindler_period(a * geom.L / geom.c ** 2, geom)
+            traj = Trajectory((Inertial(0.25 * period), Accelerated(a, tau),
+                               Inertial(0.6 * period)), geom)
+            state, _ = _trajectory_state(params, traj, "lab")
+            gap = abs(state.f_opt[0] - REST_F)
+            assert gap <= state.defect[0], (n_max, h, gap, state.defect[0])
+            gaps[n_max, h] = gap
+    ok = all(gaps[10, h] > gaps[20, h] > gaps[40, h]
+             for h in (0.05, 0.245, 0.8, 1.5))
+    report("revival", ok, ", ".join(
+        f"h = {h}: {gaps[10, h]:.1e} > {gaps[20, h]:.1e} > {gaps[40, h]:.1e}"
+        for h in (0.05, 0.245, 0.8, 1.5)))
 
 
 def test_acceptance_regime_arithmetic():

@@ -15,6 +15,7 @@ from scipy.linalg import block_diag
 from cavtel import bogoliubov, quadrature
 from cavtel.bogoliubov import (
     ORACLE_TOL,
+    BogoliubovPair,
     CavityGeometry,
     RindlerGeometry,
     _switch_overlaps,
@@ -27,7 +28,6 @@ from cavtel.bogoliubov import (
     one_segment_transform,
     sudden_switch_oracle,
     sudden_switch_perturbative,
-    symplectic_rows,
     to_symplectic,
 )
 from cavtel.errors import QuadratureError, TruncationError
@@ -194,8 +194,8 @@ def test_regime_warning():
     from cavtel.trajectory import (
         Accelerated,
         Trajectory,
-        build_transform,
         h_parameter,
+        rob_row,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -207,7 +207,7 @@ def test_regime_warning():
     traj = Trajectory((Accelerated(a, 3e-10),), GEOM)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        build_transform(traj)
+        rob_row(traj, params.kp)
         for pipeline in (fidelity_raw, fidelity_corrected, fidelity_optimal):
             pipeline(params, traj)
     with warnings.catch_warnings(record=True) as caught:
@@ -509,8 +509,7 @@ def test_oracle_arrays_are_frozen():
     assert sudden_switch_perturbative(GEOM) is table.first_order
     shared = (pair.alpha, pair.beta, switch.rates, switch.inverse.alpha,
               switch.inverse.beta, table.modes, table.omega, table.norm,
-              table.first_order.alpha1, table.first_order.beta1,
-              bogoliubov._interior_eye(GEOM.n_max // 2))
+              table.first_order.alpha1, table.first_order.beta1)
     for array in shared:
         with pytest.raises(ValueError):
             array[0] = 5.0
@@ -681,13 +680,17 @@ def test_segment_transform_over_an_array_of_taus():
 
 
 def test_symplectic_rows_are_rows_of_the_full_matrix():
+    # a mode's row of a pair gives that mode's two rows of the full
+    # symplectic matrix, bit for bit
     column = one_segment_transform(np.linspace(0.0, 6e-10, 4), 0.2, GEOM)
     one = one_segment_transform(0.37e-9, 0.2, GEOM)
     for pair in (column, one):
         full = to_symplectic(pair)
         for mode in range(1, GEOM.n_max + 1):
             j = 2 * (mode - 1)
-            rows = symplectic_rows(pair, mode)
+            i = slice(mode - 1, mode)
+            rows = to_symplectic(BogoliubovPair(pair.alpha[..., i, :],
+                                                pair.beta[..., i, :], 0.0))
             assert rows.shape == full.shape[:-2] + (2, 2 * GEOM.n_max)
             assert np.array_equal(rows, full[..., j:j + 2, :])
 
@@ -869,3 +872,19 @@ def test_f_sums_validates_arguments():
     for kp in (3.0, True):
         with pytest.raises(ValueError, match="kp must be an integer"):
             f_sums(kp, 0.3e-9, GEOM)
+
+
+def test_rindler_period_closes_the_wedge_phases():
+    # every wedge phase of a burn of one period is a whole turn; the
+    # period is (2 L / c) ln((1 + h/2) / (1 - h/2)) / h
+    from cavtel.bogoliubov import _oracle_cached, _phases, rindler_period
+    for h in (1e-3, 0.05, 0.245, 0.8, 1.5):
+        period = rindler_period(h, GEOM)
+        assert period == pytest.approx(
+            GEOM.fundamental_period * math.log((1 + h / 2) / (1 - h / 2)) / h,
+            rel=1e-14)
+        rates = _oracle_cached(h, GEOM.n_max).rates
+        d = _phases(rates, h * GEOM.natural_time(np.asarray(period)))
+        assert np.max(np.abs(d - 1.0)) <= 1e-13
+    with pytest.raises(ValueError):
+        rindler_period(2.0, GEOM)

@@ -814,7 +814,20 @@ def test_validate_reports_each_check_once(capsys):
     names = [ln.split()[1].rstrip(":") for ln in out.splitlines() if ln]
     assert names == ["bogoliubov-identities", "symplectic-form",
                      "first-order", "truncation-adequacy", "phase-closure",
-                     "order-h4"]
+                     "order-h4", "revival"]
+
+
+def test_validate_revival_catches_a_wrong_period(monkeypatch, capsys):
+    # a burn of 99% of the Rindler period leaves the resting optimum by
+    # far more than the row residual
+    from cavtel import cli
+    real = cli.rindler_period
+    monkeypatch.setattr(cli, "rindler_period",
+                        lambda h, geometry: 0.99 * real(h, geometry))
+    code, out, _ = run(["validate"], capsys)
+    assert code == 5
+    assert [ln.split()[:2] for ln in out.splitlines()
+            if ln.startswith("FAIL")] == [["FAIL", "revival:"]]
 
 
 def test_validate_first_order_catches_a_wrong_sign(monkeypatch, capsys):

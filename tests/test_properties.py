@@ -38,18 +38,19 @@ from cavtel.trajectory import (
     Accelerated,
     Inertial,
     Trajectory,
-    build_transform,
     h_parameter,
     phase_pair,
+    rob_row,
 )
 from bogoliubov_reference import (
+    build_transform,
     build_transform_per_burn,
     coast_phases_reference,
     identity_pair,
-    identity_residuals_reference,
     phase_evolution_minkowski,
     phase_evolution_rindler,
-    segment_matrices_reference,
+    row_residual,
+    switch_reference,
 )
 from gaussian_reference import full_register_state
 
@@ -92,8 +93,8 @@ def measured_everywhere(trajectory):
     return total
 
 
-# Rob's mode ranges over the interior block, the modes whose identity
-# residuals the transform's defect covers
+# Rob's mode ranges over the interior block, where the switch's identity
+# residuals are measured and any trajectory with a burn is gated
 @PROPERTY
 @given(trajectories(st.one_of(coasts, burns)), squeezing,
        st.integers(1, 3), st.integers(1, GEOM.n_max // 2),
@@ -129,8 +130,13 @@ def test_burn_column_matches_full_register(a, taus, r, k, kp, clock):
                    - teleport_fidelity(undo @ sigma @ undo.T)) <= 1e-12
         nu = symplectic_eigenvalues(partial_transpose(sigma))[0]
         assert abs(state.nu[i] - nu) <= 1e-12
-        assert abs(state.defect[i]
+        # the full-matrix reference keeps the burn's interior-block
+        # defect; the state's defect is the residual of Rob's row of it
+        want = build_transform(traj)
+        assert abs(want.defect
                    - one_segment_transform(tau, h, GEOM).defect) <= 1e-15
+        assert abs(state.defect[i] - row_residual(
+            want.alpha[kp - 1], want.beta[kp - 1])) <= 1e-15
 
 
 # row i of a column report is the report of the trajectory of taus[i],
@@ -150,7 +156,7 @@ def test_report_equals_its_burn_column_row(a, taus, r, k, kp, clock):
 
 
 # the array burn between two coasts, joined to a scalar burn before or
-# after it: the stacked running product meets a single pair in `compose`.
+# after it: the stacked rows meet a single burn's products.
 # Two burns leave the perturbative fields NaN, so rows compare by repr,
 # which is exact for floats and equal for NaN
 @PROPERTY
@@ -196,6 +202,8 @@ def test_wrappers_return_a_column_on_a_column(a, taus, r, kp, clock):
     assert fidelity_optimal(params, single, clock)[1] == state.nu[-1]
 
 
+# the full-matrix reference's one stacked residual pass equals measuring
+# after every step
 @PROPERTY
 @given(trajectories(st.one_of(coasts, burns)))
 def test_defect_matches_measure_after_every_compose(traj):
@@ -216,6 +224,62 @@ def columns(draw):
     return draw(trajectories(st.one_of(coasts, burns, arrays)))
 
 
+def framed(columns_):
+    """The trajectories of `columns_`, half of them between a lead and a
+    trailing coast."""
+    def frame(traj, lead, trail, on):
+        if not on:
+            return traj
+        return Trajectory((Inertial(lead),) + traj.segments
+                          + (Inertial(trail),), GEOM)
+    return st.builds(frame, columns_, durations, durations, st.booleans())
+
+
+def row_of(traj, i):
+    """Trajectory i of a column: each array burn at its i-th duration."""
+    return Trajectory(tuple(
+        Accelerated(s.a, float(s.tau[i]))
+        if isinstance(s, Accelerated) and np.ndim(s.tau) else s
+        for s in traj.segments), GEOM)
+
+
+# Rob's row from the vector-matrix chain is row kp of the full-matrix
+# reference; without a burn it is a pure phase with defect 0
+@PROPERTY
+@given(framed(columns()), st.integers(1, GEOM.n_max // 2))
+def test_rob_row_matches_the_full_matrix_reference(traj, kp):
+    want = build_transform(traj)
+    got = rob_row(traj, kp)
+    # a single trajectory is a column of one
+    rows = want.alpha.shape[:-2] or (1,)
+    assert got.alpha.shape == got.beta.shape == rows + (1, GEOM.n_max)
+    assert got.defect.shape == rows
+    i = slice(kp - 1, kp)
+    assert np.max(np.abs(got.alpha - want.alpha[..., i, :])) <= 1e-14
+    assert np.max(np.abs(got.beta - want.beta[..., i, :])) <= 1e-14
+    if not traj.n_accelerated:
+        assert not got.defect.any()
+        assert not got.beta.any()
+
+
+# every clamp of a trajectory with a burn stays within ten row residuals,
+# the physicality allowance without its PHYSICALITY_TOL floor; each row
+# of a column is the full-register state of its trajectory
+@PROPERTY
+@given(framed(columns()), squeezing, st.integers(1, 3),
+       st.integers(1, GEOM.n_max // 2), st.sampled_from(("lab", "comoving")))
+def test_clamps_stay_within_ten_row_residuals(traj, r, k, kp, clock):
+    params = ProtocolParams(r=r, k=k, kp=kp, geometry=GEOM)
+    state, _ = _trajectory_state(params, traj, clock)
+    if traj.n_accelerated:
+        assert (state.violation <= 10.0 * state.defect).all()
+    else:
+        assert not state.defect.any()
+    for i, sigma in enumerate(state.sigma):
+        want = full_register_state(params, row_of(traj, i), clock)
+        assert np.max(np.abs(sigma - want)) <= 1e-12
+
+
 def assert_same_bits(got, want):
     for x, y in ((got.alpha, want.alpha), (got.beta, want.beta),
                  (got.defect, want.defect)):
@@ -225,9 +289,9 @@ def assert_same_bits(got, want):
         assert x.tobytes() == y.tobytes()
 
 
-# one stacked residual pass gives the per-burn chain's pair and defect,
-# bit for bit: lead coasts, coast-only trajectories, and columns whose
-# array burns meet scalar ones
+# the full-matrix reference's one stacked residual pass gives the per-burn
+# chain's pair and defect, bit for bit: lead coasts, coast-only
+# trajectories, and columns whose array burns meet scalar ones
 @PROPERTY
 @given(trajectories(st.one_of(coasts, burns)))
 def test_transform_has_the_per_burn_chain_bits(traj):
@@ -247,17 +311,14 @@ def test_column_transform_has_the_per_burn_chain_bits(traj):
 
 
 # a report read from the per-switch and per-truncation caches has the
-# bits of one whose burns, coasts and residuals form those values on the
-# call (only the oracle pair, cached at the parent too, is shared)
+# bits of one whose burns and coasts form those values on the call (only
+# the oracle pair, cached at the parent too, is shared)
 @PROPERTY
 @given(trajectories(st.one_of(coasts, burns)), st.integers(2, 5),
        st.sampled_from(("lab", "comoving")))
 def test_report_bits_do_not_depend_on_warm_caches(traj, kp, clock):
     params = ProtocolParams(kp=kp, geometry=GEOM)
-    with mock.patch("cavtel.trajectory._segment_matrices",
-                    segment_matrices_reference), \
-            mock.patch("cavtel.trajectory.identity_residuals",
-                       identity_residuals_reference), \
+    with mock.patch("cavtel.trajectory._oracle_cached", switch_reference), \
             mock.patch("cavtel.trajectory._inertial_phases",
                        coast_phases_reference), \
             mock.patch("cavtel.bogoliubov._inertial_phases",

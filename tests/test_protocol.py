@@ -319,8 +319,9 @@ def test_report_truncation_gate_propagates():
         consistency_report(params, traj)
 
 
-# Rob's mode outside the interior block: at n_max 10 the defect covers
-# modes 1..5 only, so kp 6..10 are gated for any trajectory with a burn
+# Rob's mode outside the interior block: at n_max 10 the switch is
+# validated on modes 1..5 only, so kp 6..10 are gated for any trajectory
+# with a burn
 
 @pytest.mark.parametrize("kp", [6, 7, 8])
 @pytest.mark.parametrize("segments", [
@@ -340,11 +341,13 @@ def test_rob_mode_outside_interior_block_is_truncation_error(kp, segments):
 # the column kernel
 
 def kernel_column(scales):
-    """Stacked pairs alpha = scale * I, beta = 0 with zero defect; a
-    scale below one loses signal without adding the vacuum noise that
-    any physical channel must, so the reduced state is unphysical."""
+    """Rob's rows of the stacked pairs alpha = scale * I, beta = 0, with
+    zero defect; a scale below one loses signal without adding the
+    vacuum noise that any physical channel must, so the reduced state is
+    unphysical."""
     n = DEFAULT_GEOMETRY.n_max
-    alpha = np.array([s * np.eye(n, dtype=complex) for s in scales])
+    rows = np.eye(n, dtype=complex)[PARAMS.kp - 1:PARAMS.kp]
+    alpha = np.array([s * rows for s in scales])
     pair = BogoliubovPair(alpha, np.zeros_like(alpha), np.zeros(len(scales)))
     zeros = np.zeros(len(scales))
     return pair, PhasePair(zeros, zeros)

@@ -13,11 +13,11 @@ from cavtel.trajectory import (
     Accelerated,
     Inertial,
     Trajectory,
-    build_transform,
     h_parameter,
     ledger,
     parse_trajectory,
     phase_pair,
+    rob_row,
 )
 
 GEOM = CavityGeometry(0.012, 1.2e8, 10)
@@ -330,24 +330,28 @@ def test_h_parameter_quiet_in_regime():
 
 def test_inertial_transform_is_pure_phase():
     traj = Trajectory((Inertial(0.9e-10), Inertial(0.4e-10)), GEOM)
-    pair = build_transform(traj)
-    assert np.max(np.abs(pair.beta)) == 0.0
-    off = pair.alpha - np.diag(np.diag(pair.alpha))
-    assert np.max(np.abs(off)) == 0.0
-    assert np.allclose(np.abs(np.diag(pair.alpha)), 1.0, atol=1e-15)
+    for kp in range(1, GEOM.n_max + 1):
+        row = rob_row(traj, kp)
+        assert row.alpha.shape == row.beta.shape == (1, 1, GEOM.n_max)
+        assert np.max(np.abs(row.beta)) == 0.0
+        off = np.delete(row.alpha[0, 0], kp - 1)
+        assert np.max(np.abs(off)) == 0.0
+        assert abs(abs(row.alpha[0, 0, kp - 1]) - 1.0) <= 1e-15
+        assert row.defect.tolist() == [0.0]
 
 
 def test_inertial_transforms_compose_durations():
-    split = build_transform(
-        Trajectory((Inertial(0.9e-10), Inertial(0.4e-10)), GEOM))
-    whole = build_transform(Trajectory((Inertial(1.3e-10),), GEOM))
+    split = rob_row(
+        Trajectory((Inertial(0.9e-10), Inertial(0.4e-10)), GEOM), 3)
+    whole = rob_row(Trajectory((Inertial(1.3e-10),), GEOM), 3)
     assert np.allclose(split.alpha, whole.alpha, atol=1e-12)
 
 
 def test_accelerated_transform_has_pairing():
     traj = Trajectory((Accelerated(2e17, 3e-10),), GEOM)
-    pair = build_transform(traj)
-    assert np.max(np.abs(pair.beta)) > 1e-4
+    row = rob_row(traj, 3)
+    assert np.max(np.abs(row.beta)) > 1e-4
+    assert 0.0 < row.defect[0] < 1e-4
 
 
 def test_transform_matches_segment_engine():
@@ -356,45 +360,39 @@ def test_transform_matches_segment_engine():
     # 1.37e-10 s is not a whole number of L / c, so the coast's phases
     # are not all +-1 and D and D^* differ
     traj = Trajectory((Inertial(1.37e-10), Accelerated(2e17, 3e-10)), GEOM)
-    got = build_transform(traj)
     h = h_parameter(2e17, GEOM.L, GEOM.c)
     want = compose(one_segment_transform(3e-10, h, GEOM),
                    phase_evolution_minkowski(1.37e-10, GEOM))
-    assert np.allclose(got.alpha, want.alpha, atol=1e-14)
-    assert np.allclose(got.beta, want.beta, atol=1e-14)
+    for kp in range(1, GEOM.n_max // 2 + 1):
+        got = rob_row(traj, kp)
+        assert np.max(np.abs(got.alpha[0, 0] - want.alpha[kp - 1])) <= 1e-14
+        assert np.max(np.abs(got.beta[0, 0] - want.beta[kp - 1])) <= 1e-14
 
 
-def test_running_product_measured_only_after_a_later_burn(monkeypatch):
+def test_row_chain_forms_only_row_products(monkeypatch):
     from cavtel import trajectory
-    one = Trajectory((Inertial(1e-10), Accelerated(2e17, 3e-10),
-                      Inertial(2e-10)), GEOM)
-    two = Trajectory((Accelerated(2e17, 3e-10), Inertial(1e-10),
-                      Accelerated(1e17, 2e-10)), GEOM)
-    build_transform(one)
-    build_transform(two)    # warm the switch cache
-    calls, pairs, joins = [], [], []
-    real = trajectory.identity_residuals
-    real_compose = trajectory.compose
+    two = (Accelerated(2e17, 3e-10), Inertial(1e-10),
+           Accelerated(1e17, 2e-10), Inertial(2e-10))
+    column = (Accelerated(2e17, np.array([1e-10, 2e-10, 3e-10])),
+              Inertial(1e-10), Accelerated(1e17, 2e-10))
+    rob_row(Trajectory(column, GEOM), 3)    # warm the switch cache
+    steps = []
+    real = trajectory._rows_then
 
-    def counted(alpha, beta):
-        calls.append(1)
-        # a scalar trajectory's pairs arrive one alone or stacked
-        pairs.append(1 if alpha.ndim == 2 else alpha.shape[0])
-        return real(alpha, beta)
+    def counted(rows, pair):
+        steps.append(rows.shape)
+        return real(rows, pair)
 
-    def counted_compose(b2, b1):
-        joins.append(1)
-        return real_compose(b2, b1)
-
-    monkeypatch.setattr(trajectory, "identity_residuals", counted)
-    monkeypatch.setattr(trajectory, "compose", counted_compose)
-    build_transform(one)
-    assert len(calls) == 1          # one measuring pass per trajectory
-    assert sum(pairs) == 1          # the burn's own transform only
-    assert len(joins) == 0          # coasts are phase vectors
-    calls.clear()
-    pairs.clear()
-    build_transform(two)
-    assert len(calls) == 1
-    assert sum(pairs) == 3          # two burns, then the product once
-    assert len(joins) == 1          # compose only joins the two burns
+    monkeypatch.setattr(trajectory, "_rows_then", counted)
+    row = rob_row(Trajectory(two, GEOM), 3)
+    # the last burn starts from its inverse's row kp, with no product;
+    # each earlier burn joins through its inverse and its switch
+    assert steps == [(1, 2, GEOM.n_max)] * 3
+    assert row.alpha.shape == (1, 1, GEOM.n_max)
+    assert row.defect.shape == (1,)
+    steps.clear()
+    row = rob_row(Trajectory(column, GEOM), 3)
+    # a column's rows are a stack of single rows from its array burn on
+    assert steps == [(1, 2, GEOM.n_max)] * 2 + [(3, 2, GEOM.n_max)]
+    assert row.alpha.shape == row.beta.shape == (3, 1, GEOM.n_max)
+    assert row.defect.shape == (3,)

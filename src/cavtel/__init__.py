@@ -26,9 +26,7 @@ from .bogoliubov import (
     BogoliubovPair,
     CavityGeometry,
     RindlerGeometry,
-    compose,
     f_sums,
-    one_segment_transform,
     rindler_period,
     sudden_switch_oracle,
     sudden_switch_perturbative,
@@ -61,9 +59,8 @@ __all__ = [
     "QuadratureError", "TrajectoryParseError", "TruncationError",
     "make_two_mode_squeezed", "partial_transpose",
     "symplectic_eigenvalues", "teleport_fidelity",
-    "BogoliubovPair", "CavityGeometry", "RindlerGeometry", "compose",
-    "f_sums", "one_segment_transform", "rindler_period",
-    "sudden_switch_oracle",
+    "BogoliubovPair", "CavityGeometry", "RindlerGeometry", "f_sums",
+    "rindler_period", "sudden_switch_oracle",
     "sudden_switch_perturbative", "to_symplectic",
     "Accelerated", "Inertial", "Trajectory", "h_parameter", "ledger",
     "parse_trajectory", "phase_pair",

@@ -21,10 +21,10 @@ columns of any truncated transformation carry order h couplings to modes
 just outside the window, so no finite matrix can close the identities
 there; interior modes are the ones downstream consumers are allowed to
 use.  They are measured once per oracle cache entry, as the switch's
-health check, and on every `one_segment_transform`; `compose` carries
-the larger input defect.
+health check.
 
-A trajectory's report carries Rob's row alone (`trajectory.rob_row`),
+The library builds no n x n transform of a burn or a trajectory: a
+trajectory's report carries Rob's row alone (`trajectory.rob_row`),
 with that row's residual as its defect.  A small row residual shows that
 the row is unitary, not that it is accurate, so Rob's mode stays inside
 the interior block.
@@ -49,12 +49,9 @@ __all__ = [
     "rindler_period",
     "BogoliubovPair",
     "PerturbativeCoefficients",
-    "make_pair",
     "identity_residuals",
     "sudden_switch_oracle",
     "sudden_switch_perturbative",
-    "compose",
-    "one_segment_transform",
     "f_sums",
     "to_symplectic",
     "first_order_mixing",
@@ -126,18 +123,6 @@ class RindlerGeometry:
                 f"horizon, got {self.h}")
 
     @property
-    def chi_center(self):
-        return 1.0 / self.h
-
-    @property
-    def chi_left(self):
-        return 1.0 / self.h - 0.5
-
-    @property
-    def chi_right(self):
-        return 1.0 / self.h + 0.5
-
-    @property
     def log_width(self):
         # ln(chi_right / chi_left) = 2 atanh(h / 2), stable for small h
         return 2.0 * math.atanh(0.5 * self.h)
@@ -196,40 +181,15 @@ def identity_residuals(alpha, beta):
 class BogoliubovPair:
     """Operator-side mode transformation b = alpha a + beta a^dagger.
 
-    A stacked pair carries leading axes on alpha and beta (..., n, n) and
-    one defect per transform, as an array.
+    The switch and its canonical inverse are (n, n) pairs with one float
+    defect.  Rows of a pair are (..., r, n): Rob's row of a trajectory
+    (`trajectory.rob_row`) is (T, 1, n), with one defect per trajectory
+    as a (T,) array.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     defect: float | np.ndarray
-
-    @property
-    def n_modes(self):
-        return self.alpha.shape[-1]
-
-
-def make_pair(alpha, beta, floor=0.0):
-    """Build a pair, measuring its identity defect (at least `floor`);
-    stacked matrices get one defect each."""
-    alpha = np.ascontiguousarray(alpha, dtype=complex)
-    beta = np.ascontiguousarray(beta, dtype=complex)
-    if alpha.shape != beta.shape or alpha.ndim < 2 \
-            or alpha.shape[-2] != alpha.shape[-1]:
-        raise ValueError("alpha and beta must be equal square matrices")
-    defect = np.maximum(identity_residuals(alpha, beta), floor)
-    return BogoliubovPair(alpha, beta,
-                          float(defect) if alpha.ndim == 2 else defect)
-
-
-def compose(b2, b1):
-    """Pair applying b1 first, then b2 (stacks broadcast), carrying the
-    larger defect."""
-    if b2.n_modes != b1.n_modes:
-        raise ValueError("mode counts differ")
-    alpha = b2.alpha @ b1.alpha + b2.beta @ b1.beta.conj()
-    beta = b2.alpha @ b1.beta + b2.beta @ b1.alpha.conj()
-    return BogoliubovPair(alpha, beta, np.maximum(b1.defect, b2.defect))
 
 
 def _phases(rates, t):
@@ -366,7 +326,10 @@ def _oracle_cached(h, n_max):
     """The switch's `_Switch`, its pair's defect measured once per cache
     entry; every array is read-only."""
     co, counter, residual, rates = _switch_overlaps(h, n_max)
-    pair = make_pair(co, -counter, floor=residual)
+    alpha = np.ascontiguousarray(co, dtype=complex)
+    beta = np.ascontiguousarray(-counter, dtype=complex)
+    pair = BogoliubovPair(alpha, beta, float(
+        np.maximum(identity_residuals(alpha, beta), residual)))
     inverse = BogoliubovPair(pair.alpha.conj().T, -pair.beta.T, pair.defect)
     for a in (pair.alpha, pair.beta, rates, inverse.alpha, inverse.beta):
         a.flags.writeable = False
@@ -398,31 +361,6 @@ def _inertial_phases(t_seconds, geometry):
     trailing mode axis after the axes of the lab time `t_seconds`."""
     t = geometry.natural_time(np.asarray(t_seconds, dtype=float))
     return _phases(_truncation(geometry.n_max).omega, t)
-
-
-def one_segment_transform(tau_seconds, h, geometry):
-    """Net transformation for one accelerated segment.
-
-    Switch into the accelerated basis, evolve for proper time tau at the
-    center, switch back: B^-1 o phases o B with the canonical inverse
-    B^-1 = (A^dagger, -B^T), joined by `compose`, measuring the defect
-    (at least the switch's).  With the switch pair (A, B) and the wedge
-    phases D, that is alpha = A^dagger D A - B^T D^* B^* and
-    beta = A^dagger D B - B^T D^* A^*.  An array of durations gives a
-    stacked pair, one transform per duration, each with its own measured
-    defect.  The switch's pair and its inverse are built once per
-    (h, n_max) and shared by every burn.
-    """
-    taus = np.asarray(tau_seconds, dtype=float)
-    if (taus < 0).any():
-        raise ValueError("segment duration must be >= 0")
-    switch = _oracle_cached(float(h), geometry.n_max)
-    # wedge phases exp(-i omega_mode(n) eta), at wedge time eta = h tau c / L
-    d = _phases(switch.rates, h * geometry.natural_time(taus))[..., None]
-    pair = switch.pair
-    step = compose(switch.inverse, BogoliubovPair(d * pair.alpha,
-                                                  d * pair.beta, pair.defect))
-    return make_pair(step.alpha, step.beta, floor=step.defect)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +464,8 @@ def f_sums(kp, taus, geometry):
         raise ValueError(f"kp must lie in 1..{geometry.n_max}")
     _first_order_tail(kp, geometry.n_max)
     taus = np.asarray(taus, dtype=float)
-    if (taus < 0).any():
-        raise ValueError("segment duration must be >= 0")
+    if not ((taus >= 0.0) & (taus < math.inf)).all():
+        raise ValueError("segment duration must be finite and >= 0")
     return _f_sums_cached(kp, geometry, taus.shape, taus.tobytes())
 
 

@@ -27,7 +27,6 @@ from .bogoliubov import (
     _first_order_tail,
     _interior_count,
     identity_residuals,
-    one_segment_transform,
     rindler_period,
     sudden_switch_oracle,
     sudden_switch_perturbative,
@@ -50,7 +49,13 @@ from .protocol import (
     consistency_report,
     perturbative_fidelity,
 )
-from .trajectory import Accelerated, Inertial, Trajectory, parse_trajectory
+from .trajectory import (
+    Accelerated,
+    Inertial,
+    Trajectory,
+    parse_trajectory,
+    rob_row,
+)
 
 FLOAT_FMT = "%.11e"          # 12 significant digits, scientific
 REGIME_H_MAX = math.sqrt(REGIME_H_SQUARED)
@@ -381,11 +386,16 @@ def _check_identities(cfg):
     return worst <= thr, f"worst residual {worst:.3e} (limit {thr:.0e})"
 
 def _check_symplectic(cfg):
+    # the interior rows of a burn, each built as the reports build Rob's
+    # row, must keep the symplectic form among themselves
     geom = cfg.geometry()
-    s = to_symplectic(one_segment_transform(0.3e-9, 0.2, geom))
-    omega = symplectic_form(geom.n_max)
-    k = 2 * _interior_count(geom.n_max)
-    gap = np.max(np.abs((s @ omega @ s.T - omega)[:k, :k]))
+    burn = Trajectory((Accelerated(0.2 * geom.c ** 2 / geom.L, 0.3e-9),),
+                      geom)
+    k = _interior_count(geom.n_max)
+    r = np.concatenate([to_symplectic(rob_row(burn, kp))[0]
+                        for kp in range(1, k + 1)])
+    gap = np.max(np.abs(r @ symplectic_form(geom.n_max) @ r.T
+                        - symplectic_form(k)))
     thr = 1e-3 if geom.n_max <= 10 else 1e-4
     return gap <= thr, f"interior form defect {gap:.3e} (limit {thr:.0e})"
 

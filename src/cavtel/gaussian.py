@@ -28,7 +28,6 @@ __all__ = [
     "symplectic_form",
     "make_two_mode_squeezed",
     "rotation",
-    "local_rotation",
     "partial_transpose",
     "symplectic_eigenvalues",
     "teleport_fidelity",
@@ -89,16 +88,6 @@ def rotation(theta):
     out[..., 0, 1] = s
     out[..., 1, 0] = -s
     out[..., 1, 1] = c
-    return out
-
-
-def local_rotation(theta_a, theta_b):
-    """Two-mode symplectic applying phases theta_a, theta_b locally
-    (stacked like `rotation` for arrays of angles)."""
-    out = np.zeros(np.broadcast_shapes(np.shape(theta_a),
-                                       np.shape(theta_b)) + (4, 4))
-    out[..., :2, :2] = rotation(theta_a)
-    out[..., 2:, 2:] = rotation(theta_b)
     return out
 
 

@@ -257,10 +257,12 @@ def fidelity_optimal(params, trajectory, alice_clock="lab"):
 
 
 def _check_sums(f_alpha, f_beta, h):
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    if np.less(np.minimum(f_alpha, f_beta), 0).any():
-        raise ValueError("degradation sums must be >= 0")
+    # written so that a NaN fails each comparison
+    if not 0.0 <= h < math.inf:
+        raise ValueError("h must be finite and >= 0")
+    if not ((np.minimum(f_alpha, f_beta) >= 0.0)
+            & (np.maximum(f_alpha, f_beta) < math.inf)).all():
+        raise ValueError("degradation sums must be finite and >= 0")
 
 
 def perturbative_fidelity(r, phi, f_alpha, f_beta, h):

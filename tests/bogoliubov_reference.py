@@ -1,32 +1,31 @@
 """Dense reference pairs for the Bogoliubov algebra.
 
-The library applies a coast as a phase vector that scales the rows or
-columns of a burn's transform, and never forms the identity, a free
-evolution or a canonical inverse as a pair.  These builders form them as
-dense (alpha, beta) matrices, so that tests can compose a trajectory
-step by step with `compose` and compare.  Likewise `f_sums` builds one
+The library builds Rob's row of a trajectory alone (`trajectory.rob_row`)
+and never forms the identity, a free evolution, a burn's n x n transform
+or a trajectory's net pair.  These builders form them as dense
+(alpha, beta) matrices, so that tests can join a trajectory step by step
+with `compose` and compare.  `measured` sets a pair's defect to its
+identity residual (at least its own).  Likewise `f_sums` builds one
 column of the first-order one-segment matrices; the full matrices are
 built here.
 
 `build_transform` is the full-matrix reference for a trajectory: its net
 n x n pair, with the worst interior-block residual of each burn's
 transform and each running product after a later burn, measured in one
-stacked pass.  The library carries Rob's row alone
-(`trajectory.rob_row`), which must match row kp of it.
+stacked pass.  Rob's row must match row kp of it.
 `build_transform_per_burn` measures each burn's transform and each
-running product with `make_pair` as it goes; `build_transform` must
+running product with `measured` as it goes; `build_transform` must
 equal it bit for bit.
 
-`segment_transform_reference` is `one_segment_transform` before the
-switch's cache entry carried its wedge rates and canonical inverse
-(`switch_reference` forms that entry on the call): the angles come
-from `RindlerGeometry(h).omega_mode`, A^dagger and -B^T are formed
-inline, the product B^-1 o D o B is written out rather than taken from
-`compose`, and `identity_residuals_reference` reduces the four residual
-blocks one by one.  `coast_phases_reference` forms a
-coast's rates -i n pi on the call, as the library did before its coasts
-read n pi from the truncation's table.  The library's must equal them
-bit for bit.
+`segment_transform_reference` is a burn's full transform B^-1 o D o B,
+measured, with every per-switch value formed on the call: the angles
+come from `RindlerGeometry(h).omega_mode`, A^dagger and -B^T are formed
+inline and the product is written out.  `identity_residuals_reference`
+reduces the four residual blocks one by one, `switch_reference` forms
+the switch's cache entry (its rates and canonical inverse) on the call,
+and `coast_phases_reference` forms a coast's rates -i n pi on the call.
+The library's `identity_residuals`, switch entry and coast phases must
+equal them bit for bit.
 
 `switch_overlaps_reference` is `_switch_overlaps` before the
 h-independent factors were built once per truncation: every call forms
@@ -52,10 +51,7 @@ from cavtel.bogoliubov import (
     _interior_count,
     _oracle_cached,
     _Switch,
-    compose,
     identity_residuals,
-    make_pair,
-    one_segment_transform,
     sudden_switch_oracle,
     sudden_switch_perturbative,
 )
@@ -72,6 +68,24 @@ def inverse(b):
     """Canonical inverse (alpha -> alpha^dagger, beta -> -beta^T); it
     swaps the row and column identities, so the defect carries over."""
     return BogoliubovPair(b.alpha.conj().T, -b.beta.T, b.defect)
+
+
+def compose(b2, b1):
+    """Pair applying b1 first, then b2 (stacks broadcast), carrying the
+    larger defect."""
+    alpha = b2.alpha @ b1.alpha + b2.beta @ b1.beta.conj()
+    beta = b2.alpha @ b1.beta + b2.beta @ b1.alpha.conj()
+    return BogoliubovPair(alpha, beta, np.maximum(b1.defect, b2.defect))
+
+
+def measured(pair):
+    """The pair as contiguous complex matrices, its identity defect
+    measured (at least its own); a stacked pair gets one defect each."""
+    alpha = np.ascontiguousarray(pair.alpha, dtype=complex)
+    beta = np.ascontiguousarray(pair.beta, dtype=complex)
+    defect = np.maximum(identity_residuals(alpha, beta), pair.defect)
+    return BogoliubovPair(alpha, beta,
+                          float(defect) if alpha.ndim == 2 else defect)
 
 
 def phase_evolution_minkowski(t_seconds, geometry):
@@ -167,7 +181,7 @@ def phase_evolution_rindler(tau_seconds, h, geometry):
 
 
 def one_segment_first_order(tau_seconds, geometry):
-    """First order in h of `one_segment_transform` at fixed tau.
+    """First order in h of `segment_transform` at fixed tau.
 
     The free phases are even in h, so composing B^-1 o D(tau) o B
     with B = 1 + h (A1, B1) gives the first order exactly:
@@ -281,18 +295,20 @@ def mirrored_switch(h, n_max):
     if not h < 0:
         raise ValueError("the mirrored switch takes h < 0")
     co, counter = elementwise_switch_overlaps(h, n_max, ORACLE_TOL)
-    pair = make_pair(co, -counter)
+    pair = measured(BogoliubovPair(co, -counter, 0.0))
     pair.alpha.flags.writeable = False
     pair.beta.flags.writeable = False
     return pair
 
 
 def segment_transform(tau_seconds, h, geometry):
-    """`one_segment_transform` at either sign of h: the library's for
-    h > 0; for h < 0, inverse(B) o wedge phases o B composed densely
-    from the mirrored switch B."""
+    """A burn's transform at either sign of h, measured: for h > 0
+    `segment_transform_reference` on the oracle's switch; for h < 0,
+    inverse(B) o wedge phases o B composed densely from the mirrored
+    switch B."""
     if h > 0:
-        return one_segment_transform(tau_seconds, h, geometry)
+        return BogoliubovPair(
+            *segment_transform_reference(tau_seconds, h, geometry))
     b0 = mirrored_switch(h, geometry.n_max)
     phases = phase_evolution_rindler(tau_seconds, h, geometry)
     return compose(inverse(b0), compose(phases, b0))
@@ -332,8 +348,8 @@ def switch_first_order_ladder(geometry):
 
 
 def build_transform_per_burn(trajectory):
-    """`trajectory.build_transform` with every burn's transform and every
-    running product after a later burn measured on its own."""
+    """`build_transform` with every burn's transform and every running
+    product after a later burn measured on its own."""
     geom = trajectory.geometry
     lead = None          # the coasts' phases before the first burn
     total = None
@@ -347,11 +363,9 @@ def build_transform_per_burn(trajectory):
                                        d[:, None] * total.beta, total.defect)
             continue
         h = seg.a * geom.L / geom.c ** 2
-        step = one_segment_transform(seg.tau, h, geom)
+        step = segment_transform(seg.tau, h, geom)
         if total is not None:
-            joined = compose(step, total)
-            total = make_pair(joined.alpha, joined.beta,
-                              floor=joined.defect)
+            total = measured(compose(step, total))
         elif lead is None:
             total = step
         else:

@@ -3,7 +3,8 @@
 Embeds the resource into Alice's mode plus Rob's whole cavity register,
 applies the trajectory's symplectic matrix to all of it, and reads the
 4x4 block back out.  The library builds the same state from mode kp's
-two quadrature rows only; tests compare the two.
+two quadrature rows only; tests compare the two.  `local_rotation` is
+the two-mode phase rotation the library applies blockwise.
 """
 
 import numpy as np
@@ -14,6 +15,16 @@ from cavtel.gaussian import make_two_mode_squeezed, rotation
 from cavtel.trajectory import phase_pair
 
 from bogoliubov_reference import build_transform
+
+
+def local_rotation(theta_a, theta_b):
+    """Two-mode symplectic applying phases theta_a, theta_b locally
+    (stacked like `rotation` for arrays of angles)."""
+    out = np.zeros(np.broadcast_shapes(np.shape(theta_a),
+                                       np.shape(theta_b)) + (4, 4))
+    out[..., :2, :2] = rotation(theta_a)
+    out[..., 2:, 2:] = rotation(theta_b)
+    return out
 
 
 def _block(sigma, i, j):

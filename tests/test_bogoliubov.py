@@ -19,13 +19,10 @@ from cavtel.bogoliubov import (
     CavityGeometry,
     RindlerGeometry,
     _switch_overlaps,
-    compose,
     f_sums,
     first_order_mixing,
     first_order_pairing,
     identity_residuals,
-    make_pair,
-    one_segment_transform,
     sudden_switch_oracle,
     sudden_switch_perturbative,
     to_symplectic,
@@ -35,6 +32,7 @@ from cavtel.gaussian import rotation, symplectic_form
 from cavtel.quadrature import integrate_stack
 
 from bogoliubov_reference import (
+    compose,
     elementwise_switch_overlaps,
     first_order_ladder,
     identity_pair,
@@ -46,7 +44,6 @@ from bogoliubov_reference import (
     phase_evolution_rindler,
     richardson_limit,
     segment_transform,
-    segment_transform_reference,
     switch_first_order_ladder,
     switch_overlaps_reference,
 )
@@ -167,8 +164,8 @@ def test_rindler_parameter_range(h):
 
 def test_rindler_chart_fields():
     rind = RindlerGeometry(0.5)
-    assert rind.chi_center == pytest.approx(2.0)
-    assert rind.chi_right - rind.chi_left == pytest.approx(1.0)
+    lo, hi = chart_walls(rind)
+    assert rind.log_width == pytest.approx(math.log(hi / lo))
     assert rind.log_width == pytest.approx(math.log(2.5 / 1.5))
 
 
@@ -219,6 +216,14 @@ def test_regime_warning():
 # ---------------------------------------------------------------------------
 # mode functions and Klein-Gordon inner products via scipy
 
+def chart_walls(rindler):
+    """The cavity's walls (chi_left, chi_right) = 1/h -+ 1/2 in the raw
+    Rindler coordinate, whose center 1/h has proper acceleration h.  The
+    scipy references integrate in it; the library integrates in the wall
+    offset chi - chi_left instead, which keeps its precision at small h."""
+    return 1.0 / rindler.h - 0.5, 1.0 / rindler.h + 0.5
+
+
 def mode_function_inertial(n, xi):
     """Inertial cavity mode n at fractional position xi in [0, 1].
 
@@ -245,7 +250,7 @@ def mode_function_rindler(n, chi, rindler):
     if n < 1:
         raise ValueError("mode number must be >= 1")
     chi = np.asarray(chi, dtype=float)
-    lo, hi = rindler.chi_left, rindler.chi_right
+    lo, hi = chart_walls(rindler)
     if np.any(chi < lo * (1 - 1e-12)) or np.any(chi > hi * (1 + 1e-12)):
         raise ValueError("position outside the accelerated cavity")
     z = np.log1p((chi - lo) / lo) / rindler.log_width
@@ -269,7 +274,7 @@ def kg_rindler(m, n, rind):
         vn, dn = mode_function_rindler(n, x, rind)
         return (1j * (np.conj(vm) * dn - vn * np.conj(dm))).real
 
-    val, _ = quad(integrand, rind.chi_left, rind.chi_right,
+    val, _ = quad(integrand, *chart_walls(rind),
                   epsabs=1e-12, epsrel=1e-12)
     return val
 
@@ -291,7 +296,7 @@ def test_mode_functions_vanish_at_walls():
             val, _ = mode_function_inertial(n, xi)
             assert abs(val) < 1e-12
     rind = RindlerGeometry(0.3)
-    for chi in (rind.chi_left, rind.chi_right):
+    for chi in chart_walls(rind):
         val, _ = mode_function_rindler(2, chi, rind)
         assert abs(val) < 1e-12
 
@@ -312,15 +317,16 @@ def overlap_entry(m, n, h, counter=False):
     """(m, n) switch overlap via scipy.quad; shares no quadrature code
     with the production path."""
     rind = RindlerGeometry(h)
+    lo, hi = chart_walls(rind)
     sign = -1.0 if counter else 1.0
 
     def integrand(x):
-        un, _ = mode_function_inertial(n, x - rind.chi_left)
+        un, _ = mode_function_inertial(n, x - lo)
         fm, _ = mode_function_rindler(m, x, rind)
         return fm * un * (GEOM.omega(n) * 0.012 / 1.2e8
                           + sign * rind.omega_mode(m) / x)
 
-    val, _ = quad(integrand, rind.chi_left, rind.chi_right,
+    val, _ = quad(integrand, lo, hi,
                   epsabs=1e-12, epsrel=1e-12, limit=200)
     return val
 
@@ -346,7 +352,7 @@ def test_oracle_left_wedge_matches_scipy():
     # far wall, mode sign (-1)^(m+1), horizon on the other side
     h, m, n = 0.3, 2, 3
     rind = RindlerGeometry(h)
-    a, b = rind.chi_left, rind.chi_right
+    a, b = chart_walls(rind)
 
     def integrand(x):
         rho = (a + b) - x
@@ -535,33 +541,8 @@ def test_identity_residuals_have_the_reference_bits():
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-# one burn's alpha, beta and defect against the expression that formed
-# every per-switch value on the call, over truncations and both shapes
-# of tau
-def test_one_segment_transform_has_the_reference_bits():
-    rng = np.random.default_rng(1515)
-    for _ in range(10):
-        h = 0.245 * (1.0 - rng.random())           # (0, 0.245]
-        geom = CavityGeometry(0.012, 1.2e8, int(rng.integers(4, 41)))
-        span = 3.0 * geom.fundamental_period
-        for tau in (float(rng.uniform(0.0, span)),
-                    rng.uniform(0.0, span, int(rng.integers(1, 6)))):
-            got = one_segment_transform(tau, h, geom)
-            want = segment_transform_reference(tau, h, geom)
-            for x, y in zip((got.alpha, got.beta, got.defect), want):
-                assert type(x) is type(y)
-                x, y = np.asarray(x), np.asarray(y)
-                assert x.dtype == y.dtype and x.shape == y.shape
-                assert x.tobytes() == y.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # pair algebra
-
-def test_make_pair_validates_shapes():
-    with pytest.raises(ValueError):
-        make_pair(np.eye(3), np.zeros((2, 2)))
-
 
 def test_identity_pair_neutral_element():
     b = sudden_switch_oracle(0.2, GEOM)
@@ -610,8 +591,7 @@ def test_composition_homomorphism_to_symplectic():
 def test_to_symplectic_phase_convention():
     theta = 0.4
     alpha = np.diag(np.exp(-1j * np.array([theta, theta])))
-    pair = make_pair(alpha, np.zeros((2, 2)))
-    s = to_symplectic(pair)
+    s = to_symplectic(BogoliubovPair(alpha, np.zeros((2, 2)), 0.0))
     want = np.array([[math.cos(theta), math.sin(theta)],
                      [-math.sin(theta), math.cos(theta)]])
     assert np.allclose(s[:2, :2], want, atol=1e-15)
@@ -629,13 +609,13 @@ def test_to_symplectic_squeezer_convention():
     s_par = 0.3
     alpha = np.array([[math.cosh(s_par)]], dtype=complex)
     beta = np.array([[math.sinh(s_par)]], dtype=complex)
-    s = to_symplectic(make_pair(alpha, beta))
+    s = to_symplectic(BogoliubovPair(alpha, beta, 0.0))
     assert np.allclose(s, np.diag([math.exp(s_par), math.exp(-s_par)]),
                        atol=1e-15)
 
 
 def test_segment_transform_tau_zero_is_identity_interior():
-    seg = one_segment_transform(0.0, 0.2, GEOM)
+    seg = segment_transform(0.0, 0.2, GEOM)
     k = 5
     assert np.max(np.abs(seg.alpha[:k, :k] - np.eye(10)[:k, :k])) < 1e-4
     assert np.max(np.abs(seg.beta[:k, :k])) < 1e-4
@@ -643,14 +623,14 @@ def test_segment_transform_tau_zero_is_identity_interior():
 
 def test_segment_defect_falls_with_truncation():
     tau = 6e-10
-    d10 = one_segment_transform(tau, 0.2, GEOM).defect
-    d20 = one_segment_transform(
+    d10 = segment_transform(tau, 0.2, GEOM).defect
+    d20 = segment_transform(
         tau, 0.2, CavityGeometry(0.012, 1.2e8, 20)).defect
     assert d20 < d10
 
 
 def test_segment_symplectic_on_interior():
-    seg = one_segment_transform(0.3e-9, 0.2, GEOM)
+    seg = segment_transform(0.3e-9, 0.2, GEOM)
     s = to_symplectic(seg)
     omega = symplectic_form(10)
     gap = np.max(np.abs((s @ omega @ s.T - omega)[:10, :10]))
@@ -667,12 +647,12 @@ def test_segment_transform_over_an_array_of_taus():
             taus = np.sort(rng.uniform(0.0, 6e-10, count))
             if count == 5:
                 taus[0] = 0.0
-            column = one_segment_transform(taus, 0.2, geom)
+            column = segment_transform(taus, 0.2, geom)
             assert column.alpha.shape == (count, n_max, n_max)
             assert column.defect.shape == (count,)
             res = identity_residuals(column.alpha, column.beta)
             for i, tau in enumerate(taus):
-                one = one_segment_transform(tau, 0.2, geom)
+                one = segment_transform(tau, 0.2, geom)
                 assert np.array_equal(column.alpha[i], one.alpha)
                 assert np.array_equal(column.beta[i], one.beta)
                 assert column.defect[i] == one.defect
@@ -682,8 +662,8 @@ def test_segment_transform_over_an_array_of_taus():
 def test_symplectic_rows_are_rows_of_the_full_matrix():
     # a mode's row of a pair gives that mode's two rows of the full
     # symplectic matrix, bit for bit
-    column = one_segment_transform(np.linspace(0.0, 6e-10, 4), 0.2, GEOM)
-    one = one_segment_transform(0.37e-9, 0.2, GEOM)
+    column = segment_transform(np.linspace(0.0, 6e-10, 4), 0.2, GEOM)
+    one = segment_transform(0.37e-9, 0.2, GEOM)
     for pair in (column, one):
         full = to_symplectic(pair)
         for mode in range(1, GEOM.n_max + 1):
@@ -693,11 +673,6 @@ def test_symplectic_rows_are_rows_of_the_full_matrix():
                                                 pair.beta[..., i, :], 0.0))
             assert rows.shape == full.shape[:-2] + (2, 2 * GEOM.n_max)
             assert np.array_equal(rows, full[..., j:j + 2, :])
-
-
-def test_segment_rejects_negative_duration():
-    with pytest.raises(ValueError):
-        one_segment_transform(-1e-10, 0.2, GEOM)
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +741,7 @@ def test_second_order_diagonal_against_oracle():
 
 
 def segment_first_order_ladder(tau, geometry):
-    """First order in h of `one_segment_transform` at fixed tau, by
+    """First order in h of a burn's transform at fixed tau, by
     central differences of the full segment (the mirrored switch at -h)
     on a halving h ladder.  Independent of the composition identity the
     library uses."""
@@ -849,6 +824,14 @@ def test_f_sums_equal_the_reference_column():
             assert (one_a, one_b) == (fa[0], fb[0])
     with pytest.raises(ValueError):
         f_sums(3, [1e-10, -1e-10], GEOM)
+
+
+def test_f_sums_rejects_non_finite_durations():
+    # a NaN fails no `< 0` test, and an infinite one gives NaN phases
+    for taus in (np.nan, np.inf, [1e-10, np.nan], [np.inf, 1e-10]):
+        with pytest.raises(ValueError,
+                           match="segment duration must be finite and >= 0"):
+            f_sums(3, taus, GEOM)
 
 
 def passes_tail_gate(kp, n_max):

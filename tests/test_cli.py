@@ -881,8 +881,68 @@ def test_validate_mutated_oracle_fails(monkeypatch, capsys):
     assert "FAIL bogoliubov-identities" in out
 
 
+def test_validate_symplectic_form_reads_robs_row(monkeypatch, capsys):
+    # the check builds its rows as the reports do, so a switch with one
+    # flipped pairing entry, served to Rob's row, must fail it
+    from cavtel import trajectory
+    from cavtel.bogoliubov import _Switch
+    real = trajectory._oracle_cached
+
+    def mutated(h, n_max):
+        switch = real(h, n_max)
+        beta = switch.pair.beta.copy()
+        beta[0, 1] = -beta[0, 1]
+        return _Switch(BogoliubovPair(switch.pair.alpha, beta,
+                                      switch.pair.defect),
+                       switch.rates, switch.inverse)
+
+    monkeypatch.setattr(trajectory, "_oracle_cached", mutated)
+    code, out, _ = run(["validate"], capsys)
+    assert code == 5
+    assert "FAIL symplectic-form" in out
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
+
+def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
+    import cavtel
+    modules = [cavtel] + [
+        importlib.import_module(f"cavtel.{info.name}")
+        for info in pkgutil.iter_modules(cavtel.__path__)]
+    for module in modules:
+        names = getattr(module, "__all__", ())
+        missing = [n for n in names if not hasattr(module, n)]
+        assert not missing, f"{module.__name__}.__all__ lists {missing}"
+        assert len(set(names)) == len(names)
+
+
+# refuses to import the test-only packages, so a child process shows
+# that the commands need no more than the numpy that pyproject declares
+BLOCK_TEST_DEPS = """\
+import sys
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("scipy", "hypothesis"):
+            raise ImportError(f"{name} is blocked")
+        return None
+sys.meta_path.insert(0, Block())
+from cavtel.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["validate", "fidelity"])
+def test_commands_run_without_test_dependencies(command):
+    proc = subprocess.run([sys.executable, "-c", BLOCK_TEST_DEPS, command],
+                          capture_output=True, text=True, timeout=300,
+                          env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
 
 def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "cavtel.cli", "fidelity"],

@@ -13,14 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavtel.bogoliubov import (
-    compose,
-    make_pair,
-    one_segment_transform,
-    sudden_switch_oracle,
-)
+from cavtel.bogoliubov import sudden_switch_oracle
 from cavtel.gaussian import (
-    local_rotation,
     partial_transpose,
     symplectic_eigenvalues,
     teleport_fidelity,
@@ -46,13 +40,17 @@ from bogoliubov_reference import (
     build_transform,
     build_transform_per_burn,
     coast_phases_reference,
+    compose,
     identity_pair,
+    inverse,
+    measured,
     phase_evolution_minkowski,
     phase_evolution_rindler,
     row_residual,
+    segment_transform,
     switch_reference,
 )
-from gaussian_reference import full_register_state
+from gaussian_reference import full_register_state, local_rotation
 
 GEOM = DEFAULT_GEOMETRY
 THRUSTS = tuple(np.linspace(1e16, 2.9e17, 8))
@@ -72,10 +70,6 @@ def trajectories(segments):
 squeezing = st.floats(0.0, 1.5)
 
 
-def measured(pair):
-    return make_pair(pair.alpha, pair.beta, floor=pair.defect)
-
-
 def measured_everywhere(trajectory):
     """Net pair with the identity defect measured after every step,
     product and inverse."""
@@ -87,8 +81,8 @@ def measured_everywhere(trajectory):
             h = h_parameter(seg.a, GEOM.L, GEOM.c)
             b0 = sudden_switch_oracle(h, GEOM)
             ph = measured(phase_evolution_rindler(seg.tau, h, GEOM))
-            inv = make_pair(b0.alpha.conj().T, -b0.beta.T, floor=b0.defect)
-            step = measured(compose(inv, measured(compose(ph, b0))))
+            step = measured(compose(measured(inverse(b0)),
+                                    measured(compose(ph, b0))))
         total = measured(compose(step, total))
     return total
 
@@ -134,7 +128,7 @@ def test_burn_column_matches_full_register(a, taus, r, k, kp, clock):
         # defect; the state's defect is the residual of Rob's row of it
         want = build_transform(traj)
         assert abs(want.defect
-                   - one_segment_transform(tau, h, GEOM).defect) <= 1e-15
+                   - segment_transform(tau, h, GEOM).defect) <= 1e-15
         assert abs(state.defect[i] - row_residual(
             want.alpha[kp - 1], want.beta[kp - 1])) <= 1e-15
 

@@ -249,6 +249,20 @@ def test_perturbative_validation():
         perturbative_optimal(0.5, 0.0, 0.0, -0.1)
 
 
+def test_perturbative_rejects_non_finite_inputs():
+    # a NaN fails no `< 0` test, and would come back as a NaN fidelity
+    for bad in (math.nan, math.inf):
+        for sums in ((bad, 0.1), (0.1, bad), (np.array([0.1, bad]), 0.1)):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                perturbative_fidelity(0.5, 0.3, *sums, 0.1)
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                perturbative_optimal(0.5, *sums, 0.1)
+        with pytest.raises(ValueError, match="h must be finite and >= 0"):
+            perturbative_fidelity(0.5, 0.3, 0.1, 0.1, bad)
+        with pytest.raises(ValueError, match="h must be finite and >= 0"):
+            perturbative_optimal(0.5, 0.1, 0.1, bad)
+
+
 # ---------------------------------------------------------------------------
 # consistency report
 

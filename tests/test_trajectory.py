@@ -355,13 +355,16 @@ def test_accelerated_transform_has_pairing():
 
 
 def test_transform_matches_segment_engine():
-    from cavtel.bogoliubov import compose, one_segment_transform
-    from bogoliubov_reference import phase_evolution_minkowski
+    from bogoliubov_reference import (
+        compose,
+        phase_evolution_minkowski,
+        segment_transform,
+    )
     # 1.37e-10 s is not a whole number of L / c, so the coast's phases
     # are not all +-1 and D and D^* differ
     traj = Trajectory((Inertial(1.37e-10), Accelerated(2e17, 3e-10)), GEOM)
     h = h_parameter(2e17, GEOM.L, GEOM.c)
-    want = compose(one_segment_transform(3e-10, h, GEOM),
+    want = compose(segment_transform(3e-10, h, GEOM),
                    phase_evolution_minkowski(1.37e-10, GEOM))
     for kp in range(1, GEOM.n_max // 2 + 1):
         got = rob_row(traj, kp)

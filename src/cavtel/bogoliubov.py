@@ -194,8 +194,19 @@ class BogoliubovPair:
 
 def _phases(rates, t):
     """Diagonal phases exp(-i rates t), a trailing mode axis after the
-    axes of the time `t`."""
+    axes of the time `t`; a float `t` gives the phases of one time."""
+    if isinstance(t, float):    # a 0-d array costs ~1 us per operation
+        return np.exp(-1j * (rates * t))
     return np.exp(-1j * (rates * t[..., None]))
+
+
+def _natural_time(t_seconds, geometry):
+    """`geometry.natural_time` of a duration: a float stays a float (the
+    same operations, without a 0-d array), anything else becomes a float
+    array first."""
+    if not isinstance(t_seconds, float):
+        t_seconds = np.asarray(t_seconds, dtype=float)
+    return geometry.natural_time(t_seconds)
 
 
 def to_symplectic(pair):
@@ -212,7 +223,7 @@ def to_symplectic(pair):
     minus = pair.alpha - pair.beta
     s = np.empty(plus.shape[:-2] + (2 * plus.shape[-2], 2 * plus.shape[-1]))
     s[..., 0::2, 0::2] = plus.real
-    s[..., 0::2, 1::2] = -minus.imag
+    np.negative(minus.imag, out=s[..., 0::2, 1::2])
     s[..., 1::2, 0::2] = plus.imag
     s[..., 1::2, 1::2] = minus.real
     return s
@@ -314,11 +325,16 @@ def _switch_overlaps(h, n_max):
 class _Switch(NamedTuple):
     """A switch's cache entry: its pair, the wedge rates omega_mode(n) of
     modes 1..n_max, and its canonical inverse (A^dagger, -B^T), which
-    carries the pair's defect."""
+    carries the pair's defect.  `ab` stacks the pair's alpha and beta in
+    one (2, n, n) buffer, of which they are views, so that rows take
+    both products in one matmul; `inverse_ab` likewise, its matrices the
+    transposed views that A^dagger and -B^T are."""
 
     pair: BogoliubovPair
     rates: np.ndarray
     inverse: BogoliubovPair
+    ab: np.ndarray
+    inverse_ab: np.ndarray
 
 
 @lru_cache(maxsize=1024)
@@ -326,14 +342,16 @@ def _oracle_cached(h, n_max):
     """The switch's `_Switch`, its pair's defect measured once per cache
     entry; every array is read-only."""
     co, counter, residual, rates = _switch_overlaps(h, n_max)
-    alpha = np.ascontiguousarray(co, dtype=complex)
-    beta = np.ascontiguousarray(-counter, dtype=complex)
-    pair = BogoliubovPair(alpha, beta, float(
-        np.maximum(identity_residuals(alpha, beta), residual)))
-    inverse = BogoliubovPair(pair.alpha.conj().T, -pair.beta.T, pair.defect)
-    for a in (pair.alpha, pair.beta, rates, inverse.alpha, inverse.beta):
+    ab = np.empty((2, n_max, n_max), dtype=complex)
+    ab[0], ab[1] = co, -counter
+    inverse_ab = np.stack((ab[0].conj(), -ab[1])).swapaxes(-1, -2)
+    # before the views are taken: a view made earlier stays writeable
+    for a in (ab, rates, inverse_ab):
         a.flags.writeable = False
-    return _Switch(pair, rates, inverse)
+    pair = BogoliubovPair(ab[0], ab[1], float(
+        np.maximum(identity_residuals(ab[0], ab[1]), residual)))
+    inverse = BogoliubovPair(inverse_ab[0], inverse_ab[1], pair.defect)
+    return _Switch(pair, rates, inverse, ab, inverse_ab)
 
 
 def sudden_switch_oracle(h, geometry):
@@ -358,9 +376,9 @@ def sudden_switch_oracle(h, geometry):
 
 def _inertial_phases(t_seconds, geometry):
     """A coast's phases exp(-i n pi t c / L) of modes 1..n_max, with a
-    trailing mode axis after the axes of the lab time `t_seconds`."""
-    t = geometry.natural_time(np.asarray(t_seconds, dtype=float))
-    return _phases(_truncation(geometry.n_max).omega, t)
+    trailing mode axis after the axes of the duration `t_seconds`."""
+    return _phases(_truncation(geometry.n_max).omega,
+                   _natural_time(t_seconds, geometry))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +482,9 @@ def f_sums(kp, taus, geometry):
         raise ValueError(f"kp must lie in 1..{geometry.n_max}")
     _first_order_tail(kp, geometry.n_max)
     taus = np.asarray(taus, dtype=float)
-    if not ((taus >= 0.0) & (taus < math.inf)).all():
+    # a NaN fails both comparisons
+    if not (0.0 <= taus.min(initial=math.inf)
+            and taus.max(initial=0.0) < math.inf):
         raise ValueError("segment duration must be finite and >= 0")
     return _f_sums_cached(kp, geometry, taus.shape, taus.tobytes())
 

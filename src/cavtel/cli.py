@@ -259,6 +259,16 @@ def _sweep_column(params, alice_clock, taus, a):
     return _report(params, traj, alice_clock)[0]
 
 
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity set, or
+    os.cpu_count() where the platform has none (1 if that is unknown).
+    A worker beyond them only competes for the same cores."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def sweep_rows(cfg, jobs=1):
     """Evaluate the full grid, returning (taus, accs, reports): one
     column report of (T,) arrays per acceleration, in the order of accs.
@@ -266,14 +276,14 @@ def sweep_rows(cfg, jobs=1):
     Each column is one report on the column trajectory
     (Accelerated(a, taus),): one switch and one state kernel pass over
     all taus; with jobs > 1 the pool gets whole columns, and never more
-    workers than there are columns.
+    workers than there are columns or usable CPUs.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     params = cfg.params()
     taus, accs = cfg.grid()
     worker = partial(_sweep_column, params, cfg.alice_clock, taus)
-    jobs = min(jobs, len(accs))
+    jobs = min(jobs, len(accs), _usable_cpus())
     if jobs > 1:
         # imported here, so that a --jobs 1 run does not pay for it
         from concurrent.futures import ProcessPoolExecutor

@@ -219,13 +219,14 @@ def _trajectory_state(params, trajectory, alice_clock):
         raise TypeError("expected a Trajectory")
     if trajectory.geometry != params.geometry:
         raise ValueError("trajectory and params disagree on the geometry")
-    if trajectory.n_accelerated:
+    if trajectory.burns:
         _check_interior(params)
     pair = rob_row(trajectory, params.kp)
     phases = phase_pair(trajectory, params.k, params.kp, alice_clock)
-    column = np.ndim(phases.phi) == 1
-    phases = PhasePair(np.atleast_1d(phases.theta_alice),
-                       np.atleast_1d(phases.theta_rob))
+    column = isinstance(phases.theta_rob, np.ndarray)
+    if not column:
+        theta = np.array((phases.theta_alice, phases.theta_rob))
+        phases = PhasePair(theta[:1], theta[1:])
     return _state_kernel(params, pair, phases), column
 
 
@@ -257,11 +258,13 @@ def fidelity_optimal(params, trajectory, alice_clock="lab"):
 
 
 def _check_sums(f_alpha, f_beta, h):
-    # written so that a NaN fails each comparison
+    # written so that a NaN fails each comparison: np.minimum,
+    # np.maximum, .min() and .max() all propagate it; the initial values
+    # pass empty sums
     if not 0.0 <= h < math.inf:
         raise ValueError("h must be finite and >= 0")
-    if not ((np.minimum(f_alpha, f_beta) >= 0.0)
-            & (np.maximum(f_alpha, f_beta) < math.inf)).all():
+    if not (0.0 <= np.minimum(f_alpha, f_beta).min(initial=math.inf)
+            and np.maximum(f_alpha, f_beta).max(initial=0.0) < math.inf):
         raise ValueError("degradation sums must be finite and >= 0")
 
 
@@ -331,17 +334,17 @@ def _report(params, trajectory, alice_clock):
     state, column = _trajectory_state(params, trajectory, alice_clock)
     geom = params.geometry
     phi = state.phases.phi
-    n_acc = trajectory.n_accelerated
-    if n_acc > 1:
+    burns = trajectory.burns
+    if len(burns) > 1:
         # one NaN array per field, so a write to one leaves the other NaN
         h = math.nan
         f_pert, f_pert_opt = np.full(phi.shape, h), np.full(phi.shape, h)
     else:
-        h, fa, fb = 0.0, np.zeros(phi.shape), np.zeros(phi.shape)
-        if n_acc:
-            seg = trajectory.single_acceleration()
-            h = h_parameter(seg.a, geom.L, geom.c)
-            fa, fb = f_sums(params.kp, np.atleast_1d(seg.tau), geom)
+        if burns:
+            h = h_parameter(burns[0].a, geom.L, geom.c)
+            fa, fb = f_sums(params.kp, np.atleast_1d(burns[0].tau), geom)
+        else:
+            h, fa, fb = 0.0, np.zeros(phi.shape), np.zeros(phi.shape)
         f_pert = perturbative_fidelity(params.r, phi, fa, fb, h)
         f_pert_opt = perturbative_optimal(params.r, fa, fb, h)
     return FidelityReport(

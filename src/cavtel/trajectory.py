@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .bogoliubov import (
     BogoliubovPair,
     CavityGeometry,
     _inertial_phases,
+    _natural_time,
     _oracle_cached,
     _phases,
 )
@@ -163,8 +164,13 @@ class Accelerated:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Segments in time order on a cavity geometry; `burns` holds the
+    accelerated ones, in order, found once when the trajectory is
+    built."""
+
     segments: tuple
     geometry: CavityGeometry
+    burns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -173,23 +179,15 @@ class Trajectory:
                 raise TypeError(f"unknown segment type {type(s).__name__}")
         if not segs:
             raise ValueError("trajectory needs at least one segment")
-        lengths = sorted({s.tau.size for s in segs
-                          if isinstance(s, Accelerated)
-                          and isinstance(s.tau, np.ndarray) and s.tau.ndim})
+        burns = tuple(s for s in segs if isinstance(s, Accelerated))
+        lengths = sorted({s.tau.size for s in burns
+                          if isinstance(s.tau, np.ndarray)})
         if len(lengths) > 1:
             raise ValueError(
                 "a column's duration arrays zip row by row and need one "
                 f"length, got lengths {' and '.join(map(str, lengths))}")
         object.__setattr__(self, "segments", segs)
-
-    @property
-    def n_accelerated(self):
-        return sum(isinstance(s, Accelerated) for s in self.segments)
-
-    def single_acceleration(self):
-        """The lone accelerated segment, or None if there are 0 or > 1."""
-        acc = [s for s in self.segments if isinstance(s, Accelerated)]
-        return acc[0] if len(acc) == 1 else None
+        object.__setattr__(self, "burns", burns)
 
 
 def parse_trajectory(text):
@@ -324,6 +322,14 @@ def phase_pair(trajectory, k, kp, alice_clock="lab"):
     """
     geom = trajectory.geometry
     led = ledger(trajectory, alice_clock)
+    if isinstance(led.t_alice, float) and isinstance(led.tau_rob, float):
+        # a single trajectory stays scalar, as in `_lab_time`: a product
+        # of Python floats overflows to inf without a warning, and
+        # math.ulp is np.spacing of every |phi| (inf or NaN at inf or NaN)
+        phases = PhasePair(float(geom.omega(k)) * float(led.t_alice),
+                           float(geom.omega(kp)) * float(led.tau_rob))
+        if math.ulp(abs(phases.phi)) <= PHASE_ULP_LIMIT:
+            return phases
     with np.errstate(over="ignore"):        # an overflow is named below
         phases = PhasePair(geom.omega(k) * led.t_alice,
                            geom.omega(kp) * led.tau_rob)
@@ -372,27 +378,29 @@ def rob_row(trajectory, kp):
         # chart is exact on (0, 2), only the second-order model is not
         h = seg.a * geom.L / geom.c ** 2
         switch = _oracle_cached(float(h), geom.n_max)
-        inv = switch.inverse
         if burned:
-            rows = _rows_then(rows, inv)
+            rows = _rows_then(rows, switch.inverse_ab)
         else:
-            phase = rows[0, 0, k]
-            rows = np.array([[phase * inv.alpha[k],
-                              (phase * inv.beta[k]).conj()]])
+            # (e_kp, 0) times the later coasts' phase: the inverse's row kp
+            rows = rows[0, 0, k] * switch.inverse_ab[None, :, k]
+            np.conjugate(rows[0, 1], out=rows[0, 1])
             burned = True
         # wedge phases at wedge time eta = h tau c / L, (T, n) on a column
-        d = _phases(switch.rates, h * geom.natural_time(
-            np.asarray(seg.tau, dtype=float)))
-        rows = _rows_then(rows * d[..., None, :], switch.pair)
-    norms = (rows.real ** 2 + rows.imag ** 2).sum(axis=-1)
-    defect = np.abs(norms[:, 0] - norms[:, 1] - 1.0) if burned \
-        else np.zeros(1)
+        d = _phases(switch.rates, h * _natural_time(seg.tau, geom))
+        rows = _rows_then(rows * d[..., None, :], switch.ab)
+    if burned:
+        norms = (rows.real ** 2 + rows.imag ** 2).sum(axis=-1)
+        defect = np.abs(norms[:, 0] - norms[:, 1] - 1.0)
+    else:
+        defect = np.zeros(1)
     return BogoliubovPair(rows[:, :1], rows[:, 1:].conj(), defect)
 
 
-def _rows_then(rows, pair):
-    """The stacked rows (a, b^*) followed by `pair`: with p = rows alpha
-    and q = rows beta, a alpha + b beta^* = p_0 + q_1^* and
+def _rows_then(rows, ab):
+    """The stacked rows (a, b^*) followed by the pair whose alpha and
+    beta are stacked in `ab` (2, n, n): with p = rows alpha and
+    q = rows beta, one matmul, a alpha + b beta^* = p_0 + q_1^* and
     (a beta + b alpha^*)^* = p_1 + q_0^*.  Each trajectory of a column
     takes the (2, n) x (n, n) products of a single one, with its bits."""
-    return rows @ pair.alpha + (rows @ pair.beta)[..., ::-1, :].conj()
+    pq = rows[..., None, :, :] @ ab
+    return pq[..., 0, :, :] + pq[..., 1, ::-1, :].conj()

@@ -128,12 +128,16 @@ def identity_residuals_reference(alpha, beta):
 
 
 def switch_reference(h, n_max):
-    """The switch's cache entry (pair, rates, inverse), its wedge rates
-    and canonical inverse formed on the call; only the oracle pair is
-    the cached one."""
+    """The switch's cache entry, its wedge rates, canonical inverse and
+    the (2, n, n) stacks of both pairs formed on the call; only the
+    oracle pair is the cached one."""
     pair = _oracle_cached(h, n_max).pair
     rates = RindlerGeometry(h).omega_mode(np.arange(1, n_max + 1))
-    return _Switch(pair, rates, inverse(pair))
+    inv = inverse(pair)
+    # the inverse stacked as the transposes that A^dagger and -B^T are
+    inverse_ab = np.stack((inv.alpha.T, inv.beta.T)).swapaxes(-1, -2)
+    return _Switch(pair, rates, inv, np.stack((pair.alpha, pair.beta)),
+                   inverse_ab)
 
 
 def coast_phases_reference(t_seconds, geometry):

@@ -249,6 +249,43 @@ def test_acceptance_revival_converges():
         for h in (0.05, 0.245, 0.8, 1.5)))
 
 
+def test_acceptance_revival_burn_leaves_any_trajectory():
+    # a burn of k whole Rindler periods is the identity in the full
+    # theory, so inserting one anywhere in a trajectory leaves its
+    # F_opt_numeric within the ordering slack 1e-9 + 10 x row residual
+    # of the trajectory with the burn
+    rng = np.random.default_rng(9)
+    geom = DEFAULT_GEOMETRY
+    period = geom.fundamental_period
+    thrusts = np.linspace(1e16, 2.9e17, 8)
+    worst = 0.0
+    count = 0
+    for _ in range(150):
+        segs = [Accelerated(float(rng.choice(thrusts)),
+                            float(rng.uniform(0.0, 3.0 * period)))
+                if rng.random() < 0.5
+                else Inertial(float(rng.uniform(0.0, 3.0 * period)))
+                for _ in range(int(rng.integers(1, 9)))]
+        params = ProtocolParams(kp=int(rng.integers(2, 6)), geometry=geom)
+        without = _trajectory_state(
+            params, Trajectory(tuple(segs), geom), "lab")[0]
+        for h in (0.05, 0.1, 0.245):
+            a = h * geom.c ** 2 / geom.L
+            for k in (1, 2):
+                burn = Accelerated(a, k * rindler_period(
+                    a * geom.L / geom.c ** 2, geom))
+                at = int(rng.integers(0, len(segs) + 1))
+                state = _trajectory_state(params, Trajectory(
+                    tuple(segs[:at] + [burn] + segs[at:]), geom), "lab")[0]
+                gap = abs(state.f_opt[0] - without.f_opt[0])
+                worst = max(worst, gap / (1e-9 + 10.0 * state.defect[0]))
+                count += 1
+    ok = worst <= 1.0
+    report("revival-insertion", ok,
+           f"{count} insertions of 1 or 2 Rindler periods at h = 0.05, "
+           f"0.1, 0.245: worst gap {worst:.3f} of 1e-9 + 10 x defect")
+
+
 def test_acceptance_regime_arithmetic():
     with pytest.warns(RuntimeWarning):
         h = h_parameter(4e17, 0.012, 1.2e8)

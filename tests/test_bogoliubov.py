@@ -799,6 +799,7 @@ def test_f_sums_over_an_array_of_taus():
     for i, tau in enumerate(taus):
         one_a, one_b = f_sums(3, [tau], GEOM)
         assert (one_a[0], one_b[0]) == (fa[i], fb[i])
+    assert [f.shape for f in f_sums(3, [], GEOM)] == [(0,), (0,)]
 
 
 def test_f_sums_equal_the_reference_column():
@@ -828,7 +829,8 @@ def test_f_sums_equal_the_reference_column():
 
 def test_f_sums_rejects_non_finite_durations():
     # a NaN fails no `< 0` test, and an infinite one gives NaN phases
-    for taus in (np.nan, np.inf, [1e-10, np.nan], [np.inf, 1e-10]):
+    for taus in (np.nan, np.inf, [1e-10, np.nan], [np.inf, 1e-10],
+                 -1e-10, [1e-10, -1e-10]):
         with pytest.raises(ValueError,
                            match="segment duration must be finite and >= 0"):
             f_sums(3, taus, GEOM)

@@ -723,6 +723,10 @@ def test_sweep_jobs_bounded_by_column_count(tmp_path, small_cfg, capsys,
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         InProcessPool)
+    # more usable CPUs (the affinity set) than columns: the column count
+    # bounds the pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
     paths = [tmp_path / "j1.csv", tmp_path / "many.csv"]
     for jobs, path in zip(("1", "1000000"), paths):
         code, _, _ = run(["sweep", "--config", small_cfg, "--jobs", jobs,
@@ -730,6 +734,21 @@ def test_sweep_jobs_bounded_by_column_count(tmp_path, small_cfg, capsys,
         assert code == 0
     assert sizes == [4]  # the 5 x 4 grid's column count
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    # fewer usable CPUs than columns bound the pool; with one (or an
+    # unknown count) the sweep runs in this process
+    for affinity, count in (({0, 3, 5}, None), (None, 2), (None, 1),
+                            (None, None)):
+        if affinity is None:        # a platform without an affinity set
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda count=count: count)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=affinity: cpus)
+        code, _, _ = run(["sweep", "--config", small_cfg, "--jobs", "100",
+                          "--out", str(paths[1])], capsys)
+        assert code == 0
+        assert paths[1].read_bytes() == paths[0].read_bytes()
+    assert sizes == [4, 3, 2]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -883,18 +902,17 @@ def test_validate_mutated_oracle_fails(monkeypatch, capsys):
 
 def test_validate_symplectic_form_reads_robs_row(monkeypatch, capsys):
     # the check builds its rows as the reports do, so a switch with one
-    # flipped pairing entry, served to Rob's row, must fail it
+    # flipped pairing entry, served to Rob's row, must fail it; the rows
+    # read the switch's stacked (alpha, beta), of which its pair is a view
     from cavtel import trajectory
-    from cavtel.bogoliubov import _Switch
     real = trajectory._oracle_cached
 
     def mutated(h, n_max):
         switch = real(h, n_max)
-        beta = switch.pair.beta.copy()
-        beta[0, 1] = -beta[0, 1]
-        return _Switch(BogoliubovPair(switch.pair.alpha, beta,
-                                      switch.pair.defect),
-                       switch.rates, switch.inverse)
+        ab = switch.ab.copy()
+        ab[1, 0, 1] = -ab[1, 0, 1]
+        return switch._replace(
+            pair=BogoliubovPair(ab[0], ab[1], switch.pair.defect), ab=ab)
 
     monkeypatch.setattr(trajectory, "_oracle_cached", mutated)
     code, out, _ = run(["validate"], capsys)

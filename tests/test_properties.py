@@ -251,7 +251,7 @@ def test_rob_row_matches_the_full_matrix_reference(traj, kp):
     i = slice(kp - 1, kp)
     assert np.max(np.abs(got.alpha - want.alpha[..., i, :])) <= 1e-14
     assert np.max(np.abs(got.beta - want.beta[..., i, :])) <= 1e-14
-    if not traj.n_accelerated:
+    if not traj.burns:
         assert not got.defect.any()
         assert not got.beta.any()
 
@@ -265,7 +265,7 @@ def test_rob_row_matches_the_full_matrix_reference(traj, kp):
 def test_clamps_stay_within_ten_row_residuals(traj, r, k, kp, clock):
     params = ProtocolParams(r=r, k=k, kp=kp, geometry=GEOM)
     state, _ = _trajectory_state(params, traj, clock)
-    if traj.n_accelerated:
+    if traj.burns:
         assert (state.violation <= 10.0 * state.defect).all()
     else:
         assert not state.defect.any()

@@ -1,6 +1,8 @@
 """End-to-end teleportation pipelines and their cross-checks."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -247,6 +249,10 @@ def test_perturbative_validation():
         perturbative_fidelity(0.5, 0.0, 0.0, -0.1, 0.1)
     with pytest.raises(ValueError):
         perturbative_optimal(0.5, 0.0, 0.0, -0.1)
+    # no sums, no values
+    empty = np.array([])
+    assert perturbative_fidelity(0.5, empty, empty, empty, 0.1).shape == (0,)
+    assert perturbative_optimal(0.5, empty, empty, 0.1).shape == (0,)
 
 
 def test_perturbative_rejects_non_finite_inputs():
@@ -401,3 +407,43 @@ def test_burn_column_validates_its_grid():
         burn_column_report(1e17, [-1e-10])
     report = burn_column_report(1e17, [0.0, 1e-10])
     assert report.F_raw.shape == (2,)
+
+
+# The bytes of single-trajectory reports, hashed over seeded 4- to
+# 12-segment trajectories: all-coast ones, single-burn ones (which go
+# through f_sums) and mixed ones, k' = 2..5, both clocks, r = 1/2 and
+# ln 2.  The digest changes only when a report's bits do; a change that
+# means to move them re-records it here with the reason.
+REPORT_DIGEST = (
+    "344073e77d061f5da67e8d05e9692d0894dafe88cebb4808d64d673115520e41")
+REPORT_THRUSTS = tuple(np.linspace(1e16, 2.9e17, 8))
+
+
+def digest_trajectories(count=300):
+    rng = np.random.default_rng(2023)
+    period = DEFAULT_GEOMETRY.fundamental_period
+    for i in range(count):
+        n = int(rng.integers(4, 13))
+        if i % 10 == 0:             # all coasts
+            burns = ()
+        elif i % 10 == 5:           # a single burn, through f_sums
+            burns = (int(rng.integers(n)),)
+        else:
+            burns = np.flatnonzero(rng.random(n) < 0.5).tolist()
+        segs = tuple(
+            Accelerated(REPORT_THRUSTS[rng.integers(8)],
+                        float(rng.uniform(0.0, 3.0 * period)))
+            if j in burns else Inertial(float(rng.uniform(0.0, 3.0 * period)))
+            for j in range(n))
+        yield (ProtocolParams(r=(0.5, math.log(2.0))[i % 2],
+                              kp=2 + i % 4),
+               Trajectory(segs, DEFAULT_GEOMETRY),
+               ("lab", "comoving")[i // 2 % 2])
+
+
+def test_single_report_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for params, traj, clock in digest_trajectories():
+        rep = consistency_report(params, traj, clock)
+        digest.update(struct.pack("<11d", *vars(rep).values()))
+    assert digest.hexdigest() == REPORT_DIGEST

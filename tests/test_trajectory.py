@@ -53,10 +53,10 @@ def test_segment_validation():
 def test_trajectory_counts_accelerated_segments():
     traj = Trajectory((Inertial(1e-10), Accelerated(1e17, 1e-10),
                        Inertial(0.0), Accelerated(1e17, 2e-10)), GEOM)
-    assert traj.n_accelerated == 2
-    assert traj.single_acceleration() is None
+    assert traj.burns == (Accelerated(1e17, 1e-10), Accelerated(1e17, 2e-10))
     single = Trajectory((Inertial(1e-10), Accelerated(1e17, 1e-10)), GEOM)
-    assert single.single_acceleration() == Accelerated(1e17, 1e-10)
+    assert single.burns == (Accelerated(1e17, 1e-10),)
+    assert Trajectory((Inertial(0.0),), GEOM).burns == ()
 
 
 def test_segments_compare_and_hash_by_value():

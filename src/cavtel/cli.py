@@ -130,14 +130,18 @@ class RunConfig:
                 f"{self.a_min_m_s2!r} and a_max_m_s2 = {a_max!r}")
         taus = np.linspace(self.tau_min_s, tau_max, self.tau_steps)
         accs = np.linspace(self.a_min_m_s2, a_max, self.a_steps)
-        # a range a few ulps wide repeats values; the CSV would keep every
+        # a range a few ulps wide repeats values, and one a few parts in
+        # 1e12 wide repeats their FLOAT_FMT text; the CSV would keep every
         # row but the plot matrix can hold each coordinate only once
         for axis, keys in ((taus, "tau_min_s, tau_max_s and tau_steps"),
                            (accs, "a_min_m_s2, a_max_m_s2 and a_steps")):
-            if not (np.diff(axis) > 0.0).all():
+            texts = [FLOAT_FMT % v for v in axis.tolist()]
+            if not (np.diff(axis) > 0.0).all() \
+                    or len(set(texts)) < len(texts):
                 raise ValueError(
                     f"{keys} give a grid axis that is not strictly "
-                    "increasing; widen the range or take fewer steps")
+                    "increasing in its 12-digit plot coordinates; widen "
+                    "the range or take fewer steps")
         return taus, accs
 
 
@@ -202,17 +206,124 @@ def _fmt(x):
     return FLOAT_FMT % x
 
 
+# The sweep body's derived values are formatted by array arithmetic (see
+# _sweep_row_text).  The text ",d.ddddddddddde+XX" of one value is four
+# 4-byte words, looked up by its 12-digit mantissa in groups of 2, 4, 4
+# and 2 digits (the last word also holds "e" and the exponent's sign),
+# and a 2-byte tail holding the exponent's two digits.
+_ROW_VALUES = "," + ",".join([FLOAT_FMT] * (len(SWEEP_COLUMNS) - 3)) + "\n"
+_TIE_WINDOW = 2.0 ** -12        # twice the scaled value's error bound
+_E_MIN, _E_MAX = -11, 33        # the exponents e with |11 - e| <= 22
+
+
+def _ascii_words(strings):
+    return np.frombuffer("".join(strings).encode("ascii"), "<u4")
+
+
+def _ascii_numbers(width):
+    """The ASCII digits of 0 .. 10**width - 1, zero-padded to `width`,
+    one row each."""
+    return (np.indices((10,) * width).reshape(width, -1).T
+            + ord("0")).astype(np.uint8, order="C")
+
+
+_WORDS = np.concatenate([
+    _ascii_words([f",{i // 10}.{i % 10}" for i in range(100)]),
+    _ascii_numbers(4).view("<u4").ravel(),
+    _ascii_words([f"{i:02d}e{sign}" for sign in "+-" for i in range(100)]),
+])
+_WORD_POWERS = np.array([1e10, 1e6, 1e2, 1.0])[:, None, None]
+_WORD_CARRY = np.array([10000, 10000, 100])[:, None, None]
+_WORD_BASE = np.array([0, 100, 100, 10100])[:, None, None]
+# indexed by e - _E_MIN; a mantissa that rounds up reaches _E_MAX + 1
+_EXPONENTS = np.arange(_E_MIN, _E_MAX + 2)
+_SIGN_WORD = 100 * (_EXPONENTS < 0)
+_TAILS = _ascii_numbers(2).view("<u2").ravel()[np.abs(_EXPONENTS)]
+# 10**|p| for p = 11 - e, from exact integers
+_SCALE_UP = np.array([float(10 ** max(11 - e, 0))
+                      for e in range(_E_MIN, _E_MAX + 1)])
+_SCALE_DOWN = np.array([float(10 ** max(e - 11, 0))
+                        for e in range(_E_MIN, _E_MAX + 1)])
+_VALUE = np.dtype([("words", "<u4", (4,)), ("tail", "<u2")])
+_ROW = np.dtype([("values", _VALUE, (len(SWEEP_COLUMNS) - 3,)),
+                 ("end", "S1")])
+
+
+def _mantissas(block):
+    """(k, r, fast) for each value of `block`: its exponent as the index
+    k = e - _E_MIN, its 12-digit mantissa r (an integer-valued float),
+    and whether both are proven to be FLOAT_FMT's; r is 0 where they
+    are not."""
+    # log10 of 0 and v < 0, and overflow and inf - inf in the lines the
+    # template formats
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(block))
+        # the exponent guard, |p| <= 22: false for 0, inf, NaN and v < 0
+        e = np.where(np.abs(11.0 - e) <= 22.0, e, 0.0)
+        k = (e - _E_MIN).astype(np.intp)
+        y = block * _SCALE_UP.take(k) / _SCALE_DOWN.take(k)
+        r = np.rint(y)
+        fast = np.abs(y - r) <= 0.5 - _TIE_WINDOW
+        fast &= (y >= 1e11) & (r <= 1e12) | (y == 0.0)
+        fast[np.signbit(block)] = False
+    r = np.where(fast, r, 0.0)
+    up = r == 1e12
+    if up.any():
+        r[up] = 1e11
+        k[up] += 1
+    return k, r, fast
+
+
+def _value_rows(k, r):
+    """The fast-path text of the values, one record of "," + value
+    texts + "\n" per row of r."""
+    # the mantissa's digit groups: the integer parts of its quotients by
+    # powers of ten, less the groups above them
+    words = (r / _WORD_POWERS).astype(np.intp)
+    words[1:] -= words[:-1] * _WORD_CARRY
+    words[3] += _SIGN_WORD.take(k)
+    words += _WORD_BASE
+    rows = np.empty(len(r), _ROW)
+    values = rows["values"]
+    values["words"] = np.moveaxis(_WORDS.take(words), 0, -1)
+    values["tail"] = _TAILS.take(k)
+    rows["end"] = b"\n"
+    return rows
+
+
 def _sweep_row_text(tau, coords, block):
     """CSV body text of one tau: line j holds repr(tau), coords[j] (the
     "a,h" text of column j) and row j of `block`, the (A, 8) slice of
-    the sweep table at that tau."""
+    the sweep table at that tau, each value as FLOAT_FMT prints it.
+
+    The values are formatted by array arithmetic, with the same bytes.
+    For a value v > 0 take e = floor(log10(v)), which may be one off,
+    and p = 11 - e.  When |p| <= 22, 10**|p| is exact in float64, so the
+    scaled value y = v * 10**p (a division when p < 0) carries a single
+    rounding error, at most 2**-13 while y < 2**40.  When y is more than
+    _TIE_WINDOW = 2**-12 away from a rounding tie, rint(y) is therefore
+    the correctly rounded 12-digit mantissa that FLOAT_FMT prints.  Its
+    digits come from quotients by powers of ten, whose integer parts are
+    exact because the mantissa is an integer below 2**53, and are looked
+    up with the exponent in byte tables.  A mantissa that rounds up to
+    10**12 prints as 1.00000000000 with the next exponent; +0.0 takes
+    the same path.
+
+    A line goes through the FLOAT_FMT template instead when one of its
+    values lies within the tie window, has its sign bit set (-0.0 prints
+    "-0.00000000000e+00"), is not finite, has |p| > 22 (which covers
+    every three-digit exponent), or has y < 10**11 or rint(y) > 10**12,
+    which a one-off log10 gives.
+    """
     # coordinates round-trip exactly so h = a L / c^2 survives the file;
     # derived quantities carry the fixed 12-digit format
-    line = "%s,%s," + ",".join([FLOAT_FMT] * (len(SWEEP_COLUMNS) - 3)) \
-        + "\n"
-    tau = repr(tau)
-    return "".join([line % (tau, c, *v)
-                    for c, v in zip(coords, block.tolist())])
+    k, r, fast = _mantissas(block)
+    values = str(_value_rows(k, r), "ascii").splitlines(True)
+    if not fast.all():
+        for j in np.flatnonzero(~fast.all(axis=1)).tolist():
+            values[j] = _ROW_VALUES % tuple(block[j].tolist())
+    return "".join(itertools.chain.from_iterable(
+        zip(itertools.repeat(repr(tau) + ","), coords, values)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cavtel.bogoliubov import BogoliubovPair
 from cavtel.cli import (
@@ -669,6 +672,9 @@ def test_sweep_non_finite_grid_bound_is_usage_error(tmp_path, capsys,
     ("tau_max_s = 1e-322", ("tau_min_s", "tau_max_s", "tau_steps")),
     (f"a_max_m_s2 = {1e16 * (1 + 1e-15)!r}",
      ("a_min_m_s2", "a_max_m_s2", "a_steps")),
+    # a range whose two ends print the same 12-digit coordinate
+    ("tau_min_s = 1e-10\ntau_max_s = 1.0000000000001e-10\n"
+     "tau_steps = 2\na_steps = 2", ("tau_min_s", "tau_max_s", "tau_steps")),
 ])
 def test_sweep_grid_range_error_names_config_keys(tmp_path, capsys, line,
                                                   keys):
@@ -699,6 +705,73 @@ def test_sweep_row_text_matches_per_row_formatter(small_cfg):
         block = rows[i * width:(i + 1) * width]
         assert _sweep_row_text(tau, coords, np.array(block)[:, 3:]) \
             == "".join(map(reference_row_text, block))
+
+
+def assert_rows_match_reference(block):
+    # one line per row of `block`, at made-up coordinates
+    tau = 1.5e-10
+    rows = [[tau, 1e16 + 1e14 * j, 0.01 * j, *v]
+            for j, v in enumerate(block.tolist())]
+    coords = [f"{a!r},{h!r}" for _, a, h, *_ in rows]
+    got = _sweep_row_text(tau, coords, block).splitlines(True)
+    want = [reference_row_text(row) for row in rows]
+    assert len(got) == len(want)
+    for j, (line, ref) in enumerate(zip(got, want)):
+        assert line == ref, f"row {j}: {block[j].tolist()}"
+
+
+def raw_float64(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# any float64: the fast path's range and its ties, and raw bit patterns
+# (mostly NaN payloads, subnormals and huge exponents)
+ANY_FLOAT64 = st.one_of(
+    st.floats(1e-11, 1e34),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(10 ** 11, 10 ** 12 - 1).map(lambda j: float(f"{j}.5e-12")),
+    st.integers(0, 2 ** 64 - 1).map(raw_float64),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 12), st.just(8)),
+              elements=ANY_FLOAT64))
+def test_sweep_row_text_matches_reference_on_any_values(block):
+    assert_rows_match_reference(block)
+
+
+def format_cases():
+    """Values at every edge of the sweep formatter's fast path."""
+    inf = math.inf
+    values = [0.0, -0.0, inf, -inf, math.nan, 5e-324, 1e-310,
+              2.225073858507201e-308, 2.2250738585072014e-308,
+              1.7976931348623157e308, 9.99999999999949e-01,
+              9.9999999999995e-01, 9.99999999999951e-01]
+    for k in range(-40, 41):
+        x = float(f"1e{k}")
+        values += [np.nextafter(x, 0.0), x, np.nextafter(x, inf)]
+    # both sides of 1e+-100, and the largest mantissas below it
+    for x in (1e100, 9.999999999995e99, 9.9999999999949e99, 1e-100,
+              9.999999999995e-101, 9.9999999999949e-101):
+        values += [np.nextafter(x, 0.0), x, np.nextafter(x, inf)]
+    # decimal ties of the 12th digit, which a binary value lies beside
+    ties = list(range(10 ** 11, 10 ** 11 + 300)) \
+        + np.linspace(10 ** 11, 10 ** 12 - 1, 300).astype(np.int64).tolist()
+    values += [float(f"{j}.5e-12") for j in ties]
+    values += [(j + 0.5) * 1e-12 for j in ties]
+    return np.array(values, dtype=np.float64)
+
+
+def test_sweep_row_text_matches_reference_at_edge_values():
+    # each value fills a row of its own, so one value that leaves the
+    # fast path takes no other value with it
+    values = format_cases()
+    assert_rows_match_reference(np.repeat(values[:, None], 8, axis=1))
+    # and beside values that stay on it
+    mixed = np.full((len(values), 8), 0.25)
+    mixed[:, 3] = values
+    assert_rows_match_reference(mixed)
 
 
 def test_sweep_jobs_bounded_by_column_count(tmp_path, small_cfg, capsys,

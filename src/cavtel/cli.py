@@ -13,6 +13,7 @@ import argparse
 import itertools
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -43,6 +44,7 @@ from .errors import (
 from .gaussian import symplectic_form
 from .protocol import (
     DEFAULT_GEOMETRY,
+    FidelityReport,
     ProtocolParams,
     _kernel_outputs,
     _report,
@@ -380,29 +382,127 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _run_share(fn, items):
+    """(results, None) for [fn(x) for x in items], or, if a call raises,
+    (the results before it, its exception)."""
+    results = []
+    try:
+        for x in items:
+            results.append(fn(x))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _share_worker(write_fd, fn, items):
+    """The body of a forked sweep worker: send _run_share(fn, items)
+    through `write_fd` as one pickle, then leave the process.  It never
+    returns, so a fork of a caller that runs cavtel in-process (pytest,
+    the benchmark) never goes on with the caller's code."""
+    status = 1
+    try:
+        data = pickle.dumps(_run_share(fn, items))
+        with open(write_fd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    except KeyboardInterrupt:
+        pass            # the caller has it too, and stops the sweep
+    except BaseException:
+        # an exception pickle cannot carry, or a failed write: the caller
+        # finds no result and names this worker and its exit status
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(status)
+
+
+def _forked_shares(fn, items, n):
+    """[fn(x) for x in items[i::n]] for each share i < n: share 0 in
+    this process, each other share in a forked worker of its own.
+
+    Each worker sends its share back through a pipe.  The write end is
+    closed here right after the fork, so a worker that dies reads as end
+    of file.  If calls raise, the exception of the first failing item in
+    the order of `items` is raised here, as a serial loop would raise
+    it.  Whatever else leaves this function (a lost worker,
+    KeyboardInterrupt) kills and reaps the workers that are left, so no
+    child outlives it.
+    """
+    workers = []        # (share, pid, read end) of each unreaped worker
+    try:
+        for i in range(1, n):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _share_worker(write_fd, fn, items[i::n])
+            os.close(write_fd)
+            workers.append((i, pid, open(read_fd, "rb")))
+        shares, failures = [None] * n, []
+        shares[0], exc = _run_share(fn, items[0::n])
+        if exc is not None:
+            failures.append((n * len(shares[0]), exc))
+        while workers:
+            i, pid, fh = workers[0]
+            with fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            workers.pop(0)
+            if not data:
+                raise ChildProcessError(
+                    f"sweep worker {i} (pid {pid}) exited without a "
+                    f"result, wait status {status}")
+            shares[i], exc = pickle.loads(data)
+            if exc is not None:
+                failures.append((i + n * len(shares[i]), exc))
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        return shares
+    finally:
+        if workers:
+            import signal
+            for _, pid, fh in workers:
+                fh.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def sweep_rows(cfg, jobs=1):
     """Evaluate the full grid, returning (taus, accs, reports): one
     column report of (T,) arrays per acceleration, in the order of accs.
 
     Each column is one report on the column trajectory
     (Accelerated(a, taus),): one switch and one state kernel pass over
-    all taus; with jobs > 1 the pool gets whole columns, and never more
-    workers than there are columns or usable CPUs.
+    all taus.  With N = min(jobs, columns, usable CPUs) > 1, share i of
+    the columns is i, i + N, i + 2N, ...: this process computes share 0
+    and N - 1 forked workers the others (`_forked_shares`), so the
+    columns whose cost grows with a spread evenly.  The reports come
+    back in grid order, and a failing column raises the exception it
+    raises at jobs=1.  With N = 1, or where os.fork does not exist, the
+    sweep runs in this process.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     params = cfg.params()
     taus, accs = cfg.grid()
-    worker = partial(_sweep_column, params, cfg.alice_clock, taus)
-    jobs = min(jobs, len(accs), _usable_cpus())
-    if jobs > 1:
-        # imported here, so that a --jobs 1 run does not pay for it
-        from concurrent.futures import ProcessPoolExecutor
-        chunk = max(1, len(accs) // (8 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(worker, accs.tolist(), chunksize=chunk))
+    column = partial(_sweep_column, params, cfg.alice_clock, taus)
+    items = accs.tolist()
+    jobs = min(jobs, len(items), _usable_cpus())
+    if jobs > 1 and hasattr(os, "fork"):
+        # a report crosses the pipe as one (fields, T) array: its eleven
+        # arrays and dataclass took most of a worker's pickling time
+        def block(a):
+            return np.stack(list(vars(column(a)).values()))
+
+        reports = [None] * len(items)
+        for i, share in enumerate(_forked_shares(block, items, jobs)):
+            reports[i::jobs] = [FidelityReport(*rows) for rows in share]
     else:
-        reports = [worker(a) for a in accs.tolist()]
+        reports = [column(a) for a in items]
     return taus, accs, reports
 
 

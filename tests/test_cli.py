@@ -776,39 +776,38 @@ def test_sweep_row_text_matches_reference_at_edge_values():
 
 def test_sweep_jobs_bounded_by_column_count(tmp_path, small_cfg, capsys,
                                             monkeypatch):
-    # a pool that records its size and maps in this process: a fork pool
-    # starts all max_workers processes at its first task
-    import concurrent.futures
-    sizes = []
+    # count the workers each sweep forks; each fork is real, so every
+    # run's bytes come from the processes counted
+    forks = []
+    real_fork = os.fork
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", counting_fork)
+    computing = []      # per run: forked workers plus the caller
 
-        def __exit__(self, *exc):
-            return False
+    def sweep(jobs, path):
+        forks.clear()
+        fds = fd_count()
+        code, _, _ = run(["sweep", "--config", small_cfg, "--jobs", jobs,
+                          "--out", str(path)], capsys)
+        assert code == 0
+        assert_no_leftovers(fds)
+        computing.append(len(forks) + 1)
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InProcessPool)
     # more usable CPUs (the affinity set) than columns: the column count
-    # bounds the pool
+    # bounds the processes that compute
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
                         raising=False)
     paths = [tmp_path / "j1.csv", tmp_path / "many.csv"]
     for jobs, path in zip(("1", "1000000"), paths):
-        code, _, _ = run(["sweep", "--config", small_cfg, "--jobs", jobs,
-                          "--out", str(path)], capsys)
-        assert code == 0
-    assert sizes == [4]  # the 5 x 4 grid's column count
+        sweep(jobs, path)
+    assert computing == [1, 4]  # the 5 x 4 grid's column count
     assert paths[0].read_bytes() == paths[1].read_bytes()
-    # fewer usable CPUs than columns bound the pool; with one (or an
-    # unknown count) the sweep runs in this process
+    # fewer usable CPUs than columns bound them; with one (or an unknown
+    # count) the sweep runs in this process and forks nothing
     for affinity, count in (({0, 3, 5}, None), (None, 2), (None, 1),
                             (None, None)):
         if affinity is None:        # a platform without an affinity set
@@ -817,11 +816,157 @@ def test_sweep_jobs_bounded_by_column_count(tmp_path, small_cfg, capsys,
         else:
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid, cpus=affinity: cpus)
-        code, _, _ = run(["sweep", "--config", small_cfg, "--jobs", "100",
-                          "--out", str(paths[1])], capsys)
-        assert code == 0
+        sweep("100", paths[1])
         assert paths[1].read_bytes() == paths[0].read_bytes()
-    assert sizes == [4, 3, 2]
+    assert computing == [1, 4, 3, 2, 1, 1]
+
+
+def fd_count():
+    """The number of open descriptors of this process, or None where
+    /proc does not list them."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+def assert_no_leftovers(fds):
+    """Every forked sweep worker is reaped, and this process holds the
+    `fds` descriptors it held before the sweep (no pipe end is left)."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert fd_count() == fds
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that --jobs 2 forks one worker everywhere."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+def small_accs(small_cfg):
+    with open(small_cfg) as fh:
+        return apply_config_text(RunConfig(), fh.read()).grid()[1].tolist()
+
+
+def failing_columns(monkeypatch, fail):
+    """Make `cli._sweep_column` call fail(a) first; forked workers
+    inherit the patch."""
+    from cavtel import cli
+    real = cli._sweep_column
+
+    def column(params, alice_clock, taus, a):
+        fail(a)
+        return real(params, alice_clock, taus, a)
+
+    monkeypatch.setattr(cli, "_sweep_column", column)
+
+
+# a pipe end left to the garbage collector warns (ResourceWarning) from
+# a destructor, which pytest reports as an unraisable exception
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
+def test_sweep_forked_run_leaves_nothing(small_cfg, capsys, two_cpus):
+    fds = fd_count()
+    code, out, _ = run(["sweep", "--config", small_cfg, "--jobs", "2"],
+                       capsys)
+    assert code == 0
+    assert len([ln for ln in out.splitlines()
+                if not ln.startswith("#")]) == 21
+    assert_no_leftovers(fds)
+
+
+@pytest.mark.parametrize("error,code", [
+    (ConsistencyError, 3),
+    (ValueError, 2),
+    (lambda message: QuadratureError(message, residual=1.5, panels=7), 3),
+], ids=["ConsistencyError", "ValueError", "QuadratureError"])
+@pytest.mark.parametrize("bad", [[1], [2], [1, 2], [2, 3]])
+def test_sweep_worker_errors_match_serial(small_cfg, capsys, monkeypatch,
+                                          two_cpus, error, code, bad):
+    # columns 1 and 3 are the worker's share at --jobs 2, 0 and 2 the
+    # caller's; of two failing columns the first in grid order is named
+    accs = small_accs(small_cfg)
+
+    def fail(a):
+        if a in [accs[j] for j in bad]:
+            raise error(f"column a = {a!r} failed")
+
+    failing_columns(monkeypatch, fail)
+    want = f"error: column a = {accs[bad[0]]!r} failed\n"
+    for jobs in ("1", "2"):
+        fds = fd_count()
+        assert run(["sweep", "--config", small_cfg, "--jobs", jobs],
+                   capsys) == (code, "", want)
+        assert_no_leftovers(fds)
+
+
+def test_sweep_worker_error_keeps_its_attributes(small_cfg, monkeypatch,
+                                                 two_cpus):
+    # QuadratureError's extra constructor arguments survive the pipe
+    accs = small_accs(small_cfg)
+
+    def fail(a):
+        if a == accs[1]:
+            raise QuadratureError("no convergence", residual=1.5, panels=7)
+
+    failing_columns(monkeypatch, fail)
+    with open(small_cfg) as fh:
+        cfg = apply_config_text(RunConfig(), fh.read())
+    with pytest.raises(QuadratureError) as info:
+        sweep_rows(cfg, jobs=2)
+    assert (str(info.value), info.value.residual, info.value.panels) == \
+        ("no convergence", 1.5, 7)
+
+
+@pytest.mark.parametrize("leave,status", [
+    (lambda: os._exit(1), 256),
+    (lambda: os.kill(os.getpid(), 9), 9),
+])
+def test_sweep_lost_worker_fails_without_leftovers(small_cfg, capsys,
+                                                   monkeypatch, two_cpus,
+                                                   leave, status):
+    # a worker that leaves without a result reads as end of file: the
+    # sweep names it and its wait status instead of waiting for it
+    caller = os.getpid()
+
+    def fail(a):
+        if os.getpid() != caller:
+            leave()
+
+    failing_columns(monkeypatch, fail)
+    fds = fd_count()
+    code, out, err = run(["sweep", "--config", small_cfg, "--jobs", "2"],
+                         capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: sweep worker 1 (pid ")
+    assert err.endswith(f" exited without a result, wait status "
+                        f"{status}\n")
+    assert_no_leftovers(fds)
+
+
+def test_sweep_interrupt_kills_workers(small_cfg, capsys, monkeypatch,
+                                       two_cpus):
+    # KeyboardInterrupt in the caller's share does not wait for the
+    # worker, which would sleep for a minute: it is killed and reaped
+    import time
+    caller = os.getpid()
+    accs = small_accs(small_cfg)
+
+    def fail(a):
+        if os.getpid() != caller:
+            time.sleep(60)
+        elif a == accs[2]:
+            raise KeyboardInterrupt
+
+    failing_columns(monkeypatch, fail)
+    fds = fd_count()
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run(["sweep", "--config", small_cfg, "--jobs", "2"], capsys)
+    assert time.monotonic() - start < 30
+    assert_no_leftovers(fds)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -20,8 +20,8 @@ interior block (mode indices up to n_max / 2).  The outermost rows and
 columns of any truncated transformation carry order h couplings to modes
 just outside the window, so no finite matrix can close the identities
 there; interior modes are the ones downstream consumers are allowed to
-use.  They are measured once per oracle cache entry, as the switch's
-health check.
+use.  They are the switch's health check (`sudden_switch_oracle`),
+measured once per oracle cache entry where it is read.
 
 The library builds no n x n transform of a burn or a trajectory: a
 trajectory's report carries Rob's row alone (`trajectory.rob_row`),
@@ -323,35 +323,40 @@ def _switch_overlaps(h, n_max):
 
 
 class _Switch(NamedTuple):
-    """A switch's cache entry: its pair, the wedge rates omega_mode(n) of
-    modes 1..n_max, and its canonical inverse (A^dagger, -B^T), which
-    carries the pair's defect.  `ab` stacks the pair's alpha and beta in
-    one (2, n, n) buffer, of which they are views, so that rows take
-    both products in one matmul; `inverse_ab` likewise, its matrices the
-    transposed views that A^dagger and -B^T are."""
+    """A switch's cache entry, all a burn of Rob's row reads: `ab` stacks
+    the pair's alpha and beta in one (2, n, n) buffer, so that rows take
+    both products in one matmul; `inverse_ab` likewise stacks the
+    canonical inverse (A^dagger, -B^T), its matrices the transposed
+    views that they are; `rates` are the wedge rates omega_mode(n) of
+    modes 1..n_max, and `residual` the overlap quadrature's."""
 
-    pair: BogoliubovPair
-    rates: np.ndarray
-    inverse: BogoliubovPair
     ab: np.ndarray
     inverse_ab: np.ndarray
+    rates: np.ndarray
+    residual: float
 
 
 @lru_cache(maxsize=1024)
 def _oracle_cached(h, n_max):
-    """The switch's `_Switch`, its pair's defect measured once per cache
-    entry; every array is read-only."""
+    """The switch's `_Switch`, its arrays read-only."""
     co, counter, residual, rates = _switch_overlaps(h, n_max)
     ab = np.empty((2, n_max, n_max), dtype=complex)
     ab[0], ab[1] = co, -counter
     inverse_ab = np.stack((ab[0].conj(), -ab[1])).swapaxes(-1, -2)
-    # before the views are taken: a view made earlier stays writeable
     for a in (ab, rates, inverse_ab):
         a.flags.writeable = False
-    pair = BogoliubovPair(ab[0], ab[1], float(
-        np.maximum(identity_residuals(ab[0], ab[1]), residual)))
-    inverse = BogoliubovPair(inverse_ab[0], inverse_ab[1], pair.defect)
-    return _Switch(pair, rates, inverse, ab, inverse_ab)
+    return _Switch(ab, inverse_ab, rates, residual)
+
+
+@lru_cache(maxsize=1024)
+def _oracle_pair(h, n_max):
+    """The switch's pair, views of its `ab`, and its defect, the switch's
+    health check max(identity residual, quadrature residual), measured
+    once per cache entry; no report reads it."""
+    switch = _oracle_cached(h, n_max)
+    alpha, beta = switch.ab
+    return BogoliubovPair(alpha, beta, float(
+        np.maximum(identity_residuals(alpha, beta), switch.residual)))
 
 
 def sudden_switch_oracle(h, geometry):
@@ -371,7 +376,7 @@ def sudden_switch_oracle(h, geometry):
     (h, n_max) to ORACLE_TOL per matrix element, whose defect includes
     the quadrature residual.
     """
-    return _oracle_cached(float(h), geometry.n_max).pair
+    return _oracle_pair(float(h), geometry.n_max)
 
 
 def _inertial_phases(t_seconds, geometry):

@@ -16,7 +16,7 @@ import os
 import pickle
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .protocol import (
     FidelityReport,
     ProtocolParams,
     _kernel_outputs,
-    _report,
+    _reports,
     consistency_report,
     perturbative_fidelity,
 )
@@ -366,12 +366,6 @@ def _metadata_lines(cfg, extra=()):
     return "\n".join(lines)
 
 
-def _sweep_column(params, alice_clock, taus, a):
-    # consistency_report's body: bench/tracer.py wraps it per trajectory
-    traj = Trajectory((Accelerated(a, taus),), params.geometry)
-    return _report(params, traj, alice_clock)[0]
-
-
 def _usable_cpus():
     """The CPUs this process may run on: its affinity set, or
     os.cpu_count() where the platform has none (1 if that is unknown).
@@ -382,26 +376,26 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _run_share(fn, items):
-    """(results, None) for [fn(x) for x in items], or, if a call raises,
-    (the results before it, its exception)."""
-    results = []
+def _run_share(results):
+    """(the items of the iterable `results`, None), or, if it raises,
+    (the items before, its exception)."""
+    done = []
     try:
-        for x in items:
-            results.append(fn(x))
+        for x in results:
+            done.append(x)
     except Exception as exc:
-        return results, exc
-    return results, None
+        return done, exc
+    return done, None
 
 
-def _share_worker(write_fd, fn, items):
-    """The body of a forked sweep worker: send _run_share(fn, items)
-    through `write_fd` as one pickle, then leave the process.  It never
-    returns, so a fork of a caller that runs cavtel in-process (pytest,
-    the benchmark) never goes on with the caller's code."""
+def _share_worker(write_fd, run, items):
+    """The body of a forked sweep worker: send run(items) through
+    `write_fd` as one pickle, then leave the process.  It never returns,
+    so a fork of a caller that runs cavtel in-process (pytest, the
+    benchmark) never goes on with the caller's code."""
     status = 1
     try:
-        data = pickle.dumps(_run_share(fn, items))
+        data = pickle.dumps(run(items))
         with open(write_fd, "wb") as fh:
             fh.write(data)
         status = 0
@@ -415,17 +409,18 @@ def _share_worker(write_fd, fn, items):
         os._exit(status)
 
 
-def _forked_shares(fn, items, n):
-    """[fn(x) for x in items[i::n]] for each share i < n: share 0 in
+def _forked_shares(run, items, n):
+    """The results of run(items[i::n]) for each share i < n: share 0 in
     this process, each other share in a forked worker of its own.
 
-    Each worker sends its share back through a pipe.  The write end is
-    closed here right after the fork, so a worker that dies reads as end
-    of file.  If calls raise, the exception of the first failing item in
-    the order of `items` is raised here, as a serial loop would raise
-    it.  Whatever else leaves this function (a lost worker,
-    KeyboardInterrupt) kills and reaps the workers that are left, so no
-    child outlives it.
+    `run` returns the results of its share in order and the exception
+    that stopped it, or None, as `_run_share` does.  Each worker sends
+    its share back through a pipe.  The write end is closed here right
+    after the fork, so a worker that dies reads as end of file.  If
+    items fail, the exception of the first failing item in the order of
+    `items` is raised here, as a serial loop would raise it.  Whatever
+    else leaves this function (a lost worker, KeyboardInterrupt) kills
+    and reaps the workers that are left, so no child outlives it.
     """
     workers = []        # (share, pid, read end) of each unreaped worker
     try:
@@ -439,11 +434,11 @@ def _forked_shares(fn, items, n):
                 raise
             if pid == 0:
                 os.close(read_fd)
-                _share_worker(write_fd, fn, items[i::n])
+                _share_worker(write_fd, run, items[i::n])
             os.close(write_fd)
             workers.append((i, pid, open(read_fd, "rb")))
         shares, failures = [None] * n, []
-        shares[0], exc = _run_share(fn, items[0::n])
+        shares[0], exc = run(items[0::n])
         if exc is not None:
             failures.append((n * len(shares[0]), exc))
         while workers:
@@ -475,34 +470,42 @@ def sweep_rows(cfg, jobs=1):
     """Evaluate the full grid, returning (taus, accs, reports): one
     column report of (T,) arrays per acceleration, in the order of accs.
 
-    Each column is one report on the column trajectory
-    (Accelerated(a, taus),): one switch and one state kernel pass over
-    all taus.  With N = min(jobs, columns, usable CPUs) > 1, share i of
-    the columns is i, i + N, i + 2N, ...: this process computes share 0
-    and N - 1 forked workers the others (`_forked_shares`), so the
-    columns whose cost grows with a spread evenly.  The reports come
-    back in grid order, and a failing column raises the exception it
-    raises at jobs=1.  With N = 1, or where os.fork does not exist, the
-    sweep runs in this process.
+    Each column is the trajectory (Accelerated(a, taus),), with its own
+    switch and phases; the columns of a share go through the state
+    kernel in batches of whole columns (`protocol._reports`), so a
+    short column does not pay a kernel pass of its own.  With
+    N = min(jobs, columns, usable CPUs) > 1, share i of the columns is
+    i, i + N, i + 2N, ...: this process computes share 0 and N - 1
+    forked workers the others (`_forked_shares`), so the columns whose
+    cost grows with a spread evenly.  The reports come back in grid
+    order, and a failing column raises the exception it raises at
+    jobs=1.  With N = 1, or where os.fork does not exist, the sweep runs
+    in this process.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     params = cfg.params()
     taus, accs = cfg.grid()
-    column = partial(_sweep_column, params, cfg.alice_clock, taus)
+    geom = params.geometry
+
+    def column_reports(items):
+        return _reports(params, (Trajectory((Accelerated(a, taus),), geom)
+                                 for a in items), cfg.alice_clock)
+
     items = accs.tolist()
     jobs = min(jobs, len(items), _usable_cpus())
     if jobs > 1 and hasattr(os, "fork"):
         # a report crosses the pipe as one (fields, T) array: its eleven
         # arrays and dataclass took most of a worker's pickling time
-        def block(a):
-            return np.stack(list(vars(column(a)).values()))
+        def blocks(items):
+            return _run_share(np.stack(list(vars(rep).values()))
+                              for rep in column_reports(items))
 
         reports = [None] * len(items)
-        for i, share in enumerate(_forked_shares(block, items, jobs)):
-            reports[i::jobs] = [FidelityReport(*rows) for rows in share]
+        for i, rows in enumerate(_forked_shares(blocks, items, jobs)):
+            reports[i::jobs] = [FidelityReport(*block) for block in rows]
     else:
-        reports = [column(a) for a in items]
+        reports = list(column_reports(items))
     return taus, accs, reports
 
 
@@ -750,7 +753,6 @@ def build_parser():
     p.add_argument("--trajectory", metavar="PATH",
                    help="segment file; omitted = resting cavity")
     p.add_argument("--out", metavar="PATH", help="also write a CSV row")
-    p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("sweep",
                        help="evaluate a (tau, a) grid and emit CSV")
@@ -761,7 +763,6 @@ def build_parser():
                    help="also write a gnuplot matrix of F_opt")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="parallel worker processes (output identical)")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("coeffs",
                        help="dump switch coefficients and the exact "
@@ -770,19 +771,24 @@ def build_parser():
     p.add_argument("h", type=float, help="acceleration parameter, (0, 2)")
     p.add_argument("--out", metavar="PATH",
                    help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("validate", help="run the self-check suite")
     common(p)
-    p.set_defaults(func=cmd_validate)
     return parser
 
 
+# built once per process: the tree of parsers and help formatters costs
+# more than a warm report
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up by name at call time, in the module that runs (__main__
+    # under `python -m cavtel.cli`), so a replaced cmd_* function runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (PhysicalityError, QuadratureError, TruncationError,
             ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,21 +23,24 @@ clamp, both fidelities, nu and the ordering check are (T, ...) array
 operations.  A trajectory whose burn duration is a 1-D array is such a
 column (one switch pair, one stacked transform), and every entry point
 returns (T,) arrays for it; a single trajectory is a column of length 1
-and gets floats back.
+and gets floats back.  A sequence of trajectories (a sweep's columns)
+takes one kernel pass per batch of them (`_reports`); an entry point
+is a batch of one.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gaussian
 from .bogoliubov import (
+    BogoliubovPair,
     CavityGeometry,
     _interior_count,
     _require_index,
@@ -73,12 +76,16 @@ __all__ = [
     "consistency_report",
 ]
 
-log = logging.getLogger(__name__)
-
 # circuit-QED style defaults: 1.2 cm effective cavity, c/2.5 light speed
 DEFAULT_GEOMETRY = CavityGeometry(L=0.012, c=1.2e8, n_max=10)
 
 ORDER_TOL = 1e-9
+# rows of one state-kernel pass: `_reports` joins whole trajectories up
+# to this many, and a longer one is a pass of its own.  A pass has a
+# fixed cost of about 0.1 ms; at 1,024 rows it is spread thin, while
+# longer passes outgrow the caches and hold more memory (the README's
+# Performance section has the measured table)
+BATCH_ROWS = 1024
 
 # built once: a one-point column must not pay for them on every call
 _I2 = np.eye(2)
@@ -140,7 +147,24 @@ class _State(namedtuple("_State", "sigma defect violation phases f_raw "
     __slots__ = ()
 
 
-def _state_kernel(params, pair, phases):
+@lru_cache(maxsize=1)
+def _clamp_log():
+    """The logger of the clamp records, looked up at the first clamp, so
+    that a run without one never imports logging."""
+    import logging
+    return logging.getLogger(__name__)
+
+
+def _log_clamps(violation):
+    """One DEBUG record per clamped state, its shift as the argument."""
+    shifts = violation[violation > 0.0]
+    if shifts.size:
+        log = _clamp_log()
+        for shift in shifts.tolist():
+            log.debug("clamped reduced state by %.3e", shift)
+
+
+def _state_kernel(params, pair, phases, log_clamps=True):
     """Reduced (Alice, Rob-kp) covariances and the numeric pipelines for
     Rob's rows, a stacked pair (T, 1, n) of row kp of each trajectory's
     transform with its row residual as the defect, and a PhasePair of
@@ -152,10 +176,10 @@ def _state_kernel(params, pair, phases):
     sigma_BB = S_k S_k^T + S_kk (B - I) S_kk^T, sigma_AB = R_A C S_kk^T.
     Truncation can push a reduced matrix slightly outside the physical
     cone; violations within ten times that row's residual are projected
-    back by a uniform noise floor (one DEBUG record per clamped state),
-    anything larger raises PhysicalityError.  A raw or corrected
-    fidelity above the optimal bound by more than the same slack raises
-    ConsistencyError.
+    back by a uniform noise floor (one DEBUG record per clamped state,
+    unless `log_clamps` is false), anything larger raises
+    PhysicalityError.  A raw or corrected fidelity above the optimal
+    bound by more than the same slack raises ConsistencyError.
     """
     alice, cross, excess = _resource(params.r)
     j = 2 * (params.kp - 1)
@@ -190,8 +214,8 @@ def _state_kernel(params, pair, phases):
                 "input")
         clamped = np.flatnonzero(violation)
         sigma[clamped] += violation[clamped, None, None] * _I4
-        for i in clamped:
-            log.debug("clamped reduced state by %.3e", float(violation[i]))
+        if log_clamps:
+            _log_clamps(violation)
 
     # one fidelity call for both states: at T = 1 call overhead dominates
     undo[:, :2, :2] = rot[1]
@@ -212,9 +236,19 @@ def _state_kernel(params, pair, phases):
                   f_opt)
 
 
-def _trajectory_state(params, trajectory, alice_clock):
-    """The kernel on the trajectory's `rob_row` and `phase_pair`, and
-    whether it is a column; else it enters as a column of length 1."""
+class _Inputs(NamedTuple):
+    """A trajectory's kernel inputs: Rob's rows (T, 1, n) with their
+    defect, a PhasePair of (T,) arrays, whether the trajectory is a
+    column (else T = 1), and its burns."""
+
+    pair: BogoliubovPair
+    phases: PhasePair
+    column: bool
+    burns: tuple
+
+
+def _column_inputs(params, trajectory, alice_clock):
+    """The `_Inputs` of a trajectory: its `rob_row` and `phase_pair`."""
     if not isinstance(trajectory, Trajectory):
         raise TypeError("expected a Trajectory")
     if trajectory.geometry != params.geometry:
@@ -227,7 +261,66 @@ def _trajectory_state(params, trajectory, alice_clock):
     if not column:
         theta = np.array((phases.theta_alice, phases.theta_rob))
         phases = PhasePair(theta[:1], theta[1:])
-    return _state_kernel(params, pair, phases), column
+    return _Inputs(pair, phases, column, trajectory.burns)
+
+
+def _batches(params, trajectories, alice_clock):
+    """Yield (inputs, failure): the `_Inputs` of whole trajectories, in
+    turn, up to BATCH_ROWS rows (a longer trajectory alone), and None;
+    the last batch ends before the first trajectory whose inputs raise,
+    and comes with its exception."""
+    batch, rows, failure = [], 0, None
+    try:
+        for trajectory in trajectories:
+            item = _column_inputs(params, trajectory, alice_clock)
+            if batch and rows + item.pair.defect.size > BATCH_ROWS:
+                yield batch, None
+                batch, rows = [], 0
+            batch.append(item)
+            rows += item.pair.defect.size
+    except Exception as exc:
+        failure = exc
+    yield batch, failure
+
+
+def _kernel_states(params, batch):
+    """Yield the `_State` of each of the inputs in turn: slices of one
+    kernel pass over their joined rows, each logging its own clamps as
+    it comes out.  If that pass raises, or meets a floating-point error,
+    the inputs run again one pass each, which raises as they would one
+    at a time."""
+    if len(batch) > 1:
+        pair = BogoliubovPair(*(
+            np.concatenate([getattr(item.pair, name) for item in batch])
+            for name in ("alpha", "beta", "defect")))
+        phases = PhasePair(*(
+            np.concatenate([getattr(item.phases, name) for item in batch])
+            for name in ("theta_alice", "theta_rob")))
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                state = _state_kernel(params, pair, phases, log_clamps=False)
+        except Exception:
+            state = None
+        if state is not None:
+            start = 0
+            for item in batch:
+                part = slice(start, start + item.pair.defect.size)
+                start = part.stop
+                # every field but the phases is a (T, ...) array
+                sliced = _State(*(f[part] for f in state[:3]), item.phases,
+                                *(f[part] for f in state[4:]))
+                _log_clamps(sliced.violation)
+                yield sliced
+            return
+    for item in batch:
+        yield _state_kernel(params, item.pair, item.phases)
+
+
+def _trajectory_state(params, trajectory, alice_clock):
+    """The kernel's `_State` of a batch of one trajectory, and whether it
+    is a column; else it enters as a column of length 1."""
+    item = _column_inputs(params, trajectory, alice_clock)
+    return _state_kernel(params, item.pair, item.phases), item.column
 
 
 def _kernel_outputs(params, trajectory, alice_clock, *names):
@@ -328,13 +421,12 @@ class FidelityReport:
                                  for name, value in vars(self).items()})
 
 
-def _report(params, trajectory, alice_clock):
-    """Every pipeline as a report of (T,) arrays, and whether the
-    trajectory is a column (else T = 1)."""
-    state, column = _trajectory_state(params, trajectory, alice_clock)
+def _report(params, burns, state):
+    """Every pipeline on the state of a trajectory with these burns, as a
+    report of (T,) arrays: the perturbative fields with the trajectory's
+    own scalar h."""
     geom = params.geometry
     phi = state.phases.phi
-    burns = trajectory.burns
     if len(burns) > 1:
         # one NaN array per field, so a write to one leaves the other NaN
         h = math.nan
@@ -352,11 +444,29 @@ def _report(params, trajectory, alice_clock):
         F_opt_numeric=state.f_opt, F_pert=f_pert,
         F_pert_opt=f_pert_opt, nu=state.nu, phi=phi, h=np.full(phi.shape, h),
         residual_pert=np.abs(state.f_corr - f_pert_opt),
-        defect=state.defect, clamp=state.violation), column
+        defect=state.defect, clamp=state.violation)
+
+
+def _reports(params, trajectories, alice_clock):
+    """Yield the report of (T,) arrays of each trajectory in turn (T = 1
+    for a single one), from one state-kernel pass per batch (`_batches`).
+
+    Every other step runs per trajectory, in order.  A failing
+    trajectory raises, after the reports of those before it, the
+    exception that it raises on its own: its inputs end the batch before
+    it, and a failing pass runs again one trajectory at a time
+    (`_kernel_states`).
+    """
+    for batch, failure in _batches(params, trajectories, alice_clock):
+        for item, state in zip(batch, _kernel_states(params, batch)):
+            yield _report(params, item.burns, state)
+        if failure is not None:
+            raise failure
 
 
 def consistency_report(params, trajectory, alice_clock="lab"):
     """Evaluate every pipeline on the trajectory and cross-check them:
     floats for a single trajectory, (T,) arrays for a column."""
-    report, column = _report(params, trajectory, alice_clock)
+    state, column = _trajectory_state(params, trajectory, alice_clock)
+    report = _report(params, trajectory.burns, state)
     return report if column else report.row(0)

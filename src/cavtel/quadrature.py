@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,9 +33,6 @@ _NODE_CHUNK = 8192
 # bytes of panel rules kept: every level of an oracle call at n_max 64 and
 # h = 1.99 (32 to 1024 panels, 516 kB) fits
 RULE_BUDGET = 2 ** 20
-_X0, _W0 = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-_X0.flags.writeable = False
-_W0.flags.writeable = False
 
 
 class FactorMemo:
@@ -73,12 +71,25 @@ class FactorMemo:
 _RULES = FactorMemo(RULE_BUDGET)
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """The GAUSS_ORDER-point rule on [-1, 1], read-only; built at the
+    first panel rule, so that a process that integrates nothing never
+    imports numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+    x0, w0 = leggauss(GAUSS_ORDER)
+    x0.flags.writeable = False
+    w0.flags.writeable = False
+    return x0, w0
+
+
 def _build_rule(a, b, n_panels):
+    x0, w0 = _gauss_legendre()
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (b - a) / n_panels
     mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half * _X0[None, :]).ravel()
-    weights = np.tile(half * _W0, n_panels)
+    nodes = (mid[:, None] + half * x0[None, :]).ravel()
+    weights = np.tile(half * w0, n_panels)
     return np.stack([nodes, weights])
 
 

@@ -50,6 +50,7 @@ from cavtel.bogoliubov import (
     _inertial_phases,
     _interior_count,
     _oracle_cached,
+    _oracle_pair,
     _Switch,
     identity_residuals,
     sudden_switch_oracle,
@@ -130,14 +131,14 @@ def identity_residuals_reference(alpha, beta):
 def switch_reference(h, n_max):
     """The switch's cache entry, its wedge rates, canonical inverse and
     the (2, n, n) stacks of both pairs formed on the call; only the
-    oracle pair is the cached one."""
-    pair = _oracle_cached(h, n_max).pair
+    oracle pair and its quadrature residual are the cached ones."""
+    pair = _oracle_pair(h, n_max)
     rates = RindlerGeometry(h).omega_mode(np.arange(1, n_max + 1))
     inv = inverse(pair)
     # the inverse stacked as the transposes that A^dagger and -B^T are
     inverse_ab = np.stack((inv.alpha.T, inv.beta.T)).swapaxes(-1, -2)
-    return _Switch(pair, rates, inv, np.stack((pair.alpha, pair.beta)),
-                   inverse_ab)
+    return _Switch(np.stack((pair.alpha, pair.beta)), inverse_ab, rates,
+                   _oracle_cached(h, n_max).residual)
 
 
 def coast_phases_reference(t_seconds, geometry):

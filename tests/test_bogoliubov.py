@@ -509,12 +509,15 @@ def test_oracle_rejects_zero_h():
 
 def test_oracle_arrays_are_frozen():
     pair = sudden_switch_oracle(0.13, GEOM)
+    assert sudden_switch_oracle(0.13, GEOM) is pair
     switch = bogoliubov._oracle_cached(0.13, GEOM.n_max)
-    assert switch.pair is pair
+    # the pair is a view of the entry's stacked (alpha, beta)
+    assert pair.alpha.base is switch.ab and pair.beta.base is switch.ab
     table = bogoliubov._truncation(GEOM.n_max)
     assert sudden_switch_perturbative(GEOM) is table.first_order
-    shared = (pair.alpha, pair.beta, switch.rates, switch.inverse.alpha,
-              switch.inverse.beta, table.modes, table.omega, table.norm,
+    shared = (pair.alpha, pair.beta, switch.ab, switch.rates,
+              switch.inverse_ab, switch.inverse_ab[0], switch.inverse_ab[1],
+              table.modes, table.omega, table.norm,
               table.first_order.alpha1, table.first_order.beta1)
     for array in shared:
         with pytest.raises(ValueError):

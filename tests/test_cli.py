@@ -606,6 +606,23 @@ def test_sweep_wider_than_oracle_cache_computes_each_switch_once():
     assert bogoliubov._oracle_cached.cache_info().misses == cfg.a_steps
 
 
+def test_sweep_takes_one_kernel_pass_per_batch(monkeypatch):
+    # 300-row columns: three to a 1,024-row batch, so seven columns take
+    # three passes
+    from cavtel import protocol
+    from cavtel.cli import RunConfig, sweep_rows
+    rows = []
+    real = protocol._state_kernel
+
+    def kernel(params, pair, phases, **kwargs):
+        rows.append(pair.defect.size)
+        return real(params, pair, phases, **kwargs)
+
+    monkeypatch.setattr(protocol, "_state_kernel", kernel)
+    sweep_rows(RunConfig(tau_steps=300, a_steps=7))
+    assert rows == [900, 900, 300]
+
+
 def test_sweep_evaluates_the_first_order_sums_once():
     from cavtel import bogoliubov
     from cavtel.cli import RunConfig, sweep_rows
@@ -851,16 +868,17 @@ def small_accs(small_cfg):
 
 
 def failing_columns(monkeypatch, fail):
-    """Make `cli._sweep_column` call fail(a) first; forked workers
+    """Make the per-column step of a batch, `protocol._column_inputs`,
+    call fail(a) first for the column's acceleration a; forked workers
     inherit the patch."""
-    from cavtel import cli
-    real = cli._sweep_column
+    from cavtel import protocol
+    real = protocol._column_inputs
 
-    def column(params, alice_clock, taus, a):
-        fail(a)
-        return real(params, alice_clock, taus, a)
+    def column(params, trajectory, alice_clock):
+        fail(trajectory.burns[0].a)
+        return real(params, trajectory, alice_clock)
 
-    monkeypatch.setattr(cli, "_sweep_column", column)
+    monkeypatch.setattr(protocol, "_column_inputs", column)
 
 
 # a pipe end left to the garbage collector warns (ResourceWarning) from
@@ -1121,7 +1139,8 @@ def test_validate_mutated_oracle_fails(monkeypatch, capsys):
 def test_validate_symplectic_form_reads_robs_row(monkeypatch, capsys):
     # the check builds its rows as the reports do, so a switch with one
     # flipped pairing entry, served to Rob's row, must fail it; the rows
-    # read the switch's stacked (alpha, beta), of which its pair is a view
+    # read the switch's stacked (alpha, beta), of which the oracle's pair
+    # is a view
     from cavtel import trajectory
     real = trajectory._oracle_cached
 
@@ -1129,8 +1148,7 @@ def test_validate_symplectic_form_reads_robs_row(monkeypatch, capsys):
         switch = real(h, n_max)
         ab = switch.ab.copy()
         ab[1, 0, 1] = -ab[1, 0, 1]
-        return switch._replace(
-            pair=BogoliubovPair(ab[0], ab[1], switch.pair.defect), ab=ab)
+        return switch._replace(ab=ab)
 
     monkeypatch.setattr(trajectory, "_oracle_cached", mutated)
     code, out, _ = run(["validate"], capsys)
@@ -1178,6 +1196,62 @@ def test_commands_run_without_test_dependencies(command):
                           env=checkout_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_parser_is_built_once_and_dispatches_by_name(monkeypatch, capsys):
+    # the parser of the first call serves the second, which still runs a
+    # cmd_* function replaced after the parser was built
+    from cavtel import cli
+    code, out, _ = run(["fidelity"], capsys)
+    assert code == 0 and "F_opt_numeric" in out
+    parser = cli._parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_fidelity",
+                        lambda args: calls.append(args.trajectory) or 7)
+    assert run(["fidelity", "--trajectory", "x.traj"], capsys) == (7, "", "")
+    assert calls == ["x.traj"]
+    assert cli._parser() is parser
+
+
+# a report at rest clamps nothing and integrates nothing, so it needs
+# neither the clamp's logger nor the quadrature's Gauss-Legendre rule
+REST_IMPORTS = """\
+import sys
+from cavtel.cli import main
+code = main(["fidelity"])
+print(sorted(m for m in ("logging", "numpy.polynomial") if m in sys.modules))
+sys.exit(code)
+"""
+
+
+def test_fidelity_at_rest_imports_only_what_runs():
+    proc = subprocess.run([sys.executable, "-c", REST_IMPORTS],
+                          capture_output=True, text=True, timeout=120,
+                          env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# `python -m cavtel.cli` runs the module as __main__: main() must find
+# its command there, without importing cavtel.cli beside it
+AS_MAIN = """\
+import runpy
+import sys
+sys.argv = ["cavtel", "fidelity"]
+try:
+    runpy.run_module("cavtel.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("cavtel.cli" in sys.modules, exc.code)
+"""
+
+
+def test_module_run_dispatches_in_main():
+    proc = subprocess.run([sys.executable, "-c", AS_MAIN],
+                          capture_output=True, text=True, timeout=120,
+                          env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "F_opt_numeric" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False 0"
 
 
 def test_console_script_runs():

@@ -13,7 +13,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavtel.bogoliubov import sudden_switch_oracle
+from cavtel import protocol
+from cavtel.bogoliubov import BogoliubovPair, sudden_switch_oracle
+from cavtel.cli import _PRESETS, _run_share
 from cavtel.gaussian import (
     partial_transpose,
     symplectic_eigenvalues,
@@ -22,6 +24,7 @@ from cavtel.gaussian import (
 from cavtel.protocol import (
     DEFAULT_GEOMETRY,
     ProtocolParams,
+    _reports,
     _trajectory_state,
     consistency_report,
     fidelity_corrected,
@@ -357,3 +360,77 @@ def test_split_burn_matches_whole_burn(a, tau1, tau2):
     slack = 1e-9 + 10.0 * split.defect
     assert abs(split.F_opt_numeric - whole.F_opt_numeric) <= slack
     assert abs(split.F_corrected - whole.F_corrected) <= slack
+
+
+# ---------------------------------------------------------------------------
+# batches of sweep columns
+
+def report_bits(report):
+    return np.stack(list(vars(report).values())).tobytes()
+
+
+# columns of 1 to 300 rows, at the library's row budget and at budgets
+# from one row up, so that columns are shorter and longer than a budget
+# and a budget splits the grid unevenly
+budgets = st.one_of(st.none(), st.integers(1, 700))
+presets = st.sampled_from(sorted(_PRESETS))
+clocks = st.sampled_from(("lab", "comoving"))
+
+
+@PROPERTY
+@given(st.integers(1, 300), st.lists(st.sampled_from(THRUSTS), min_size=1,
+                                     max_size=12), budgets, presets, clocks)
+def test_batched_columns_have_their_own_reports_bits(steps, accs, budget,
+                                                     preset, clock):
+    params = ProtocolParams(r=_PRESETS[preset], geometry=GEOM)
+    taus = np.linspace(0.0, 3.0 * GEOM.fundamental_period, steps)
+    columns = [Trajectory((Accelerated(a, taus),), GEOM) for a in accs]
+    with mock.patch.object(protocol, "BATCH_ROWS",
+                           budget or protocol.BATCH_ROWS):
+        batched = list(_reports(params, columns, clock))
+    assert len(batched) == len(columns)
+    for column, report in zip(columns, batched):
+        alone = consistency_report(params, column, clock)
+        assert report_bits(report) == report_bits(alone)
+
+
+# each column's inputs pass, fail, or give a state outside the physical
+# cone, which fails the kernel pass of its batch: at any budget the
+# results before the first failing column come back, and its exception,
+# as one column per pass gives them
+@PROPERTY
+@given(st.integers(1, 40),
+       st.lists(st.sampled_from(("ok", "inputs", "unphysical")), min_size=1,
+                max_size=len(THRUSTS)),
+       budgets, clocks)
+def test_batched_columns_fail_as_one_at_a_time(steps, kinds, budget, clock):
+    params = ProtocolParams(geometry=GEOM)
+    taus = np.linspace(0.0, 3.0 * GEOM.fundamental_period, steps)
+    accs = THRUSTS[:len(kinds)]
+    kind_of = dict(zip(accs, kinds))
+    real = protocol._column_inputs
+
+    def inputs(params, trajectory, alice_clock):
+        a = trajectory.burns[0].a
+        if kind_of[a] == "inputs":
+            raise ValueError(f"inputs of a = {a!r}")
+        item = real(params, trajectory, alice_clock)
+        if kind_of[a] == "unphysical":
+            # a lossy row: the reduced state breaks the uncertainty bound
+            pair = BogoliubovPair(0.9 * item.pair.alpha, item.pair.beta,
+                                  item.pair.defect)
+            item = item._replace(pair=pair)
+        return item
+
+    def run(rows):
+        columns = (Trajectory((Accelerated(a, taus),), GEOM) for a in accs)
+        with mock.patch.object(protocol, "BATCH_ROWS", rows), \
+                mock.patch.object(protocol, "_column_inputs", inputs):
+            done, exc = _run_share(_reports(params, columns, clock))
+        return ([report_bits(rep) for rep in done],
+                None if exc is None else (type(exc), str(exc)))
+
+    got = run(budget or protocol.BATCH_ROWS)
+    assert got == run(1)
+    first = next((i for i, kind in enumerate(kinds) if kind != "ok"), None)
+    assert len(got[0]) == (len(kinds) if first is None else first)

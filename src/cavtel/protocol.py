@@ -86,6 +86,14 @@ ORDER_TOL = 1e-9
 # longer passes outgrow the caches and hold more memory (the README's
 # Performance section has the measured table)
 BATCH_ROWS = 1024
+# a kernel pass of at least this many states screens them for
+# physicality before any eigensolve (`_violation`): below it the screen's
+# fixed cost, with the eigensolve of the states it leaves, exceeds what
+# it saves (the README's Performance section has the crossover table)
+SCREEN_ROWS = 32
+# the screen's shift, relative to a state's largest entry; `_certified`
+# derives why a state it certifies has a positive LAPACK lambda_min
+SCREEN_KAPPA = 1e-11
 
 # built once: a one-point column must not pay for them on every call
 _I2 = np.eye(2)
@@ -164,6 +172,81 @@ def _log_clamps(violation):
             log.debug("clamped reduced state by %.3e", shift)
 
 
+def _certified(sigma, c):
+    """Which states of a stack (T, 4, 4) of symmetric matrices whose
+    Alice block is c I (c = cosh 2r as `_resource` stores it) the screen
+    certifies: sigma + i Omega - delta I is positive definite, with
+    delta = SCREEN_KAPPA m and m = max |sigma_ij| >= c of that state.
+
+    With J = [[0, 1], [-1, 0]], a = c - delta and d = a^2 - 1, the Alice
+    block of sigma + i Omega - delta I is a I + i J, whose inverse is
+    (a I - i J) / d, and X^T X = G, X^T J X = det(X) J for the cross
+    block X = sigma_AB.  So Rob's Schur complement is S = P + i q J with
+    P = sigma_BB - delta I - (a / d) G and q = 1 + det(X) / d, and the
+    matrix is positive definite iff a > 1, p11 > 0 and
+    det S = p11 p22 - p12^2 - q^2 > 0.  a - 1 is formed as
+    (c - 1) - delta and d as (a - 1)(a + 1): c - 1 is exact for c <= 2
+    (Sterbenz), while a * a - 1 would lose about u / (2 r^2) relative
+    accuracy (u = 2^-53) as r -> 0, 5e-11 at r = 1e-3, five times
+    delta / m.
+
+    Soundness.  Take the float a1 = (c - 1) - delta as exact: it shifts
+    the Alice block by delta_A = c - 1 - a1, within 2 u m of delta,
+    and a / d, 1 / d are then formed within 5 u and 3 u relative.  G's
+    diagonal sums squares (2 u relative); G's off-diagonal and det(X)
+    are within 2 u sqrt(g11 g22) (Cauchy-Schwarz).  A passing state has
+    (a / d) g_ii < sigma_BB,ii <= m and |p12|, |q|, p11, p22 <= m, so
+    each computed entry of P and q is within 10 u m, and the computed S
+    within 22 u m in the 2-norm.  A computed det S > 0 with p11 > 0
+    puts the computed S's smaller eigenvalue above -4 u m (its trace is
+    at most 2 m).  So S plus a Hermitian error below 26 u m is positive
+    definite, and lambda_min(sigma + i Omega) exceeds delta - 28 u m.
+    LAPACK's zheevd returns lambda_min within
+    p(4) u ||sigma + i Omega||_2 <= 5 p(4) u m of the exact one; even
+    with p(4) = 100 the two bounds sum to 528 u m < 6e-14 m, and
+    delta = 1e-11 m is 170 times that.  So a certified state's eigvalsh
+    lambda_min is positive and its clamp, max(0, -lambda_min), is
+    exactly 0.0, as the screen says.
+
+    A state with m >= 1e100 is not screened, which covers a non-finite
+    one (m is inf or NaN); below it no positive term of det S overflows
+    (p11, p22 <= m when positive), so an overflow makes P or det S -inf
+    or NaN and fails its comparison, and underflow errs far below u m.
+    Floating-point errors are ignored here: the screen raises none under
+    a caller's `np.errstate(raise)`.
+    """
+    with np.errstate(all="ignore"):
+        m = np.abs(sigma.reshape(-1, 16)).max(axis=1)
+        delta = SCREEN_KAPPA * m
+        a1 = (c - 1.0) - delta
+        inv_d = 1.0 / (a1 * (a1 + 2.0))
+        w = (a1 + 1.0) * inv_d
+        x11, x12 = sigma[:, 0, 2], sigma[:, 0, 3]
+        x21, x22 = sigma[:, 1, 2], sigma[:, 1, 3]
+        p11 = (sigma[:, 2, 2] - delta) - w * (x11 * x11 + x21 * x21)
+        p22 = (sigma[:, 3, 3] - delta) - w * (x12 * x12 + x22 * x22)
+        p12 = sigma[:, 2, 3] - w * (x11 * x12 + x21 * x22)
+        q = 1.0 + (x11 * x22 - x12 * x21) * inv_d
+        return ((m < 1e100) & (a1 > 0.0) & (p11 > 0.0)
+                & (p11 * p22 - p12 * p12 - q * q > 0.0))
+
+
+def _violation(sigma, c):
+    """Each state's distance outside the physical cone,
+    max(0, -lambda_min(sigma + i Omega)) from eigvalsh, for a stack
+    (T, 4, 4) whose Alice block is c I.  A stack of SCREEN_ROWS or more
+    first drops the states `_certified` proves inside, whose value is
+    0.0 either way; the others take the same eigensolve, with its bits."""
+    if len(sigma) < SCREEN_ROWS:
+        return np.maximum(0.0, -np.linalg.eigvalsh(sigma + _I_OMEGA2)[:, 0])
+    violation = np.zeros(len(sigma))
+    rest = np.flatnonzero(~_certified(sigma, c))
+    if rest.size:
+        lam = np.linalg.eigvalsh(sigma[rest] + _I_OMEGA2)[:, 0]
+        violation[rest] = np.maximum(0.0, -lam)
+    return violation
+
+
 def _state_kernel(params, pair, phases, log_clamps=True):
     """Reduced (Alice, Rob-kp) covariances and the numeric pipelines for
     Rob's rows, a stacked pair (T, 1, n) of row kp of each trajectory's
@@ -199,8 +282,7 @@ def _state_kernel(params, pair, phases, log_clamps=True):
     sigma[:, 2:, :2] = sigma[:, :2, 2:].swapaxes(-1, -2)
     np.multiply(0.5, sigma + sigma.swapaxes(-1, -2), out=sigma)
 
-    lam = np.linalg.eigvalsh(sigma + _I_OMEGA2)[:, 0]
-    violation = np.maximum(0.0, -lam)
+    violation = _violation(sigma, alice[0, 0])
     margin = 10.0 * pair.defect
     if violation.any():
         allowance = np.maximum(gaussian.PHYSICALITY_TOL, margin)
@@ -238,8 +320,9 @@ def _state_kernel(params, pair, phases, log_clamps=True):
 
 class _Inputs(NamedTuple):
     """A trajectory's kernel inputs: Rob's rows (T, 1, n) with their
-    defect, a PhasePair of (T,) arrays, whether the trajectory is a
-    column (else T = 1), and its burns."""
+    defect (None once `_join` has joined them), a PhasePair of (T,)
+    arrays, whether the trajectory is a column (else T = 1), and its
+    burns."""
 
     pair: BogoliubovPair
     phases: PhasePair
@@ -273,47 +356,63 @@ def _batches(params, trajectories, alice_clock):
     try:
         for trajectory in trajectories:
             item = _column_inputs(params, trajectory, alice_clock)
-            if batch and rows + item.pair.defect.size > BATCH_ROWS:
+            size = item.pair.defect.size
+            if batch and rows + size > BATCH_ROWS:
                 yield batch, None
                 batch, rows = [], 0
             batch.append(item)
-            rows += item.pair.defect.size
+            rows += size
+            del item    # the batch alone holds it, so `_join` frees its rows
     except Exception as exc:
         failure = exc
     yield batch, failure
 
 
+def _join(batch):
+    """The joined pair and phases of a batch's inputs, and each input's
+    slice of them.  Each item of `batch` gives up its own pair, so that
+    the columns' rows are freed before the kernel pass allocates."""
+    pair = BogoliubovPair(*(
+        np.concatenate([getattr(item.pair, name) for item in batch])
+        for name in ("alpha", "beta", "defect")))
+    phases = PhasePair(*(
+        np.concatenate([getattr(item.phases, name) for item in batch])
+        for name in ("theta_alice", "theta_rob")))
+    parts, start = [], 0
+    for i, item in enumerate(batch):
+        parts.append(slice(start, start + item.pair.defect.size))
+        start = parts[-1].stop
+        batch[i] = item._replace(pair=None)
+    return pair, phases, parts
+
+
 def _kernel_states(params, batch):
-    """Yield the `_State` of each of the inputs in turn: slices of one
-    kernel pass over their joined rows, each logging its own clamps as
-    it comes out.  If that pass raises, or meets a floating-point error,
-    the inputs run again one pass each, which raises as they would one
-    at a time."""
-    if len(batch) > 1:
-        pair = BogoliubovPair(*(
-            np.concatenate([getattr(item.pair, name) for item in batch])
-            for name in ("alpha", "beta", "defect")))
-        phases = PhasePair(*(
-            np.concatenate([getattr(item.phases, name) for item in batch])
-            for name in ("theta_alice", "theta_rob")))
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                state = _state_kernel(params, pair, phases, log_clamps=False)
-        except Exception:
-            state = None
-        if state is not None:
-            start = 0
-            for item in batch:
-                part = slice(start, start + item.pair.defect.size)
-                start = part.stop
-                # every field but the phases is a (T, ...) array
-                sliced = _State(*(f[part] for f in state[:3]), item.phases,
-                                *(f[part] for f in state[4:]))
-                _log_clamps(sliced.violation)
-                yield sliced
-            return
-    for item in batch:
-        yield _state_kernel(params, item.pair, item.phases)
+    """Yield each of the inputs with its `_State`, in turn: slices of one
+    kernel pass over their joined rows (`_join`), each logging its own
+    clamps as it comes out.  If that pass raises, or meets a
+    floating-point error, the inputs run again one pass each, on their
+    slices of the joined rows, which raises as they would one at a
+    time."""
+    if len(batch) < 2:
+        for item in batch:
+            yield item, _state_kernel(params, item.pair, item.phases)
+        return
+    pair, phases, parts = _join(batch)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            state = _state_kernel(params, pair, phases, log_clamps=False)
+    except Exception:
+        state = None
+    for item, part in zip(batch, parts):
+        if state is None:
+            rows = BogoliubovPair(*(f[part] for f in vars(pair).values()))
+            yield item, _state_kernel(params, rows, item.phases)
+            continue
+        # every field but the phases is a (T, ...) array
+        sliced = _State(*(f[part] for f in state[:3]), item.phases,
+                        *(f[part] for f in state[4:]))
+        _log_clamps(sliced.violation)
+        yield item, sliced
 
 
 def _trajectory_state(params, trajectory, alice_clock):
@@ -458,8 +557,10 @@ def _reports(params, trajectories, alice_clock):
     (`_kernel_states`).
     """
     for batch, failure in _batches(params, trajectories, alice_clock):
-        for item, state in zip(batch, _kernel_states(params, batch)):
-            yield _report(params, item.burns, state)
+        # no loop variable here: the last state and inputs would keep
+        # this pass's arrays alive through the next one
+        yield from (_report(params, item.burns, state)
+                    for item, state in _kernel_states(params, batch))
         if failure is not None:
             raise failure
 

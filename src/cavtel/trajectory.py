@@ -363,12 +363,16 @@ def rob_row(trajectory, kp):
     (a alpha + b beta^*, a beta + b alpha^*).  A coast scales (a, b) by
     (d, d^*); a burn is its switch's stored inverse (from (e_kp, 0), its
     row kp), the wedge phases and the switch.
+
+    The chain keeps the T trajectories' rows as one (2T, n) stack: their
+    a rows in order, then their b^* rows in reverse order, so that
+    reversing the stack swaps each trajectory's a and b^* (`_rows_then`).
     """
     geom = trajectory.geometry
     k = kp - 1
-    # (a, b^*) stacked, (T, 2, n): a phase vector d scales both rows
-    rows = np.zeros((1, 2, geom.n_max), dtype=complex)
-    rows[0, 0, k] = 1.0
+    # (a, b^*) of one trajectory: a phase vector d scales both rows
+    rows = np.zeros((2, geom.n_max), dtype=complex)
+    rows[0, k] = 1.0
     burned = False
     for seg in reversed(trajectory.segments):
         if isinstance(seg, Inertial):
@@ -382,25 +386,41 @@ def rob_row(trajectory, kp):
             rows = _rows_then(rows, switch.inverse_ab)
         else:
             # (e_kp, 0) times the later coasts' phase: the inverse's row kp
-            rows = rows[0, 0, k] * switch.inverse_ab[None, :, k]
-            np.conjugate(rows[0, 1], out=rows[0, 1])
+            rows = rows[0, k] * switch.inverse_ab[:, k]
+            np.conjugate(rows[1], out=rows[1])
             burned = True
         # wedge phases at wedge time eta = h tau c / L, (T, n) on a column
         d = _phases(switch.rates, h * _natural_time(seg.tau, geom))
-        rows = _rows_then(rows * d[..., None, :], switch.ab)
+        if d.ndim > 1:
+            # row t's phases scale its a, and its b^* in the reversed half
+            half = len(rows) // 2
+            rows = np.concatenate((rows[:half] * d, rows[half:] * d[::-1]))
+        else:
+            rows = rows * d
+        rows = _rows_then(rows, switch.ab)
+    t = len(rows) // 2
+    a, b_conj = rows[:t], rows[t:][::-1]
     if burned:
         norms = (rows.real ** 2 + rows.imag ** 2).sum(axis=-1)
-        defect = np.abs(norms[:, 0] - norms[:, 1] - 1.0)
+        defect = np.abs(norms[:t] - norms[t:][::-1] - 1.0)
     else:
         defect = np.zeros(1)
-    return BogoliubovPair(rows[:, :1], rows[:, 1:].conj(), defect)
+    return BogoliubovPair(a[:, None], b_conj[:, None].conj(), defect)
 
 
 def _rows_then(rows, ab):
-    """The stacked rows (a, b^*) followed by the pair whose alpha and
-    beta are stacked in `ab` (2, n, n): with p = rows alpha and
-    q = rows beta, one matmul, a alpha + b beta^* = p_0 + q_1^* and
-    (a beta + b alpha^*)^* = p_1 + q_0^*.  Each trajectory of a column
-    takes the (2, n) x (n, n) products of a single one, with its bits."""
-    pq = rows[..., None, :, :] @ ab
-    return pq[..., 0, :, :] + pq[..., 1, ::-1, :].conj()
+    """The row stack of `rob_row` followed by the pair whose alpha and
+    beta are stacked in `ab` (2, n, n).  With p = rows alpha and
+    q = rows beta, a trajectory's a row becomes a alpha + b beta^*, its
+    row of p plus the conjugate of its b^* row of q, and its b^* row
+    becomes (a beta + b alpha^*)^*, its row of p plus the conjugate of
+    its a row of q: p plus q reversed and conjugated, since reversing
+    the stack swaps every pair.
+
+    One GEMM per matrix takes all 2T rows, not T small products of one
+    BLAS call each.  Every entry is the length-n dot product of a single
+    trajectory's (2, n) x (n, n) product, which OpenBLAS sums in the
+    same order at any row count, so each trajectory keeps its bits
+    (tests/test_trajectory.py checks them)."""
+    pq = rows @ ab
+    return pq[0] + pq[1, ::-1].conj()

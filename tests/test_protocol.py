@@ -3,17 +3,22 @@
 import hashlib
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
 from cavtel.bogoliubov import BogoliubovPair, CavityGeometry
 from cavtel.errors import PhysicalityError, TruncationError
+from cavtel.gaussian import make_two_mode_squeezed, rotation, symplectic_form
 from cavtel.protocol import (
     DEFAULT_GEOMETRY,
+    SCREEN_ROWS,
     FidelityReport,
     ProtocolParams,
+    _certified,
     _state_kernel,
+    _violation,
     consistency_report,
     fidelity_corrected,
     fidelity_optimal,
@@ -390,6 +395,149 @@ def test_column_clamps_within_the_allowance(caplog):
     assert state.violation[0] == 0.0
     assert 0.0 < state.violation[1] <= 1e-9
     assert [rec.args[0] for rec in caplog.records] == [state.violation[1]]
+
+
+# ---------------------------------------------------------------------------
+# the physicality screen
+
+I_OMEGA = 1j * symplectic_form(2)
+# relative shifts of Rob's block off the cone: inside, on and outside
+SHIFTS = [0.0] + [sign * 10.0 ** e for e in range(-14, -3) for sign in (1, -1)]
+
+
+def cone_stack(r, rng, per_shift=8):
+    """Symmetric states with the resource's Alice block at squeezing r:
+    the pure resource with Rob's mode through a random one-mode
+    symplectic map and a lossy channel of transmissivity eta (eta = 1 on
+    the cone), then Rob's block shifted by each of SHIFTS times the
+    state's largest entry, and the relative shift of each state."""
+    tms = make_two_mode_squeezed(r)
+    states, shifts = [], []
+    for shift in SHIFTS:
+        for _ in range(per_shift):
+            s = rng.uniform(-1.0, 1.0)
+            squeeze = np.diag([math.exp(s), math.exp(-s)])
+            s_b = rotation(rng.uniform(0, 2 * np.pi)) @ squeeze \
+                @ rotation(rng.uniform(0, 2 * np.pi))
+            eta = 1.0 if rng.random() < 0.5 else rng.uniform(0.5, 1.0)
+            sigma = tms.copy()
+            sigma[:2, 2:] = np.sqrt(eta) * tms[:2, 2:] @ s_b.T
+            sigma[2:, 2:] = eta * s_b @ tms[2:, 2:] @ s_b.T \
+                + (1.0 - eta) * np.eye(2)
+            sigma[2:, 2:] += shift * np.abs(sigma).max() * np.eye(2)
+            sigma[2:, :2] = sigma[:2, 2:].T
+            sigma[2:, 2:] = 0.5 * (sigma[2:, 2:] + sigma[2:, 2:].T)
+            states.append(sigma)
+            shifts.append(shift)
+    return np.array(states), np.array(shifts)
+
+
+@pytest.mark.parametrize("r", [1e-6, 1e-3, 0.5, math.log(2.0), 3.0, 8.0])
+def test_screened_violation_has_the_eigensolve_bits(r):
+    sigma, shifts = cone_stack(r, np.random.default_rng(int(r * 1e6)))
+    c = make_two_mode_squeezed(r)[0, 0]
+    assert len(sigma) >= SCREEN_ROWS
+    want = np.maximum(0.0, -np.linalg.eigvalsh(sigma + I_OMEGA)[:, 0])
+    with np.errstate(all="raise"):
+        got = _violation(sigma, c)
+    assert got.tobytes() == want.tobytes()
+    certified = _certified(sigma, c)
+    assert not certified[shifts < 0].any()
+    if r >= 0.5:
+        # the screen is not vacuous: states well inside pass it (at small
+        # r one of the pure state's two null vectors barely meets Rob's
+        # block, so a shift there lifts it by about r^2 of itself only)
+        assert certified[shifts >= 1e-8].all()
+
+
+def test_screen_fails_non_finite_and_huge_states_quietly():
+    r = 0.5
+    sigma, shifts = cone_stack(r, np.random.default_rng(7), per_shift=2)
+    assert len(sigma) >= SCREEN_ROWS and shifts[11] > 0.0
+    c = make_two_mode_squeezed(r)[0, 0]
+    sigma[3, 2, 3] = sigma[3, 3, 2] = np.nan
+    sigma[5, 0, 2] = sigma[5, 2, 0] = np.inf
+    sigma[7, 2:, 2:] *= 1e200       # its squares overflow
+    sigma[9, :2, 2:] *= 1e160
+    sigma[9, 2:, :2] *= 1e160
+    sigma[11, 2:, 2:] += 1e110 * np.eye(2)     # physical, but not screened
+    with np.errstate(all="raise"):
+        certified = _certified(sigma, c)
+    assert not certified[[3, 5, 7, 9, 11]].any()
+    assert certified.any()
+    # entries of 1e100 and more are never screened: past about 1e154 a
+    # product in det S could overflow to +inf and pass
+    huge, _ = cone_stack(120.0, np.random.default_rng(8), per_shift=2)
+    c_huge = make_two_mode_squeezed(120.0)[0, 0]
+    assert not _certified(huge, c_huge).any()
+    want = np.maximum(0.0, -np.linalg.eigvalsh(huge + I_OMEGA)[:, 0])
+    assert _violation(huge, c_huge).tobytes() == want.tobytes()
+    # a non-finite state reaches LAPACK, which fails as without the screen
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigvalsh(sigma + I_OMEGA)
+    with pytest.raises(np.linalg.LinAlgError):
+        _violation(sigma, c)
+
+
+def test_short_stack_skips_the_screen(monkeypatch):
+    from cavtel import protocol
+
+    def unexpected(sigma, c):
+        raise AssertionError("screened a short stack")
+
+    monkeypatch.setattr(protocol, "_certified", unexpected)
+    sigma, _ = cone_stack(0.5, np.random.default_rng(3), per_shift=2)
+    c = make_two_mode_squeezed(0.5)[0, 0]
+    want = np.maximum(0.0, -np.linalg.eigvalsh(sigma + I_OMEGA)[:, 0])
+    got = _violation(sigma[:SCREEN_ROWS - 1], c)
+    assert got.tobytes() == want[:SCREEN_ROWS - 1].tobytes()
+
+
+def test_default_sweep_eigensolves_only_its_clamped_states(monkeypatch):
+    from cavtel.cli import RunConfig, sweep_rows
+    solved = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        solved.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    _, _, reports = sweep_rows(RunConfig(), jobs=1)
+    clamped = sum(np.count_nonzero(rep.clamp) for rep in reports)
+    # one eigensolve per state for nu; the screen certifies every other
+    # state, 10,810 eigensolves in all against 20,000 without it
+    assert clamped == 810
+    assert sum(solved) == 10_000 + clamped
+
+
+def test_batches_free_their_columns_rows_before_each_pass(monkeypatch):
+    # a joined pass holds its columns' rows once: by then each column's
+    # own rows are gone, all but those of the column read ahead of it
+    from cavtel import protocol
+    refs, live = [], []
+    real_inputs, real_kernel = protocol._column_inputs, protocol._state_kernel
+
+    def recorded(*args):
+        item = real_inputs(*args)
+        refs.append(weakref.ref(item.pair.alpha))
+        return item
+
+    def counted(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in refs))
+        return real_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_column_inputs", recorded)
+    monkeypatch.setattr(protocol, "_state_kernel", counted)
+    monkeypatch.setattr(protocol, "BATCH_ROWS", 4)
+    taus = np.array([1e-10, 2e-10])
+    columns = [Trajectory((Accelerated(a, taus),), DEFAULT_GEOMETRY)
+               for a in (1e17, 1.5e17, 2e17, 2.5e17, 2.8e17)]
+    reports = list(protocol._reports(PARAMS, columns, "lab"))
+    assert len(reports) == len(refs) == 5
+    # passes of two, two and one column; a pass of one runs on its own
+    # rows
+    assert live == [1, 1, 1]
 
 
 def burn_column_report(a, taus):

@@ -372,6 +372,26 @@ def test_transform_matches_segment_engine():
         assert np.max(np.abs(got.beta[0, 0] - want.beta[kp - 1])) <= 1e-14
 
 
+@pytest.mark.parametrize("n_max", [4, 10, 40, 64])
+@pytest.mark.parametrize("count", [1, 3, 100, 1024])
+def test_row_step_keeps_single_row_bits(count, n_max):
+    # a column's row step is one GEMM per matrix over all its rows; each
+    # row must come out with the bits of its own (2, n) x (n, n) products
+    # (rows i and 2 count - 1 - i are trajectory i's a and b^*, as in
+    # rob_row's stack)
+    from cavtel.trajectory import _rows_then
+    rng = np.random.default_rng(count * 100 + n_max)
+    rows, ab = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for shape in ((2 * count, n_max), (2, n_max, n_max)))
+    got = _rows_then(rows, ab)
+    assert got.shape == rows.shape
+    for i in range(count):
+        pair = rows[[i, -1 - i]]
+        p, q = pair @ ab[0], pair @ ab[1]
+        want = np.stack((p[0] + q[1].conj(), p[1] + q[0].conj()))
+        assert got[[i, -1 - i]].tobytes() == want.tobytes()
+
+
 def test_row_chain_forms_only_row_products(monkeypatch):
     from cavtel import trajectory
     two = (Accelerated(2e17, 3e-10), Inertial(1e-10),
@@ -390,12 +410,12 @@ def test_row_chain_forms_only_row_products(monkeypatch):
     row = rob_row(Trajectory(two, GEOM), 3)
     # the last burn starts from its inverse's row kp, with no product;
     # each earlier burn joins through its inverse and its switch
-    assert steps == [(1, 2, GEOM.n_max)] * 3
+    assert steps == [(2, GEOM.n_max)] * 3
     assert row.alpha.shape == (1, 1, GEOM.n_max)
     assert row.defect.shape == (1,)
     steps.clear()
     row = rob_row(Trajectory(column, GEOM), 3)
     # a column's rows are a stack of single rows from its array burn on
-    assert steps == [(1, 2, GEOM.n_max)] * 2 + [(3, 2, GEOM.n_max)]
+    assert steps == [(2, GEOM.n_max)] * 2 + [(6, GEOM.n_max)]
     assert row.alpha.shape == row.beta.shape == (3, 1, GEOM.n_max)
     assert row.defect.shape == (3,)

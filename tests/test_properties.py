@@ -5,6 +5,7 @@ from eight thrust levels inside the validated regime, so the oracle
 cache stays small and each example costs milliseconds.
 """
 
+import logging
 import math
 import pickle
 from unittest import mock
@@ -394,10 +395,35 @@ def test_batched_columns_have_their_own_reports_bits(steps, accs, budget,
         assert report_bits(report) == report_bits(alone)
 
 
+class ClampRecords(logging.Handler):
+    """The shifts of the DEBUG clamp records of `cavtel.protocol`, in
+    order, while installed."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.shifts = []
+
+    def emit(self, record):
+        self.shifts.append(record.args[0])
+
+    def __enter__(self):
+        log = logging.getLogger("cavtel.protocol")
+        self.level = log.level
+        log.addHandler(self)
+        log.setLevel(logging.DEBUG)
+        return self
+
+    def __exit__(self, *exc):
+        log = logging.getLogger("cavtel.protocol")
+        log.removeHandler(self)
+        log.setLevel(self.level)
+
+
 # each column's inputs pass, fail, or give a state outside the physical
 # cone, which fails the kernel pass of its batch: at any budget the
 # results before the first failing column come back, and its exception,
-# as one column per pass gives them
+# as one column per pass gives them, with the same clamp records: each
+# clamped state is logged once, as the benchmark's clamp counter counts
 @PROPERTY
 @given(st.integers(1, 40),
        st.lists(st.sampled_from(("ok", "inputs", "unphysical")), min_size=1,
@@ -425,10 +451,12 @@ def test_batched_columns_fail_as_one_at_a_time(steps, kinds, budget, clock):
     def run(rows):
         columns = (Trajectory((Accelerated(a, taus),), GEOM) for a in accs)
         with mock.patch.object(protocol, "BATCH_ROWS", rows), \
-                mock.patch.object(protocol, "_column_inputs", inputs):
+                mock.patch.object(protocol, "_column_inputs", inputs), \
+                ClampRecords() as clamps:
             done, exc = _run_share(_reports(params, columns, clock))
         return ([report_bits(rep) for rep in done],
-                None if exc is None else (type(exc), str(exc)))
+                None if exc is None else (type(exc), str(exc)),
+                clamps.shifts)
 
     got = run(budget or protocol.BATCH_ROWS)
     assert got == run(1)

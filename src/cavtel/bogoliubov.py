@@ -74,6 +74,27 @@ def _require_index(name, value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, field):
+    """`value` as one real number for the field `field` of a frozen
+    value (a segment, a geometry, the protocol parameters).
+
+    A 0-d numeric array is stored as a float: kept as the caller's
+    array, it would make the value unhashable, and a later write to it
+    would change the value.  Anything else that is not a real number
+    (a list, a 1-element array, a string, None, a bool) is rejected by
+    name before it is compared with a bound.
+    """
+    if isinstance(value, float):  # most input, and the cheapest check
+        return value
+    if isinstance(value, np.ndarray) and not value.ndim \
+            and value.dtype.kind in "iuf":
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(
+            f"{field} must be a real number, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class CavityGeometry:
     """Cavity length L (m), speed of light c (m/s) and mode truncation."""
@@ -83,10 +104,12 @@ class CavityGeometry:
     n_max: int = 10
 
     def __post_init__(self):
-        if not 0 < self.L < math.inf:
-            raise ValueError("cavity length L must be finite and > 0")
-        if not 0 < self.c < math.inf:
-            raise ValueError("speed of light c must be finite and > 0")
+        for name, field in (("L", "cavity length L"),
+                            ("c", "speed of light c")):
+            value = _real(getattr(self, name), field)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{field} must be finite and > 0")
+            object.__setattr__(self, name, value)
         _require_index("n_max", self.n_max)
         if not 2 <= self.n_max <= N_MAX_CAP:
             raise ValueError(

@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import mmap
 import os
-import pickle
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -376,92 +376,51 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _run_share(results):
-    """(the items of the iterable `results`, None), or, if it raises,
-    (the items before, its exception)."""
-    done = []
-    try:
-        for x in results:
-            done.append(x)
-    except Exception as exc:
-        return done, exc
-    return done, None
+def _forked_shares(run, items, n, width):
+    """The report fields of run(items) as one array (items, fields,
+    width), or None if a share fails.
 
-
-def _share_worker(write_fd, run, items):
-    """The body of a forked sweep worker: send run(items) through
-    `write_fd` as one pickle, then leave the process.  It never returns,
-    so a fork of a caller that runs cavtel in-process (pytest, the
-    benchmark) never goes on with the caller's code."""
-    status = 1
-    try:
-        data = pickle.dumps(run(items))
-        with open(write_fd, "wb") as fh:
-            fh.write(data)
-        status = 0
-    except KeyboardInterrupt:
-        pass            # the caller has it too, and stops the sweep
-    except BaseException:
-        # an exception pickle cannot carry, or a failed write: the caller
-        # finds no result and names this worker and its exit status
-        sys.excepthook(*sys.exc_info())
-    finally:
-        os._exit(status)
-
-
-def _forked_shares(run, items, n):
-    """The results of run(items[i::n]) for each share i < n: share 0 in
-    this process, each other share in a forked worker of its own.
-
-    `run` returns the results of its share in order and the exception
-    that stopped it, or None, as `_run_share` does.  Each worker sends
-    its share back through a pipe.  The write end is closed here right
-    after the fork, so a worker that dies reads as end of file.  If
-    items fail, the exception of the first failing item in the order of
-    `items` is raised here, as a serial loop would raise it.  Whatever
-    else leaves this function (a lost worker, KeyboardInterrupt) kills
-    and reaps the workers that are left, so no child outlives it.
+    Share i of the items is items[i::n]: this process computes share 0
+    and a forked worker of its own each other share.  Each writes its
+    reports' fields into one anonymous shared map, and a worker then
+    leaves with os._exit, so a fork of a caller that runs cavtel
+    in-process (pytest, the benchmark) never goes on with the caller's
+    code.  A share fails when share 0 raises, a worker exits non-zero or
+    is killed, or os.fork raises OSError.  Whatever leaves this function
+    kills and reaps the workers that are left, so no child outlives it.
     """
-    workers = []        # (share, pid, read end) of each unreaped worker
+    workers = []        # pids of the unreaped workers
     try:
+        blocks = np.frombuffer(
+            mmap.mmap(-1, len(items) * len(fields(FidelityReport)) * width
+                      * 8)).reshape(len(items), -1, width)
+
+        def share(i):
+            for block, rep in zip(blocks[i::n], run(items[i::n])):
+                block[...] = tuple(vars(rep).values())
+
         for i in range(1, n):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
+            pid = os.fork()
             if pid == 0:
-                os.close(read_fd)
-                _share_worker(write_fd, run, items[i::n])
-            os.close(write_fd)
-            workers.append((i, pid, open(read_fd, "rb")))
-        shares, failures = [None] * n, []
-        shares[0], exc = run(items[0::n])
-        if exc is not None:
-            failures.append((n * len(shares[0]), exc))
+                try:
+                    share(i)
+                    os._exit(0)
+                finally:        # whatever it raised, KeyboardInterrupt too
+                    os._exit(1)
+            workers.append(pid)
+        share(0)
         while workers:
-            i, pid, fh = workers[0]
-            with fh:
-                data = fh.read()
-            status = os.waitpid(pid, 0)[1]
+            status = os.waitpid(workers[0], 0)[1]
             workers.pop(0)
-            if not data:
-                raise ChildProcessError(
-                    f"sweep worker {i} (pid {pid}) exited without a "
-                    f"result, wait status {status}")
-            shares[i], exc = pickle.loads(data)
-            if exc is not None:
-                failures.append((i + n * len(shares[i]), exc))
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
-        return shares
+            if status != 0:
+                return None
+        return blocks
+    except Exception:
+        return None
     finally:
         if workers:
             import signal
-            for _, pid, fh in workers:
-                fh.close()
+            for pid in workers:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
@@ -477,10 +436,9 @@ def sweep_rows(cfg, jobs=1):
     N = min(jobs, columns, usable CPUs) > 1, share i of the columns is
     i, i + N, i + 2N, ...: this process computes share 0 and N - 1
     forked workers the others (`_forked_shares`), so the columns whose
-    cost grows with a spread evenly.  The reports come back in grid
-    order, and a failing column raises the exception it raises at
-    jobs=1.  With N = 1, or where os.fork does not exist, the sweep runs
-    in this process.
+    cost grows with a spread evenly.  With N = 1, where os.fork does not
+    exist, or when a share fails, the whole grid runs in this process,
+    which returns or raises what jobs=1 gives.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
@@ -495,18 +453,10 @@ def sweep_rows(cfg, jobs=1):
     items = accs.tolist()
     jobs = min(jobs, len(items), _usable_cpus())
     if jobs > 1 and hasattr(os, "fork"):
-        # a report crosses the pipe as one (fields, T) array: its eleven
-        # arrays and dataclass took most of a worker's pickling time
-        def blocks(items):
-            return _run_share(np.stack(list(vars(rep).values()))
-                              for rep in column_reports(items))
-
-        reports = [None] * len(items)
-        for i, rows in enumerate(_forked_shares(blocks, items, jobs)):
-            reports[i::jobs] = [FidelityReport(*block) for block in rows]
-    else:
-        reports = list(column_reports(items))
-    return taus, accs, reports
+        blocks = _forked_shares(column_reports, items, jobs, len(taus))
+        if blocks is not None:
+            return taus, accs, [FidelityReport(*block) for block in blocks]
+    return taus, accs, list(column_reports(items))
 
 
 def _plot_matrix(taus, accs, reports):

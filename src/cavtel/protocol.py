@@ -25,7 +25,8 @@ column (one switch pair, one stacked transform), and every entry point
 returns (T,) arrays for it; a single trajectory is a column of length 1
 and gets floats back.  A sequence of trajectories (a sweep's columns)
 takes one kernel pass per batch of them (`_reports`); an entry point
-is a batch of one.
+takes a pass of its own, and a batch in which anything raises runs
+again one trajectory at a time on that path.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .bogoliubov import (
     BogoliubovPair,
     CavityGeometry,
     _interior_count,
+    _real,
     _require_index,
     f_sums,
     to_symplectic,
@@ -122,9 +124,11 @@ class ProtocolParams:
     geometry: CavityGeometry = DEFAULT_GEOMETRY
 
     def __post_init__(self):
-        if not 0 <= self.r <= SQUEEZING_MAX:
+        r = _real(self.r, "squeezing r")
+        if not 0 <= r <= SQUEEZING_MAX:
             raise ValueError(f"squeezing r must be finite and lie in "
-                             f"0..{SQUEEZING_MAX:g}, got {self.r!r}")
+                             f"0..{SQUEEZING_MAX:g}, got {r!r}")
+        object.__setattr__(self, "r", r)
         _require_index("Alice mode index k", self.k)
         _require_index("Rob mode index kp", self.kp)
         if self.k < 1:
@@ -321,13 +325,13 @@ def _state_kernel(params, pair, phases, log_clamps=True):
 class _Inputs(NamedTuple):
     """A trajectory's kernel inputs: Rob's rows (T, 1, n) with their
     defect (None once `_join` has joined them), a PhasePair of (T,)
-    arrays, whether the trajectory is a column (else T = 1), and its
-    burns."""
+    arrays, whether the trajectory is a column (else T = 1), and the
+    trajectory."""
 
     pair: BogoliubovPair
     phases: PhasePair
     column: bool
-    burns: tuple
+    trajectory: Trajectory
 
 
 def _column_inputs(params, trajectory, alice_clock):
@@ -344,80 +348,54 @@ def _column_inputs(params, trajectory, alice_clock):
     if not column:
         theta = np.array((phases.theta_alice, phases.theta_rob))
         phases = PhasePair(theta[:1], theta[1:])
-    return _Inputs(pair, phases, column, trajectory.burns)
-
-
-def _batches(params, trajectories, alice_clock):
-    """Yield (inputs, failure): the `_Inputs` of whole trajectories, in
-    turn, up to BATCH_ROWS rows (a longer trajectory alone), and None;
-    the last batch ends before the first trajectory whose inputs raise,
-    and comes with its exception."""
-    batch, rows, failure = [], 0, None
-    try:
-        for trajectory in trajectories:
-            item = _column_inputs(params, trajectory, alice_clock)
-            size = item.pair.defect.size
-            if batch and rows + size > BATCH_ROWS:
-                yield batch, None
-                batch, rows = [], 0
-            batch.append(item)
-            rows += size
-            del item    # the batch alone holds it, so `_join` frees its rows
-    except Exception as exc:
-        failure = exc
-    yield batch, failure
+    return _Inputs(pair, phases, column, trajectory)
 
 
 def _join(batch):
-    """The joined pair and phases of a batch's inputs, and each input's
-    slice of them.  Each item of `batch` gives up its own pair, so that
-    the columns' rows are freed before the kernel pass allocates."""
+    """The joined pair and phases of a batch's inputs (a batch of one
+    keeps its own arrays).  Each item of `batch` gives up its own pair,
+    so that the columns' rows are freed before the kernel pass
+    allocates."""
+    def joined(arrays):
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
     pair = BogoliubovPair(*(
-        np.concatenate([getattr(item.pair, name) for item in batch])
+        joined([getattr(item.pair, name) for item in batch])
         for name in ("alpha", "beta", "defect")))
     phases = PhasePair(*(
-        np.concatenate([getattr(item.phases, name) for item in batch])
+        joined([getattr(item.phases, name) for item in batch])
         for name in ("theta_alice", "theta_rob")))
-    parts, start = [], 0
-    for i, item in enumerate(batch):
-        parts.append(slice(start, start + item.pair.defect.size))
-        start = parts[-1].stop
-        batch[i] = item._replace(pair=None)
-    return pair, phases, parts
+    batch[:] = [item._replace(pair=None) for item in batch]
+    return pair, phases
 
 
-def _kernel_states(params, batch):
-    """Yield each of the inputs with its `_State`, in turn: slices of one
-    kernel pass over their joined rows (`_join`), each logging its own
-    clamps as it comes out.  If that pass raises, or meets a
-    floating-point error, the inputs run again one pass each, on their
-    slices of the joined rows, which raises as they would one at a
-    time."""
-    if len(batch) < 2:
-        for item in batch:
-            yield item, _state_kernel(params, item.pair, item.phases)
-        return
-    pair, phases, parts = _join(batch)
+def _batch_reports(params, batch, alice_clock):
+    """The reports of a batch's inputs, in order: from one kernel pass
+    over their joined rows (`_join`), with floating-point errors raised,
+    after the batch's clamp records; or, if anything in the batch
+    raises, a generator of them from a pass of each trajectory's own
+    (`_one_at_a_time`), which logs its own."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            state = _state_kernel(params, pair, phases, log_clamps=False)
+            state = _state_kernel(params, *_join(batch), log_clamps=False)
+        reports, stop = [], 0
+        for item in batch:
+            part = slice(stop, stop + len(item.phases.theta_rob))
+            stop = part.stop
+            # every field but the phases is a (T, ...) array
+            sliced = _State(*(f[part] for f in state[:3]), item.phases,
+                            *(f[part] for f in state[4:]))
+            reports.append(_report(params, item.trajectory.burns, sliced))
     except Exception:
-        state = None
-    for item, part in zip(batch, parts):
-        if state is None:
-            rows = BogoliubovPair(*(f[part] for f in vars(pair).values()))
-            yield item, _state_kernel(params, rows, item.phases)
-            continue
-        # every field but the phases is a (T, ...) array
-        sliced = _State(*(f[part] for f in state[:3]), item.phases,
-                        *(f[part] for f in state[4:]))
-        _log_clamps(sliced.violation)
-        yield item, sliced
+        return _one_at_a_time(
+            params, [item.trajectory for item in batch], alice_clock)
+    _log_clamps(state.violation)
+    return reports
 
 
 def _trajectory_state(params, trajectory, alice_clock):
-    """The kernel's `_State` of a batch of one trajectory, and whether it
-    is a column; else it enters as a column of length 1."""
+    """The kernel's `_State` of a trajectory from a pass of its own, and
+    whether it is a column; else it enters as a column of length 1."""
     item = _column_inputs(params, trajectory, alice_clock)
     return _state_kernel(params, item.pair, item.phases), item.column
 
@@ -546,23 +524,45 @@ def _report(params, burns, state):
         defect=state.defect, clamp=state.violation)
 
 
+def _one_at_a_time(params, trajectories, alice_clock):
+    """Yield the report of each trajectory in turn, each from a kernel
+    pass of its own, as `consistency_report` computes it."""
+    for trajectory in trajectories:
+        state = _trajectory_state(params, trajectory, alice_clock)[0]
+        yield _report(params, trajectory.burns, state)
+
+
 def _reports(params, trajectories, alice_clock):
     """Yield the report of (T,) arrays of each trajectory in turn (T = 1
-    for a single one), from one state-kernel pass per batch (`_batches`).
+    for a single one).
 
-    Every other step runs per trajectory, in order.  A failing
-    trajectory raises, after the reports of those before it, the
-    exception that it raises on its own: its inputs end the batch before
-    it, and a failing pass runs again one trajectory at a time
-    (`_kernel_states`).
+    Whole trajectories are gathered up to BATCH_ROWS rows (a longer one
+    alone), and each batch takes one kernel pass (`_batch_reports`).  If
+    anything in a batch raises, a trajectory's inputs, the pass or a
+    report, the batch runs again one trajectory at a time
+    (`_one_at_a_time`).  So a failing trajectory raises, after the
+    reports of those before it, what it raises on its own.
     """
-    for batch, failure in _batches(params, trajectories, alice_clock):
-        # no loop variable here: the last state and inputs would keep
-        # this pass's arrays alive through the next one
-        yield from (_report(params, item.burns, state)
-                    for item, state in _kernel_states(params, batch))
-        if failure is not None:
-            raise failure
+    batch, rows = [], 0
+    for trajectory in trajectories:
+        try:
+            item = _column_inputs(params, trajectory, alice_clock)
+        except Exception:
+            item = None
+        if item is None:
+            yield from _one_at_a_time(
+                params, [i.trajectory for i in batch] + [trajectory],
+                alice_clock)
+            batch, rows = [], 0
+            continue
+        if batch and rows + item.pair.defect.size > BATCH_ROWS:
+            yield from _batch_reports(params, batch, alice_clock)
+            batch, rows = [], 0
+        batch.append(item)
+        rows += item.pair.defect.size
+        del item    # the batch alone holds it, so `_join` frees its rows
+    if batch:
+        yield from _batch_reports(params, batch, alice_clock)
 
 
 def consistency_report(params, trajectory, alice_clock="lab"):

@@ -25,7 +25,6 @@ their arrays must have one length.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -39,6 +38,7 @@ from .bogoliubov import (
     _natural_time,
     _oracle_cached,
     _phases,
+    _real,
 )
 from .errors import TrajectoryParseError
 
@@ -71,26 +71,6 @@ def h_parameter(a, L, c):
             "perturbative results are outside their validated regime",
             RuntimeWarning, stacklevel=2)
     return h
-
-
-def _real(value, field):
-    """`value` as one real number for the segment's `field`.
-
-    A 0-d numeric array is stored as a float: kept as the caller's
-    array, it would make the segment unhashable, and a later write to it
-    would change the segment.  Anything else that is not a real number
-    (a list, a string, None, a bool) is rejected by name before it is
-    compared with a bound.
-    """
-    if isinstance(value, float):  # most input, and the cheapest check
-        return value
-    if isinstance(value, np.ndarray) and not value.ndim \
-            and value.dtype.kind in "iuf":
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(
-            f"{field} must be a real number, got {type(value).__name__}")
-    return value
 
 
 @dataclass(frozen=True)

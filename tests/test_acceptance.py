@@ -298,11 +298,20 @@ def test_acceptance_regime_arithmetic():
 @pytest.mark.parametrize("digest,args", pinned_outputs())
 def test_acceptance_pinned_output(tmp_path, monkeypatch, digest, args):
     # a sweep must also give the same bytes on a serial rerun and at
-    # --jobs 4
+    # --jobs 4, which forks three workers on any host: four usable CPUs
     runs = [[]]
     if args[0] == "sweep":
         runs += [[], ["--jobs", "4"]]
     monkeypatch.chdir(ROOT)             # the table's paths are from here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
     blobs = []
     for i, extra in enumerate(runs):
         out = tmp_path / f"run{i}.csv"
@@ -313,3 +322,4 @@ def test_acceptance_pinned_output(tmp_path, monkeypatch, digest, args):
     report("pinned-output", ok,
            f"cavtel {' '.join(args)}: {len(runs)} runs byte-identical, "
            f"{len(blobs[0])} bytes, sha256 {got}")
+    assert len(forks) == (3 if args[0] == "sweep" else 0)

@@ -145,6 +145,22 @@ def test_cavity_geometry_rejects_non_integer_n_max(n_max):
         CavityGeometry(0.012, 1.2e8, n_max=n_max)
 
 
+# each of these used to build a geometry; a 1-element array then failed
+# in a later report, and a 0-d array made the geometry unhashable
+@pytest.mark.parametrize("value", [True, "1", [1.0], np.array([1.0])])
+@pytest.mark.parametrize("field,name", [("L", "cavity length L"),
+                                        ("c", "speed of light c")])
+def test_cavity_geometry_rejects_non_real_numbers(field, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        CavityGeometry(**{"L": 0.012, "c": 1.2e8, field: value})
+
+
+def test_cavity_geometry_stores_0d_arrays_as_floats():
+    geom = CavityGeometry(np.array(0.012), np.array(1.2e8))
+    assert type(geom.L) is float and type(geom.c) is float
+    assert geom == GEOM and hash(geom) == hash(GEOM)
+
+
 def test_cavity_geometry_accepts_numpy_integer_n_max():
     assert CavityGeometry(0.012, 1.2e8, n_max=np.int64(12)).n_max == 12
 

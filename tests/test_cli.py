@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
 import csv
+import errno
 import logging
 import math
 import os
 import select
+import signal
 import stat
 import subprocess
 import sys
@@ -849,7 +851,7 @@ def fd_count():
 
 def assert_no_leftovers(fds):
     """Every forked sweep worker is reaped, and this process holds the
-    `fds` descriptors it held before the sweep (no pipe end is left)."""
+    `fds` descriptors it held before the sweep (none is left open)."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert fd_count() == fds
@@ -922,7 +924,8 @@ def test_sweep_worker_errors_match_serial(small_cfg, capsys, monkeypatch,
 
 def test_sweep_worker_error_keeps_its_attributes(small_cfg, monkeypatch,
                                                  two_cpus):
-    # QuadratureError's extra constructor arguments survive the pipe
+    # QuadratureError's extra constructor arguments survive the forked
+    # run: the caller's own run of the grid raises the error
     accs = small_accs(small_cfg)
 
     def fail(a):
@@ -938,29 +941,68 @@ def test_sweep_worker_error_keeps_its_attributes(small_cfg, monkeypatch,
         ("no convergence", 1.5, 7)
 
 
-@pytest.mark.parametrize("leave,status", [
-    (lambda: os._exit(1), 256),
-    (lambda: os.kill(os.getpid(), 9), 9),
-])
-def test_sweep_lost_worker_fails_without_leftovers(small_cfg, capsys,
-                                                   monkeypatch, two_cpus,
-                                                   leave, status):
-    # a worker that leaves without a result reads as end of file: the
-    # sweep names it and its wait status instead of waiting for it
+def test_sweep_forked_run_computes_only_share_0_in_the_caller(
+        small_cfg, capsys, monkeypatch, two_cpus):
+    # a worker that fails quietly costs a run of the whole grid in the
+    # caller, with the right bytes: a healthy run must not take it
     caller = os.getpid()
+    seen = []
 
     def fail(a):
-        if os.getpid() != caller:
-            leave()
+        if os.getpid() == caller:
+            seen.append(a)
 
     failing_columns(monkeypatch, fail)
+    code, _, err = run(["sweep", "--config", small_cfg, "--jobs", "2"],
+                       capsys)
+    assert (code, err) == (0, "")
+    assert seen == small_accs(small_cfg)[0::2]
+
+
+def fork_fails_second_time(monkeypatch):
+    """The first os.fork forks, the next raises OSError."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        if len(forks) > 1:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def worker_leaves(leave):
+    """Make every forked worker call leave() at its first column."""
+    def patch(monkeypatch):
+        caller = os.getpid()
+
+        def fail(a):
+            if os.getpid() != caller:
+                leave()
+
+        failing_columns(monkeypatch, fail)
+    return patch
+
+
+@pytest.mark.parametrize("lose", [
+    worker_leaves(lambda: os._exit(1)),
+    worker_leaves(lambda: os.kill(os.getpid(), signal.SIGKILL)),
+    fork_fails_second_time,
+], ids=["exit-1", "sigkill", "fork-oserror"])
+def test_sweep_lost_worker_falls_back_without_leftovers(small_cfg, capsys,
+                                                        monkeypatch, lose):
+    # a worker that leaves without its share, or a fork that fails, ends
+    # the forked run: the caller kills and reaps the workers that are
+    # left and runs the whole grid itself, which gives the --jobs 1 bytes
+    want = run(["sweep", "--config", small_cfg, "--jobs", "1"], capsys)
+    assert want[0] == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    lose(monkeypatch)
     fds = fd_count()
-    code, out, err = run(["sweep", "--config", small_cfg, "--jobs", "2"],
-                         capsys)
-    assert (code, out) == (4, "")
-    assert err.startswith("error: sweep worker 1 (pid ")
-    assert err.endswith(f" exited without a result, wait status "
-                        f"{status}\n")
+    assert run(["sweep", "--config", small_cfg, "--jobs", "3"],
+               capsys) == want
     assert_no_leftovers(fds)
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cavtel import protocol
 from cavtel.bogoliubov import BogoliubovPair, sudden_switch_oracle
-from cavtel.cli import _PRESETS, _run_share
+from cavtel.cli import _PRESETS
 from cavtel.gaussian import (
     partial_transpose,
     symplectic_eigenvalues,
@@ -393,6 +393,18 @@ def test_batched_columns_have_their_own_reports_bits(steps, accs, budget,
     for column, report in zip(columns, batched):
         alone = consistency_report(params, column, clock)
         assert report_bits(report) == report_bits(alone)
+
+
+def _run_share(results):
+    """(the items of the iterable `results`, None), or, if it raises,
+    (the items before, its exception)."""
+    done = []
+    try:
+        for x in results:
+            done.append(x)
+    except Exception as exc:
+        return done, exc
+    return done, None
 
 
 class ClampRecords(logging.Handler):

@@ -74,6 +74,20 @@ def test_params_reject_non_integer_mode_index(field, value):
         ProtocolParams(**{field: value})
 
 
+# each of these used to build parameters; a 1-element array then failed
+# in a later report as an unhashable type
+@pytest.mark.parametrize("value", [True, "0.5", [0.5], np.array([0.5])])
+def test_params_reject_non_real_squeezing(value):
+    with pytest.raises(ValueError, match="^squeezing r must be a real number"):
+        ProtocolParams(r=value)
+
+
+def test_params_store_0d_squeezing_as_float():
+    params = ProtocolParams(r=np.array(0.5))
+    assert type(params.r) is float
+    assert params == PARAMS and hash(params) == hash(PARAMS)
+
+
 def test_params_accept_numpy_integer_mode_index():
     params = ProtocolParams(k=np.int64(2), kp=np.int64(3))
     assert fidelity_raw(params, REST) == fidelity_raw(

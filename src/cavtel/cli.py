@@ -47,6 +47,7 @@ from .protocol import (
     FidelityReport,
     ProtocolParams,
     _kernel_outputs,
+    _log_clamps,
     _reports,
     consistency_report,
     perturbative_fidelity,
@@ -378,7 +379,8 @@ def _usable_cpus():
 
 def _forked_shares(run, items, n, width):
     """The report fields of run(items) as one array (items, fields,
-    width), or None if a share fails.
+    width), or None if a share fails, and why a worker was lost (None
+    if none was).
 
     Share i of the items is items[i::n]: this process computes share 0
     and a forked worker of its own each other share.  Each writes its
@@ -386,8 +388,9 @@ def _forked_shares(run, items, n, width):
     leaves with os._exit, so a fork of a caller that runs cavtel
     in-process (pytest, the benchmark) never goes on with the caller's
     code.  A share fails when share 0 raises, a worker exits non-zero or
-    is killed, or os.fork raises OSError.  Whatever leaves this function
-    kills and reaps the workers that are left, so no child outlives it.
+    is killed, or os.fork raises OSError; the last two lose a worker.
+    Whatever leaves this function kills and reaps the workers that are
+    left, so no child outlives it.
     """
     workers = []        # pids of the unreaped workers
     try:
@@ -400,7 +403,10 @@ def _forked_shares(run, items, n, width):
                 block[...] = tuple(vars(rep).values())
 
         for i in range(1, n):
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                return None, f"os.fork failed ({exc})"
             if pid == 0:
                 try:
                     share(i)
@@ -410,13 +416,14 @@ def _forked_shares(run, items, n, width):
             workers.append(pid)
         share(0)
         while workers:
-            status = os.waitpid(workers[0], 0)[1]
+            pid, status = os.waitpid(workers[0], 0)
             workers.pop(0)
             if status != 0:
-                return None
-        return blocks
+                return None, (f"sweep worker pid {pid} ended with wait "
+                              f"status {status}")
+        return blocks, None
     except Exception:
-        return None
+        return None, None
     finally:
         if workers:
             import signal
@@ -436,9 +443,13 @@ def sweep_rows(cfg, jobs=1):
     N = min(jobs, columns, usable CPUs) > 1, share i of the columns is
     i, i + N, i + 2N, ...: this process computes share 0 and N - 1
     forked workers the others (`_forked_shares`), so the columns whose
-    cost grows with a spread evenly.  With N = 1, where os.fork does not
-    exist, or when a share fails, the whole grid runs in this process,
-    which returns or raises what jobs=1 gives.
+    cost grows with a spread evenly.  No share logs its clamp records:
+    once all are in, this process logs them from the reports, in grid
+    order.  With N = 1, where os.fork does not exist, or when a share
+    fails, the whole grid runs in this process, which returns or raises
+    what jobs=1 gives, and logs the records that it logs; if a worker
+    was lost, or os.fork failed, a returned grid ends with one line on
+    stderr that says so.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
@@ -446,17 +457,28 @@ def sweep_rows(cfg, jobs=1):
     taus, accs = cfg.grid()
     geom = params.geometry
 
-    def column_reports(items):
+    def column_reports(items, log_clamps=True):
         return _reports(params, (Trajectory((Accelerated(a, taus),), geom)
-                                 for a in items), cfg.alice_clock)
+                                 for a in items), cfg.alice_clock,
+                        log_clamps)
 
     items = accs.tolist()
     jobs = min(jobs, len(items), _usable_cpus())
+    lost = None
     if jobs > 1 and hasattr(os, "fork"):
-        blocks = _forked_shares(column_reports, items, jobs, len(taus))
+        blocks, lost = _forked_shares(
+            lambda share: column_reports(share, log_clamps=False), items,
+            jobs, len(taus))
         if blocks is not None:
-            return taus, accs, [FidelityReport(*block) for block in blocks]
-    return taus, accs, list(column_reports(items))
+            reports = [FidelityReport(*block) for block in blocks]
+            for rep in reports:
+                _log_clamps(rep.clamp)
+            return taus, accs, reports
+    reports = list(column_reports(items))
+    if lost is not None:
+        print(f"warning: {lost}; the grid was recomputed in this process",
+              file=sys.stderr)
+    return taus, accs, reports
 
 
 def _plot_matrix(taus, accs, reports):

@@ -18,6 +18,7 @@ F = 1/2 and the pure-resource limit F -> 1.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -119,19 +120,59 @@ def _omega(n_modes):
     return omega
 
 
-def symplectic_eigenvalues(m):
-    """Symplectic spectrum of a symmetric positive definite matrix, in
-    ascending order; a stack (..., 2n, 2n) gives (..., n).
+def _spectrum(l00, l11, l20, l21, l22, l30, l31, l32, l33, sqrt):
+    """(nu_-, nu_+, (|u+| - |u-|) / 2) from the entries of a two-mode
+    Cholesky factor L, elementwise: the arguments are floats or arrays
+    alike, with the matching `sqrt`, and give the same bits."""
+    # the upper entries of K = L^T Omega L; L's lower triangle leaves
+    # each a sum of at most three products
+    a = l00 * l11 + l20 * l31 - l30 * l21
+    b = l20 * l32 - l30 * l22
+    c = l20 * l33
+    d = l21 * l32 - l31 * l22
+    e = l21 * l33
+    f = l22 * l33
+    u1, u2, u3 = a + f, b - e, c + d
+    plus = sqrt(u1 * u1 + u2 * u2 + u3 * u3)
+    u1, u2, u3 = a - f, b + e, c - d
+    minus = sqrt(u1 * u1 + u2 * u2 + u3 * u3)
+    hi = 0.5 * (plus + minus)
+    return l00 * l11 * l22 * l33 / hi, hi, 0.5 * (plus - minus)
 
-    With the Cholesky factor M = L L^T, the Hermitian L^T (i Omega) L is
-    similar to i Omega M, so its eigenvalues are the spectrum with both
-    signs, +-nu; the positive half is returned.  A failed factorisation
-    means M is not positive definite.  The negative half must mirror the
-    positive one within PAIR_TOL (relative), or the input was defective.
+
+# the flat indices of l00, l11, l20, l21, l22, l30, l31, l32, l33 in L
+_FACTOR_ENTRIES = (0, 5, 8, 9, 10, 12, 13, 14, 15)
+
+
+def symplectic_eigenvalues(m):
+    """Symplectic spectrum (nu_-, nu_+) of a symmetric positive definite
+    two-mode matrix, in ascending order; a stack (..., 4, 4) gives
+    (..., 2).  Other shapes raise ValueError.
+
+    With the Cholesky factor M = L L^T, the antisymmetric
+    K = L^T Omega L makes i K similar to i Omega M, so its eigenvalues
+    are +-nu_-, +-nu_+.  In closed form (Serafini, Illuminati and
+    De Siena, J. Phys. B 37, L21 (2004)): for K's upper entries
+    a = K01, b = K02, c = K03, d = K12, e = K13, f = K23, the vectors
+    u+- = (a +- f, b -+ e, c +- d) have the norms nu_+ +- nu_-, since
+    |u+-|^2 = |K|_F^2 / 2 +- 2 Pf K and Pf K = det L = nu_+ nu_- > 0.
+    So nu_+ = (|u+| + |u-|) / 2, and nu_- = det L / nu_+, with det L
+    the product of L's diagonal, takes no difference.  A failed
+    factorisation means M is not positive definite.  nu_-'s second
+    value, (|u+| - |u-|) / 2, must agree with the first within
+    PAIR_TOL (relative above 1), or the input was defective; a NaN from
+    a non-finite input fails that check too.
+
+    L is first scaled by 2^-k, with 4^k within a factor of two of M's
+    largest diagonal entry (which bounds every L_ij^2), and the spectrum
+    back by 4^k, both exactly, so no square of K's entries overflows or
+    underflows at any scale.  One state is computed on Python floats,
+    free of numpy's cost per call, with the bits it has in a stack.
     """
     m = np.asarray(m, dtype=float)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 covariance, got {m.shape}")
     _check_symmetric(m)
-    n = m.shape[-1] // 2
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -139,14 +180,31 @@ def symplectic_eigenvalues(m):
         raise PhysicalityError(
             f"matrix is not positive definite (min eigenvalue "
             f"{lowest:.3e})") from None
-    evs = np.linalg.eigvalsh(
-        1j * (chol.swapaxes(-1, -2) @ _omega(n) @ chol))
-    lo, hi = -evs[..., n - 1::-1], evs[..., n:]
-    mismatch = (np.abs(hi - lo) / np.maximum(hi, 1.0)).max()
-    if mismatch > PAIR_TOL:
+    if chol.size == 16:
+        flat = chol.reshape(16).tolist()
+        exp = math.frexp(max(m.reshape(16)[::5].tolist()))[1] >> 1
+        lo, hi, diff = (math.ldexp(x, 2 * exp) for x in _spectrum(
+            *(math.ldexp(flat[i], -exp) for i in _FACTOR_ENTRIES),
+            math.sqrt))
+        mismatch = abs(diff - lo) / max(lo, 1.0)
+        nus = np.array((lo, hi)).reshape(m.shape[:-2] + (2,))
+    else:
+        top = np.maximum(np.maximum(m[..., 0, 0], m[..., 1, 1]),
+                         np.maximum(m[..., 2, 2], m[..., 3, 3]))
+        exp = np.frexp(top)[1] >> 1
+        flat = np.ldexp(chol, -exp[..., None, None]).reshape(
+            chol.shape[:-2] + (16,))
+        # only a non-finite input makes a NaN here, which fails the check
+        with np.errstate(invalid="ignore"):
+            lo, hi, diff = (np.ldexp(x, 2 * exp) for x in _spectrum(
+                *(flat[..., i] for i in _FACTOR_ENTRIES), np.sqrt))
+            mismatch = (np.abs(diff - lo)
+                        / np.maximum(lo, 1.0)).max(initial=0.0)
+        nus = np.stack((lo, hi), axis=-1)
+    if not mismatch <= PAIR_TOL:
         raise PhysicalityError(
             f"symplectic eigenvalue pairing failed (mismatch {mismatch:.3e})")
-    return hi
+    return nus
 
 
 def validate_covariance(sigma, n_modes=None):

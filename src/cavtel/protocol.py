@@ -369,12 +369,13 @@ def _join(batch):
     return pair, phases
 
 
-def _batch_reports(params, batch, alice_clock):
+def _batch_reports(params, batch, alice_clock, log_clamps):
     """The reports of a batch's inputs, in order: from one kernel pass
     over their joined rows (`_join`), with floating-point errors raised,
     after the batch's clamp records; or, if anything in the batch
     raises, a generator of them from a pass of each trajectory's own
-    (`_one_at_a_time`), which logs its own."""
+    (`_one_at_a_time`), which logs its own.  No record is logged if
+    `log_clamps` is false."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             state = _state_kernel(params, *_join(batch), log_clamps=False)
@@ -387,17 +388,19 @@ def _batch_reports(params, batch, alice_clock):
                             *(f[part] for f in state[4:]))
             reports.append(_report(params, item.trajectory.burns, sliced))
     except Exception:
-        return _one_at_a_time(
-            params, [item.trajectory for item in batch], alice_clock)
-    _log_clamps(state.violation)
+        return _one_at_a_time(params, [item.trajectory for item in batch],
+                              alice_clock, log_clamps)
+    if log_clamps:
+        _log_clamps(state.violation)
     return reports
 
 
-def _trajectory_state(params, trajectory, alice_clock):
+def _trajectory_state(params, trajectory, alice_clock, log_clamps=True):
     """The kernel's `_State` of a trajectory from a pass of its own, and
     whether it is a column; else it enters as a column of length 1."""
     item = _column_inputs(params, trajectory, alice_clock)
-    return _state_kernel(params, item.pair, item.phases), item.column
+    return (_state_kernel(params, item.pair, item.phases, log_clamps),
+            item.column)
 
 
 def _kernel_outputs(params, trajectory, alice_clock, *names):
@@ -524,17 +527,19 @@ def _report(params, burns, state):
         defect=state.defect, clamp=state.violation)
 
 
-def _one_at_a_time(params, trajectories, alice_clock):
+def _one_at_a_time(params, trajectories, alice_clock, log_clamps):
     """Yield the report of each trajectory in turn, each from a kernel
     pass of its own, as `consistency_report` computes it."""
     for trajectory in trajectories:
-        state = _trajectory_state(params, trajectory, alice_clock)[0]
+        state = _trajectory_state(params, trajectory, alice_clock,
+                                  log_clamps)[0]
         yield _report(params, trajectory.burns, state)
 
 
-def _reports(params, trajectories, alice_clock):
+def _reports(params, trajectories, alice_clock, log_clamps=True):
     """Yield the report of (T,) arrays of each trajectory in turn (T = 1
-    for a single one).
+    for a single one), logging each clamped state once, in order, unless
+    `log_clamps` is false.
 
     Whole trajectories are gathered up to BATCH_ROWS rows (a longer one
     alone), and each batch takes one kernel pass (`_batch_reports`).  If
@@ -552,17 +557,17 @@ def _reports(params, trajectories, alice_clock):
         if item is None:
             yield from _one_at_a_time(
                 params, [i.trajectory for i in batch] + [trajectory],
-                alice_clock)
+                alice_clock, log_clamps)
             batch, rows = [], 0
             continue
         if batch and rows + item.pair.defect.size > BATCH_ROWS:
-            yield from _batch_reports(params, batch, alice_clock)
+            yield from _batch_reports(params, batch, alice_clock, log_clamps)
             batch, rows = [], 0
         batch.append(item)
         rows += item.pair.defect.size
         del item    # the batch alone holds it, so `_join` frees its rows
     if batch:
-        yield from _batch_reports(params, batch, alice_clock)
+        yield from _batch_reports(params, batch, alice_clock, log_clamps)
 
 
 def consistency_report(params, trajectory, alice_clock="lab"):

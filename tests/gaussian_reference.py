@@ -1,11 +1,19 @@
-"""Full-register reference for the reduced (Alice, Rob-kp) state.
+"""Full-register reference for the reduced (Alice, Rob-kp) state, and
+two references for the symplectic spectrum.
 
 Embeds the resource into Alice's mode plus Rob's whole cavity register,
 applies the trajectory's symplectic matrix to all of it, and reads the
 4x4 block back out.  The library builds the same state from mode kp's
 two quadrature rows only; tests compare the two.  `local_rotation` is
 the two-mode phase rotation the library applies blockwise.
+
+The library's spectrum is a two-mode closed form.  Its references are
+the n-mode Hermitian eigensolve (`symplectic_eigenvalues_eigvalsh`) and
+a 40-digit evaluation of the two-mode invariants
+(`smallest_symplectic_eigenvalue_decimal`).
 """
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -87,3 +95,46 @@ def full_register_state(params, trajectory, alice_clock="lab"):
     sigma = 0.5 * (sigma + sigma.T)
     lam = np.linalg.eigvalsh(sigma + 1j * gaussian.symplectic_form(2)).min()
     return sigma + max(0.0, -float(lam)) * np.eye(4)
+
+
+def symplectic_eigenvalues_eigvalsh(m):
+    """Symplectic spectrum of a symmetric positive definite matrix, or
+    of each in a stack (..., 2n, 2n), in ascending order (..., n).
+
+    With the Cholesky factor M = L L^T, the Hermitian L^T (i Omega) L is
+    similar to i Omega M, so its eigenvalues are the spectrum with both
+    signs; the positive half is returned.
+    """
+    m = np.asarray(m, dtype=float)
+    n = m.shape[-1] // 2
+    chol = np.linalg.cholesky(m)
+    evs = np.linalg.eigvalsh(
+        1j * (chol.swapaxes(-1, -2) @ gaussian.symplectic_form(n) @ chol))
+    return evs[..., n:]
+
+
+def _det(rows):
+    # cofactor expansion along the first row
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j]
+               * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(len(rows)))
+
+
+def smallest_symplectic_eigenvalue_decimal(m, digits=40):
+    """nu_- of a two-mode 4x4 matrix from its invariants, in `digits`
+    decimal digits: with Delta = det A + det B + 2 det C of its 2x2
+    blocks, nu_-^2 = 2 det M / (Delta + sqrt(Delta^2 - 4 det M)).  The
+    entries enter exactly (Decimal of a float is exact)."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        rows = [[Decimal(float(x)) for x in row] for row in m]
+
+        def block_det(i, j):
+            return (rows[i][j] * rows[i + 1][j + 1]
+                    - rows[i][j + 1] * rows[i + 1][j])
+
+        delta = block_det(0, 0) + block_det(2, 2) + 2 * block_det(0, 2)
+        det = _det(rows)
+        return (2 * det / (delta + (delta * delta - 4 * det).sqrt())).sqrt()

@@ -5,12 +5,14 @@ import errno
 import logging
 import math
 import os
+import re
 import select
 import signal
 import stat
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -169,6 +171,34 @@ def test_fidelity_at_near_degenerate_squeezing(tmp_path, capsys):
     fields = report_fields(out)
     assert fields["nu"] == pytest.approx(math.exp(-2 * 1.5973122800602525e-10),
                                          abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-10, 0.5, math.log(2.0), 2.0, 4.0,
+                               6.0])
+def test_fidelity_at_rest_nu_within_squeezing_bound(tmp_path, capsys,
+                                                    monkeypatch, r):
+    # at rest the reduced state is the resource, whose exact nu is
+    # e^{-2r}; rounding its entries moves nu by up to about u e^{4r}
+    # relative (u = 2^-53), since nu_+ / nu_- = e^{4r}, so the printed
+    # report's full-precision nu must lie within 4 u e^{4r} of it
+    from cavtel import cli
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(cli_report(*args, **kwargs))
+        return reports[-1]
+
+    cli_report = cli.consistency_report
+    monkeypatch.setattr(cli, "consistency_report", recorded)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"r = {r!r}\n")
+    code, out, err = run(["fidelity", "--config", str(cfg)], capsys)
+    assert (code, err) == (0, "")
+    nu = reports[0].nu
+    assert report_fields(out)["nu"] == float(f"{nu:.12g}")
+    want = (-2 * Decimal(r)).exp()
+    assert abs(Decimal(nu) - want) <= \
+        Decimal(4 * 2.0 ** -53 * math.exp(4 * r)) * want
 
 
 def test_config_bad_key_reports_line(tmp_path, capsys):
@@ -985,25 +1015,68 @@ def worker_leaves(leave):
     return patch
 
 
-@pytest.mark.parametrize("lose", [
-    worker_leaves(lambda: os._exit(1)),
-    worker_leaves(lambda: os.kill(os.getpid(), signal.SIGKILL)),
-    fork_fails_second_time,
+@pytest.mark.parametrize("lose,reason", [
+    (worker_leaves(lambda: os._exit(1)),
+     r"sweep worker pid \d+ ended with wait status 256"),
+    (worker_leaves(lambda: os.kill(os.getpid(), signal.SIGKILL)),
+     r"sweep worker pid \d+ ended with wait status 9"),
+    (fork_fails_second_time, r"os\.fork failed \(\[Errno 11\] .+\)"),
 ], ids=["exit-1", "sigkill", "fork-oserror"])
 def test_sweep_lost_worker_falls_back_without_leftovers(small_cfg, capsys,
-                                                        monkeypatch, lose):
+                                                        monkeypatch, lose,
+                                                        reason):
     # a worker that leaves without its share, or a fork that fails, ends
     # the forked run: the caller kills and reaps the workers that are
-    # left and runs the whole grid itself, which gives the --jobs 1 bytes
+    # left and runs the whole grid itself, which gives the --jobs 1
+    # bytes, and then says on stderr why the run took longer
     want = run(["sweep", "--config", small_cfg, "--jobs", "1"], capsys)
-    assert want[0] == 0
+    assert want[0] == 0 and want[2] == ""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
     lose(monkeypatch)
     fds = fd_count()
-    assert run(["sweep", "--config", small_cfg, "--jobs", "3"],
-               capsys) == want
+    code, out, err = run(["sweep", "--config", small_cfg, "--jobs", "3"],
+                         capsys)
+    assert (code, out) == want[:2]
+    assert re.fullmatch(f"warning: {reason}; the grid was recomputed in "
+                        "this process\n", err)
     assert_no_leftovers(fds)
+
+
+def fork_fails_first_time(monkeypatch):
+    """Every os.fork raises OSError, so no worker starts."""
+    def fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("jobs,lose", [
+    ("1", None),
+    ("2", None),
+    ("2", worker_leaves(lambda: os._exit(1))),
+    ("2", fork_fails_first_time),
+], ids=["jobs-1", "jobs-2", "jobs-2-exit-1", "jobs-2-fork-oserror"])
+def test_sweep_clamp_records_match_serial(tmp_path, capsys, caplog,
+                                          monkeypatch, two_cpus, jobs, lose):
+    # the caller logs each clamped state once, in grid order, as --jobs 1
+    # does: a forked run from its shares' reports, a fallback run as it
+    # computes the grid again.  The 8 columns of the default grid hold
+    # 66 clamped states
+    path = tmp_path / "eight.cfg"
+    path.write_text("a_steps = 8\n")
+    if lose is not None:
+        lose(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="cavtel.protocol"):
+        assert run(["sweep", "--config", str(path), "--jobs", jobs],
+                   capsys)[0] == 0
+    shifts = [rec.args[0] for rec in caplog.records
+              if rec.name == "cavtel.protocol"]
+    with open(path) as fh:
+        _, _, reports = sweep_rows(apply_config_text(RunConfig(), fh.read()))
+    want = np.concatenate([rep.clamp for rep in reports])
+    assert len(shifts) == 66
+    assert shifts == want[want > 0.0].tolist()
 
 
 def test_sweep_interrupt_kills_workers(small_cfg, capsys, monkeypatch,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from cavtel.errors import PhysicalityError
@@ -17,7 +19,12 @@ from cavtel.gaussian import (
     teleport_fidelity,
     validate_covariance,
 )
-from gaussian_reference import embed_with_vacuum, local_rotation, reduce_modes
+from gaussian_reference import (
+    embed_with_vacuum,
+    local_rotation,
+    reduce_modes,
+    symplectic_eigenvalues_eigvalsh,
+)
 
 REST_F = 1.0 / (1.0 + math.exp(-1.0))
 
@@ -213,6 +220,78 @@ def test_symplectic_eigenvalues_reject_non_positive_definite(bad):
 def test_symplectic_eigenvalues_of_thermal():
     sig = np.diag([3.0, 3.0, 7.0, 7.0])
     assert np.allclose(symplectic_eigenvalues(sig), [3.0, 7.0])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (6, 6), (8, 8), (4, 6), (4,),
+                                   (3, 6, 6), (2, 4, 2)])
+def test_symplectic_eigenvalues_take_two_modes_only(shape):
+    # the closed form is the two-mode one; the n-mode eigensolve lives on
+    # in the tests as its reference
+    with pytest.raises(ValueError, match="4x4"):
+        symplectic_eigenvalues(np.zeros(shape))
+
+
+def symplectic_squeezer(r, s1, s2, theta):
+    """A two-mode symplectic: local squeezers s1, s2, a two-mode
+    squeezer r, then a beam splitter of angle theta."""
+    squeeze = np.diag(np.exp([s1, -s1, s2, -s2]))
+    ch, sh = math.cosh(r), math.sinh(r)
+    tms = np.block([[ch * np.eye(2), sh * np.diag([1.0, -1.0])],
+                    [sh * np.diag([1.0, -1.0]), ch * np.eye(2)]])
+    c, s = math.cos(theta), math.sin(theta)
+    splitter = np.block([[c * np.eye(2), s * np.eye(2)],
+                         [-s * np.eye(2), c * np.eye(2)]])
+    return splitter @ tms @ squeeze
+
+
+angles = st.floats(0.0, 2 * math.pi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(1.0, 3.0), st.floats(1.0, 3.0), st.floats(0.0, 0.5),
+       st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), angles,
+       st.tuples(angles, angles, angles, angles), st.booleans())
+def test_closed_form_matches_eigvalsh(nu1, nu2, r, s1, s2, theta, phases,
+                                      transpose):
+    # a physical state S diag(nu1, nu1, nu2, nu2) S^T, or its partial
+    # transpose, whose nu_- may lie below 1
+    sym = (local_rotation(*phases[:2])
+           @ symplectic_squeezer(r, s1, s2, theta)
+           @ local_rotation(*phases[2:]))
+    sigma = sym @ np.diag([nu1, nu1, nu2, nu2]) @ sym.T
+    sigma = 0.5 * (sigma + sigma.T)
+    if transpose:
+        sigma = partial_transpose(sigma)
+    got = symplectic_eigenvalues(sigma)
+    want = symplectic_eigenvalues_eigvalsh(sigma)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    if not transpose:
+        assert np.all(np.abs(got - sorted((nu1, nu2))) <= 1e-13 * got)
+
+
+def test_symplectic_eigenvalues_scale_exactly():
+    # a power of four scales M, and a power of two its factor, without
+    # rounding: the spectrum scales by the same power, bit for bit, far
+    # beyond where the squares of K's entries would over- or underflow
+    states = partial_transpose(random_states(np.random.default_rng(5), 8))
+    nus = symplectic_eigenvalues(states)
+    for power in (-500, -200, -1, 1, 200, 500):
+        scaled = np.ldexp(states, 2 * power)
+        assert np.array_equal(symplectic_eigenvalues(scaled),
+                              np.ldexp(nus, 2 * power))
+        assert np.array_equal(symplectic_eigenvalues(scaled[3]),
+                              np.ldexp(nus[3], 2 * power))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_symplectic_eigenvalues_reject_non_finite(bad):
+    # the factorisation passes NaN and inf through; the pairing check
+    # fails on them, for one state and in a stack
+    m = np.eye(4)
+    m[1, 1] = bad
+    for states in (m, np.stack([np.eye(4), m])):
+        with pytest.raises(PhysicalityError, match="pairing failed"):
+            symplectic_eigenvalues(states)
 
 
 def test_fidelity_monotone_in_r():

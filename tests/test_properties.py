@@ -54,7 +54,11 @@ from bogoliubov_reference import (
     segment_transform,
     switch_reference,
 )
-from gaussian_reference import full_register_state, local_rotation
+from gaussian_reference import (
+    full_register_state,
+    local_rotation,
+    symplectic_eigenvalues_eigvalsh,
+)
 
 GEOM = DEFAULT_GEOMETRY
 THRUSTS = tuple(np.linspace(1e16, 2.9e17, 8))
@@ -102,6 +106,28 @@ def test_row_state_matches_full_register(traj, r, k, kp, clock):
     sigma = _trajectory_state(params, traj, clock)[0].sigma[0]
     want = full_register_state(params, traj, clock)
     assert np.max(np.abs(sigma - want)) <= 1e-12
+
+
+# the closed-form spectrum of the kernel's states against the n-mode
+# eigensolve: nu from a pass of each trajectory's own (one state, on
+# Python floats) and from one joined pass of them all (a stack, on
+# arrays).  kp >= 2, since f_sums' tail gate rejects kp = 1 at n_max 10
+@PROPERTY
+@given(st.lists(trajectories(st.one_of(coasts, burns)), min_size=1,
+                max_size=6),
+       squeezing, st.integers(2, GEOM.n_max // 2),
+       st.sampled_from(("lab", "comoving")))
+def test_kernel_spectrum_matches_eigvalsh(trajs, r, kp, clock):
+    params = ProtocolParams(r=r, kp=kp, geometry=GEOM)
+    joined = list(_reports(params, trajs, clock))
+    for traj, report in zip(trajs, joined):
+        state = _trajectory_state(params, traj, clock)[0]
+        sigma = partial_transpose(state.sigma)
+        want = symplectic_eigenvalues_eigvalsh(sigma)
+        assert np.all(np.abs(symplectic_eigenvalues(sigma) - want)
+                      <= 1e-13 * want)
+        for nu in (state.nu, report.nu):
+            assert abs(nu[0] - want[0, 0]) <= 1e-13 * want[0, 0]
 
 
 # one burn column against the full-register sandwich, point by point;

@@ -4,13 +4,19 @@ import hashlib
 import math
 import struct
 import weakref
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from cavtel.bogoliubov import BogoliubovPair, CavityGeometry
 from cavtel.errors import PhysicalityError, TruncationError
-from cavtel.gaussian import make_two_mode_squeezed, rotation, symplectic_form
+from cavtel.gaussian import (
+    make_two_mode_squeezed,
+    partial_transpose,
+    rotation,
+    symplectic_form,
+)
 from cavtel.protocol import (
     DEFAULT_GEOMETRY,
     SCREEN_ROWS,
@@ -18,6 +24,7 @@ from cavtel.protocol import (
     ProtocolParams,
     _certified,
     _state_kernel,
+    _trajectory_state,
     _violation,
     consistency_report,
     fidelity_corrected,
@@ -27,6 +34,7 @@ from cavtel.protocol import (
     perturbative_optimal,
 )
 from cavtel.trajectory import Accelerated, Inertial, PhasePair, Trajectory
+from gaussian_reference import smallest_symplectic_eigenvalue_decimal
 
 PARAMS = ProtocolParams()
 REST = Trajectory((Inertial(0.0),), DEFAULT_GEOMETRY)
@@ -519,10 +527,31 @@ def test_default_sweep_eigensolves_only_its_clamped_states(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     _, _, reports = sweep_rows(RunConfig(), jobs=1)
     clamped = sum(np.count_nonzero(rep.clamp) for rep in reports)
-    # one eigensolve per state for nu; the screen certifies every other
-    # state, 10,810 eigensolves in all against 20,000 without it
+    # nu takes no eigensolve, and the screen certifies every state but
+    # the clamped ones: 810 eigensolves, against 10,810 with nu from
+    # eigvalsh and 20,000 without the screen
     assert clamped == 810
-    assert sum(solved) == 10_000 + clamped
+    assert sum(solved) == clamped
+
+
+def test_default_grid_nu_is_within_8_ulps_of_decimal_reference():
+    # nu of 200 seeded states of the default grid, each from a pass of
+    # its own (the bits it has in the sweep), against the two-mode
+    # invariants at 40 digits
+    from cavtel.cli import RunConfig
+    taus, accs = RunConfig().grid()
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for i, j in zip(rng.integers(len(taus), size=200),
+                    rng.integers(len(accs), size=200)):
+        traj = Trajectory((Accelerated(accs[j], taus[i]),), DEFAULT_GEOMETRY)
+        state = _trajectory_state(PARAMS, traj, "lab")[0]
+        nu = float(state.nu[0])
+        want = smallest_symplectic_eigenvalue_decimal(
+            partial_transpose(state.sigma[0]))
+        worst = max(worst, float(abs(Decimal(nu) - want))
+                    / float(np.spacing(nu)))
+    assert worst <= 8.0
 
 
 def test_batches_free_their_columns_rows_before_each_pass(monkeypatch):
@@ -577,7 +606,7 @@ def test_burn_column_validates_its_grid():
 # ln 2.  The digest changes only when a report's bits do; a change that
 # means to move them re-records it here with the reason.
 REPORT_DIGEST = (
-    "344073e77d061f5da67e8d05e9692d0894dafe88cebb4808d64d673115520e41")
+    "26d67b7fcd1de50d652b7d84d7351725bb39ceff09f3af12664a88aba5429596")
 REPORT_THRUSTS = tuple(np.linspace(1e16, 2.9e17, 8))
 
 

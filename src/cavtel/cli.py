@@ -47,7 +47,7 @@ from .protocol import (
     FidelityReport,
     ProtocolParams,
     _kernel_outputs,
-    _log_clamps,
+    _log_clamped,
     _reports,
     consistency_report,
     perturbative_fidelity,
@@ -443,13 +443,14 @@ def sweep_rows(cfg, jobs=1):
     N = min(jobs, columns, usable CPUs) > 1, share i of the columns is
     i, i + N, i + 2N, ...: this process computes share 0 and N - 1
     forked workers the others (`_forked_shares`), so the columns whose
-    cost grows with a spread evenly.  No share logs its clamp records:
-    once all are in, this process logs them from the reports, in grid
-    order.  With N = 1, where os.fork does not exist, or when a share
-    fails, the whole grid runs in this process, which returns or raises
-    what jobs=1 gives, and logs the records that it logs; if a worker
-    was lost, or os.fork failed, a returned grid ends with one line on
-    stderr that says so.
+    cost grows with a spread evenly.  With N = 1, where os.fork does
+    not exist, or when a share fails, the whole grid runs in this
+    process, which returns or raises what jobs=1 gives; if a worker was
+    lost, or os.fork failed, a returned grid ends with one line on
+    stderr that says so.  No share logs its clamp records: this process
+    logs each column report's `clamp` as it takes the report, from the
+    shared block or from its own run, so each clamped state gives one
+    record, in grid order.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
@@ -457,24 +458,20 @@ def sweep_rows(cfg, jobs=1):
     taus, accs = cfg.grid()
     geom = params.geometry
 
-    def column_reports(items, log_clamps=True):
+    def column_reports(items):
         return _reports(params, (Trajectory((Accelerated(a, taus),), geom)
-                                 for a in items), cfg.alice_clock,
-                        log_clamps)
+                                 for a in items), cfg.alice_clock)
 
     items = accs.tolist()
     jobs = min(jobs, len(items), _usable_cpus())
-    lost = None
+    blocks = lost = None
     if jobs > 1 and hasattr(os, "fork"):
-        blocks, lost = _forked_shares(
-            lambda share: column_reports(share, log_clamps=False), items,
-            jobs, len(taus))
-        if blocks is not None:
-            reports = [FidelityReport(*block) for block in blocks]
-            for rep in reports:
-                _log_clamps(rep.clamp)
-            return taus, accs, reports
-    reports = list(column_reports(items))
+        blocks, lost = _forked_shares(column_reports, items, jobs, len(taus))
+    reports = []
+    for rep in (column_reports(items) if blocks is None
+                else (FidelityReport(*block) for block in blocks)):
+        _log_clamped(rep.clamp)
+        reports.append(rep)
     if lost is not None:
         print(f"warning: {lost}; the grid was recomputed in this process",
               file=sys.stderr)

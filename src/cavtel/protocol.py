@@ -25,8 +25,17 @@ column (one switch pair, one stacked transform), and every entry point
 returns (T,) arrays for it; a single trajectory is a column of length 1
 and gets floats back.  A sequence of trajectories (a sweep's columns)
 takes one kernel pass per batch of them (`_reports`); an entry point
-takes a pass of its own, and a batch in which anything raises runs
+takes a pass of its own, and a batch whose pass or reports raise runs
 again one trajectory at a time on that path.
+
+The kernel clamps a reduced state that truncation pushed slightly
+outside the physical cone, and its `violation` field holds every clamp.
+Only a call that publishes a report logs them (`_log_clamped`): each
+clamped state of that report once, in order, as one DEBUG record of
+this module's logger.  `consistency_report` and the fidelity entry
+points log their own; a sweep logs its columns' in grid order
+(`cli.sweep_rows`).  So a trajectory that raises after its states were
+clamped (the ordering check's ConsistencyError, say) logs nothing.
 """
 
 from __future__ import annotations
@@ -51,7 +60,6 @@ from .bogoliubov import (
 )
 from .errors import ConsistencyError, PhysicalityError, TruncationError
 from .gaussian import (
-    SQUEEZING_MAX,
     make_two_mode_squeezed,
     partial_transpose,
     rotation,
@@ -82,6 +90,11 @@ __all__ = [
 DEFAULT_GEOMETRY = CavityGeometry(L=0.012, c=1.2e8, n_max=10)
 
 ORDER_TOL = 1e-9
+# largest resource squeezing a report takes: rounding the resource's
+# entries moves nu by up to about u e^{4r} relative (u = 2^-53), and the
+# tests hold nu at rest within 4 u e^{4r} (1.2e-5 at r = 6) of e^{-2r}
+# up to here; at r = 8 it is 1% high and at r = 9.5 166%, with no error
+SQUEEZING_LIMIT = 6.0
 # rows of one state-kernel pass: `_reports` joins whole trajectories up
 # to this many, and a longer one is a pass of its own.  A pass has a
 # fixed cost of about 0.1 ms; at 1,024 rows it is spread thin, while
@@ -125,9 +138,9 @@ class ProtocolParams:
 
     def __post_init__(self):
         r = _real(self.r, "squeezing r")
-        if not 0 <= r <= SQUEEZING_MAX:
+        if not 0 <= r <= SQUEEZING_LIMIT:
             raise ValueError(f"squeezing r must be finite and lie in "
-                             f"0..{SQUEEZING_MAX:g}, got {r!r}")
+                             f"0..{SQUEEZING_LIMIT:g}, got {r!r}")
         object.__setattr__(self, "r", r)
         _require_index("Alice mode index k", self.k)
         _require_index("Rob mode index kp", self.kp)
@@ -167,12 +180,13 @@ def _clamp_log():
     return logging.getLogger(__name__)
 
 
-def _log_clamps(violation):
-    """One DEBUG record per clamped state, its shift as the argument."""
-    shifts = violation[violation > 0.0]
-    if shifts.size:
+def _log_clamped(violation):
+    """One DEBUG record per clamped state of a published report, in
+    order, its shift as the argument; an all-zero array costs one count
+    of its non-zero entries (about 0.5 us)."""
+    if np.count_nonzero(violation):
         log = _clamp_log()
-        for shift in shifts.tolist():
+        for shift in violation[violation > 0.0].tolist():
             log.debug("clamped reduced state by %.3e", shift)
 
 
@@ -251,7 +265,7 @@ def _violation(sigma, c):
     return violation
 
 
-def _state_kernel(params, pair, phases, log_clamps=True):
+def _state_kernel(params, pair, phases):
     """Reduced (Alice, Rob-kp) covariances and the numeric pipelines for
     Rob's rows, a stacked pair (T, 1, n) of row kp of each trajectory's
     transform with its row residual as the defect, and a PhasePair of
@@ -263,8 +277,8 @@ def _state_kernel(params, pair, phases, log_clamps=True):
     sigma_BB = S_k S_k^T + S_kk (B - I) S_kk^T, sigma_AB = R_A C S_kk^T.
     Truncation can push a reduced matrix slightly outside the physical
     cone; violations within ten times that row's residual are projected
-    back by a uniform noise floor (one DEBUG record per clamped state,
-    unless `log_clamps` is false), anything larger raises
+    back by a uniform noise floor, which the state's `violation` holds
+    and the caller that publishes it logs; anything larger raises
     PhysicalityError.  A raw or corrected fidelity above the optimal
     bound by more than the same slack raises ConsistencyError.
     """
@@ -300,8 +314,6 @@ def _state_kernel(params, pair, phases, log_clamps=True):
                 "input")
         clamped = np.flatnonzero(violation)
         sigma[clamped] += violation[clamped, None, None] * _I4
-        if log_clamps:
-            _log_clamps(violation)
 
     # one fidelity call for both states: at T = 1 call overhead dominates
     undo[:, :2, :2] = rot[1]
@@ -369,16 +381,14 @@ def _join(batch):
     return pair, phases
 
 
-def _batch_reports(params, batch, alice_clock, log_clamps):
+def _batch_reports(params, batch, alice_clock):
     """The reports of a batch's inputs, in order: from one kernel pass
-    over their joined rows (`_join`), with floating-point errors raised,
-    after the batch's clamp records; or, if anything in the batch
-    raises, a generator of them from a pass of each trajectory's own
-    (`_one_at_a_time`), which logs its own.  No record is logged if
-    `log_clamps` is false."""
+    over their joined rows (`_join`), with floating-point errors raised;
+    or, if the pass or a report raises, a generator of them from a pass
+    of each trajectory's own (`_one_at_a_time`).  Nothing is logged."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            state = _state_kernel(params, *_join(batch), log_clamps=False)
+            state = _state_kernel(params, *_join(batch))
         reports, stop = [], 0
         for item in batch:
             part = slice(stop, stop + len(item.phases.theta_rob))
@@ -389,23 +399,21 @@ def _batch_reports(params, batch, alice_clock, log_clamps):
             reports.append(_report(params, item.trajectory.burns, sliced))
     except Exception:
         return _one_at_a_time(params, [item.trajectory for item in batch],
-                              alice_clock, log_clamps)
-    if log_clamps:
-        _log_clamps(state.violation)
+                              alice_clock)
     return reports
 
 
-def _trajectory_state(params, trajectory, alice_clock, log_clamps=True):
+def _trajectory_state(params, trajectory, alice_clock):
     """The kernel's `_State` of a trajectory from a pass of its own, and
     whether it is a column; else it enters as a column of length 1."""
     item = _column_inputs(params, trajectory, alice_clock)
-    return (_state_kernel(params, item.pair, item.phases, log_clamps),
-            item.column)
+    return _state_kernel(params, item.pair, item.phases), item.column
 
 
 def _kernel_outputs(params, trajectory, alice_clock, *names):
     # a column's (T,) arrays, never a silent row 0 of them
     state, column = _trajectory_state(params, trajectory, alice_clock)
+    _log_clamped(state.violation)
     return tuple(getattr(state, name) if column
                  else float(getattr(state, name)[0]) for name in names)
 
@@ -527,47 +535,43 @@ def _report(params, burns, state):
         defect=state.defect, clamp=state.violation)
 
 
-def _one_at_a_time(params, trajectories, alice_clock, log_clamps):
+def _one_at_a_time(params, trajectories, alice_clock):
     """Yield the report of each trajectory in turn, each from a kernel
     pass of its own, as `consistency_report` computes it."""
     for trajectory in trajectories:
-        state = _trajectory_state(params, trajectory, alice_clock,
-                                  log_clamps)[0]
+        state = _trajectory_state(params, trajectory, alice_clock)[0]
         yield _report(params, trajectory.burns, state)
 
 
-def _reports(params, trajectories, alice_clock, log_clamps=True):
+def _reports(params, trajectories, alice_clock):
     """Yield the report of (T,) arrays of each trajectory in turn (T = 1
-    for a single one), logging each clamped state once, in order, unless
-    `log_clamps` is false.
+    for a single one); nothing is logged, since the caller publishes
+    them.
 
     Whole trajectories are gathered up to BATCH_ROWS rows (a longer one
     alone), and each batch takes one kernel pass (`_batch_reports`).  If
-    anything in a batch raises, a trajectory's inputs, the pass or a
-    report, the batch runs again one trajectory at a time
-    (`_one_at_a_time`).  So a failing trajectory raises, after the
-    reports of those before it, what it raises on its own.
+    the pass or a report raises, the batch runs again one trajectory at
+    a time (`_one_at_a_time`).  If a trajectory's inputs raise, the
+    batch gathered before it is reported like any other, and then the
+    inputs' exception is raised again.  So a failing trajectory raises,
+    after the reports of those before it, what it raises on its own.
     """
     batch, rows = [], 0
     for trajectory in trajectories:
         try:
             item = _column_inputs(params, trajectory, alice_clock)
         except Exception:
-            item = None
-        if item is None:
-            yield from _one_at_a_time(
-                params, [i.trajectory for i in batch] + [trajectory],
-                alice_clock, log_clamps)
-            batch, rows = [], 0
-            continue
+            if batch:
+                yield from _batch_reports(params, batch, alice_clock)
+            raise
         if batch and rows + item.pair.defect.size > BATCH_ROWS:
-            yield from _batch_reports(params, batch, alice_clock, log_clamps)
+            yield from _batch_reports(params, batch, alice_clock)
             batch, rows = [], 0
         batch.append(item)
         rows += item.pair.defect.size
         del item    # the batch alone holds it, so `_join` frees its rows
     if batch:
-        yield from _batch_reports(params, batch, alice_clock, log_clamps)
+        yield from _batch_reports(params, batch, alice_clock)
 
 
 def consistency_report(params, trajectory, alice_clock="lab"):
@@ -575,4 +579,5 @@ def consistency_report(params, trajectory, alice_clock="lab"):
     floats for a single trajectory, (T,) arrays for a column."""
     state, column = _trajectory_state(params, trajectory, alice_clock)
     report = _report(params, trajectory.burns, state)
+    _log_clamped(state.violation)
     return report if column else report.row(0)

@@ -304,14 +304,17 @@ def test_rob_mode_outside_interior_block_exits_3(tmp_path, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("r", ["355", "400"])
+@pytest.mark.parametrize("r", ["6.5", "9.5", "355", "400"])
 def test_squeezing_past_the_limit_is_usage_error(tmp_path, capsys, r):
-    # cosh 2r is inf at r = 400; at 355 the symmetrised resource overflows
+    # past r = 6 nu at rest drifts from e^{-2r} (166% high at 9.5, which
+    # exited 0); cosh 2r is inf at r = 400; at 355 the symmetrised
+    # resource overflows
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"r = {r}\n")
     code, out, err = run(["fidelity", "--config", str(cfg)], capsys)
     assert code == 2 and out == ""
-    assert f"squeezing r must be finite and lie in 0..354, got {r}.0" in err
+    assert f"squeezing r must be finite and lie in 0..6, got {float(r)!r}" \
+        in err
 
 
 # h = a L / c^2 at the default geometry: 8.3e-309 and 8.3e-319 from the
@@ -1077,6 +1080,37 @@ def test_sweep_clamp_records_match_serial(tmp_path, capsys, caplog,
     want = np.concatenate([rep.clamp for rep in reports])
     assert len(shifts) == 66
     assert shifts == want[want > 0.0].tolist()
+
+
+# a root handler on stderr, and two usable CPUs, so that --jobs 2 forks
+CLAMP_LOGGING_MAIN = (
+    "import logging, sys\n"
+    "logging.basicConfig(level=logging.DEBUG)\n"
+    "from cavtel import cli\n"
+    "cli._usable_cpus = lambda: 2\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+def test_sweep_clamp_records_across_a_real_fork(tmp_path):
+    # caplog cannot see a forked worker's records, which would go to the
+    # worker's own handler: a fresh process's stderr shows the records
+    # of every process.  Each clamped state of the 8 columns is logged
+    # once, as the CSV counts them
+    path = tmp_path / "eight.cfg"
+    path.write_text("a_steps = 8\n")
+    runs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", CLAMP_LOGGING_MAIN, "sweep", "--config",
+             str(path), "--jobs", jobs], env=checkout_env(),
+            stdin=subprocess.DEVNULL, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "# clamped_points = 66\n" in proc.stdout
+        runs.append([line for line in proc.stderr.splitlines()
+                     if "clamped reduced state" in line])
+    assert len(runs[0]) == 66
+    assert runs[1] == runs[0]
 
 
 def test_sweep_interrupt_kills_workers(small_cfg, capsys, monkeypatch,

@@ -423,10 +423,12 @@ def test_batched_columns_have_their_own_reports_bits(steps, accs, budget,
 
 def _run_share(results):
     """(the items of the iterable `results`, None), or, if it raises,
-    (the items before, its exception)."""
+    (the items before, its exception).  Each item's clamp records are
+    logged as it is taken, as `cli.sweep_rows` logs a column report's."""
     done = []
     try:
         for x in results:
+            protocol._log_clamped(x.clamp)
             done.append(x)
     except Exception as exc:
         return done, exc
@@ -457,46 +459,57 @@ class ClampRecords(logging.Handler):
         log.setLevel(self.level)
 
 
-# each column's inputs pass, fail, or give a state outside the physical
-# cone, which fails the kernel pass of its batch: at any budget the
-# results before the first failing column come back, and its exception,
-# as one column per pass gives them, with the same clamp records: each
-# clamped state is logged once, as the benchmark's clamp counter counts
-@PROPERTY
-@given(st.integers(1, 40),
-       st.lists(st.sampled_from(("ok", "inputs", "unphysical")), min_size=1,
-                max_size=len(THRUSTS)),
-       budgets, clocks)
-def test_batched_columns_fail_as_one_at_a_time(steps, kinds, budget, clock):
-    params = ProtocolParams(geometry=GEOM)
-    taus = np.linspace(0.0, 3.0 * GEOM.fundamental_period, steps)
-    accs = THRUSTS[:len(kinds)]
-    kind_of = dict(zip(accs, kinds))
-    real = protocol._column_inputs
+def test_batched_columns_fail_as_one_at_a_time():
+    # each column's inputs pass, fail, or give a state outside the
+    # physical cone, which fails the kernel pass of its batch: at any
+    # budget the results before the first failing column come back, and
+    # its exception, as one column per pass gives them, with the same
+    # clamp records, logged from the reports taken.  Some cases must
+    # have records, or the comparison of records shows nothing
+    records = []
 
-    def inputs(params, trajectory, alice_clock):
-        a = trajectory.burns[0].a
-        if kind_of[a] == "inputs":
-            raise ValueError(f"inputs of a = {a!r}")
-        item = real(params, trajectory, alice_clock)
-        if kind_of[a] == "unphysical":
-            # a lossy row: the reduced state breaks the uncertainty bound
-            pair = BogoliubovPair(0.9 * item.pair.alpha, item.pair.beta,
-                                  item.pair.defect)
-            item = item._replace(pair=pair)
-        return item
+    @PROPERTY
+    @given(st.integers(1, 40),
+           st.lists(st.sampled_from(("ok", "inputs", "unphysical")),
+                    min_size=1, max_size=len(THRUSTS)),
+           budgets, clocks)
+    def check(steps, kinds, budget, clock):
+        params = ProtocolParams(geometry=GEOM)
+        taus = np.linspace(0.0, 3.0 * GEOM.fundamental_period, steps)
+        accs = THRUSTS[:len(kinds)]
+        kind_of = dict(zip(accs, kinds))
+        real = protocol._column_inputs
 
-    def run(rows):
-        columns = (Trajectory((Accelerated(a, taus),), GEOM) for a in accs)
-        with mock.patch.object(protocol, "BATCH_ROWS", rows), \
-                mock.patch.object(protocol, "_column_inputs", inputs), \
-                ClampRecords() as clamps:
-            done, exc = _run_share(_reports(params, columns, clock))
-        return ([report_bits(rep) for rep in done],
-                None if exc is None else (type(exc), str(exc)),
-                clamps.shifts)
+        def inputs(params, trajectory, alice_clock):
+            a = trajectory.burns[0].a
+            if kind_of[a] == "inputs":
+                raise ValueError(f"inputs of a = {a!r}")
+            item = real(params, trajectory, alice_clock)
+            if kind_of[a] == "unphysical":
+                # a lossy row: the reduced state breaks the uncertainty
+                # bound
+                pair = BogoliubovPair(0.9 * item.pair.alpha, item.pair.beta,
+                                      item.pair.defect)
+                item = item._replace(pair=pair)
+            return item
 
-    got = run(budget or protocol.BATCH_ROWS)
-    assert got == run(1)
-    first = next((i for i, kind in enumerate(kinds) if kind != "ok"), None)
-    assert len(got[0]) == (len(kinds) if first is None else first)
+        def run(rows):
+            columns = (Trajectory((Accelerated(a, taus),), GEOM)
+                       for a in accs)
+            with mock.patch.object(protocol, "BATCH_ROWS", rows), \
+                    mock.patch.object(protocol, "_column_inputs", inputs), \
+                    ClampRecords() as clamps:
+                done, exc = _run_share(_reports(params, columns, clock))
+            return ([report_bits(rep) for rep in done],
+                    None if exc is None else (type(exc), str(exc)),
+                    clamps.shifts)
+
+        got = run(budget or protocol.BATCH_ROWS)
+        assert got == run(1)
+        first = next((i for i, kind in enumerate(kinds) if kind != "ok"),
+                     None)
+        assert len(got[0]) == (len(kinds) if first is None else first)
+        records.append(len(got[2]))
+
+    check()
+    assert any(records)

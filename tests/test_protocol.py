@@ -410,13 +410,102 @@ def test_column_with_one_unphysical_point_raises_like_that_point():
     assert np.allclose(state.f_corr, REST_F, atol=1e-12)
 
 
-def test_column_clamps_within_the_allowance(caplog):
-    # a loss of 1e-10 violates the bound by less than the 1e-9 floor
+def clamp_records(caplog, call):
+    """What call() returns, and the shifts of the clamp records it logs,
+    in order."""
+    caplog.clear()
     with caplog.at_level("DEBUG", logger="cavtel.protocol"):
-        state = _state_kernel(PARAMS, *kernel_column([1.0, 1.0 - 1e-10]))
+        result = call()
+    return result, [rec.args[0] for rec in caplog.records]
+
+
+def test_column_clamps_within_the_allowance(caplog, monkeypatch):
+    # a loss of 1e-10 violates the bound by less than the 1e-9 floor: the
+    # kernel clamps it without a record, and the report that publishes
+    # the state logs its one clamp
+    from cavtel import protocol
+    pair, phases = kernel_column([1.0, 1.0 - 1e-10])
+    state, records = clamp_records(
+        caplog, lambda: _state_kernel(PARAMS, pair, phases))
+    assert records == []
     assert state.violation[0] == 0.0
     assert 0.0 < state.violation[1] <= 1e-9
-    assert [rec.args[0] for rec in caplog.records] == [state.violation[1]]
+    monkeypatch.setattr(protocol, "_column_inputs", lambda *args:
+                        protocol._Inputs(pair, phases, True, REST))
+    _, records = clamp_records(caplog, lambda: consistency_report(PARAMS,
+                                                                  REST))
+    assert records == [state.violation[1]]
+
+
+def default_grid_trajectory(column):
+    """Column 50 of the default sweep grid (7 of its 100 states clamp),
+    or its point at tau index 26, which clamps."""
+    from cavtel.cli import RunConfig
+    taus, accs = RunConfig().grid()
+    return Trajectory((Accelerated(accs[50], taus if column
+                                   else float(taus[26])),), DEFAULT_GEOMETRY)
+
+
+@pytest.mark.parametrize("column", [True, False], ids=["column", "point"])
+def test_each_publisher_logs_its_clamps_once_in_order(caplog, column):
+    traj = default_grid_trajectory(column)
+    clamp = np.atleast_1d(consistency_report(PARAMS, traj).clamp)
+    want = clamp[clamp > 0.0].tolist()
+    assert len(want) == (7 if column else 1)
+    for publish in (consistency_report, fidelity_raw, fidelity_corrected,
+                    fidelity_optimal):
+        assert clamp_records(caplog, lambda: publish(PARAMS, traj))[1] == want
+
+
+def test_kernel_and_batches_log_nothing(caplog):
+    # only a call that publishes a report logs its clamps
+    from cavtel import protocol
+    traj = default_grid_trajectory(True)
+    item = protocol._column_inputs(PARAMS, traj, "lab")
+    state, records = clamp_records(
+        caplog, lambda: _state_kernel(PARAMS, item.pair, item.phases))
+    assert records == []
+    assert np.count_nonzero(state.violation) == 7
+    reports, records = clamp_records(
+        caplog, lambda: list(protocol._reports(PARAMS, [traj, traj], "lab")))
+    assert records == []
+    assert [np.count_nonzero(rep.clamp) for rep in reports] == [7, 7]
+
+
+@pytest.mark.parametrize("budget", [1, 250, 1024])
+@pytest.mark.parametrize("bad", [0, 2])
+def test_failing_inputs_are_computed_once(monkeypatch, budget, bad):
+    # the batch gathered before a column whose inputs raise is reported
+    # like any other, and then the very exception raised is raised
+    # again: no column's inputs are computed twice
+    from cavtel import protocol
+    real, calls = protocol._column_inputs, []
+    error = ValueError("inputs failed")
+
+    def inputs(params, trajectory, alice_clock):
+        calls.append(trajectory)
+        if len(calls) == bad + 1:
+            raise error
+        return real(params, trajectory, alice_clock)
+
+    monkeypatch.setattr(protocol, "_column_inputs", inputs)
+    monkeypatch.setattr(protocol, "BATCH_ROWS", budget)
+    taus = np.linspace(0.0, 3.0 * DEFAULT_GEOMETRY.fundamental_period, 100)
+    columns = [Trajectory((Accelerated(a, taus),), DEFAULT_GEOMETRY)
+               for a in (1e17, 1.5e17, 2e17, 2.5e17)]
+    done = []
+    with pytest.raises(ValueError) as info:
+        for rep in protocol._reports(PARAMS, columns, "lab"):
+            done.append(rep)
+    assert info.value is error
+    assert len(calls) == bad + 1
+    assert all(got is want for got, want in zip(calls, columns))
+    monkeypatch.undo()
+    assert len(done) == bad
+    for column, rep in zip(columns, done):
+        alone = consistency_report(PARAMS, column)
+        for name, value in vars(alone).items():
+            assert np.array_equal(getattr(rep, name), value, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

@@ -223,15 +223,6 @@ def _phases(rates, t):
     return np.exp(-1j * (rates * t[..., None]))
 
 
-def _natural_time(t_seconds, geometry):
-    """`geometry.natural_time` of a duration: a float stays a float (the
-    same operations, without a 0-d array), anything else becomes a float
-    array first."""
-    if not isinstance(t_seconds, float):
-        t_seconds = np.asarray(t_seconds, dtype=float)
-    return geometry.natural_time(t_seconds)
-
-
 def to_symplectic(pair):
     """Quadrature-space matrix of the pair (mode-major ordering).
 
@@ -404,9 +395,13 @@ def sudden_switch_oracle(h, geometry):
 
 def _inertial_phases(t_seconds, geometry):
     """A coast's phases exp(-i n pi t c / L) of modes 1..n_max, with a
-    trailing mode axis after the axes of the duration `t_seconds`."""
+    trailing mode axis after the axes of the duration `t_seconds`: a
+    float stays a float (`geometry.natural_time`'s operations, without a
+    0-d array), anything else becomes a float array first."""
+    if not isinstance(t_seconds, float):
+        t_seconds = np.asarray(t_seconds, dtype=float)
     return _phases(_truncation(geometry.n_max).omega,
-                   _natural_time(t_seconds, geometry))
+                   geometry.natural_time(t_seconds))
 
 
 # ---------------------------------------------------------------------------

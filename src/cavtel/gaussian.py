@@ -103,7 +103,7 @@ def partial_transpose(sigma):
 
 
 def _check_symmetric(m):
-    if not (m != m.swapaxes(-1, -2)).any():
+    if not np.count_nonzero(m != m.swapaxes(-1, -2)):
         return
     scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
     dev = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
@@ -242,7 +242,7 @@ def teleport_fidelity(sigma, check=True):
     # the products with Z = diag(1, -1) are exact sign flips
     n = a * _ZZ + b - _Z_ROWS * c - c.swapaxes(-1, -2) * _Z_COLS
     det = np.linalg.det(_TWO_I2 + n)
-    if (det <= 0).any():
+    if np.count_nonzero(det <= 0):
         raise PhysicalityError(
             f"non-positive overlap determinant {det.min():.3e}")
     fidelity = 2.0 / np.sqrt(det)

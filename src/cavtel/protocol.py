@@ -41,6 +41,7 @@ clamped (the ordering check's ConsistencyError, say) logs nothing.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -102,9 +103,13 @@ SQUEEZING_LIMIT = 6.0
 # Performance section has the measured table)
 BATCH_ROWS = 1024
 # a kernel pass of at least this many states screens them for
-# physicality before any eigensolve (`_violation`): below it the screen's
-# fixed cost, with the eigensolve of the states it leaves, exceeds what
-# it saves (the README's Performance section has the crossover table)
+# physicality on numpy columns before any eigensolve (`_violation`):
+# below it the screen's fixed cost, with the eigensolve of the states it
+# leaves, exceeds what it saves (the README's Performance section has
+# the crossover table).  A pass of one state, as every single report
+# takes, is screened on Python floats instead, at about a quarter of an
+# eigensolve's cost; passes of 2 to SCREEN_ROWS - 1 states go straight
+# to eigvalsh
 SCREEN_ROWS = 32
 # the screen's shift, relative to a state's largest entry; `_certified`
 # derives why a state it certifies has a positive LAPACK lambda_min
@@ -174,8 +179,8 @@ class _State(namedtuple("_State", "sigma defect violation phases f_raw "
 
 @lru_cache(maxsize=1)
 def _clamp_log():
-    """The logger of the clamp records, looked up at the first clamp, so
-    that a run without one never imports logging."""
+    """The logger of the clamp records, looked up at the first clamp
+    that `_log_clamped` logs, in a process that imported logging."""
     import logging
     return logging.getLogger(__name__)
 
@@ -183,18 +188,30 @@ def _clamp_log():
 def _log_clamped(violation):
     """One DEBUG record per clamped state of a published report, in
     order, its shift as the argument; an all-zero array costs one count
-    of its non-zero entries (about 0.5 us)."""
-    if np.count_nonzero(violation):
+    of its non-zero entries (about 0.5 us).
+
+    A process that has not imported logging has set no handler and no
+    level, so a record would go nowhere: then nothing is logged, and
+    logging is not imported (about 3 ms and 0.5 MB, which every
+    default sweep paid at its first clamped state)."""
+    if "logging" in sys.modules and np.count_nonzero(violation):
         log = _clamp_log()
         for shift in violation[violation > 0.0].tolist():
             log.debug("clamped reduced state by %.3e", shift)
 
 
-def _certified(sigma, c):
-    """Which states of a stack (T, 4, 4) of symmetric matrices whose
-    Alice block is c I (c = cosh 2r as `_resource` stores it) the screen
-    certifies: sigma + i Omega - delta I is positive definite, with
-    delta = SCREEN_KAPPA m and m = max |sigma_ij| >= c of that state.
+def _certified(c, m, s):
+    """Whether the screen certifies a symmetric state sigma whose Alice
+    block is c I (c = cosh 2r as `_resource` stores it): that
+    sigma + i Omega - delta I is positive definite, with
+    delta = SCREEN_KAPPA m and m = max |sigma_ij| >= c.
+
+    `s` holds sigma's 16 entries in row-major order: Python floats for
+    one state, or (T,) columns of a stack, which then gives (T,)
+    answers.  The same +, -, * and / give the same bits on either, so a
+    state gets one answer either way.  On floats, a1 = 0 exactly divides
+    by zero, which on columns gives an inf that fails a1 > 0: the caller
+    of one state reads the ZeroDivisionError as a failed screen.
 
     With J = [[0, 1], [-1, 0]], a = c - delta and d = a^2 - 1, the Alice
     block of sigma + i Omega - delta I is a I + i J, whose inverse is
@@ -230,39 +247,54 @@ def _certified(sigma, c):
     one (m is inf or NaN); below it no positive term of det S overflows
     (p11, p22 <= m when positive), so an overflow makes P or det S -inf
     or NaN and fails its comparison, and underflow errs far below u m.
-    Floating-point errors are ignored here: the screen raises none under
-    a caller's `np.errstate(raise)`.
+    The caller of one state passes m = NaN when any of its 16 entries is
+    NaN (Python's max may skip one), and the caller of a stack ignores
+    floating-point errors, so that the screen raises none under its own
+    caller's `np.errstate(raise)`.
     """
-    with np.errstate(all="ignore"):
-        m = np.abs(sigma.reshape(-1, 16)).max(axis=1)
-        delta = SCREEN_KAPPA * m
-        a1 = (c - 1.0) - delta
-        inv_d = 1.0 / (a1 * (a1 + 2.0))
-        w = (a1 + 1.0) * inv_d
-        x11, x12 = sigma[:, 0, 2], sigma[:, 0, 3]
-        x21, x22 = sigma[:, 1, 2], sigma[:, 1, 3]
-        p11 = (sigma[:, 2, 2] - delta) - w * (x11 * x11 + x21 * x21)
-        p22 = (sigma[:, 3, 3] - delta) - w * (x12 * x12 + x22 * x22)
-        p12 = sigma[:, 2, 3] - w * (x11 * x12 + x21 * x22)
-        q = 1.0 + (x11 * x22 - x12 * x21) * inv_d
-        return ((m < 1e100) & (a1 > 0.0) & (p11 > 0.0)
-                & (p11 * p22 - p12 * p12 - q * q > 0.0))
+    delta = SCREEN_KAPPA * m
+    a1 = (c - 1.0) - delta
+    inv_d = 1.0 / (a1 * (a1 + 2.0))
+    w = (a1 + 1.0) * inv_d
+    x11, x12, x21, x22 = s[2], s[3], s[6], s[7]
+    b11, b12, b22 = s[10], s[11], s[15]
+    p11 = (b11 - delta) - w * (x11 * x11 + x21 * x21)
+    p22 = (b22 - delta) - w * (x12 * x12 + x22 * x22)
+    p12 = b12 - w * (x11 * x12 + x21 * x22)
+    q = 1.0 + (x11 * x22 - x12 * x21) * inv_d
+    return ((m < 1e100) & (a1 > 0.0) & (p11 > 0.0)
+            & (p11 * p22 - p12 * p12 - q * q > 0.0))
 
 
 def _violation(sigma, c):
     """Each state's distance outside the physical cone,
     max(0, -lambda_min(sigma + i Omega)) from eigvalsh, for a stack
-    (T, 4, 4) whose Alice block is c I.  A stack of SCREEN_ROWS or more
-    first drops the states `_certified` proves inside, whose value is
-    0.0 either way; the others take the same eigensolve, with its bits."""
-    if len(sigma) < SCREEN_ROWS:
-        return np.maximum(0.0, -np.linalg.eigvalsh(sigma + _I_OMEGA2)[:, 0])
-    violation = np.zeros(len(sigma))
-    rest = np.flatnonzero(~_certified(sigma, c))
-    if rest.size:
-        lam = np.linalg.eigvalsh(sigma[rest] + _I_OMEGA2)[:, 0]
-        violation[rest] = np.maximum(0.0, -lam)
-    return violation
+    (T, 4, 4) whose Alice block is c I.  A single state, and a stack of
+    SCREEN_ROWS or more, first drops the states `_certified` proves
+    inside, whose value is 0.0 either way; the others take the same
+    eigensolve, with its bits.  A single state is screened on Python
+    floats, free of numpy's cost per call."""
+    if len(sigma) == 1:
+        flat = sigma.reshape(16).tolist()
+        m = max(map(abs, flat))
+        if math.isnan(sum(flat)):   # which max may have passed over
+            m = math.nan
+        try:
+            if _certified(float(c), m, flat):
+                return np.zeros(1)
+        except ZeroDivisionError:
+            pass
+    elif len(sigma) >= SCREEN_ROWS:
+        flat = sigma.reshape(-1, 16)
+        with np.errstate(all="ignore"):
+            certified = _certified(c, np.abs(flat).max(axis=1), flat.T)
+        violation = np.zeros(len(sigma))
+        rest = np.flatnonzero(~certified)
+        if rest.size:
+            lam = np.linalg.eigvalsh(sigma[rest] + _I_OMEGA2)[:, 0]
+            violation[rest] = np.maximum(0.0, -lam)
+        return violation
+    return np.maximum(0.0, -np.linalg.eigvalsh(sigma + _I_OMEGA2)[:, 0])
 
 
 def _state_kernel(params, pair, phases):
@@ -302,7 +334,9 @@ def _state_kernel(params, pair, phases):
 
     violation = _violation(sigma, alice[0, 0])
     margin = 10.0 * pair.defect
-    if violation.any():
+    # np.count_nonzero, not .any(), on the path every report takes: about
+    # 0.8 us less per call on a single report's (1,) arrays
+    if np.count_nonzero(violation):
         allowance = np.maximum(gaussian.PHYSICALITY_TOL, margin)
         over = violation > allowance
         if over.any():
@@ -324,8 +358,10 @@ def _state_kernel(params, pair, phases):
 
     f_opt = 1.0 / (1.0 + nu)
     limit = f_opt + (ORDER_TOL + margin)
-    bad = (f_raw > limit) | (f_corr > limit)
-    if bad.any():
+    # fmax skips a NaN that maximum would keep: one comparison, true
+    # where either fidelity is above the limit, as two would be
+    bad = np.fmax(f_raw, f_corr) > limit
+    if np.count_nonzero(bad):
         i = bad.argmax()
         raise ConsistencyError(
             f"fidelity ordering violated: raw {f_raw[i]:.12f}, corrected "
@@ -505,7 +541,7 @@ class FidelityReport:
 
     def row(self, i):
         """The report of trajectory i of a column."""
-        return FidelityReport(**{name: float(value[i])
+        return FidelityReport(**{name: value.item(i)
                                  for name, value in vars(self).items()})
 
 
@@ -516,9 +552,10 @@ def _report(params, burns, state):
     geom = params.geometry
     phi = state.phases.phi
     if len(burns) > 1:
-        # one NaN array per field, so a write to one leaves the other NaN
+        # one NaN array per field, so a write to one leaves the others NaN
         h = math.nan
-        f_pert, f_pert_opt = np.full(phi.shape, h), np.full(phi.shape, h)
+        f_pert = np.full(phi.shape, h)
+        f_pert_opt, h_column = f_pert.copy(), f_pert.copy()
     else:
         if burns:
             h = h_parameter(burns[0].a, geom.L, geom.c)
@@ -527,10 +564,11 @@ def _report(params, burns, state):
             h, fa, fb = 0.0, np.zeros(phi.shape), np.zeros(phi.shape)
         f_pert = perturbative_fidelity(params.r, phi, fa, fb, h)
         f_pert_opt = perturbative_optimal(params.r, fa, fb, h)
+        h_column = np.full(phi.shape, h)
     return FidelityReport(
         F_raw=state.f_raw, F_corrected=state.f_corr,
         F_opt_numeric=state.f_opt, F_pert=f_pert,
-        F_pert_opt=f_pert_opt, nu=state.nu, phi=phi, h=np.full(phi.shape, h),
+        F_pert_opt=f_pert_opt, nu=state.nu, phi=phi, h=h_column,
         residual_pert=np.abs(state.f_corr - f_pert_opt),
         defect=state.defect, clamp=state.violation)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from functools import lru_cache
 
 import numpy as np
 
@@ -71,25 +70,41 @@ class FactorMemo:
 _RULES = FactorMemo(RULE_BUDGET)
 
 
-@lru_cache(maxsize=1)
-def _gauss_legendre():
-    """The GAUSS_ORDER-point rule on [-1, 1], read-only; built at the
-    first panel rule, so that a process that integrates nothing never
-    imports numpy.polynomial."""
-    from numpy.polynomial.legendre import leggauss
-    x0, w0 = leggauss(GAUSS_ORDER)
-    x0.flags.writeable = False
-    w0.flags.writeable = False
-    return x0, w0
+def _read_only(hex_values):
+    """A read-only float array of exact `float.hex` literals."""
+    values = np.array([float.fromhex(v) for v in hex_values])
+    values.flags.writeable = False
+    return values
+
+
+# the GAUSS_ORDER-point Gauss-Legendre rule on [-1, 1], nodes ascending:
+# the bits of numpy.polynomial.legendre.leggauss(16), written out so that
+# a run never imports numpy.polynomial (tests/test_bogoliubov.py checks
+# them against it)
+_NODES = _read_only((
+    "-0x1.fa92c264d787ep-1", "-0x1.e39f56616f9b0p-1", "-0x1.bb3403514e483p-1",
+    "-0x1.82c45dda4726bp-1", "-0x1.3c5a466d5e8b8p-1", "-0x1.d50259a43a772p-2",
+    "-0x1.205cae642337cp-2", "-0x1.852bd6676a9f9p-4", "0x1.852bd6676a9f9p-4",
+    "0x1.205cae642337cp-2", "0x1.d50259a43a772p-2", "0x1.3c5a466d5e8b8p-1",
+    "0x1.82c45dda4726bp-1", "0x1.bb3403514e483p-1", "0x1.e39f56616f9b0p-1",
+    "0x1.fa92c264d787ep-1",
+))
+_WEIGHTS = _read_only((
+    "0x1.bcddab4b7c228p-6", "0x1.fdfb1a2c1261ep-5", "0x1.85c4ee79cc24bp-4",
+    "0x1.fe7af2bad3878p-4", "0x1.325f61bca3cbep-3", "0x1.5a6ebbb5a7600p-3",
+    "0x1.75f8c77e0c011p-3", "0x1.83feae80e4e01p-3", "0x1.83feae80e4e01p-3",
+    "0x1.75f8c77e0c011p-3", "0x1.5a6ebbb5a7600p-3", "0x1.325f61bca3cbep-3",
+    "0x1.fe7af2bad3878p-4", "0x1.85c4ee79cc24bp-4", "0x1.fdfb1a2c1261ep-5",
+    "0x1.bcddab4b7c228p-6",
+))
 
 
 def _build_rule(a, b, n_panels):
-    x0, w0 = _gauss_legendre()
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (b - a) / n_panels
     mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half * x0[None, :]).ravel()
-    weights = np.tile(half * w0, n_panels)
+    nodes = (mid[:, None] + half * _NODES[None, :]).ravel()
+    weights = np.tile(half * _WEIGHTS, n_panels)
     return np.stack([nodes, weights])
 
 

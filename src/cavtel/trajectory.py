@@ -34,11 +34,10 @@ from .bogoliubov import (
     REGIME_H_SQUARED,
     BogoliubovPair,
     CavityGeometry,
-    _inertial_phases,
-    _natural_time,
     _oracle_cached,
     _phases,
     _real,
+    _truncation,
 )
 from .errors import TrajectoryParseError
 
@@ -350,17 +349,23 @@ def rob_row(trajectory, kp):
     """
     geom = trajectory.geometry
     k = kp - 1
+    # read once per trajectory; each segment's values are formed by the
+    # operations, in the order, of `_inertial_phases` (a coast's phases),
+    # `h_parameter` (h = a L / c^2, without its regime warning: the switch
+    # chart is exact on (0, 2), only the second-order model is not) and
+    # `geometry.natural_time` (a burn's wedge time h tau c / L), so they
+    # keep their bits
+    L, c, c2 = geom.L, geom.c, geom.c ** 2
+    omega = _truncation(geom.n_max).omega
     # (a, b^*) of one trajectory: a phase vector d scales both rows
     rows = np.zeros((2, geom.n_max), dtype=complex)
     rows[0, k] = 1.0
     burned = False
     for seg in reversed(trajectory.segments):
         if isinstance(seg, Inertial):
-            rows = rows * _inertial_phases(seg.duration, geom)
+            rows = rows * _phases(omega, seg.duration * c / L)
             continue
-        # h_parameter's arithmetic without its regime warning: the switch
-        # chart is exact on (0, 2), only the second-order model is not
-        h = seg.a * geom.L / geom.c ** 2
+        h = seg.a * L / c2
         switch = _oracle_cached(float(h), geom.n_max)
         if burned:
             rows = _rows_then(rows, switch.inverse_ab)
@@ -369,8 +374,8 @@ def rob_row(trajectory, kp):
             rows = rows[0, k] * switch.inverse_ab[:, k]
             np.conjugate(rows[1], out=rows[1])
             burned = True
-        # wedge phases at wedge time eta = h tau c / L, (T, n) on a column
-        d = _phases(switch.rates, h * _natural_time(seg.tau, geom))
+        # wedge phases, (T, n) on a column
+        d = _phases(switch.rates, h * (seg.tau * c / L))
         if d.ndim > 1:
             # row t's phases scale its a, and its b^* in the reversed half
             half = len(rows) // 2

@@ -52,6 +52,7 @@ from cavtel.bogoliubov import (
     _oracle_cached,
     _oracle_pair,
     _Switch,
+    _truncation,
     identity_residuals,
     sudden_switch_oracle,
     sudden_switch_perturbative,
@@ -148,6 +149,13 @@ def coast_phases_reference(t_seconds, geometry):
     t = geometry.natural_time(np.asarray(t_seconds, dtype=float))
     rates = -1j * np.arange(1, geometry.n_max + 1) * np.pi
     return np.exp(rates * t[..., None])
+
+
+def truncation_reference(n_max):
+    """The truncation's `_Truncation`, its inertial rates n pi of modes
+    1..n_max formed on the call; its other fields are the cached ones."""
+    return _truncation(n_max)._replace(
+        omega=np.arange(1, n_max + 1) * np.pi)
 
 
 def segment_matrices_reference(tau_seconds, h, geometry):

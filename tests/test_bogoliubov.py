@@ -485,6 +485,17 @@ def test_quadrature_memos_are_read_only_and_bounded():
         assert np.array_equal(weights, np.tile(half * w0, n))
 
 
+def test_gauss_legendre_literals_are_leggauss_bits():
+    # the rule is stored as literals, so that no run imports
+    # numpy.polynomial; they must be its bits
+    from numpy.polynomial.legendre import leggauss
+    x0, w0 = leggauss(quadrature.GAUSS_ORDER)
+    assert quadrature._NODES.tobytes() == x0.tobytes()
+    assert quadrature._WEIGHTS.tobytes() == w0.tobytes()
+    assert not quadrature._NODES.flags.writeable
+    assert not quadrature._WEIGHTS.flags.writeable
+
+
 def test_oracle_parity_between_wedges():
     # the mirrored wedge is the reference's own integrand
     plus = sudden_switch_oracle(0.1, GEOM)

@@ -1362,22 +1362,39 @@ def test_parser_is_built_once_and_dispatches_by_name(monkeypatch, capsys):
     assert cli._parser() is parser
 
 
-# a report at rest clamps nothing and integrates nothing, so it needs
-# neither the clamp's logger nor the quadrature's Gauss-Legendre rule
-REST_IMPORTS = """\
+# a report at rest clamps nothing and integrates nothing; a sweep does
+# both, but its Gauss-Legendre rule is stored as literals and a process
+# that never imported logging has nowhere to send a clamp record, so
+# neither imports logging or numpy.polynomial
+RUN_IMPORTS = """\
 import sys
 from cavtel.cli import main
-code = main(["fidelity"])
+code = main(sys.argv[1:])
 print(sorted(m for m in ("logging", "numpy.polynomial") if m in sys.modules))
 sys.exit(code)
 """
 
 
 def test_fidelity_at_rest_imports_only_what_runs():
-    proc = subprocess.run([sys.executable, "-c", REST_IMPORTS],
+    proc = subprocess.run([sys.executable, "-c", RUN_IMPORTS, "fidelity"],
                           capture_output=True, text=True, timeout=120,
                           env=checkout_env())
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_with_an_oracle_imports_only_what_runs(tmp_path, jobs):
+    # the 8-column default grid: 8 oracle integrations and 66 clamped
+    # states, in one process or with a forked worker
+    path = tmp_path / "eight.cfg"
+    path.write_text("a_steps = 8\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_IMPORTS, "sweep", "--config", str(path),
+         "--jobs", jobs], env=checkout_env(), stdin=subprocess.DEVNULL,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "# clamped_points = 66\n" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[]"
 
 

@@ -53,6 +53,7 @@ from bogoliubov_reference import (
     row_residual,
     segment_transform,
     switch_reference,
+    truncation_reference,
 )
 from gaussian_reference import (
     full_register_state,
@@ -343,8 +344,8 @@ def test_column_transform_has_the_per_burn_chain_bits(traj):
 def test_report_bits_do_not_depend_on_warm_caches(traj, kp, clock):
     params = ProtocolParams(kp=kp, geometry=GEOM)
     with mock.patch("cavtel.trajectory._oracle_cached", switch_reference), \
-            mock.patch("cavtel.trajectory._inertial_phases",
-                       coast_phases_reference), \
+            mock.patch("cavtel.trajectory._truncation",
+                       truncation_reference), \
             mock.patch("cavtel.bogoliubov._inertial_phases",
                        coast_phases_reference):
         uncached = pickle.dumps(consistency_report(params, traj, clock))

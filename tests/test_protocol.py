@@ -1,16 +1,19 @@
 """End-to-end teleportation pipelines and their cross-checks."""
 
+import collections
 import hashlib
 import math
 import struct
+import warnings
 import weakref
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from cavtel.bogoliubov import BogoliubovPair, CavityGeometry
-from cavtel.errors import PhysicalityError, TruncationError
+from cavtel.errors import ConsistencyError, PhysicalityError, TruncationError
 from cavtel.gaussian import (
     make_two_mode_squeezed,
     partial_transpose,
@@ -19,10 +22,10 @@ from cavtel.gaussian import (
 )
 from cavtel.protocol import (
     DEFAULT_GEOMETRY,
+    SCREEN_KAPPA,
     SCREEN_ROWS,
     FidelityReport,
     ProtocolParams,
-    _certified,
     _state_kernel,
     _trajectory_state,
     _violation,
@@ -410,6 +413,38 @@ def test_column_with_one_unphysical_point_raises_like_that_point():
     assert np.allclose(state.f_corr, REST_F, atol=1e-12)
 
 
+@pytest.mark.parametrize("raw,corrected,message", [
+    ({1: 2.0}, {}, "raw 2.000000000000"),
+    ({}, {2: 3.0}, "corrected 3.000000000000"),
+    ({2: 2.0}, {1: 3.0}, "corrected 3.000000000000"),
+    ({1: math.nan}, {1: 2.0}, "raw nan, corrected 2.000000000000"),
+    ({1: 2.0, 2: math.nan}, {1: math.nan, 2: 3.0}, "raw 2.000000000000"),
+    ({1: math.nan}, {2: math.nan}, None),
+])
+def test_ordering_check_names_the_first_row_past_the_bound(
+        monkeypatch, raw, corrected, message):
+    # a raw or corrected fidelity above the optimal bound by more than the
+    # slack raises, naming the first such row, whether or not the other
+    # fidelity of that row is NaN; a NaN alone passes
+    from cavtel import protocol
+    real = protocol.teleport_fidelity
+
+    def lifted(states, check):
+        fidelities = real(states, check=check)
+        for rows, f in zip((raw, corrected), fidelities):
+            for i, value in rows.items():
+                f[i] = value
+        return fidelities
+
+    monkeypatch.setattr(protocol, "teleport_fidelity", lifted)
+    column = kernel_column([1.0] * 4)
+    if message is None:
+        _state_kernel(PARAMS, *column)
+        return
+    with pytest.raises(ConsistencyError, match=message):
+        _state_kernel(PARAMS, *column)
+
+
 def clamp_records(caplog, call):
     """What call() returns, and the shifts of the clamp records it logs,
     in order."""
@@ -543,22 +578,105 @@ def cone_stack(r, rng, per_shift=8):
     return np.array(states), np.array(shifts)
 
 
+def screened(sigma, c):
+    """The screen's verdict on each state of a stack as `_violation`
+    asks it: on columns for a stack of SCREEN_ROWS or more, on Python
+    floats for a single state (False where its arithmetic divides by
+    zero).  A state that fails the screen takes the eigensolve, whose
+    LinAlgError on a non-finite state is ignored here."""
+    from cavtel import protocol
+    verdicts = []
+    real = protocol._certified
+
+    def spy(*args):
+        verdicts.append(False)      # stands if the arithmetic raises
+        verdicts[-1] = real(*args)
+        return verdicts[-1]
+
+    with mock.patch.object(protocol, "_certified", spy):
+        try:
+            _violation(sigma, c)
+        except np.linalg.LinAlgError:
+            pass
+    assert len(verdicts) == 1
+    return np.array(verdicts[0], dtype=bool).reshape(len(sigma))
+
+
+def eigensolve_violation(sigma):
+    return np.maximum(0.0, -np.linalg.eigvalsh(sigma + I_OMEGA)[:, 0])
+
+
 @pytest.mark.parametrize("r", [1e-6, 1e-3, 0.5, math.log(2.0), 3.0, 8.0])
 def test_screened_violation_has_the_eigensolve_bits(r):
     sigma, shifts = cone_stack(r, np.random.default_rng(int(r * 1e6)))
     c = make_two_mode_squeezed(r)[0, 0]
     assert len(sigma) >= SCREEN_ROWS
-    want = np.maximum(0.0, -np.linalg.eigvalsh(sigma + I_OMEGA)[:, 0])
+    want = eigensolve_violation(sigma)
     with np.errstate(all="raise"):
         got = _violation(sigma, c)
+        certified = screened(sigma, c)
     assert got.tobytes() == want.tobytes()
-    certified = _certified(sigma, c)
     assert not certified[shifts < 0].any()
     if r >= 0.5:
         # the screen is not vacuous: states well inside pass it (at small
         # r one of the pure state's two null vectors barely meets Rob's
         # block, so a shift there lifts it by about r^2 of itself only)
         assert certified[shifts >= 1e-8].all()
+
+
+@pytest.mark.parametrize("r", [1e-6, 1e-3, 0.5, math.log(2.0), 3.0, 8.0])
+def test_one_state_screen_agrees_with_the_stack_screen(r):
+    # a single state is screened on Python floats: each state gets the
+    # stack's verdict, its violation has the eigensolve's bits, and a
+    # certified state's eigensolve clamp is exactly 0.0
+    sigma, _ = cone_stack(r, np.random.default_rng(int(r * 1e6) + 1))
+    c = make_two_mode_squeezed(r)[0, 0]
+    stack = screened(sigma, c)
+    want = eigensolve_violation(sigma)
+    assert 0 < stack.sum() < len(sigma) or r < 0.5
+    for i, one in enumerate(sigma[:, None]):
+        with np.errstate(all="raise"):
+            assert screened(one, c)[0] == stack[i]
+            assert _violation(one, c).tobytes() == want[i:i + 1].tobytes()
+    assert want[stack].tobytes() == np.zeros(stack.sum()).tobytes()
+
+
+def test_one_state_screen_fails_non_finite_entries():
+    # a NaN or an inf in any of the 16 entries, read by the screen or not
+    # (the Alice block, the lower triangle), leaves a certified state
+    # unscreened: it takes the eigensolve, as it did before the screen
+    r = 0.5
+    sigma, shifts = cone_stack(r, np.random.default_rng(9), per_shift=1)
+    c = make_two_mode_squeezed(r)[0, 0]
+    state = sigma[shifts == 1e-6]
+    assert screened(state, c).all()
+    for bad in (math.nan, math.inf, -math.inf):
+        for entry in range(16):
+            one = state.copy()
+            one.reshape(16)[entry] = bad
+            assert not screened(one, c).any()
+            try:
+                want = eigensolve_violation(one).tobytes()
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    _violation(one, c)
+            else:
+                assert _violation(one, c).tobytes() == want
+
+
+def test_one_state_screen_reads_a_zero_divisor_as_failed():
+    # a1 = (c - 1) - delta is exactly 0 for c = 1 + SCREEN_KAPPA m with
+    # m = 2^38 (both sums exact): floats divide by zero, where a
+    # stack's column gets an inf that fails a1 > 0
+    m = 2.0 ** 38
+    c = 1.0 + SCREEN_KAPPA * m
+    assert (c - 1.0) - SCREEN_KAPPA * m == 0.0
+    state = np.diag([c, c, m, m])[None]
+    assert not screened(state, c).any()
+    with np.errstate(all="raise"):
+        assert _violation(state, c).tobytes() \
+            == eigensolve_violation(state).tobytes()
+    assert not screened(np.repeat(state, SCREEN_ROWS, axis=0), c).any()
 
 
 def test_screen_fails_non_finite_and_huge_states_quietly():
@@ -573,16 +691,18 @@ def test_screen_fails_non_finite_and_huge_states_quietly():
     sigma[9, 2:, :2] *= 1e160
     sigma[11, 2:, 2:] += 1e110 * np.eye(2)     # physical, but not screened
     with np.errstate(all="raise"):
-        certified = _certified(sigma, c)
+        certified = screened(sigma, c)
     assert not certified[[3, 5, 7, 9, 11]].any()
     assert certified.any()
     # entries of 1e100 and more are never screened: past about 1e154 a
     # product in det S could overflow to +inf and pass
     huge, _ = cone_stack(120.0, np.random.default_rng(8), per_shift=2)
     c_huge = make_two_mode_squeezed(120.0)[0, 0]
-    assert not _certified(huge, c_huge).any()
-    want = np.maximum(0.0, -np.linalg.eigvalsh(huge + I_OMEGA)[:, 0])
+    assert not screened(huge, c_huge).any()
+    want = eigensolve_violation(huge)
     assert _violation(huge, c_huge).tobytes() == want.tobytes()
+    for i in range(len(huge)):
+        assert not screened(huge[i:i + 1], c_huge).any()
     # a non-finite state reaches LAPACK, which fails as without the screen
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.eigvalsh(sigma + I_OMEGA)
@@ -591,17 +711,20 @@ def test_screen_fails_non_finite_and_huge_states_quietly():
 
 
 def test_short_stack_skips_the_screen(monkeypatch):
+    # stacks of 2 to SCREEN_ROWS - 1 states go straight to the eigensolve
+    # (a single state is screened on floats, tested above)
     from cavtel import protocol
 
-    def unexpected(sigma, c):
+    def unexpected(*args):
         raise AssertionError("screened a short stack")
 
     monkeypatch.setattr(protocol, "_certified", unexpected)
     sigma, _ = cone_stack(0.5, np.random.default_rng(3), per_shift=2)
     c = make_two_mode_squeezed(0.5)[0, 0]
-    want = np.maximum(0.0, -np.linalg.eigvalsh(sigma + I_OMEGA)[:, 0])
-    got = _violation(sigma[:SCREEN_ROWS - 1], c)
-    assert got.tobytes() == want[:SCREEN_ROWS - 1].tobytes()
+    want = eigensolve_violation(sigma)
+    for rows in range(2, SCREEN_ROWS):
+        got = _violation(sigma[:rows], c)
+        assert got.tobytes() == want[:rows].tobytes()
 
 
 def test_default_sweep_eigensolves_only_its_clamped_states(monkeypatch):
@@ -727,3 +850,61 @@ def test_single_report_bytes_are_pinned():
         rep = consistency_report(params, traj, clock)
         digest.update(struct.pack("<11d", *vars(rep).values()))
     assert digest.hexdigest() == REPORT_DIGEST
+
+
+# The bytes of single-trajectory reports on the path a multi-segment
+# trajectory takes: 200 seeded 4- to 12-segment trajectories of coasts
+# and burns, at n_max 10 and 20, k' = 2..5, on both clocks.  Burns draw
+# from 8 seeded thrusts, six inside the perturbative regime and two past
+# it (h = 0.80 and 0.91, where the truncation clamps most states and a
+# single burn warns); drawn with full mantissas, four of them change h's
+# last bit if a L / c^2 is reassociated, which round thrusts hide.  About
+# one trajectory in eleven has a coast too long for its phase and
+# raises.  Each report enters as the float.hex of its fields, each error
+# and warning as its type and message.  Like REPORT_DIGEST, the digest
+# changes only when a report's bits or an outcome do.
+MULTI_SEGMENT_DIGEST = (
+    "667f3b76d683bd080dde9ae070da2f86bdc28f8139520ea923c6574540b3dfdb")
+
+
+def multi_segment_cases(count=200):
+    rng = np.random.default_rng(31)
+    thrusts = (rng.uniform(1e16, 2.9e17, 6).tolist()
+               + rng.uniform(9e17, 2e18, 2).tolist())
+    for i in range(count):
+        geom = CavityGeometry(DEFAULT_GEOMETRY.L, DEFAULT_GEOMETRY.c,
+                              (10, 20)[i % 2])
+        period = geom.fundamental_period
+        segs = []
+        for _ in range(int(rng.integers(4, 13))):
+            t = float(rng.uniform(0.0, 3.0 * period))
+            if rng.random() < 0.5:
+                segs.append(Accelerated(thrusts[rng.integers(8)], t))
+            else:
+                segs.append(Inertial(t if rng.random() > 0.02 else 0.1))
+        yield (ProtocolParams(kp=2 + i // 2 % 4, geometry=geom),
+               Trajectory(tuple(segs), geom), ("lab", "comoving")[i // 8 % 2])
+
+
+def test_multi_segment_report_bytes_are_pinned():
+    digest = hashlib.sha256()
+    outcomes = collections.Counter()
+    for params, traj, clock in multi_segment_cases():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rep = consistency_report(params, traj, clock)
+            except Exception as exc:
+                line = f"{type(exc).__name__}: {exc}"
+                outcomes["error"] += 1
+            else:
+                line = " ".join(value.hex() for value in vars(rep).values())
+                outcomes["clamped" if rep.clamp else "inside"] += 1
+        for w in caught:
+            line += f"; {w.category.__name__}: {w.message}"
+            outcomes["warning"] += 1
+        digest.update(line.encode() + b"\n")
+    # every outcome is represented
+    assert min(outcomes[key] for key in
+               ("inside", "clamped", "error", "warning")) > 0
+    assert digest.hexdigest() == MULTI_SEGMENT_DIGEST

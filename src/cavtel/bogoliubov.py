@@ -20,8 +20,8 @@ interior block (mode indices up to n_max / 2).  The outermost rows and
 columns of any truncated transformation carry order h couplings to modes
 just outside the window, so no finite matrix can close the identities
 there; interior modes are the ones downstream consumers are allowed to
-use.  They are the switch's health check (`sudden_switch_oracle`),
-measured once per oracle cache entry where it is read.
+use.  They are the switch's health check, measured by
+`sudden_switch_oracle` on each call, the one place it is read.
 
 The library builds no n x n transform of a burn or a trajectory: a
 trajectory's report carries Rob's row alone (`trajectory.rob_row`),
@@ -78,21 +78,29 @@ def _real(value, field):
     """`value` as one real number for the field `field` of a frozen
     value (a segment, a geometry, the protocol parameters).
 
-    A 0-d numeric array is stored as a float: kept as the caller's
-    array, it would make the value unhashable, and a later write to it
-    would change the value.  Anything else that is not a real number
-    (a list, a 1-element array, a string, None, a bool) is rejected by
-    name before it is compared with a bound.
+    Every accepted real is stored as a Python float: an int, a numpy
+    scalar or a 0-d numeric array alike, so that the value hashes, a
+    later write to the caller's array does not change it, and a number
+    too large for a float (10**400) is rejected here rather than failing
+    later with an OverflowError.  Anything else that is not a real
+    number (a list, a 1-element array, a string, None, a bool) is
+    rejected by name before it is compared with a bound.
     """
-    if isinstance(value, float):  # most input, and the cheapest check
+    if type(value) is float:    # most input, and the cheapest check
         return value
-    if isinstance(value, np.ndarray) and not value.ndim \
-            and value.dtype.kind in "iuf":
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if isinstance(value, np.ndarray):
+        real = not value.ndim and value.dtype.kind in "iuf"
+    else:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real:
         raise ValueError(
             f"{field} must be a real number, got {type(value).__name__}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{field} must be finite, got a number too large for a "
+            "float") from None
 
 
 @dataclass(frozen=True)
@@ -123,10 +131,6 @@ class CavityGeometry:
     def fundamental_period(self):
         """Round-trip light time 2 L / c, the period of mode 1."""
         return 2.0 * self.L / self.c
-
-    def natural_time(self, t_seconds):
-        """Convert a lab/proper duration to units of L / c."""
-        return t_seconds * self.c / self.L
 
 
 @dataclass(frozen=True)
@@ -362,17 +366,6 @@ def _oracle_cached(h, n_max):
     return _Switch(ab, inverse_ab, rates, residual)
 
 
-@lru_cache(maxsize=1024)
-def _oracle_pair(h, n_max):
-    """The switch's pair, views of its `ab`, and its defect, the switch's
-    health check max(identity residual, quadrature residual), measured
-    once per cache entry; no report reads it."""
-    switch = _oracle_cached(h, n_max)
-    alpha, beta = switch.ab
-    return BogoliubovPair(alpha, beta, float(
-        np.maximum(identity_residuals(alpha, beta), switch.residual)))
-
-
 def sudden_switch_oracle(h, geometry):
     """Bogoliubov pair for an instantaneous inertial-to-accelerated jump.
 
@@ -386,22 +379,16 @@ def sudden_switch_oracle(h, geometry):
 
     Returns
     -------
-    Shared BogoliubovPair (read-only arrays), computed once per
-    (h, n_max) to ORACLE_TOL per matrix element, whose defect includes
-    the quadrature residual.
+    BogoliubovPair whose read-only arrays are views of the switch's
+    cache entry (`_oracle_cached`, integrated once per (h, n_max) to
+    ORACLE_TOL per matrix element), and whose defect, the switch's
+    health check max(identity residual, quadrature residual), is
+    measured on each call; no report reads it.
     """
-    return _oracle_pair(float(h), geometry.n_max)
-
-
-def _inertial_phases(t_seconds, geometry):
-    """A coast's phases exp(-i n pi t c / L) of modes 1..n_max, with a
-    trailing mode axis after the axes of the duration `t_seconds`: a
-    float stays a float (`geometry.natural_time`'s operations, without a
-    0-d array), anything else becomes a float array first."""
-    if not isinstance(t_seconds, float):
-        t_seconds = np.asarray(t_seconds, dtype=float)
-    return _phases(_truncation(geometry.n_max).omega,
-                   geometry.natural_time(t_seconds))
+    switch = _oracle_cached(float(h), geometry.n_max)
+    alpha, beta = switch.ab
+    return BogoliubovPair(alpha, beta, float(
+        np.maximum(identity_residuals(alpha, beta), switch.residual)))
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +503,10 @@ def f_sums(kp, taus, geometry):
 def _f_sums_cached(kp, geometry, shape, raw):
     taus = np.frombuffer(raw).reshape(shape)
     col = kp - 1
-    first = sudden_switch_perturbative(geometry)
-    d = _inertial_phases(taus, geometry)
-    a1, b1 = first.alpha1, first.beta1
+    table = _truncation(geometry.n_max)
+    # a coast's phases, as `trajectory.rob_row` forms them
+    d = _phases(table.omega, taus * geometry.c / geometry.L)
+    a1, b1 = table.first_order.alpha1, table.first_order.beta1
     d_col = d[..., col:col + 1]
     alpha1 = a1[col, :] * d_col + d * a1[:, col]
     beta1 = d * b1[:, col] - b1[col, :] * d_col.conj()

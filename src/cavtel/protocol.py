@@ -102,17 +102,9 @@ SQUEEZING_LIMIT = 6.0
 # longer passes outgrow the caches and hold more memory (the README's
 # Performance section has the measured table)
 BATCH_ROWS = 1024
-# a kernel pass of at least this many states screens them for
-# physicality on numpy columns before any eigensolve (`_violation`):
-# below it the screen's fixed cost, with the eigensolve of the states it
-# leaves, exceeds what it saves (the README's Performance section has
-# the crossover table).  A pass of one state, as every single report
-# takes, is screened on Python floats instead, at about a quarter of an
-# eigensolve's cost; passes of 2 to SCREEN_ROWS - 1 states go straight
-# to eigvalsh
-SCREEN_ROWS = 32
-# the screen's shift, relative to a state's largest entry; `_certified`
-# derives why a state it certifies has a positive LAPACK lambda_min
+# the physicality screen's shift, relative to a state's largest entry;
+# `_certified` derives why a state it certifies has a positive LAPACK
+# lambda_min
 SCREEN_KAPPA = 1e-11
 
 # built once: a one-point column must not pay for them on every call
@@ -269,11 +261,12 @@ def _certified(c, m, s):
 def _violation(sigma, c):
     """Each state's distance outside the physical cone,
     max(0, -lambda_min(sigma + i Omega)) from eigvalsh, for a stack
-    (T, 4, 4) whose Alice block is c I.  A single state, and a stack of
-    SCREEN_ROWS or more, first drops the states `_certified` proves
-    inside, whose value is 0.0 either way; the others take the same
-    eigensolve, with its bits.  A single state is screened on Python
-    floats, free of numpy's cost per call."""
+    (T, 4, 4) whose Alice block is c I.  The states `_certified` proves
+    inside get 0.0, their value either way; the others take the same
+    eigensolve, with its bits.  A single state, as every single report
+    takes, is screened on Python floats, free of numpy's cost per call;
+    a stack of two or more on numpy columns."""
+    violation = np.zeros(len(sigma))
     if len(sigma) == 1:
         flat = sigma.reshape(16).tolist()
         m = max(map(abs, flat))
@@ -281,20 +274,20 @@ def _violation(sigma, c):
             m = math.nan
         try:
             if _certified(float(c), m, flat):
-                return np.zeros(1)
+                return violation
         except ZeroDivisionError:
             pass
-    elif len(sigma) >= SCREEN_ROWS:
+        rest = slice(None)
+    else:
         flat = sigma.reshape(-1, 16)
         with np.errstate(all="ignore"):
             certified = _certified(c, np.abs(flat).max(axis=1), flat.T)
-        violation = np.zeros(len(sigma))
         rest = np.flatnonzero(~certified)
-        if rest.size:
-            lam = np.linalg.eigvalsh(sigma[rest] + _I_OMEGA2)[:, 0]
-            violation[rest] = np.maximum(0.0, -lam)
-        return violation
-    return np.maximum(0.0, -np.linalg.eigvalsh(sigma + _I_OMEGA2)[:, 0])
+        if not rest.size:
+            return violation
+    lam = np.linalg.eigvalsh(sigma[rest] + _I_OMEGA2)[:, 0]
+    violation[rest] = np.maximum(0.0, -lam)
+    return violation
 
 
 def _state_kernel(params, pair, phases):

@@ -349,12 +349,11 @@ def rob_row(trajectory, kp):
     """
     geom = trajectory.geometry
     k = kp - 1
-    # read once per trajectory; each segment's values are formed by the
-    # operations, in the order, of `_inertial_phases` (a coast's phases),
-    # `h_parameter` (h = a L / c^2, without its regime warning: the switch
-    # chart is exact on (0, 2), only the second-order model is not) and
-    # `geometry.natural_time` (a burn's wedge time h tau c / L), so they
-    # keep their bits
+    # read once per trajectory.  A coast's phases are formed as
+    # `bogoliubov.f_sums` forms them, exp(-i n pi (t c / L)); h = a L / c^2
+    # as `h_parameter` forms it, without its regime warning (the switch
+    # chart is exact on (0, 2), only the second-order model is not); a
+    # burn's wedge time is h (tau c / L)
     L, c, c2 = geom.L, geom.c, geom.c ** 2
     omega = _truncation(geom.n_max).omega
     # (a, b^*) of one trajectory: a phase vector d scales both rows

@@ -25,7 +25,10 @@ reduces the four residual blocks one by one, `switch_reference` forms
 the switch's cache entry (its rates and canonical inverse) on the call,
 and `coast_phases_reference` forms a coast's rates -i n pi on the call.
 The library's `identity_residuals`, switch entry and coast phases must
-equal them bit for bit.
+equal them bit for bit.  `oracle_pair_reference` is the oracle's switch
+pair with its defect, max(identity residual, quadrature residual),
+measured here by `identity_residuals_reference`; the library's
+`sudden_switch_oracle` must give the same pair and defect.
 
 `switch_overlaps_reference` is `_switch_overlaps` before the
 h-independent factors were built once per truncation: every call forms
@@ -47,14 +50,11 @@ from cavtel.bogoliubov import (
     ORACLE_TOL,
     BogoliubovPair,
     RindlerGeometry,
-    _inertial_phases,
     _interior_count,
     _oracle_cached,
-    _oracle_pair,
     _Switch,
     _truncation,
     identity_residuals,
-    sudden_switch_oracle,
     sudden_switch_perturbative,
 )
 from cavtel.quadrature import integrate_stack
@@ -93,7 +93,7 @@ def measured(pair):
 def phase_evolution_minkowski(t_seconds, geometry):
     """Free inertial evolution for a lab-time duration (beta = 0)."""
     n = np.arange(1, geometry.n_max + 1)
-    theta = n * np.pi * geometry.natural_time(t_seconds)
+    theta = n * np.pi * (t_seconds * geometry.c / geometry.L)
     return BogoliubovPair(np.diag(np.exp(-1j * theta)),
                           np.zeros((geometry.n_max,) * 2, dtype=complex), 0.0)
 
@@ -103,7 +103,8 @@ def rindler_angles(tau_seconds, h, geometry):
     trailing mode axis after the axes of `tau_seconds`; the wedge time
     is eta = h tau c / L."""
     rind = RindlerGeometry(h)
-    eta = h * geometry.natural_time(np.asarray(tau_seconds, dtype=float))
+    eta = h * (np.asarray(tau_seconds, dtype=float)
+               * geometry.c / geometry.L)
     n = np.arange(1, geometry.n_max + 1)
     return rind.omega_mode(n) * eta[..., None]
 
@@ -129,11 +130,21 @@ def identity_residuals_reference(alpha, beta):
     return float(worst) if alpha.ndim == 2 else worst
 
 
+def oracle_pair_reference(h, n_max):
+    """The oracle's switch pair at h, views of its cache entry, with the
+    switch's defect max(identity residual, quadrature residual)
+    measured on the call."""
+    switch = _oracle_cached(h, n_max)
+    alpha, beta = switch.ab
+    return BogoliubovPair(alpha, beta, float(np.maximum(
+        identity_residuals_reference(alpha, beta), switch.residual)))
+
+
 def switch_reference(h, n_max):
     """The switch's cache entry, its wedge rates, canonical inverse and
     the (2, n, n) stacks of both pairs formed on the call; only the
     oracle pair and its quadrature residual are the cached ones."""
-    pair = _oracle_pair(h, n_max)
+    pair = oracle_pair_reference(h, n_max)
     rates = RindlerGeometry(h).omega_mode(np.arange(1, n_max + 1))
     inv = inverse(pair)
     # the inverse stacked as the transposes that A^dagger and -B^T are
@@ -146,7 +157,7 @@ def coast_phases_reference(t_seconds, geometry):
     """A coast's phases exp(-i n pi t c / L), with a trailing mode axis
     after the axes of the lab time `t_seconds`; the rates -i n pi of
     modes 1..n_max are formed on the call."""
-    t = geometry.natural_time(np.asarray(t_seconds, dtype=float))
+    t = np.asarray(t_seconds, dtype=float) * geometry.c / geometry.L
     rates = -1j * np.arange(1, geometry.n_max + 1) * np.pi
     return np.exp(rates * t[..., None])
 
@@ -163,7 +174,7 @@ def segment_matrices_reference(tau_seconds, h, geometry):
     floor; every per-switch value but the oracle pair formed on the
     call."""
     taus = np.asarray(tau_seconds, dtype=float)
-    b0 = sudden_switch_oracle(h, geometry)
+    b0 = oracle_pair_reference(h, geometry.n_max)
     d = np.exp(-1j * rindler_angles(taus, h, geometry))[..., None]
     da, db = d * b0.alpha, d * b0.beta
     a_dag, minus_bt = b0.alpha.conj().T, -b0.beta.T
@@ -206,7 +217,7 @@ def one_segment_first_order(tau_seconds, geometry):
     if (taus < 0).any():
         raise ValueError("segment duration must be >= 0")
     first = sudden_switch_perturbative(geometry)
-    d = _inertial_phases(taus, geometry)
+    d = coast_phases_reference(taus, geometry)
     row, col = d[..., None, :], d[..., :, None]
     a1, b1 = first.alpha1, first.beta1
     alpha1 = a1.conj().T * row + col * a1
@@ -355,7 +366,7 @@ def switch_first_order_ladder(geometry):
     reference at -h."""
     def pair_at(h):
         if h > 0:
-            return sudden_switch_oracle(h, geometry)
+            return oracle_pair_reference(h, geometry.n_max)
         return mirrored_switch(h, geometry.n_max)
     return first_order_ladder(pair_at)
 
@@ -368,7 +379,7 @@ def build_transform_per_burn(trajectory):
     total = None
     for seg in trajectory.segments:
         if isinstance(seg, Inertial):
-            d = _inertial_phases(seg.duration, geom)
+            d = coast_phases_reference(seg.duration, geom)
             if total is None:
                 lead = d if lead is None else d * lead
             else:
@@ -409,7 +420,7 @@ def build_transform(trajectory):
     measured = []        # the pairs whose residuals bound the defect
     for seg in trajectory.segments:
         if isinstance(seg, Inertial):
-            d = _inertial_phases(seg.duration, geom)
+            d = coast_phases_reference(seg.duration, geom)
             if total is None:
                 lead = d if lead is None else d * lead
             else:

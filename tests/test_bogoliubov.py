@@ -30,6 +30,7 @@ from cavtel.bogoliubov import (
 from cavtel.errors import QuadratureError, TruncationError
 from cavtel.gaussian import rotation, symplectic_form
 from cavtel.quadrature import integrate_stack
+from cavtel.trajectory import Inertial, Trajectory, rob_row
 
 from bogoliubov_reference import (
     compose,
@@ -40,6 +41,7 @@ from bogoliubov_reference import (
     inverse,
     mirrored_switch,
     one_segment_first_order,
+    oracle_pair_reference,
     phase_evolution_minkowski,
     phase_evolution_rindler,
     richardson_limit,
@@ -169,7 +171,6 @@ def test_cavity_geometry_scales():
     assert GEOM.omega(1) == pytest.approx(math.pi * 1.2e8 / 0.012)
     assert GEOM.omega(3) == pytest.approx(3 * GEOM.omega(1))
     assert GEOM.fundamental_period == pytest.approx(2e-10)
-    assert GEOM.natural_time(2e-10) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("h", [0.0, 2.0, -0.3, 2.5])
@@ -518,6 +519,20 @@ def test_oracle_identity_health():
     assert identity_residuals(pair.alpha, pair.beta) <= 1e-3
 
 
+@pytest.mark.parametrize("n_max", [2, 10, 40])
+def test_oracle_defect_has_the_reference_bits(n_max):
+    # the switch's health check, measured on each call, is
+    # max(identity residual, quadrature residual) of its cached entry
+    geom = CavityGeometry(0.012, 1.2e8, n_max)
+    for h in (1e-6, 0.1, 0.245, 1.5):
+        pair = sudden_switch_oracle(h, geom)
+        want = oracle_pair_reference(h, n_max)
+        assert pair.alpha.tobytes() == want.alpha.tobytes()
+        assert pair.beta.tobytes() == want.beta.tobytes()
+        assert type(pair.defect) is float and pair.defect == want.defect
+        assert pair.defect >= bogoliubov._oracle_cached(h, n_max).residual
+
+
 def test_first_order_makes_no_oracle_call():
     cached = bogoliubov._oracle_cached
     bogoliubov._truncation.cache_clear()
@@ -536,10 +551,10 @@ def test_oracle_rejects_zero_h():
 
 def test_oracle_arrays_are_frozen():
     pair = sudden_switch_oracle(0.13, GEOM)
-    assert sudden_switch_oracle(0.13, GEOM) is pair
     switch = bogoliubov._oracle_cached(0.13, GEOM.n_max)
-    # the pair is a view of the entry's stacked (alpha, beta)
-    assert pair.alpha.base is switch.ab and pair.beta.base is switch.ab
+    # every call's pair is a view of the entry's stacked (alpha, beta)
+    for got in (pair, sudden_switch_oracle(0.13, GEOM)):
+        assert got.alpha.base is switch.ab and got.beta.base is switch.ab
     table = bogoliubov._truncation(GEOM.n_max)
     assert sudden_switch_perturbative(GEOM) is table.first_order
     shared = (pair.alpha, pair.beta, switch.ab, switch.rates,
@@ -602,7 +617,7 @@ def test_phase_evolution_group_property():
 def test_rindler_phases_approach_inertial():
     # highest-mode phase offset is n_max pi tau h^2 / 12
     mink = phase_evolution_minkowski(1.3e-10, GEOM)
-    tau_nat = GEOM.natural_time(1.3e-10)
+    tau_nat = 1.3e-10 * GEOM.c / GEOM.L
     for h in (0.1, 0.05):
         rind = phase_evolution_rindler(1.3e-10, h, GEOM)
         gap = np.max(np.abs(rind.alpha - mink.alpha))
@@ -629,10 +644,31 @@ def test_to_symplectic_phase_convention():
 
 
 def test_inertial_phases_agree_with_quadrature_rotations():
+    # a coast's phases as `rob_row` and `f_sums` form them,
+    # exp(-i n pi (t c / L)), are the rotations of the modes' quadratures
     t = 0.83e-10
-    s = to_symplectic(phase_evolution_minkowski(t, GEOM))
+    omega = bogoliubov._truncation(GEOM.n_max).omega
+    d = bogoliubov._phases(omega, t * GEOM.c / GEOM.L)
+    s = to_symplectic(BogoliubovPair(
+        np.diag(d), np.zeros((GEOM.n_max,) * 2), 0.0))
     blocks = [rotation(GEOM.omega(n) * t) for n in range(1, 11)]
     assert np.allclose(s, block_diag(*blocks), atol=1e-12)
+    # Rob's row of a coast is e_kp times its phase, bit for bit
+    coast = Trajectory((Inertial(t),), GEOM)
+    for kp in range(1, GEOM.n_max + 1):
+        row = rob_row(coast, kp)
+        assert row.alpha[0, 0, kp - 1].tobytes() == d[kp - 1].tobytes()
+        assert np.count_nonzero(row.alpha) == 1 and not row.beta.any()
+    # and an f_sums duration's phases are the coast's: its sums match
+    # those formed from d
+    first = sudden_switch_perturbative(GEOM)
+    a1, b1 = first.alpha1, first.beta1
+    col = 2
+    alpha1 = a1[col, :] * d[col:col + 1] + d * a1[:, col]
+    beta1 = d * b1[:, col] - b1[col, :] * d[col:col + 1].conj()
+    fa, fb = f_sums(col + 1, t, GEOM)
+    assert fa == 0.5 * np.sum(np.abs(alpha1) ** 2)
+    assert fb == 0.5 * np.sum(np.abs(beta1) ** 2)
 
 
 def test_to_symplectic_squeezer_convention():
@@ -809,7 +845,7 @@ def test_f_sums_match_interference_formula():
     # first-order column weights interfere as sin^2 of half the phase
     # mismatch, with the closed-form switch coefficients
     tau = 0.13e-9
-    tau_nat = GEOM.natural_time(tau)
+    tau_nat = tau * GEOM.c / GEOM.L
     fa, fb = f_sums(3, tau, GEOM)
     n = np.arange(1, 11)
     mix = first_order_mixing(n, 3)
@@ -899,7 +935,7 @@ def test_rindler_period_closes_the_wedge_phases():
             GEOM.fundamental_period * math.log((1 + h / 2) / (1 - h / 2)) / h,
             rel=1e-14)
         rates = _oracle_cached(h, GEOM.n_max).rates
-        d = _phases(rates, h * GEOM.natural_time(np.asarray(period)))
+        d = _phases(rates, h * (np.asarray(period) * GEOM.c / GEOM.L))
         assert np.max(np.abs(d - 1.0)) <= 1e-13
     with pytest.raises(ValueError):
         rindler_period(2.0, GEOM)

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavtel import protocol
+from cavtel import bogoliubov, protocol
 from cavtel.bogoliubov import BogoliubovPair, sudden_switch_oracle
 from cavtel.cli import _PRESETS
 from cavtel.gaussian import (
@@ -43,7 +43,6 @@ from cavtel.trajectory import (
 from bogoliubov_reference import (
     build_transform,
     build_transform_per_burn,
-    coast_phases_reference,
     compose,
     identity_pair,
     inverse,
@@ -336,7 +335,8 @@ def test_column_transform_has_the_per_burn_chain_bits(traj):
 
 
 # a report read from the per-switch and per-truncation caches has the
-# bits of one whose burns and coasts form those values on the call (only
+# bits of one whose burns and coasts form those values on the call, its
+# f_sums included, uncached and from coast rates formed on the call (only
 # the oracle pair, cached at the parent too, is shared)
 @PROPERTY
 @given(trajectories(st.one_of(coasts, burns)), st.integers(2, 5),
@@ -346,8 +346,10 @@ def test_report_bits_do_not_depend_on_warm_caches(traj, kp, clock):
     with mock.patch("cavtel.trajectory._oracle_cached", switch_reference), \
             mock.patch("cavtel.trajectory._truncation",
                        truncation_reference), \
-            mock.patch("cavtel.bogoliubov._inertial_phases",
-                       coast_phases_reference):
+            mock.patch("cavtel.bogoliubov._truncation",
+                       truncation_reference), \
+            mock.patch("cavtel.bogoliubov._f_sums_cached",
+                       bogoliubov._f_sums_cached.__wrapped__):
         uncached = pickle.dumps(consistency_report(params, traj, clock))
     cached = pickle.dumps(consistency_report(params, traj, clock))
     assert cached == uncached

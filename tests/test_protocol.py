@@ -23,7 +23,6 @@ from cavtel.gaussian import (
 from cavtel.protocol import (
     DEFAULT_GEOMETRY,
     SCREEN_KAPPA,
-    SCREEN_ROWS,
     FidelityReport,
     ProtocolParams,
     _state_kernel,
@@ -580,7 +579,7 @@ def cone_stack(r, rng, per_shift=8):
 
 def screened(sigma, c):
     """The screen's verdict on each state of a stack as `_violation`
-    asks it: on columns for a stack of SCREEN_ROWS or more, on Python
+    asks it: on columns for a stack of two or more states, on Python
     floats for a single state (False where its arithmetic divides by
     zero).  A state that fails the screen takes the eigensolve, whose
     LinAlgError on a non-finite state is ignored here."""
@@ -610,7 +609,7 @@ def eigensolve_violation(sigma):
 def test_screened_violation_has_the_eigensolve_bits(r):
     sigma, shifts = cone_stack(r, np.random.default_rng(int(r * 1e6)))
     c = make_two_mode_squeezed(r)[0, 0]
-    assert len(sigma) >= SCREEN_ROWS
+    assert len(sigma) >= 2
     want = eigensolve_violation(sigma)
     with np.errstate(all="raise"):
         got = _violation(sigma, c)
@@ -676,13 +675,13 @@ def test_one_state_screen_reads_a_zero_divisor_as_failed():
     with np.errstate(all="raise"):
         assert _violation(state, c).tobytes() \
             == eigensolve_violation(state).tobytes()
-    assert not screened(np.repeat(state, SCREEN_ROWS, axis=0), c).any()
+    assert not screened(np.repeat(state, 2, axis=0), c).any()
 
 
 def test_screen_fails_non_finite_and_huge_states_quietly():
     r = 0.5
     sigma, shifts = cone_stack(r, np.random.default_rng(7), per_shift=2)
-    assert len(sigma) >= SCREEN_ROWS and shifts[11] > 0.0
+    assert len(sigma) >= 2 and shifts[11] > 0.0
     c = make_two_mode_squeezed(r)[0, 0]
     sigma[3, 2, 3] = sigma[3, 3, 2] = np.nan
     sigma[5, 0, 2] = sigma[5, 2, 0] = np.inf
@@ -710,21 +709,33 @@ def test_screen_fails_non_finite_and_huge_states_quietly():
         _violation(sigma, c)
 
 
-def test_short_stack_skips_the_screen(monkeypatch):
-    # stacks of 2 to SCREEN_ROWS - 1 states go straight to the eigensolve
-    # (a single state is screened on floats, tested above)
-    from cavtel import protocol
-
-    def unexpected(*args):
-        raise AssertionError("screened a short stack")
-
-    monkeypatch.setattr(protocol, "_certified", unexpected)
-    sigma, _ = cone_stack(0.5, np.random.default_rng(3), per_shift=2)
-    c = make_two_mode_squeezed(0.5)[0, 0]
+@pytest.mark.parametrize("r", [1e-3, 0.5, 3.0])
+def test_every_stack_size_has_the_eigensolve_bits(r):
+    # one state is screened on Python floats, every stack of two or more
+    # on columns: at each size from 1 to 40 the violation has the
+    # eigensolve's bytes, with clamped states (shifted outside the cone)
+    # mixed among the certified ones
+    rng = np.random.default_rng(int(r * 1e3) + 3)
+    sigma, shifts = cone_stack(r, rng, per_shift=2)
+    order = rng.permutation(len(sigma))
+    sigma, shifts = sigma[order], shifts[order]
+    c = make_two_mode_squeezed(r)[0, 0]
     want = eigensolve_violation(sigma)
-    for rows in range(2, SCREEN_ROWS):
-        got = _violation(sigma[:rows], c)
+    assert len(sigma) >= 40 and (want[:40] > 0.0).sum() >= 10
+    assert (shifts[:40] > 0.0).sum() >= 10
+    for rows in range(1, 41):
+        with np.errstate(all="raise"):
+            got = _violation(sigma[:rows], c)
         assert got.tobytes() == want[:rows].tobytes()
+        if r >= 0.5:
+            # the screen runs at every size: states well inside pass it
+            inside = shifts[:rows] >= 1e-8
+            assert screened(sigma[:rows], c)[inside].all()
+        # a non-finite state still reaches LAPACK, which fails
+        bad = sigma[:rows].copy()
+        bad[rows // 2, 2, 3] = bad[rows // 2, 3, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            _violation(bad, c)
 
 
 def test_default_sweep_eigensolves_only_its_clamped_states(monkeypatch):

@@ -106,6 +106,33 @@ def test_segment_rejects_non_numbers_by_name(build, field):
         build()
 
 
+# every frozen value stores a real as a Python float: an int or a numpy
+# scalar used to be kept as it was, so 10**400 built a value that failed
+# later with an OverflowError (or raised one from math.isfinite)
+FROZEN_REALS = [
+    ("inertial duration", Inertial, lambda seg: seg.duration),
+    ("acceleration", lambda v: Accelerated(v, 1e-10), lambda seg: seg.a),
+    ("proper duration tau", lambda v: Accelerated(1e17, v),
+     lambda seg: seg.tau),
+    ("cavity length L", lambda v: CavityGeometry(v, 1.2e8),
+     lambda geom: geom.L),
+    ("speed of light c", lambda v: CavityGeometry(0.012, v),
+     lambda geom: geom.c),
+    ("squeezing r", lambda v: ProtocolParams(r=v), lambda params: params.r),
+]
+
+
+@pytest.mark.parametrize("field,build,read", FROZEN_REALS)
+def test_frozen_values_store_reals_as_floats(field, build, read):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        build(10 ** 400)
+    for value in (3, np.float64(2e-10)):
+        built = build(value)
+        assert type(read(built)) is float and read(built) == float(value)
+        assert built == build(float(value))
+        assert hash(built) == hash(build(float(value)))
+
+
 def test_trajectory_rejects_non_segments():
     with pytest.raises(TypeError):
         Trajectory(("coast",), GEOM)

@@ -30,7 +30,6 @@ from .bogoliubov import (
     rindler_period,
     sudden_switch_oracle,
     sudden_switch_perturbative,
-    to_symplectic,
 )
 from .trajectory import (
     Accelerated,
@@ -61,7 +60,7 @@ __all__ = [
     "symplectic_eigenvalues", "teleport_fidelity",
     "BogoliubovPair", "CavityGeometry", "RindlerGeometry", "f_sums",
     "rindler_period", "sudden_switch_oracle",
-    "sudden_switch_perturbative", "to_symplectic",
+    "sudden_switch_perturbative",
     "Accelerated", "Inertial", "Trajectory", "h_parameter", "ledger",
     "parse_trajectory", "phase_pair",
     "DEFAULT_GEOMETRY", "FidelityReport", "ProtocolParams",

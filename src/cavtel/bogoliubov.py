@@ -23,9 +23,10 @@ there; interior modes are the ones downstream consumers are allowed to
 use.  They are the switch's health check, measured by
 `sudden_switch_oracle` on each call, the one place it is read.
 
-The library builds no n x n transform of a burn or a trajectory: a
-trajectory's report carries Rob's row alone (`trajectory.rob_row`),
-with that row's residual as its defect.  A small row residual shows that
+The library builds no n x n transform of a burn or a trajectory, and
+no symplectic matrix: a trajectory's report reads Rob's two quadrature
+rows alone, formed from his complex row (`trajectory.rob_row`), with
+that row's residual as their defect.  A small row residual shows that
 the row is unitary, not that it is accurate, so Rob's mode stays inside
 the interior block.
 """
@@ -53,7 +54,6 @@ __all__ = [
     "sudden_switch_oracle",
     "sudden_switch_perturbative",
     "f_sums",
-    "to_symplectic",
     "first_order_mixing",
     "first_order_pairing",
 ]
@@ -67,11 +67,14 @@ N_MAX_CAP = 64
 
 
 def _require_index(name, value):
-    """Raise ValueError, naming the field, unless `value` is an integer:
-    a float index fails later in a slice or arange, and a bool is an int
-    that no caller means as a mode index."""
+    """Raise ValueError, naming the field, unless `value` is an integer
+    that converts to a float: a float index fails later in a slice or
+    arange, a bool is an int that no caller means as a mode index, and
+    one too large for a float (10**400) fails later in a mode frequency
+    with an OverflowError (the rule of `_real`)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    _real(value, name)
 
 
 def _real(value, field):
@@ -206,17 +209,15 @@ def identity_residuals(alpha, beta):
 
 @dataclass(frozen=True)
 class BogoliubovPair:
-    """Operator-side mode transformation b = alpha a + beta a^dagger.
-
-    The switch and its canonical inverse are (n, n) pairs with one float
-    defect.  Rows of a pair are (..., r, n): Rob's row of a trajectory
-    (`trajectory.rob_row`) is (T, 1, n), with one defect per trajectory
-    as a (T,) array.
+    """Operator-side mode transformation b = alpha a + beta a^dagger: the
+    switch's (n, n) matrices and its float defect
+    (`sudden_switch_oracle`).  Rob's row of a trajectory is not a pair:
+    `trajectory.rob_row` gives its two symplectic rows.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
-    defect: float | np.ndarray
+    defect: float
 
 
 def _phases(rates, t):
@@ -225,26 +226,6 @@ def _phases(rates, t):
     if isinstance(t, float):    # a 0-d array costs ~1 us per operation
         return np.exp(-1j * (rates * t))
     return np.exp(-1j * (rates * t[..., None]))
-
-
-def to_symplectic(pair):
-    """Quadrature-space matrix of the pair (mode-major ordering).
-
-    Diagonal phases exp(-i theta) map to the rotation
-    [[cos, sin], [-sin, cos]], matching the covariance convention in
-    `gaussian`; a real one-mode squeezer (alpha, beta) = (cosh s, sinh s)
-    maps to diag(e^s, e^-s).  A stacked pair gives a stack of matrices.
-    Rows (..., r, n) of a pair give their (..., 2r, 2n) rows of it: mode
-    m's row alone gives the two rows of mode m.
-    """
-    plus = pair.alpha + pair.beta
-    minus = pair.alpha - pair.beta
-    s = np.empty(plus.shape[:-2] + (2 * plus.shape[-2], 2 * plus.shape[-1]))
-    s[..., 0::2, 0::2] = plus.real
-    np.negative(minus.imag, out=s[..., 0::2, 1::2])
-    s[..., 1::2, 0::2] = plus.imag
-    s[..., 1::2, 1::2] = minus.real
-    return s
 
 
 # ---------------------------------------------------------------------------

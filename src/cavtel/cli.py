@@ -31,7 +31,6 @@ from .bogoliubov import (
     rindler_period,
     sudden_switch_oracle,
     sudden_switch_perturbative,
-    to_symplectic,
 )
 from .errors import (
     CavtelError,
@@ -585,8 +584,7 @@ def _check_symplectic(cfg):
     burn = Trajectory((Accelerated(0.2 * geom.c ** 2 / geom.L, 0.3e-9),),
                       geom)
     k = _interior_count(geom.n_max)
-    r = np.concatenate([to_symplectic(rob_row(burn, kp))[0]
-                        for kp in range(1, k + 1)])
+    r = np.concatenate([rob_row(burn, kp)[0][0] for kp in range(1, k + 1)])
     gap = np.max(np.abs(r @ symplectic_form(geom.n_max) @ r.T
                         - symplectic_form(k)))
     thr = 1e-3 if geom.n_max <= 10 else 1e-4
@@ -672,6 +670,8 @@ def _check_truncation(cfg):
 
 def cmd_validate(args):
     cfg = _load_config(args)
+    # a bad r, k or kp is a usage error before any check runs
+    cfg.params()
     checks = [
         ("bogoliubov-identities", lambda: _check_identities(cfg)),
         ("symplectic-form", lambda: _check_symplectic(cfg)),

@@ -51,13 +51,11 @@ import numpy as np
 
 from . import gaussian
 from .bogoliubov import (
-    BogoliubovPair,
     CavityGeometry,
     _interior_count,
     _real,
     _require_index,
     f_sums,
-    to_symplectic,
 )
 from .errors import ConsistencyError, PhysicalityError, TruncationError
 from .gaussian import (
@@ -290,16 +288,15 @@ def _violation(sigma, c):
     return violation
 
 
-def _state_kernel(params, pair, phases):
+def _state_kernel(params, rows, defect, phases):
     """Reduced (Alice, Rob-kp) covariances and the numeric pipelines for
-    Rob's rows, a stacked pair (T, 1, n) of row kp of each trajectory's
-    transform with its row residual as the defect, and a PhasePair of
-    (T,) arrays.
+    Rob's rows X (T, 2, 2n), mode kp's two rows of each trajectory's
+    symplectic matrix (`trajectory.rob_row`), their row residuals
+    `defect` (T,), and a PhasePair of (T,) arrays.
 
-    Rob's other modes start in vacuum, so only mode kp's rows S_k of each
-    transform's symplectic matrix enter, with their diagonal block S_kk
-    and resource blocks A, B, C:
-    sigma_BB = S_k S_k^T + S_kk (B - I) S_kk^T, sigma_AB = R_A C S_kk^T.
+    Rob's other modes start in vacuum, so only X enters, with its
+    diagonal block X_kk and the resource blocks A, B, C:
+    sigma_BB = X X^T + X_kk (B - I) X_kk^T, sigma_AB = R_A C X_kk^T.
     Truncation can push a reduced matrix slightly outside the physical
     cone; violations within ten times that row's residual are projected
     back by a uniform noise floor, which the state's `violation` holds
@@ -309,9 +306,8 @@ def _state_kernel(params, pair, phases):
     """
     alice, cross, excess = _resource(params.r)
     j = 2 * (params.kp - 1)
-    rows = to_symplectic(pair)
-    s_kk = rows[:, :, j:j + 2]
-    s_kk_t = s_kk.swapaxes(-1, -2)
+    x_kk = rows[:, :, j:j + 2]
+    x_kk_t = x_kk.swapaxes(-1, -2)
     # R(theta_A) for the cross block, then the two undone phases
     rot = rotation(np.array((phases.theta_alice, -phases.theta_alice,
                              -phases.theta_rob)))
@@ -320,13 +316,13 @@ def _state_kernel(params, pair, phases):
     out = np.zeros((3, rows.shape[0], 4, 4))
     sigma, undo = out[0], out[2]
     sigma[:, :2, :2] = alice
-    sigma[:, 2:, 2:] = rows @ rows.swapaxes(-1, -2) + s_kk @ excess @ s_kk_t
-    sigma[:, :2, 2:] = rot[0] @ cross @ s_kk_t
+    sigma[:, 2:, 2:] = rows @ rows.swapaxes(-1, -2) + x_kk @ excess @ x_kk_t
+    sigma[:, :2, 2:] = rot[0] @ cross @ x_kk_t
     sigma[:, 2:, :2] = sigma[:, :2, 2:].swapaxes(-1, -2)
     np.multiply(0.5, sigma + sigma.swapaxes(-1, -2), out=sigma)
 
     violation = _violation(sigma, alice[0, 0])
-    margin = 10.0 * pair.defect
+    margin = 10.0 * defect
     # np.count_nonzero, not .any(), on the path every report takes: about
     # 0.8 us less per call on a single report's (1,) arrays
     if np.count_nonzero(violation):
@@ -359,17 +355,17 @@ def _state_kernel(params, pair, phases):
         raise ConsistencyError(
             f"fidelity ordering violated: raw {f_raw[i]:.12f}, corrected "
             f"{f_corr[i]:.12f}, optimal bound {f_opt[i]:.12f}")
-    return _State(sigma, pair.defect, violation, phases, f_raw, f_corr, nu,
+    return _State(sigma, defect, violation, phases, f_raw, f_corr, nu,
                   f_opt)
 
 
 class _Inputs(NamedTuple):
-    """A trajectory's kernel inputs: Rob's rows (T, 1, n) with their
-    defect (None once `_join` has joined them), a PhasePair of (T,)
-    arrays, whether the trajectory is a column (else T = 1), and the
-    trajectory."""
+    """A trajectory's kernel inputs: Rob's rows X (T, 2, 2n) and their
+    defect (T,) from `rob_row`, a PhasePair of (T,) arrays, whether the
+    trajectory is a column (else T = 1), and the trajectory."""
 
-    pair: BogoliubovPair
+    rows: np.ndarray
+    defect: np.ndarray
     phases: PhasePair
     column: bool
     trajectory: Trajectory
@@ -383,31 +379,23 @@ def _column_inputs(params, trajectory, alice_clock):
         raise ValueError("trajectory and params disagree on the geometry")
     if trajectory.burns:
         _check_interior(params)
-    pair = rob_row(trajectory, params.kp)
+    rows, defect = rob_row(trajectory, params.kp)
     phases = phase_pair(trajectory, params.k, params.kp, alice_clock)
     column = isinstance(phases.theta_rob, np.ndarray)
     if not column:
         theta = np.array((phases.theta_alice, phases.theta_rob))
         phases = PhasePair(theta[:1], theta[1:])
-    return _Inputs(pair, phases, column, trajectory)
+    return _Inputs(rows, defect, phases, column, trajectory)
 
 
 def _join(batch):
-    """The joined pair and phases of a batch's inputs (a batch of one
-    keeps its own arrays).  Each item of `batch` gives up its own pair,
-    so that the columns' rows are freed before the kernel pass
-    allocates."""
-    def joined(arrays):
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    pair = BogoliubovPair(*(
-        joined([getattr(item.pair, name) for item in batch])
-        for name in ("alpha", "beta", "defect")))
-    phases = PhasePair(*(
-        joined([getattr(item.phases, name) for item in batch])
-        for name in ("theta_alice", "theta_rob")))
-    batch[:] = [item._replace(pair=None) for item in batch]
-    return pair, phases
+    """The kernel's rows, defect and phases for a batch's inputs, each
+    joined from the items' own (a batch of one keeps its own arrays)."""
+    rows, defect, alice, rob = (
+        arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        for arrays in zip(*[(item.rows, item.defect, item.phases.theta_alice,
+                             item.phases.theta_rob) for item in batch]))
+    return rows, defect, PhasePair(alice, rob)
 
 
 def _batch_reports(params, batch, alice_clock):
@@ -436,7 +424,8 @@ def _trajectory_state(params, trajectory, alice_clock):
     """The kernel's `_State` of a trajectory from a pass of its own, and
     whether it is a column; else it enters as a column of length 1."""
     item = _column_inputs(params, trajectory, alice_clock)
-    return _state_kernel(params, item.pair, item.phases), item.column
+    return (_state_kernel(params, item.rows, item.defect, item.phases),
+            item.column)
 
 
 def _kernel_outputs(params, trajectory, alice_clock, *names):
@@ -595,12 +584,11 @@ def _reports(params, trajectories, alice_clock):
             if batch:
                 yield from _batch_reports(params, batch, alice_clock)
             raise
-        if batch and rows + item.pair.defect.size > BATCH_ROWS:
+        if batch and rows + item.defect.size > BATCH_ROWS:
             yield from _batch_reports(params, batch, alice_clock)
             batch, rows = [], 0
         batch.append(item)
-        rows += item.pair.defect.size
-        del item    # the batch alone holds it, so `_join` frees its rows
+        rows += item.defect.size
     if batch:
         yield from _batch_reports(params, batch, alice_clock)
 

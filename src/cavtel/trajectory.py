@@ -32,7 +32,6 @@ import numpy as np
 
 from .bogoliubov import (
     REGIME_H_SQUARED,
-    BogoliubovPair,
     CavityGeometry,
     _oracle_cached,
     _phases,
@@ -333,19 +332,26 @@ def phase_pair(trajectory, k, kp, alice_clock="lab"):
 
 
 def rob_row(trajectory, kp):
-    """Rob's row kp of the trajectory's net Bogoliubov pair, a stacked
-    pair (T, 1, n) (T = 1 for a single trajectory) whose defect (T,) is
-    the row residual |sum |alpha|^2 - sum |beta|^2 - 1|, 0 without a burn.
+    """Rob's two symplectic rows, those of mode kp in the quadrature
+    image of the trajectory's net Bogoliubov pair, as X (T, 2, 2n) (T = 1
+    for a single trajectory), and their defect (T,), the row residual
+    |sum |alpha|^2 - sum |beta|^2 - 1|, 0 without a burn.
 
-    A chain of vector-matrix products from (e_kp, 0), walked from the
-    last segment back: rows (a, b) followed by (alpha, beta) are
+    The complex row (a, b) of mode kp comes from a chain of
+    vector-matrix products from (e_kp, 0), walked from the last segment
+    back: rows (a, b) followed by (alpha, beta) are
     (a alpha + b beta^*, a beta + b alpha^*).  A coast scales (a, b) by
     (d, d^*); a burn is its switch's stored inverse (from (e_kp, 0), its
-    row kp), the wedge phases and the switch.
+    row kp), the wedge phases and the switch.  The chain keeps the T
+    trajectories' rows as one (2T, n) stack: their a rows in order, then
+    their b^* rows in reverse order, so that reversing the stack swaps
+    each trajectory's a and b^* (`_rows_then`).
 
-    The chain keeps the T trajectories' rows as one (2T, n) stack: their
-    a rows in order, then their b^* rows in reverse order, so that
-    reversing the stack swaps each trajectory's a and b^* (`_rows_then`).
+    With u = a + b^* and v = a - b^*, X's rows interleave (Re u, -Im u)
+    and (Im v, Re v) per mode: the quadrature rows of (a, b) in the
+    convention of `gaussian` (a phase exp(-i theta) is the rotation
+    [[cos, sin], [-sin, cos]]), whose form is
+    x Omega p^T = sum |a|^2 - sum |b|^2.
     """
     geom = trajectory.geometry
     k = kp - 1
@@ -389,7 +395,13 @@ def rob_row(trajectory, kp):
         defect = np.abs(norms[:t] - norms[t:][::-1] - 1.0)
     else:
         defect = np.zeros(1)
-    return BogoliubovPair(a[:, None], b_conj[:, None].conj(), defect)
+    u, v = a + b_conj, a - b_conj
+    x = np.empty((t, 2, 2 * geom.n_max))
+    x[:, 0, 0::2] = u.real
+    np.negative(u.imag, out=x[:, 0, 1::2])
+    x[:, 1, 0::2] = v.imag
+    x[:, 1, 1::2] = v.real
+    return x, defect
 
 
 def _rows_then(rows, ab):

@@ -1,13 +1,15 @@
 """Dense reference pairs for the Bogoliubov algebra.
 
-The library builds Rob's row of a trajectory alone (`trajectory.rob_row`)
-and never forms the identity, a free evolution, a burn's n x n transform
-or a trajectory's net pair.  These builders form them as dense
-(alpha, beta) matrices, so that tests can join a trajectory step by step
-with `compose` and compare.  `measured` sets a pair's defect to its
-identity residual (at least its own).  Likewise `f_sums` builds one
-column of the first-order one-segment matrices; the full matrices are
-built here.
+The library builds Rob's two symplectic rows of a trajectory alone
+(`trajectory.rob_row`) and never forms the identity, a free evolution,
+a burn's n x n transform, a trajectory's net pair or its symplectic
+matrix.  These builders form them as dense (alpha, beta) matrices, so
+that tests can join a trajectory step by step with `compose` and
+compare; `to_symplectic` gives a pair's quadrature-space matrix, of
+which Rob's rows are mode kp's two rows.  `measured` sets a pair's
+defect to its identity residual (at least its own).  Likewise `f_sums`
+builds one column of the first-order one-segment matrices; the full
+matrices are built here.
 
 `build_transform` is the full-matrix reference for a trajectory: its net
 n x n pair, with the worst interior-block residual of each burn's
@@ -88,6 +90,26 @@ def measured(pair):
     defect = np.maximum(identity_residuals(alpha, beta), pair.defect)
     return BogoliubovPair(alpha, beta,
                           float(defect) if alpha.ndim == 2 else defect)
+
+
+def to_symplectic(pair):
+    """Quadrature-space matrix of the pair (mode-major ordering).
+
+    Diagonal phases exp(-i theta) map to the rotation
+    [[cos, sin], [-sin, cos]], matching the covariance convention in
+    `gaussian`; a real one-mode squeezer (alpha, beta) = (cosh s, sinh s)
+    maps to diag(e^s, e^-s).  A stacked pair gives a stack of matrices.
+    Rows (..., r, n) of a pair give their (..., 2r, 2n) rows of it: mode
+    m's row alone gives the two rows of mode m.
+    """
+    plus = pair.alpha + pair.beta
+    minus = pair.alpha - pair.beta
+    s = np.empty(plus.shape[:-2] + (2 * plus.shape[-2], 2 * plus.shape[-1]))
+    s[..., 0::2, 0::2] = plus.real
+    np.negative(minus.imag, out=s[..., 0::2, 1::2])
+    s[..., 1::2, 0::2] = plus.imag
+    s[..., 1::2, 1::2] = minus.real
+    return s
 
 
 def phase_evolution_minkowski(t_seconds, geometry):

@@ -18,11 +18,10 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from cavtel import gaussian
-from cavtel.bogoliubov import to_symplectic
 from cavtel.gaussian import make_two_mode_squeezed, rotation
 from cavtel.trajectory import phase_pair
 
-from bogoliubov_reference import build_transform
+from bogoliubov_reference import build_transform, to_symplectic
 
 
 def local_rotation(theta_a, theta_b):

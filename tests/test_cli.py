@@ -231,6 +231,19 @@ def test_config_non_finite_is_usage_error(tmp_path, capsys, line, field):
     assert out == ""
 
 
+# k = 10**400 used to raise an OverflowError from the mode frequency
+# (exit 1) in every command that builds a report
+@pytest.mark.parametrize("command", ["fidelity", "sweep", "validate"])
+def test_mode_index_too_large_for_a_float_is_usage_error(tmp_path, capsys,
+                                                         command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 1" + "0" * 400 + "\n")
+    code, out, err = run([command, "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: Alice mode index k must be finite, got a number "
+                   "too large for a float\n")
+
+
 @pytest.mark.parametrize("text,field", [
     ("inertial inf\n", "inertial duration"),
     ("inertial 1e-10\naccel 2e17 inf\n", "proper duration tau"),
@@ -649,9 +662,9 @@ def test_sweep_takes_one_kernel_pass_per_batch(monkeypatch):
     rows = []
     real = protocol._state_kernel
 
-    def kernel(params, pair, phases, **kwargs):
-        rows.append(pair.defect.size)
-        return real(params, pair, phases, **kwargs)
+    def kernel(params, x, defect, phases):
+        rows.append(defect.size)
+        return real(params, x, defect, phases)
 
     monkeypatch.setattr(protocol, "_state_kernel", kernel)
     sweep_rows(RunConfig(tau_steps=300, a_steps=7))
@@ -1253,6 +1266,24 @@ def test_validate_truncated_basis_fails(capsys):
     code, out, _ = run(["validate", "--nmax", "4"], capsys)
     assert code == 5
     assert any(ln.startswith("FAIL") for ln in out.splitlines())
+
+
+# a bad r, k or kp is a usage error before any check: kp = 0 used to
+# print three PASS lines and then die in the tail gate with a
+# ZeroDivisionError (exit 1), and kp = n_max + 1 exited 2 partway
+@pytest.mark.parametrize("line,message", [
+    ("kp = 0", "Rob mode index must lie in 1..10"),
+    ("kp = -1", "Rob mode index must lie in 1..10"),
+    ("kp = 11", "Rob mode index must lie in 1..10"),
+    ("k = 0", "Alice mode index must be >= 1"),
+    ("r = 7", "squeezing r must be finite and lie in 0..6, got 7.0"),
+])
+def test_validate_rejects_bad_parameters_before_any_check(
+        tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(["validate", "--config", str(cfg)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_validate_reads_the_tail_gate(tmp_path, capsys):

@@ -11,15 +11,17 @@ import pickle
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavtel import bogoliubov, protocol
-from cavtel.bogoliubov import BogoliubovPair, sudden_switch_oracle
+from cavtel.bogoliubov import CavityGeometry, sudden_switch_oracle
 from cavtel.cli import _PRESETS
 from cavtel.gaussian import (
     partial_transpose,
     symplectic_eigenvalues,
+    symplectic_form,
     teleport_fidelity,
 )
 from cavtel.protocol import (
@@ -52,6 +54,7 @@ from bogoliubov_reference import (
     row_residual,
     segment_transform,
     switch_reference,
+    to_symplectic,
     truncation_reference,
 )
 from gaussian_reference import (
@@ -267,23 +270,39 @@ def row_of(traj, i):
         for s in traj.segments), GEOM)
 
 
-# Rob's row from the vector-matrix chain is row kp of the full-matrix
-# reference; without a burn it is a pure phase with defect 0
+# Rob's rows from the vector-matrix chain are mode kp's two rows of the
+# full-matrix reference's symplectic matrix; without a burn they are a
+# rotation with defect 0
 @PROPERTY
 @given(framed(columns()), st.integers(1, GEOM.n_max // 2))
 def test_rob_row_matches_the_full_matrix_reference(traj, kp):
-    want = build_transform(traj)
-    got = rob_row(traj, kp)
+    want = to_symplectic(build_transform(traj))
+    rows, defect = rob_row(traj, kp)
     # a single trajectory is a column of one
-    rows = want.alpha.shape[:-2] or (1,)
-    assert got.alpha.shape == got.beta.shape == rows + (1, GEOM.n_max)
-    assert got.defect.shape == rows
-    i = slice(kp - 1, kp)
-    assert np.max(np.abs(got.alpha - want.alpha[..., i, :])) <= 1e-14
-    assert np.max(np.abs(got.beta - want.beta[..., i, :])) <= 1e-14
+    count = want.shape[:-2] or (1,)
+    assert rows.shape == count + (2, 2 * GEOM.n_max)
+    assert defect.shape == count
+    j = 2 * (kp - 1)
+    assert np.max(np.abs(rows - want[..., j:j + 2, :])) <= 1e-14
     if not traj.burns:
-        assert not got.defect.any()
-        assert not got.beta.any()
+        # beta = 0: each mode's 2 x 2 block is [[c, s], [-s, c]]
+        assert not defect.any()
+        x, p = rows[..., 0, :], rows[..., 1, :]
+        assert np.array_equal(x[..., 0::2], p[..., 1::2])
+        assert np.array_equal(x[..., 1::2], -p[..., 0::2])
+
+
+# Rob's rows keep the form of his row: x Omega p^T is
+# sum |alpha|^2 - sum |beta|^2, so |x Omega p^T - 1| is the reported
+# row residual, at any truncation
+@pytest.mark.parametrize("n_max", [10, 40])
+@PROPERTY
+@given(traj=framed(columns()), kp=st.integers(1, GEOM.n_max // 2))
+def test_rows_form_matches_their_defect(n_max, traj, kp):
+    geom = CavityGeometry(GEOM.L, GEOM.c, n_max)
+    rows, defect = rob_row(Trajectory(traj.segments, geom), kp)
+    form = (rows[:, 0] @ symplectic_form(n_max) * rows[:, 1]).sum(axis=-1)
+    assert np.all(np.abs(np.abs(form - 1.0) - defect) <= 1e-14)
 
 
 # every clamp of a trajectory with a burn stays within ten row residuals,
@@ -491,9 +510,7 @@ def test_batched_columns_fail_as_one_at_a_time():
             if kind_of[a] == "unphysical":
                 # a lossy row: the reduced state breaks the uncertainty
                 # bound
-                pair = BogoliubovPair(0.9 * item.pair.alpha, item.pair.beta,
-                                      item.pair.defect)
-                item = item._replace(pair=pair)
+                item = item._replace(rows=0.9 * item.rows)
             return item
 
         def run(rows):

@@ -5,14 +5,13 @@ import hashlib
 import math
 import struct
 import warnings
-import weakref
 from decimal import Decimal
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from cavtel.bogoliubov import BogoliubovPair, CavityGeometry
+from cavtel.bogoliubov import CavityGeometry
 from cavtel.errors import ConsistencyError, PhysicalityError, TruncationError
 from cavtel.gaussian import (
     make_two_mode_squeezed,
@@ -90,6 +89,16 @@ def test_params_reject_non_integer_mode_index(field, value):
 def test_params_reject_non_real_squeezing(value):
     with pytest.raises(ValueError, match="^squeezing r must be a real number"):
         ProtocolParams(r=value)
+
+
+# an index too large for a float used to fail later, in the mode
+# frequency, with an OverflowError (exit 1 from the CLI); 10**300 still
+# converts
+def test_params_reject_a_mode_index_too_large_for_a_float():
+    with pytest.raises(ValueError, match="^Alice mode index k must be "
+                                         "finite, got a number too large"):
+        ProtocolParams(k=10 ** 400)
+    assert ProtocolParams(k=10 ** 300).k == 10 ** 300
 
 
 def test_params_store_0d_squeezing_as_float():
@@ -390,16 +399,16 @@ def test_rob_mode_outside_interior_block_is_truncation_error(kp, segments):
 # the column kernel
 
 def kernel_column(scales):
-    """Rob's rows of the stacked pairs alpha = scale * I, beta = 0, with
-    zero defect; a scale below one loses signal without adding the
-    vacuum noise that any physical channel must, so the reduced state is
+    """The kernel's inputs for Rob's rows of the pairs alpha = scale * I,
+    beta = 0, with zero defect: X = scale times mode kp's rows of the
+    identity.  A scale below one loses signal without adding the vacuum
+    noise that any physical channel must, so the reduced state is
     unphysical."""
-    n = DEFAULT_GEOMETRY.n_max
-    rows = np.eye(n, dtype=complex)[PARAMS.kp - 1:PARAMS.kp]
-    alpha = np.array([s * rows for s in scales])
-    pair = BogoliubovPair(alpha, np.zeros_like(alpha), np.zeros(len(scales)))
+    j = 2 * (PARAMS.kp - 1)
+    rows = np.zeros((len(scales), 2, 2 * DEFAULT_GEOMETRY.n_max))
+    rows[:, 0, j] = rows[:, 1, j + 1] = scales
     zeros = np.zeros(len(scales))
-    return pair, PhasePair(zeros, zeros)
+    return rows, zeros, PhasePair(zeros, zeros)
 
 
 def test_column_with_one_unphysical_point_raises_like_that_point():
@@ -458,14 +467,14 @@ def test_column_clamps_within_the_allowance(caplog, monkeypatch):
     # kernel clamps it without a record, and the report that publishes
     # the state logs its one clamp
     from cavtel import protocol
-    pair, phases = kernel_column([1.0, 1.0 - 1e-10])
+    inputs = kernel_column([1.0, 1.0 - 1e-10])
     state, records = clamp_records(
-        caplog, lambda: _state_kernel(PARAMS, pair, phases))
+        caplog, lambda: _state_kernel(PARAMS, *inputs))
     assert records == []
     assert state.violation[0] == 0.0
     assert 0.0 < state.violation[1] <= 1e-9
     monkeypatch.setattr(protocol, "_column_inputs", lambda *args:
-                        protocol._Inputs(pair, phases, True, REST))
+                        protocol._Inputs(*inputs, True, REST))
     _, records = clamp_records(caplog, lambda: consistency_report(PARAMS,
                                                                   REST))
     assert records == [state.violation[1]]
@@ -497,7 +506,8 @@ def test_kernel_and_batches_log_nothing(caplog):
     traj = default_grid_trajectory(True)
     item = protocol._column_inputs(PARAMS, traj, "lab")
     state, records = clamp_records(
-        caplog, lambda: _state_kernel(PARAMS, item.pair, item.phases))
+        caplog, lambda: _state_kernel(PARAMS, item.rows, item.defect,
+                                      item.phases))
     assert records == []
     assert np.count_nonzero(state.violation) == 7
     reports, records = clamp_records(
@@ -775,35 +785,6 @@ def test_default_grid_nu_is_within_8_ulps_of_decimal_reference():
         worst = max(worst, float(abs(Decimal(nu) - want))
                     / float(np.spacing(nu)))
     assert worst <= 8.0
-
-
-def test_batches_free_their_columns_rows_before_each_pass(monkeypatch):
-    # a joined pass holds its columns' rows once: by then each column's
-    # own rows are gone, all but those of the column read ahead of it
-    from cavtel import protocol
-    refs, live = [], []
-    real_inputs, real_kernel = protocol._column_inputs, protocol._state_kernel
-
-    def recorded(*args):
-        item = real_inputs(*args)
-        refs.append(weakref.ref(item.pair.alpha))
-        return item
-
-    def counted(*args, **kwargs):
-        live.append(sum(ref() is not None for ref in refs))
-        return real_kernel(*args, **kwargs)
-
-    monkeypatch.setattr(protocol, "_column_inputs", recorded)
-    monkeypatch.setattr(protocol, "_state_kernel", counted)
-    monkeypatch.setattr(protocol, "BATCH_ROWS", 4)
-    taus = np.array([1e-10, 2e-10])
-    columns = [Trajectory((Accelerated(a, taus),), DEFAULT_GEOMETRY)
-               for a in (1e17, 1.5e17, 2e17, 2.5e17, 2.8e17)]
-    reports = list(protocol._reports(PARAMS, columns, "lab"))
-    assert len(reports) == len(refs) == 5
-    # passes of two, two and one column; a pass of one runs on its own
-    # rows
-    assert live == [1, 1, 1]
 
 
 def burn_column_report(a, taus):

@@ -181,30 +181,24 @@ def _interior_count(n):
 
 def identity_residuals(alpha, beta):
     """Worst residual of the four canonical identities (column and row
-    norm and cross terms).
+    norm and cross terms) of one (n, n) pair, as a float.
 
     Sums run over the full stored index range; the free indices are
-    restricted to the interior block (see module docstring).  One pair
-    gives a float, a stack of pairs (..., n, n) one residual per pair.
+    restricted to the interior block (see module docstring).
     """
-    k = _interior_count(alpha.shape[-1])
+    k = _interior_count(len(alpha))
     alpha_c, beta_c = alpha.conj(), beta.conj()
-    ac, bc = alpha[..., :, :k], beta[..., :, :k]
-    ar, br = alpha[..., :k, :], beta[..., :k, :]
-    ach, bct = alpha_c[..., :, :k].swapaxes(-1, -2), bc.swapaxes(-1, -2)
+    ac, bc = alpha[:, :k], beta[:, :k]
+    ar, br = alpha[:k], beta[:k]
+    ach, bct = alpha_c[:, :k].T, bc.T
     eye = np.eye(k)
     # the four residual blocks side by side, for one abs and one max
-    res = np.empty(alpha.shape[:-2] + (4, k, k), dtype=complex)
-    np.subtract(ach @ ac - bct @ beta_c[..., :, :k], eye,
-                out=res[..., 0, :, :])
-    np.subtract(ach @ bc, bct @ alpha_c[..., :, :k], out=res[..., 1, :, :])
-    np.subtract(ar @ alpha_c[..., :k, :].swapaxes(-1, -2)
-                - br @ beta_c[..., :k, :].swapaxes(-1, -2), eye,
-                out=res[..., 2, :, :])
-    np.subtract(ar @ br.swapaxes(-1, -2), br @ ar.swapaxes(-1, -2),
-                out=res[..., 3, :, :])
-    worst = np.abs(res).max(axis=(-3, -2, -1))
-    return float(worst) if alpha.ndim == 2 else worst
+    res = np.empty((4, k, k), dtype=complex)
+    np.subtract(ach @ ac - bct @ beta_c[:, :k], eye, out=res[0])
+    np.subtract(ach @ bc, bct @ alpha_c[:, :k], out=res[1])
+    np.subtract(ar @ alpha_c[:k].T - br @ beta_c[:k].T, eye, out=res[2])
+    np.subtract(ar @ br.T, br @ ar.T, out=res[3])
+    return float(np.abs(res).max())
 
 
 @dataclass(frozen=True)

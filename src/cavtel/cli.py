@@ -52,6 +52,7 @@ from .protocol import (
     perturbative_fidelity,
 )
 from .trajectory import (
+    _CLOCKS,
     Accelerated,
     Inertial,
     Trajectory,
@@ -130,6 +131,14 @@ class RunConfig:
             raise ValueError(
                 f"need 0 < a_min_m_s2 < a_max_m_s2, got a_min_m_s2 = "
                 f"{self.a_min_m_s2!r} and a_max_m_s2 = {a_max!r}")
+        # h of the last column as `rob_row` forms it, so the two agree at
+        # the horizon
+        h_max = a_max * self.L_m / self.c_m_per_s ** 2
+        if not h_max < 2.0:
+            raise ValueError(
+                f"a_max_m_s2 = {a_max!r} gives h = a_max_m_s2 L_m / "
+                f"c_m_per_s^2 = {h_max!r}; the cavity's near wall stays "
+                "outside the horizon only for h < 2")
         taus = np.linspace(self.tau_min_s, tau_max, self.tau_steps)
         accs = np.linspace(self.a_min_m_s2, a_max, self.a_steps)
         # a range a few ulps wide repeats values, and one a few parts in
@@ -147,9 +156,16 @@ class RunConfig:
         return taus, accs
 
 
+def _clock(text):
+    # an unknown clock is a bad value of its config line
+    if text not in _CLOCKS:
+        raise ValueError(text)
+    return text
+
+
 _CONFIG_FIELDS = {
     "r": float, "k": int, "kp": int, "L_m": float, "c_m_per_s": float,
-    "n_max": int, "alice_clock": str, "tau_min_s": float,
+    "n_max": int, "alice_clock": _clock, "tau_min_s": float,
     "tau_max_s": float, "tau_steps": int, "a_min_m_s2": float,
     "a_max_m_s2": float, "a_steps": int,
 }
@@ -376,53 +392,43 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _forked_shares(run, items, n, width):
-    """The report fields of run(items) as one array (items, fields,
-    width), or None if a share fails, and why a worker was lost (None
-    if none was).
+def _forked_shares(fill, n):
+    """Run fill(i, n) for every share i < n: this process share 0, a
+    forked worker of its own each other share.  Returns whether every
+    share was filled, and why a worker was lost (None if none was).
 
-    Share i of the items is items[i::n]: this process computes share 0
-    and a forked worker of its own each other share.  Each writes its
-    reports' fields into one anonymous shared map, and a worker then
-    leaves with os._exit, so a fork of a caller that runs cavtel
-    in-process (pytest, the benchmark) never goes on with the caller's
-    code.  A share fails when share 0 raises, a worker exits non-zero or
-    is killed, or os.fork raises OSError; the last two lose a worker.
-    Whatever leaves this function kills and reaps the workers that are
-    left, so no child outlives it.
+    A share writes into memory it shares with this process (the sweep's
+    anonymous shared map), and a worker then leaves with os._exit, so a
+    fork of a caller that runs cavtel in-process (pytest, the benchmark)
+    never goes on with the caller's code.  A share fails when share 0
+    raises, a worker exits non-zero or is killed, or os.fork raises
+    OSError; the last two lose a worker.  Whatever leaves this function
+    kills and reaps the workers that are left, so no child outlives it.
     """
     workers = []        # pids of the unreaped workers
     try:
-        blocks = np.frombuffer(
-            mmap.mmap(-1, len(items) * len(fields(FidelityReport)) * width
-                      * 8)).reshape(len(items), -1, width)
-
-        def share(i):
-            for block, rep in zip(blocks[i::n], run(items[i::n])):
-                block[...] = tuple(vars(rep).values())
-
         for i in range(1, n):
             try:
                 pid = os.fork()
             except OSError as exc:
-                return None, f"os.fork failed ({exc})"
+                return False, f"os.fork failed ({exc})"
             if pid == 0:
                 try:
-                    share(i)
+                    fill(i, n)
                     os._exit(0)
                 finally:        # whatever it raised, KeyboardInterrupt too
                     os._exit(1)
             workers.append(pid)
-        share(0)
+        fill(0, n)
         while workers:
             pid, status = os.waitpid(workers[0], 0)
             workers.pop(0)
             if status != 0:
-                return None, (f"sweep worker pid {pid} ended with wait "
-                              f"status {status}")
-        return blocks, None
+                return False, (f"sweep worker pid {pid} ended with wait "
+                               f"status {status}")
+        return True, None
     except Exception:
-        return None, None
+        return False, None
     finally:
         if workers:
             import signal
@@ -432,61 +438,65 @@ def _forked_shares(run, items, n, width):
 
 
 def sweep_rows(cfg, jobs=1):
-    """Evaluate the full grid, returning (taus, accs, reports): one
-    column report of (T,) arrays per acceleration, in the order of accs.
+    """Evaluate the full grid, returning (taus, accs, grid): one report
+    whose fields are (A, T) arrays, row j the column of accs[j].
 
     Each column is the trajectory (Accelerated(a, taus),), with its own
     switch and phases; the columns of a share go through the state
     kernel in batches of whole columns (`protocol._reports`), so a
-    short column does not pay a kernel pass of its own.  With
+    short column does not pay a kernel pass of its own.  Every run
+    fills one float64 block (fields, A, T) in an anonymous shared map,
+    of which the grid's fields are views.  With
     N = min(jobs, columns, usable CPUs) > 1, share i of the columns is
-    i, i + N, i + 2N, ...: this process computes share 0 and N - 1
-    forked workers the others (`_forked_shares`), so the columns whose
-    cost grows with a spread evenly.  With N = 1, where os.fork does
-    not exist, or when a share fails, the whole grid runs in this
-    process, which returns or raises what jobs=1 gives; if a worker was
-    lost, or os.fork failed, a returned grid ends with one line on
-    stderr that says so.  No share logs its clamp records: this process
-    logs each column report's `clamp` as it takes the report, from the
-    shared block or from its own run, so each clamped state gives one
-    record, in grid order.
+    i, i + N, i + 2N, ...: this process fills share 0 and N - 1 forked
+    workers the others (`_forked_shares`), so the columns whose cost
+    grows with a spread evenly.  With N = 1, where os.fork does not
+    exist, or when a share fails, this process fills the whole block,
+    which returns or raises what jobs=1 gives; if a worker was lost, or
+    os.fork failed, a returned grid ends with one line on stderr that
+    says so.  Once the block is filled, this process logs the grid's
+    clamp records, one per clamped state in grid order (each column's
+    taus in turn); a sweep that raises logs none.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     params = cfg.params()
     taus, accs = cfg.grid()
     geom = params.geometry
-
-    def column_reports(items):
-        return _reports(params, (Trajectory((Accelerated(a, taus),), geom)
-                                 for a in items), cfg.alice_clock)
-
     items = accs.tolist()
+    shape = len(fields(FidelityReport)), len(items), len(taus)
+    block = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
+
+    def fill(i, n):
+        columns = (Trajectory((Accelerated(a, taus),), geom)
+                   for a in items[i::n])
+        for j, rep in zip(range(i, len(items), n),
+                          _reports(params, columns, cfg.alice_clock)):
+            block[:, j] = tuple(vars(rep).values())
+
     jobs = min(jobs, len(items), _usable_cpus())
-    blocks = lost = None
+    done, lost = False, None
     if jobs > 1 and hasattr(os, "fork"):
-        blocks, lost = _forked_shares(column_reports, items, jobs, len(taus))
-    reports = []
-    for rep in (column_reports(items) if blocks is None
-                else (FidelityReport(*block) for block in blocks)):
-        _log_clamped(rep.clamp)
-        reports.append(rep)
+        done, lost = _forked_shares(fill, jobs)
+    if not done:
+        fill(0, 1)
+    grid = FidelityReport(*block)
+    _log_clamped(grid.clamp)
     if lost is not None:
         print(f"warning: {lost}; the grid was recomputed in this process",
               file=sys.stderr)
-    return taus, accs, reports
+    return taus, accs, grid
 
 
-def _plot_matrix(taus, accs, reports):
-    """Gnuplot nonuniform-matrix text of F_opt over the grid, one line
-    per piece."""
+def _plot_matrix(taus, accs, grid):
+    """Gnuplot nonuniform-matrix text of F_opt over the grid report, one
+    line per piece."""
     yield "# gnuplot nonuniform matrix: F_opt_numeric(tau, a)\n"
     yield "# plot with: splot 'file' nonuniform matrix with pm3d\n"
     yield " ".join([str(len(taus))] + [_fmt(t) for t in taus.tolist()]) \
         + "\n"
-    for a, rep in zip(accs.tolist(), reports):
-        cells = [_fmt(a)] + [_fmt(f) for f in rep.F_opt_numeric.tolist()]
-        yield " ".join(cells) + "\n"
+    for a, f_opt in zip(accs.tolist(), grid.F_opt_numeric.tolist()):
+        yield " ".join([_fmt(a)] + [_fmt(f) for f in f_opt]) + "\n"
 
 
 def _write_text(path, pieces):
@@ -516,31 +526,27 @@ def _write_text(path, pieces):
 
 def cmd_sweep(args):
     cfg = _load_config(args)
-    taus, accs, reports = sweep_rows(cfg, jobs=args.jobs)
-    defect = np.concatenate([rep.defect for rep in reports])
-    clamp = np.concatenate([rep.clamp for rep in reports])
+    taus, accs, grid = sweep_rows(cfg, jobs=args.jobs)
     head = ["# sweep grid: tau-major row order",
             _metadata_lines(cfg),
             "# grid axes are a reconstruction of the regime, not published",
             "# coordinates",
-            f"# max_defect = {float(defect.max())!r}",
-            f"# clamped_points = {np.count_nonzero(clamp)}",
-            f"# clamp_max = {float(clamp.max())!r}",
+            f"# max_defect = {float(grid.defect.max())!r}",
+            f"# clamped_points = {np.count_nonzero(grid.clamp)}",
+            f"# clamp_max = {float(grid.clamp.max())!r}",
             ",".join(SWEEP_COLUMNS)]
     # the published columns as one (T, A, 8) table; the body is formatted
     # and written one tau block at a time, so the text of the whole grid
     # is never held, and the output opens only once every column is done
-    table = np.empty((len(taus), len(reports), len(SWEEP_COLUMNS) - 3))
-    for j, rep in enumerate(reports):
-        for k, name in enumerate(SWEEP_COLUMNS[3:]):
-            table[:, j, k] = getattr(rep, name)
-    coords = [f"{a!r},{float(rep.h[0])!r}"
-              for a, rep in zip(accs.tolist(), reports)]
+    table = np.stack([getattr(grid, name).T for name in SWEEP_COLUMNS[3:]],
+                     axis=-1)
+    coords = [f"{a!r},{h!r}"
+              for a, h in zip(accs.tolist(), grid.h[:, 0].tolist())]
     body = (_sweep_row_text(tau, coords, block)
             for tau, block in zip(taus.tolist(), table))
     _write_text(args.out, itertools.chain(["\n".join(head) + "\n"], body))
     if args.plot_data is not None:
-        _write_text(args.plot_data, _plot_matrix(taus, accs, reports))
+        _write_text(args.plot_data, _plot_matrix(taus, accs, grid))
     return 0
 
 

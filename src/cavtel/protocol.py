@@ -26,16 +26,18 @@ returns (T,) arrays for it; a single trajectory is a column of length 1
 and gets floats back.  A sequence of trajectories (a sweep's columns)
 takes one kernel pass per batch of them (`_reports`); an entry point
 takes a pass of its own, and a batch whose pass or reports raise runs
-again one trajectory at a time on that path.
+again one trajectory at a time on that path, from the inputs the batch
+already holds.
 
 The kernel clamps a reduced state that truncation pushed slightly
 outside the physical cone, and its `violation` field holds every clamp.
 Only a call that publishes a report logs them (`_log_clamped`): each
 clamped state of that report once, in order, as one DEBUG record of
 this module's logger.  `consistency_report` and the fidelity entry
-points log their own; a sweep logs its columns' in grid order
-(`cli.sweep_rows`).  So a trajectory that raises after its states were
-clamped (the ordering check's ConsistencyError, say) logs nothing.
+points log their own; a sweep logs its whole grid's in grid order once
+every column is done (`cli.sweep_rows`).  So a trajectory or a sweep
+that raises after states were clamped (the ordering check's
+ConsistencyError, say) logs nothing.
 """
 
 from __future__ import annotations
@@ -159,10 +161,12 @@ def _check_interior(params):
             f"transforms are validated; use n_max >= {2 * params.kp}")
 
 
-class _State(namedtuple("_State", "sigma defect violation phases f_raw "
+class _State(namedtuple("_State", "sigma defect violation phi f_raw "
                                   "f_corr nu f_opt")):
-    """Numeric pipelines on a column of T reduced states: sigma (T, 4, 4),
-    the PhasePair of (T,) arrays, and the other fields (T,) each."""
+    """Numeric pipelines on a column of T reduced states: sigma (T, 4, 4)
+    and the other fields (T,) each, phi the joint phase of the
+    PhasePair; every field is an array, so a slice of the rows slices
+    each alike."""
 
     __slots__ = ()
 
@@ -355,13 +359,14 @@ def _state_kernel(params, rows, defect, phases):
         raise ConsistencyError(
             f"fidelity ordering violated: raw {f_raw[i]:.12f}, corrected "
             f"{f_corr[i]:.12f}, optimal bound {f_opt[i]:.12f}")
-    return _State(sigma, defect, violation, phases, f_raw, f_corr, nu,
+    return _State(sigma, defect, violation, phases.phi, f_raw, f_corr, nu,
                   f_opt)
 
 
 class _Inputs(NamedTuple):
     """A trajectory's kernel inputs: Rob's rows X (T, 2, 2n) and their
-    defect (T,) from `rob_row`, a PhasePair of (T,) arrays, whether the
+    defect (T,) from `rob_row`, a PhasePair of (T,) arrays (the first
+    three fields, `_state_kernel`'s arguments after params), whether the
     trajectory is a column (else T = 1), and the trajectory."""
 
     rows: np.ndarray
@@ -398,25 +403,24 @@ def _join(batch):
     return rows, defect, PhasePair(alice, rob)
 
 
-def _batch_reports(params, batch, alice_clock):
+def _batch_reports(params, batch):
     """The reports of a batch's inputs, in order: from one kernel pass
     over their joined rows (`_join`), with floating-point errors raised;
     or, if the pass or a report raises, a generator of them from a pass
-    of each trajectory's own (`_one_at_a_time`).  Nothing is logged."""
+    of each item's own inputs, as an entry point computes them.  Nothing
+    is logged."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             state = _state_kernel(params, *_join(batch))
         reports, stop = [], 0
         for item in batch:
-            part = slice(stop, stop + len(item.phases.theta_rob))
+            part = slice(stop, stop + item.defect.size)
             stop = part.stop
-            # every field but the phases is a (T, ...) array
-            sliced = _State(*(f[part] for f in state[:3]), item.phases,
-                            *(f[part] for f in state[4:]))
-            reports.append(_report(params, item.trajectory.burns, sliced))
+            reports.append(_report(params, item.trajectory.burns,
+                                   _State(*(f[part] for f in state))))
     except Exception:
-        return _one_at_a_time(params, [item.trajectory for item in batch],
-                              alice_clock)
+        return (_report(params, item.trajectory.burns,
+                        _state_kernel(params, *item[:3])) for item in batch)
     return reports
 
 
@@ -424,8 +428,7 @@ def _trajectory_state(params, trajectory, alice_clock):
     """The kernel's `_State` of a trajectory from a pass of its own, and
     whether it is a column; else it enters as a column of length 1."""
     item = _column_inputs(params, trajectory, alice_clock)
-    return (_state_kernel(params, item.rows, item.defect, item.phases),
-            item.column)
+    return _state_kernel(params, *item[:3]), item.column
 
 
 def _kernel_outputs(params, trajectory, alice_clock, *names):
@@ -499,7 +502,9 @@ def perturbative_optimal(r, f_alpha, f_beta, h):
 @dataclass(frozen=True)
 class FidelityReport:
     """All pipelines evaluated on one trajectory; on a column every field
-    is a (T,) array and `row(i)` is the report of trajectory i.
+    is a (T,) array and `row(i)` is the report of trajectory i.  A sweep
+    grid (`cli.sweep_rows`) is a report of (A, T) fields, one row per
+    column.
 
     The perturbative fields hold NaN when the trajectory has more than
     one accelerated segment; the quadratic formula describes a single
@@ -522,7 +527,10 @@ class FidelityReport:
     clamp: float
 
     def row(self, i):
-        """The report of trajectory i of a column."""
+        """The report of trajectory i of a column; a grid report raises
+        rather than read its fields flat."""
+        if self.F_raw.ndim != 1:
+            raise ValueError("row(i) takes a column report of (T,) fields")
         return FidelityReport(**{name: value.item(i)
                                  for name, value in vars(self).items()})
 
@@ -532,7 +540,7 @@ def _report(params, burns, state):
     report of (T,) arrays: the perturbative fields with the trajectory's
     own scalar h."""
     geom = params.geometry
-    phi = state.phases.phi
+    phi = state.phi
     if len(burns) > 1:
         # one NaN array per field, so a write to one leaves the others NaN
         h = math.nan
@@ -555,14 +563,6 @@ def _report(params, burns, state):
         defect=state.defect, clamp=state.violation)
 
 
-def _one_at_a_time(params, trajectories, alice_clock):
-    """Yield the report of each trajectory in turn, each from a kernel
-    pass of its own, as `consistency_report` computes it."""
-    for trajectory in trajectories:
-        state = _trajectory_state(params, trajectory, alice_clock)[0]
-        yield _report(params, trajectory.burns, state)
-
-
 def _reports(params, trajectories, alice_clock):
     """Yield the report of (T,) arrays of each trajectory in turn (T = 1
     for a single one); nothing is logged, since the caller publishes
@@ -571,7 +571,7 @@ def _reports(params, trajectories, alice_clock):
     Whole trajectories are gathered up to BATCH_ROWS rows (a longer one
     alone), and each batch takes one kernel pass (`_batch_reports`).  If
     the pass or a report raises, the batch runs again one trajectory at
-    a time (`_one_at_a_time`).  If a trajectory's inputs raise, the
+    a time, from the inputs it holds.  If a trajectory's inputs raise, the
     batch gathered before it is reported like any other, and then the
     inputs' exception is raised again.  So a failing trajectory raises,
     after the reports of those before it, what it raises on its own.
@@ -582,15 +582,15 @@ def _reports(params, trajectories, alice_clock):
             item = _column_inputs(params, trajectory, alice_clock)
         except Exception:
             if batch:
-                yield from _batch_reports(params, batch, alice_clock)
+                yield from _batch_reports(params, batch)
             raise
         if batch and rows + item.defect.size > BATCH_ROWS:
-            yield from _batch_reports(params, batch, alice_clock)
+            yield from _batch_reports(params, batch)
             batch, rows = [], 0
         batch.append(item)
         rows += item.defect.size
     if batch:
-        yield from _batch_reports(params, batch, alice_clock)
+        yield from _batch_reports(params, batch)
 
 
 def consistency_report(params, trajectory, alice_clock="lab"):

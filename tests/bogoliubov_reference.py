@@ -23,7 +23,8 @@ equal it bit for bit.
 measured, with every per-switch value formed on the call: the angles
 come from `RindlerGeometry(h).omega_mode`, A^dagger and -B^T are formed
 inline and the product is written out.  `identity_residuals_reference`
-reduces the four residual blocks one by one, `switch_reference` forms
+reduces the four residual blocks one by one, on one pair or a stack of
+them (the library's takes one pair), `switch_reference` forms
 the switch's cache entry (its rates and canonical inverse) on the call,
 and `coast_phases_reference` forms a coast's rates -i n pi on the call.
 The library's `identity_residuals`, switch entry and coast phases must
@@ -56,7 +57,6 @@ from cavtel.bogoliubov import (
     _oracle_cached,
     _Switch,
     _truncation,
-    identity_residuals,
     sudden_switch_perturbative,
 )
 from cavtel.quadrature import integrate_stack
@@ -87,7 +87,8 @@ def measured(pair):
     measured (at least its own); a stacked pair gets one defect each."""
     alpha = np.ascontiguousarray(pair.alpha, dtype=complex)
     beta = np.ascontiguousarray(pair.beta, dtype=complex)
-    defect = np.maximum(identity_residuals(alpha, beta), pair.defect)
+    defect = np.maximum(identity_residuals_reference(alpha, beta),
+                        pair.defect)
     return BogoliubovPair(alpha, beta,
                           float(defect) if alpha.ndim == 2 else defect)
 
@@ -133,7 +134,8 @@ def rindler_angles(tau_seconds, h, geometry):
 
 def identity_residuals_reference(alpha, beta):
     """`identity_residuals` with a fresh identity and one abs and max per
-    residual block."""
+    residual block, on one pair (a float) or a stack (..., n, n) of
+    pairs (one residual each, with the single pair's bits)."""
     k = _interior_count(alpha.shape[-1])
     alpha_c, beta_c = alpha.conj(), beta.conj()
     ac, bc = alpha[..., :, :k], beta[..., :, :k]
@@ -471,17 +473,19 @@ def build_transform(trajectory):
 
 
 def worst_residual(pairs):
-    """`identity_residuals` of each pair in one call, the worst per row;
-    a stacked residual has the single one's bits, so this is the maximum
-    of the pairs' own.  Scalar and column pairs broadcast together."""
+    """`identity_residuals_reference` of each pair in one call, the
+    worst per row; a stacked residual has the single one's bits, so this
+    is the maximum of the pairs' own.  Scalar and column pairs broadcast
+    together."""
     if len(pairs) == 1:
-        return identity_residuals(pairs[0].alpha, pairs[0].beta)
+        return identity_residuals_reference(pairs[0].alpha, pairs[0].beta)
     alphas = [p.alpha for p in pairs]
     betas = [p.beta for p in pairs]
     if len({a.shape for a in alphas}) > 1:
         alphas = np.broadcast_arrays(*alphas)
         betas = np.broadcast_arrays(*betas)
-    return identity_residuals(np.array(alphas), np.array(betas)).max(axis=0)
+    return identity_residuals_reference(np.array(alphas),
+                                        np.array(betas)).max(axis=0)
 
 
 def row_residual(alpha_row, beta_row):

@@ -214,9 +214,8 @@ def test_acceptance_default_sweep_band():
 def test_acceptance_sweep_clamps_within_row_residual():
     # every clamp on the default grid is bounded by the residual of the
     # row it was built from, without the PHYSICALITY_TOL floor
-    _, _, reports = sweep_rows(RunConfig(), jobs=1)
-    clamp = np.concatenate([rep.clamp for rep in reports])
-    defect = np.concatenate([rep.defect for rep in reports])
+    _, _, grid = sweep_rows(RunConfig(), jobs=1)
+    clamp, defect = grid.clamp, grid.defect
     ratio = float(np.max(clamp / defect))
     ok = ratio <= 10.0 and np.count_nonzero(clamp) > 0
     report("sweep-clamp-bound", ok,

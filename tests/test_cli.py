@@ -244,6 +244,18 @@ def test_mode_index_too_large_for_a_float_is_usage_error(tmp_path, capsys,
                    "too large for a float\n")
 
 
+# an unknown clock is a bad config value, named with its line before
+# any trajectory is evaluated
+@pytest.mark.parametrize("command", ["fidelity", "sweep"])
+def test_config_unknown_alice_clock_is_usage_error(tmp_path, capsys,
+                                                   command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = 0.5\nalice_clock = bogus\n")
+    got = run([command, "--config", str(cfg)], capsys)
+    assert got == (2, "", "error: line 2: bad value for alice_clock: "
+                          "'bogus'\n")
+
+
 @pytest.mark.parametrize("text,field", [
     ("inertial inf\n", "inertial duration"),
     ("inertial 1e-10\naccel 2e17 inf\n", "proper duration tau"),
@@ -503,8 +515,12 @@ def test_report_equals_its_row_of_a_sweep_column():
     from cavtel.protocol import consistency_report
     from cavtel.trajectory import Accelerated, Trajectory
     cfg = RunConfig(tau_steps=100, a_steps=2)
-    taus, accs, reports = sweep_rows(cfg)
-    rows = sweep_table(taus, accs, reports)
+    taus, accs, grid = sweep_rows(cfg)
+    rows = sweep_table(taus, accs, grid)
+    # a grid report's fields are (A, T): it has no flat row i
+    assert grid.F_raw.shape == (len(accs), len(taus))
+    with pytest.raises(ValueError, match="column report"):
+        grid.row(0)
     params = cfg.params()
     for i, tau in enumerate(taus):
         for j, a in enumerate(accs):
@@ -677,8 +693,8 @@ def test_sweep_evaluates_the_first_order_sums_once():
     from cavtel.protocol import perturbative_optimal
     cfg = RunConfig(tau_steps=7, a_steps=40)
     bogoliubov._f_sums_cached.cache_clear()
-    taus, accs, reports = sweep_rows(cfg)
-    rows = sweep_table(taus, accs, reports)
+    taus, accs, grid = sweep_rows(cfg)
+    rows = sweep_table(taus, accs, grid)
     info = bogoliubov._f_sums_cached.cache_info()
     assert (info.misses, info.hits) == (1, cfg.a_steps - 1)
     geom = cfg.geometry()
@@ -740,6 +756,9 @@ def test_sweep_non_finite_grid_bound_is_usage_error(tmp_path, capsys,
     # a range whose two ends print the same 12-digit coordinate
     ("tau_min_s = 1e-10\ntau_max_s = 1.0000000000001e-10\n"
      "tau_steps = 2\na_steps = 2", ("tau_min_s", "tau_max_s", "tau_steps")),
+    # the far column reaches the horizon, h = a L / c^2 >= 2: rejected
+    # before any column runs, not at column 80 of 100
+    ("a_max_m_s2 = 3e18", ("a_max_m_s2",)),
 ])
 def test_sweep_grid_range_error_names_config_keys(tmp_path, capsys, line,
                                                   keys):
@@ -762,8 +781,8 @@ def reference_row_text(row):
 def test_sweep_row_text_matches_per_row_formatter(small_cfg):
     with open(small_cfg) as fh:
         cfg = apply_config_text(RunConfig(), fh.read())
-    taus, accs, reports = sweep_rows(cfg)
-    rows = sweep_table(taus, accs, reports)
+    taus, accs, grid = sweep_rows(cfg)
+    rows = sweep_table(taus, accs, grid)
     width = len(accs)
     coords = [f"{a!r},{h!r}" for _, a, h, *_ in rows[:width]]
     for i, tau in enumerate(taus.tolist()):
@@ -1059,6 +1078,38 @@ def test_sweep_lost_worker_falls_back_without_leftovers(small_cfg, capsys,
     assert_no_leftovers(fds)
 
 
+@pytest.mark.parametrize("jobs,lose", [
+    ("1", None),
+    ("2", None),
+    ("2", worker_leaves(lambda: os._exit(1))),
+], ids=["jobs-1", "jobs-2", "jobs-2-exit-1"])
+def test_sweep_plot_data_reads_the_grid_report(tmp_path, small_cfg, capsys,
+                                               monkeypatch, two_cpus, jobs,
+                                               lose):
+    # the plot matrix is the grid report's F_opt_numeric, row j the
+    # column of accs[j], with the same bytes at --jobs 1, at --jobs 2 and
+    # when the caller fills the block again after a lost worker
+    with open(small_cfg) as fh:
+        cfg = apply_config_text(RunConfig(), fh.read())
+    taus, accs, grid = sweep_rows(cfg)
+    assert grid.F_opt_numeric.shape == (len(accs), len(taus))
+    want = "".join(
+        ["# gnuplot nonuniform matrix: F_opt_numeric(tau, a)\n",
+         "# plot with: splot 'file' nonuniform matrix with pm3d\n",
+         " ".join([str(len(taus))] + ["%.11e" % t for t in taus]) + "\n"]
+        + [" ".join("%.11e" % v for v in [a] + grid.F_opt_numeric[j].tolist())
+           + "\n" for j, a in enumerate(accs.tolist())])
+    if lose is not None:
+        lose(monkeypatch)
+    plot = tmp_path / "plot.dat"
+    code, _, err = run(["sweep", "--config", small_cfg, "--jobs", jobs,
+                        "--out", str(tmp_path / "sweep.csv"),
+                        "--plot-data", str(plot)], capsys)
+    assert code == 0
+    assert ("recomputed" in err) == (lose is not None)
+    assert plot.read_text() == want
+
+
 def fork_fails_first_time(monkeypatch):
     """Every os.fork raises OSError, so no worker starts."""
     def fork():
@@ -1075,10 +1126,10 @@ def fork_fails_first_time(monkeypatch):
 ], ids=["jobs-1", "jobs-2", "jobs-2-exit-1", "jobs-2-fork-oserror"])
 def test_sweep_clamp_records_match_serial(tmp_path, capsys, caplog,
                                           monkeypatch, two_cpus, jobs, lose):
-    # the caller logs each clamped state once, in grid order, as --jobs 1
-    # does: a forked run from its shares' reports, a fallback run as it
-    # computes the grid again.  The 8 columns of the default grid hold
-    # 66 clamped states
+    # the caller logs each clamped state once, in grid order, from the
+    # filled block, whichever processes filled it: its own and a
+    # worker's shares, or a fallback run of the whole grid.  The 8
+    # columns of the default grid hold 66 clamped states
     path = tmp_path / "eight.cfg"
     path.write_text("a_steps = 8\n")
     if lose is not None:
@@ -1089,10 +1140,37 @@ def test_sweep_clamp_records_match_serial(tmp_path, capsys, caplog,
     shifts = [rec.args[0] for rec in caplog.records
               if rec.name == "cavtel.protocol"]
     with open(path) as fh:
-        _, _, reports = sweep_rows(apply_config_text(RunConfig(), fh.read()))
-    want = np.concatenate([rep.clamp for rep in reports])
+        _, _, grid = sweep_rows(apply_config_text(RunConfig(), fh.read()))
+    want = grid.clamp.ravel()
     assert len(shifts) == 66
     assert shifts == want[want > 0.0].tolist()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_that_raises_logs_no_clamp_record(tmp_path, capsys, caplog,
+                                                monkeypatch, two_cpus, jobs):
+    # the grid's records are logged once every column is done: the last
+    # of the 8 columns (the worker's share at --jobs 2) raises after the
+    # 7 before it clamped states, and the sweep logs none of them, as a
+    # single report that raises logs none
+    path = tmp_path / "eight.cfg"
+    path.write_text("a_steps = 8\n")
+    with open(path) as fh:
+        cfg = apply_config_text(RunConfig(), fh.read())
+    accs = cfg.grid()[1].tolist()
+    assert np.count_nonzero(sweep_rows(cfg)[2].clamp[:7]) > 0
+
+    def fail(a):
+        if a == accs[7]:
+            raise ConsistencyError(f"column a = {a!r} failed")
+
+    failing_columns(monkeypatch, fail)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cavtel.protocol"):
+        got = run(["sweep", "--config", str(path), "--jobs", jobs], capsys)
+    assert got == (3, "", f"error: column a = {accs[7]!r} failed\n")
+    assert [rec for rec in caplog.records
+            if rec.name == "cavtel.protocol"] == []
 
 
 # a root handler on stderr, and two usable CPUs, so that --jobs 2 forks
@@ -1277,6 +1355,8 @@ def test_validate_truncated_basis_fails(capsys):
     ("kp = 11", "Rob mode index must lie in 1..10"),
     ("k = 0", "Alice mode index must be >= 1"),
     ("r = 7", "squeezing r must be finite and lie in 0..6, got 7.0"),
+    # read with the config, not at the first report of a check
+    ("alice_clock = bogus", "line 1: bad value for alice_clock: 'bogus'"),
 ])
 def test_validate_rejects_bad_parameters_before_any_check(
         tmp_path, capsys, line, message):

@@ -446,7 +446,8 @@ def test_batched_columns_have_their_own_reports_bits(steps, accs, budget,
 def _run_share(results):
     """(the items of the iterable `results`, None), or, if it raises,
     (the items before, its exception).  Each item's clamp records are
-    logged as it is taken, as `cli.sweep_rows` logs a column report's."""
+    logged as it is taken, so the records of the reports before a
+    failure are compared too."""
     done = []
     try:
         for x in results:

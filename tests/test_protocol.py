@@ -521,10 +521,16 @@ def test_kernel_and_batches_log_nothing(caplog):
 def test_failing_inputs_are_computed_once(monkeypatch, budget, bad):
     # the batch gathered before a column whose inputs raise is reported
     # like any other, and then the very exception raised is raised
-    # again: no column's inputs are computed twice
+    # again; a batch whose kernel pass fails (column `bad` a lossy row,
+    # outside the physical cone) is redone from the inputs it holds, and
+    # column `bad` raises what it raises alone.  Either way no column's
+    # inputs are computed twice
     from cavtel import protocol
     real, calls = protocol._column_inputs, []
     error = ValueError("inputs failed")
+    taus = np.linspace(0.0, 3.0 * DEFAULT_GEOMETRY.fundamental_period, 100)
+    columns = [Trajectory((Accelerated(a, taus),), DEFAULT_GEOMETRY)
+               for a in (1e17, 1.5e17, 2e17, 2.5e17)]
 
     def inputs(params, trajectory, alice_clock):
         calls.append(trajectory)
@@ -532,24 +538,43 @@ def test_failing_inputs_are_computed_once(monkeypatch, budget, bad):
             raise error
         return real(params, trajectory, alice_clock)
 
-    monkeypatch.setattr(protocol, "_column_inputs", inputs)
-    monkeypatch.setattr(protocol, "BATCH_ROWS", budget)
-    taus = np.linspace(0.0, 3.0 * DEFAULT_GEOMETRY.fundamental_period, 100)
-    columns = [Trajectory((Accelerated(a, taus),), DEFAULT_GEOMETRY)
-               for a in (1e17, 1.5e17, 2e17, 2.5e17)]
-    done = []
-    with pytest.raises(ValueError) as info:
-        for rep in protocol._reports(PARAMS, columns, "lab"):
-            done.append(rep)
-    assert info.value is error
+    def lossy(params, trajectory, alice_clock):
+        calls.append(trajectory)
+        item = real(params, trajectory, alice_clock)
+        if trajectory is columns[bad]:
+            item = item._replace(rows=0.9 * item.rows)
+        return item
+
+    def reports(build):
+        calls.clear()
+        done = []
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "_column_inputs", build)
+            patch.setattr(protocol, "BATCH_ROWS", budget)
+            with pytest.raises(Exception) as info:
+                for rep in protocol._reports(PARAMS, columns, "lab"):
+                    done.append(rep)
+        assert all(got is want for got, want in zip(calls, columns))
+        assert len(done) == bad
+        for column, rep in zip(columns, done):
+            alone = consistency_report(PARAMS, column)
+            for name, value in vars(alone).items():
+                assert np.array_equal(getattr(rep, name), value,
+                                      equal_nan=True)
+        return info.value
+
+    assert reports(inputs) is error
     assert len(calls) == bad + 1
-    assert all(got is want for got, want in zip(calls, columns))
-    monkeypatch.undo()
-    assert len(done) == bad
-    for column, rep in zip(columns, done):
-        alone = consistency_report(PARAMS, column)
-        for name, value in vars(alone).items():
-            assert np.array_equal(getattr(rep, name), value, equal_nan=True)
+    exc = reports(lossy)
+    # each column's inputs once: the failing batch of `per` whole columns
+    # runs when the column after it is read (or the columns run out)
+    per = max(1, budget // len(taus))
+    assert len(calls) == min(len(columns), (bad // per + 1) * per + 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "_column_inputs", lossy)
+        with pytest.raises(PhysicalityError) as alone:
+            consistency_report(PARAMS, columns[bad])
+    assert (type(exc), str(exc)) == (PhysicalityError, str(alone.value))
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +783,8 @@ def test_default_sweep_eigensolves_only_its_clamped_states(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    _, _, reports = sweep_rows(RunConfig(), jobs=1)
-    clamped = sum(np.count_nonzero(rep.clamp) for rep in reports)
+    _, _, grid = sweep_rows(RunConfig(), jobs=1)
+    clamped = np.count_nonzero(grid.clamp)
     # nu takes no eigensolve, and the screen certifies every state but
     # the clamped ones: 810 eigensolves, against 10,810 with nu from
     # eigvalsh and 20,000 without the screen
